@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 numerical
 instability. The worker count is capped by the INFOTRAJ_WORKERS environment
-variable. All artifacts are deterministic for a fixed configuration; wall
-clock timings are segregated into timings.json.
+variable and by the CPU count. All artifacts are deterministic for a fixed
+configuration; wall clock timings are segregated into timings.json.
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ CHI2_2DOF_95 = -2.0 * math.log(0.05)
 
 
 class ScenarioError(ValueError):
-    """A scenario file failed to parse or validate; names the offending field."""
+    """An input (scenario or suite file, option or environment variable)
+    failed to parse or validate; names the offending field, file or variable."""
 
 
 def _require(condition: bool, where: str, message: str) -> None:
@@ -295,23 +296,30 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
+            return json.load(fh)
+    except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
-    return scenario_from_dict(data, where=str(path))
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_dict(_read_json(path), where=str(path))
 
 
 def worker_count(requested: Optional[int]) -> int:
+    """The requested worker count, capped by INFOTRAJ_WORKERS and the CPU count."""
     cap = os.environ.get("INFOTRAJ_WORKERS")
     workers = requested if requested else 1
     if cap is not None:
-        workers = min(workers, max(1, int(cap)))
-    return workers
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError as exc:
+            raise ScenarioError(f"INFOTRAJ_WORKERS={cap!r}: expected an integer") from exc
+    return min(workers, os.cpu_count() or 1)
 
 
 def cmd_solve(scenario: Scenario, out_dir, workers: int = 1) -> None:
@@ -613,8 +621,7 @@ def run_validation_suite(suite: dict, workers: int = 1) -> ValidationReport:
 
 
 def cmd_validate(suite_path, workers: int = 1) -> ValidationReport:
-    with open(suite_path, "r", encoding="utf-8") as fh:
-        suite = json.load(fh)
+    suite = _read_json(suite_path)
     if "scenario" in suite:
         scen_path = os.path.join(os.path.dirname(str(suite_path)), suite["scenario"])
         suite["_scenario"] = load_scenario(scen_path)
@@ -656,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    workers = worker_count(args.workers)
     try:
+        workers = worker_count(args.workers)
         if args.command == "solve":
             scenario = load_scenario(args.config)
             cmd_solve(scenario, args.out, workers=workers)

@@ -371,10 +371,11 @@ def trajectory_to_csv(trajectory: Trajectory, path, metric: TerminalMetric) -> N
     for key, val in trajectory.residuals.items():
         lines.append(f"# residual {key} = {val:.17g}")
     lines.append(",".join(cols))
+    costs = metric.value(trajectory.infos)
     for k in range(trajectory.s.size):
         row = [trajectory.s[k], *trajectory.states[k], trajectory.controls[k]]
         row += list(trajectory.infos[k])
-        row.append(metric.value(trajectory.infos[k]))
+        row.append(costs[k])
         if has_adjoint:
             row += list(trajectory.costates[k]) + list(trajectory.info_costates[k])
         lines.append(",".join(format(float(v), ".17g") for v in row))

@@ -240,6 +240,11 @@ class HybridSolution:
     config: SolverConfig
     config_hash: str = ""
     wall_time: float = 0.0
+    # seconds spent in the pointwise flow and in the spatial transport, and
+    # the number of march steps; saved to timings.json, not the manifest
+    flow_time: float = 0.0
+    transport_time: float = 0.0
+    steps: int = 0
 
     @property
     def horizon(self) -> float:
@@ -270,9 +275,10 @@ def save_solution(solution: HybridSolution, out_dir, extras: Optional[dict] = No
     """Persist a solution: deterministic manifest + flat binary snapshots.
 
     Binary layout: float64 little-endian, row-major in (iX, iY, ipsi[, j])
-    order. Wall-clock timings go to a separate timings.json so that repeated
-    runs with the same configuration produce byte-identical manifests and
-    fields. extras (e.g. a sensor-suite hash) are merged into the manifest.
+    order. Wall-clock timings (total, flow and transport seconds) and the
+    step count go to a separate timings.json so that repeated runs with the
+    same configuration produce byte-identical manifests and fields. extras
+    (e.g. a sensor-suite hash) are merged into the manifest.
     """
     import os
 
@@ -297,7 +303,13 @@ def save_solution(solution: HybridSolution, out_dir, extras: Optional[dict] = No
     }
     manifest.update(extras or {})
     write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
-    write_manifest(os.path.join(out_dir, "timings.json"), {"wall_time_s": solution.wall_time})
+    timings = {
+        "wall_time_s": solution.wall_time,
+        "flow_s": solution.flow_time,
+        "transport_s": solution.transport_time,
+        "steps": solution.steps,
+    }
+    write_manifest(os.path.join(out_dir, "timings.json"), timings)
 
 
 def load_solution(in_dir) -> HybridSolution:
@@ -417,12 +429,15 @@ def hybrid_solve(
     phi_zs = [phi_z.copy()]
     s = 0.0
     step = 0
+    flow_time = transport_time = 0.0
     while s < config.horizon - 1e-12:
         h = min(dt, config.horizon - s)
         # pointwise information flow first (exact for the logdet metric,
         # stiffness-free while the accumulated information is small), then
         # the explicit spatial transport under the CFL step
+        t0 = _time.perf_counter()
         phi, phi_z = metric.flow(phi, phi_z, q_field, h)
+        t1 = _time.perf_counter()
         if config.integrator == "euler":
             rp, rz = transport_rate(phi, phi_z)
             phi = phi + h * rp
@@ -434,6 +449,8 @@ def hybrid_solve(
             rp2, rz2 = transport_rate(phi1, phi_z1)
             phi = 0.5 * (phi + phi1 + h * rp2)
             phi_z = 0.5 * (phi_z + phi_z1 + h * rz2)
+        flow_time += t1 - t0
+        transport_time += _time.perf_counter() - t1
         s += h
         step += 1
         _check_finite(step, s, phi, phi_z)
@@ -456,6 +473,9 @@ def hybrid_solve(
         config=config,
         config_hash=_config_fingerprint(payload),
         wall_time=_time.perf_counter() - t_start,
+        flow_time=flow_time,
+        transport_time=transport_time,
+        steps=step,
     )
 
 
@@ -510,10 +530,7 @@ def classic_solve(
     n_steps = int(math.ceil(config.horizon / dt - 1e-12))
     stride = config.snapshot_stride or max(1, int(math.ceil(n_steps / 24)))
 
-    phi = np.empty(joint_grid.shape)
-    flat_z = z_nodes.reshape(-1, m)
-    flat_phi = np.array([metric.value(zrow) for zrow in flat_z])
-    phi = flat_phi.reshape(joint_grid.shape)
+    phi = metric.value(z_nodes)
 
     def rate(phi_now):
         minus, plus = upwind_gradients(phi_now, joint_grid)

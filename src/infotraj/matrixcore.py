@@ -69,10 +69,14 @@ def cholesky_spd(mat: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(f"Cholesky factorization failed: {exc}") from exc
 
 
-def logdet_spd(mat) -> float:
-    """log det of an SPD matrix via Cholesky: 2 * sum(log diag(L))."""
+def logdet_spd(mat):
+    """log det of an SPD matrix via Cholesky: 2 * sum(log diag(L)).
+
+    A (..., p, p) stack gives an array of shape (...); one matrix a float.
+    """
     chol = cholesky_spd(np.asarray(mat, dtype=float))
-    return float(2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1))
+    out = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def curvature_contraction(rate_matrix, grad) -> np.ndarray:
@@ -107,8 +111,8 @@ class TerminalMetric(ABC):
         self.dim = dim
 
     @abstractmethod
-    def value(self, z) -> float:
-        ...
+    def value(self, z):
+        """G(z) as a float; a (..., m) batch of states gives an array (...)."""
 
     @abstractmethod
     def gradient(self, z) -> np.ndarray:
@@ -145,18 +149,24 @@ class LogDetMetric(TerminalMetric):
     matrix, i.e. shrinks the volume of the estimation error ellipsoid.
     """
 
-    def value(self, z) -> float:
+    def value(self, z):
+        """G(z); a (..., m) batch of states gives an array of shape (...)."""
         zmat = unvec(z)
         self._check_dim(zmat)
-        asym = np.max(np.abs(zmat - zmat.T)) if zmat.size else 0.0
-        if asym <= 1e-9 * max(1.0, float(np.max(np.abs(zmat)))):
-            return -logdet_spd(0.5 * (zmat + zmat.T))
+        zmat_t = np.swapaxes(zmat, -1, -2)
+        asym = np.max(np.abs(zmat - zmat_t), axis=(-2, -1))
+        sym = asym <= 1e-9 * np.maximum(1.0, np.max(np.abs(zmat), axis=(-2, -1)))
+        if np.all(sym):
+            return -logdet_spd(0.5 * (zmat + zmat_t))
         # Slightly asymmetric states arise under coordinate-wise perturbation
         # of z (finite-difference probes); fall back to a general determinant.
         sign, logabs = np.linalg.slogdet(zmat)
-        if sign <= 0.0:
+        if np.any(sign <= 0.0):
             raise NotPositiveDefiniteError("determinant is not positive")
-        return -float(logabs)
+        out = -logabs
+        if np.any(sym):
+            out[sym] = -logdet_spd(0.5 * (zmat[sym] + zmat_t[sym]))
+        return out if out.ndim else float(out)
 
     def gradient(self, z) -> np.ndarray:
         """G_z(z) = -vec(Z^-T), the elementwise derivative on all p**2 coordinates."""
@@ -180,22 +190,55 @@ class LogDetMetric(TerminalMetric):
         negated inverse) keeps the step unconditionally stable and preserves
         the identity between the gradient field and the sensitivity of the
         value to the initial information state exactly.
+
+        For p = 2 the inverses and determinants are the closed-form 2x2
+        adjugate formulas on the vec components; other p use LAPACK.
         """
-        lmat = unvec(grad)
-        acc = -np.linalg.inv(lmat)  # accumulated information matrix, SPD
-        acc_new = acc + h * rate_matrix
-        sign_old, logdet_old = np.linalg.slogdet(acc)
-        sign_new, logdet_new = np.linalg.slogdet(acc_new)
-        if np.any(sign_old <= 0.0) or np.any(sign_new <= 0.0):
-            raise NotPositiveDefiniteError(
-                "information state lost positive definiteness"
-            )
-        value_new = value + (logdet_old - logdet_new)  # G(new) - G(old)
-        grad_new = -vec(np.linalg.inv(acc_new))
-        return value_new, grad_new
+        if grad.shape[-1] == 4:
+            return _flow_2x2(value, grad, rate_matrix, h)
+        return _flow_lapack(value, grad, rate_matrix, h)
 
     def _check_dim(self, zmat: np.ndarray) -> None:
         if zmat.shape[-1] != self.dim:
             raise DimensionError(
                 f"expected a {self.dim}x{self.dim} information state, got {zmat.shape[-1]}"
             )
+
+
+def _flow_lapack(value, grad, rate_matrix, h: float):
+    """LogDetMetric.flow for any p through batched LAPACK inverses."""
+    lmat = unvec(grad)
+    acc = -np.linalg.inv(lmat)  # accumulated information matrix, SPD
+    acc_new = acc + h * rate_matrix
+    sign_old, logdet_old = np.linalg.slogdet(acc)
+    sign_new, logdet_new = np.linalg.slogdet(acc_new)
+    if np.any(sign_old <= 0.0) or np.any(sign_new <= 0.0):
+        raise NotPositiveDefiniteError(
+            "information state lost positive definiteness"
+        )
+    value_new = value + (logdet_old - logdet_new)  # G(new) - G(old)
+    grad_new = -vec(np.linalg.inv(acc_new))
+    return value_new, grad_new
+
+
+def _flow_2x2(value, grad, rate_matrix, h: float):
+    """LogDetMetric.flow for p = 2 from the vec components (column-major).
+
+    grad holds vec(L) with L = -A^-1, so A = -adj(L) / det(L) and
+    det(A) = 1 / det(L). With A' = A + h Q the value gains
+    log det A - log det A', and the new gradient is -vec(adj(A') / det(A')).
+    """
+    l00, l10, l01, l11 = grad[..., 0], grad[..., 1], grad[..., 2], grad[..., 3]
+    det_l = l00 * l11 - l01 * l10
+    det_old = 1.0 / det_l
+    a00 = -l11 * det_old + h * rate_matrix[..., 0, 0]
+    a10 = l10 * det_old + h * rate_matrix[..., 1, 0]
+    a01 = l01 * det_old + h * rate_matrix[..., 0, 1]
+    a11 = -l00 * det_old + h * rate_matrix[..., 1, 1]
+    det_new = a00 * a11 - a01 * a10
+    if not (np.all(det_l > 0.0) and np.all(det_new > 0.0)):
+        raise NotPositiveDefiniteError("information state lost positive definiteness")
+    value_new = value + (np.log(det_old) - np.log(det_new))  # G(new) - G(old)
+    scale = 1.0 / det_new
+    grad_new = np.stack([-a11 * scale, a10 * scale, a01 * scale, -a00 * scale], axis=-1)
+    return value_new, grad_new

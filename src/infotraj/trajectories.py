@@ -55,17 +55,19 @@ def _inside(grid: GridSpec, x: np.ndarray) -> bool:
     return True
 
 
-def _info_rate_jacobian(system: CascadeSystem, x: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """d vec(Q)/dx by central differences, shape (m, d); one batched rate call."""
+def _info_rate_and_jacobian(system: CascadeSystem, x: np.ndarray, steps: np.ndarray):
+    """vec(Q) at x and d vec(Q)/dx by central differences, shapes (m,) and
+    (m, d), from one batched rate call on the centre and the 2d probes."""
     d = system.state_dim
-    probes = np.repeat(x[None, :], 2 * d, axis=0)
+    probes = np.repeat(x[None, :], 1 + 2 * d, axis=0)
     for i in range(d):
-        probes[2 * i, i] += steps[i]
-        probes[2 * i + 1, i] -= steps[i]
+        probes[1 + 2 * i, i] += steps[i]
+        probes[2 + 2 * i, i] -= steps[i]
     rates = system.info_rate(probes)
-    return np.stack(
-        [(rates[2 * i] - rates[2 * i + 1]) / (2.0 * steps[i]) for i in range(d)], axis=-1
+    jac = np.stack(
+        [(rates[1 + 2 * i] - rates[2 + 2 * i]) / (2.0 * steps[i]) for i in range(d)], axis=-1
     )
+    return rates[0], jac
 
 
 def _switching(system: CascadeSystem, p: np.ndarray) -> float:
@@ -131,8 +133,7 @@ def extract_characteristic(
 
     def derivs(x_now, p_now, u_now):
         dx = system.drift(x_now) + g * u_now
-        dz = system.info_rate(x_now)
-        ell_jac = _info_rate_jacobian(system, x_now, fd_steps)
+        dz, ell_jac = _info_rate_and_jacobian(system, x_now, fd_steps)
         dp = -system.drift_jacobian(x_now).T @ p_now - ell_jac.T @ lam_row
         return dx, dz, dp
 
@@ -329,7 +330,7 @@ def brute_force_value(
     levels = (0.0, -b, b)
     combos = np.array(list(itertools.product(levels, repeat=segments)))
     finals = _simulate_control_batch(system, x0_arr, z0, combos, horizon, dt)
-    costs = np.array([metric.value(zrow) for zrow in finals])
+    costs = metric.value(finals)
     best = int(np.argmin(costs))
     best_cost = float(costs[best])
     best_signal = ControlSignal.from_segments(combos[best], horizon)

@@ -4,8 +4,8 @@ Each test prints one [criterion N] PASS/FAIL line (run pytest with -s to see
 them all). Criterion 6 is known to fail: under the shipped Doppler measurement
 model the cost-optimal trajectory orbits the prior rather than departing along
 a radial ray, so the qualitative figure-reproduction bound of 10 degrees is
-not attainable for every fan start; see notes/decisions.md in the repository
-root history and README "Known limitations" for the measured analysis.
+not attainable for every fan start; see README "Known limitations" for the
+measured analysis.
 """
 
 import math

@@ -94,7 +94,10 @@ class TestSolveExtractPlot:
         manifest = json.loads((sol_dir / "manifest.json").read_text())
         assert manifest["kind"] == "hybrid_solution"
         assert (sol_dir / manifest["snapshots"][0]["phi"]).exists()
-        assert (sol_dir / "timings.json").exists()
+        timings = json.loads((sol_dir / "timings.json").read_text())
+        assert set(timings) == {"wall_time_s", "flow_s", "transport_s", "steps"}
+        assert timings["steps"] > 0
+        assert 0.0 < timings["flow_s"] + timings["transport_s"] <= timings["wall_time_s"]
 
     def test_solve_deterministic_across_runs_and_workers(self, pipeline, tmp_path):
         _, scenario, sol_dir = pipeline
@@ -204,10 +207,24 @@ class TestWorkerEnvCap:
     def test_env_caps_workers(self, monkeypatch):
         from infotraj.cli import worker_count
 
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)  # isolate the env cap
         monkeypatch.setenv("INFOTRAJ_WORKERS", "2")
         assert worker_count(8) == 2
         monkeypatch.delenv("INFOTRAJ_WORKERS")
         assert worker_count(8) == 8
+
+    def test_cpu_count_caps_workers(self, monkeypatch):
+        from infotraj.cli import worker_count
+
+        monkeypatch.delenv("INFOTRAJ_WORKERS", raising=False)
+        assert worker_count(10**6) == (os.cpu_count() or 1)
+
+    def test_malformed_env_exits_2_naming_it(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setenv("INFOTRAJ_WORKERS", "abc")
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"toy_dx": 0.05}))
+        assert main(["validate", "--suite", str(suite)]) == 2
+        assert "INFOTRAJ_WORKERS" in capsys.readouterr().err
 
 
 class TestValidationSuite:
@@ -245,6 +262,11 @@ class TestValidationSuite:
             )
         )
         assert main(["validate", "--suite", str(tight)]) == 1
+
+    def test_missing_suite_exits_2_naming_it(self, tmp_path, capsys):
+        missing = tmp_path / "no_such_suite.json"
+        assert main(["validate", "--suite", str(missing)]) == 2
+        assert "no_such_suite.json" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_dissipation_sign_mutation_detected(self, monkeypatch):

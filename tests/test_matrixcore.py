@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,15 @@ from infotraj.matrixcore import (
     DimensionError,
     LogDetMetric,
     NotPositiveDefiniteError,
+    _flow_lapack,
     curvature_contraction,
     info_matrix,
     logdet_spd,
     unvec,
     vec,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def random_spd(rng, p, jitter=0.5):
@@ -170,6 +175,25 @@ class TestLogDetMetric:
         with pytest.raises(NotPositiveDefiniteError):
             metric.value(vec(np.diag([1.0, -2.0])))
 
+    def test_value_batch_equals_loop(self):
+        rng = np.random.default_rng(14)
+        metric = LogDetMetric(2)
+        zs = np.stack([vec(random_spd(rng, 2)) for _ in range(6)]).reshape(2, 3, 4)
+        zs[0, 1, 1] += 1e-3  # an asymmetric probe takes the slogdet fallback
+        batch = metric.value(zs)
+        assert batch.shape == (2, 3)
+        loop = np.array([[metric.value(z) for z in row] for row in zs])
+        assert np.array_equal(batch, loop)
+
+    def test_value_batch_rejects_one_nonpositive_state(self):
+        metric = LogDetMetric(2)
+        zs = np.stack([vec(np.eye(2)), vec(np.diag([1.0, -2.0])), vec(np.eye(2))])
+        with pytest.raises(NotPositiveDefiniteError):
+            metric.value(zs)
+        zs[1, 1] = 1e-3  # asymmetric and with a negative determinant
+        with pytest.raises(NotPositiveDefiniteError):
+            metric.value(zs)
+
 
 class TestCurvatureContraction:
     def test_identity_case(self):
@@ -279,3 +303,62 @@ class TestMetricFlow:
             v_k, g_k = metric.flow(values[k], grads[k], qs[k], 0.5)
             assert v_new[k] == pytest.approx(v_k)
             assert np.allclose(g_new[k], g_k)
+
+
+class TestClosedFormFlow:
+    """The p = 2 closed form against the general LAPACK branch."""
+
+    @staticmethod
+    def random_state(rng, n):
+        zs = np.stack([random_spd(rng, 2, jitter=0.05) for _ in range(n)])
+        qs = np.stack([random_psd(rng, 2) for _ in range(n)])
+        metric = LogDetMetric(2)
+        grads = np.stack([metric.gradient(vec(z)) for z in zs])
+        return metric.value(vec(zs)), grads, qs
+
+    @pytest.mark.parametrize("h", [1e-3, 0.37, 25.0])
+    def test_matches_lapack_branch(self, h):
+        rng = np.random.default_rng(31)
+        values, grads, qs = self.random_state(rng, 400)
+        v_closed, g_closed = LogDetMetric(2).flow(values, grads, qs, h)
+        v_lapack, g_lapack = _flow_lapack(values, grads, qs, h)
+        np.testing.assert_allclose(v_closed, v_lapack, rtol=1e-12, atol=1e-12)
+        scale = np.max(np.abs(g_lapack), axis=-1, keepdims=True)
+        assert np.all(np.abs(g_closed - g_lapack) <= 1e-12 * scale)
+
+    def test_one_indefinite_node_raises(self):
+        rng = np.random.default_rng(33)
+        values, grads, qs = self.random_state(rng, 8)
+        metric = LogDetMetric(2)
+        bad_grad = grads.copy()
+        bad_grad[5] = -vec(np.linalg.inv(np.diag([1.0, -2.0])))
+        with pytest.raises(NotPositiveDefiniteError):
+            metric.flow(values, bad_grad, qs, 0.1)
+        bad_rate = qs.copy()
+        bad_rate[2] = np.diag([-1e6, 0.0])  # one negative eigenvalue after the step
+        with pytest.raises(NotPositiveDefiniteError):
+            metric.flow(values, grads, bad_rate, 0.1)
+
+    def test_survey_solve_matches_lapack_kernel(self):
+        from infotraj.cli import load_scenario
+        from infotraj.grid import GridSpec
+        from infotraj.hjsolver import SolverConfig, hybrid_solve, info_rate_on_grid
+
+        class LapackLogDet(LogDetMetric):
+            def flow(self, value, grad, rate_matrix, h):
+                return _flow_lapack(value, grad, rate_matrix, h)
+
+        scenario = load_scenario(REPO / "scenarios" / "doppler_single_path.json")
+        system = scenario.build_system()
+        grid = GridSpec.vehicle_plane(scenario.x_extent, scenario.y_extent, 21, 21, 16)
+        z0 = scenario.initial_information()
+        config = SolverConfig(horizon=scenario.solver.horizon, cfl_number=scenario.solver.cfl_number)
+        ell = info_rate_on_grid(system, grid)
+        closed = hybrid_solve(system, LogDetMetric(2), grid, z0, config, info_rate_field=ell)
+        lapack = hybrid_solve(system, LapackLogDet(2), grid, z0, config, info_rate_field=ell)
+        assert closed.steps == lapack.steps
+        d_phi = np.abs(closed.phi_final() - lapack.phi_final())
+        d_phi_z = np.linalg.norm(closed.phi_z_final() - lapack.phi_z_final(), axis=-1)
+        rel_phi_z = d_phi_z / np.linalg.norm(lapack.phi_z_final(), axis=-1)
+        assert np.max(d_phi) <= 1e-9
+        assert np.max(rel_phi_z) <= 1e-7

@@ -11,6 +11,7 @@ from infotraj.matrixcore import LogDetMetric, vec
 from infotraj.trajectories import (
     BoundaryExitError,
     ValidationReport,
+    _info_rate_and_jacobian,
     brute_force_value,
     extract_characteristic,
     extract_receding,
@@ -106,6 +107,33 @@ class TestCharacteristicExtraction:
         )
         gap = traj.terminal_cost - bf_cost
         assert gap > 0.05  # flipped sign drives toward the origin and loses information
+
+
+class TestInfoRateAndJacobian:
+    def test_equals_separate_rate_and_difference_calls(self):
+        from pathlib import Path
+
+        from infotraj.cli import load_scenario
+
+        scenario = load_scenario(
+            Path(__file__).resolve().parents[1] / "scenarios" / "doppler_single_path.json"
+        )
+        system = scenario.build_system()
+        steps = 0.5 * scenario.grid().spacings
+        for x in ([50.0, -36.6, -math.pi], [0.0, 0.0, 0.0], [-310.5, 122.25, 2.0]):
+            x = np.asarray(x)
+            rate, jac = _info_rate_and_jacobian(system, x, steps)
+            probes = np.repeat(x[None, :], 6, axis=0)
+            for i in range(3):
+                probes[2 * i, i] += steps[i]
+                probes[2 * i + 1, i] -= steps[i]
+            rates = system.info_rate(probes)
+            expected = np.stack(
+                [(rates[2 * i] - rates[2 * i + 1]) / (2.0 * steps[i]) for i in range(3)],
+                axis=-1,
+            )
+            assert np.array_equal(rate, system.info_rate(x))
+            assert np.array_equal(jac, expected)
 
 
 class TestConcurrentExtraction:
