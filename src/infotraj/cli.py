@@ -9,6 +9,7 @@ configuration; wall clock timings are segregated into timings.json.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from infotraj.grid import GridSpec, interpolate, read_manifest, write_manifest
 from infotraj.hjsolver import (
     InstabilityError,
     SolverConfig,
-    classic_solve,
+    config_fingerprint,
     hybrid_solve,
     info_rate_on_grid,
     load_solution,
@@ -38,7 +39,9 @@ from infotraj.trajectories import (
     brute_force_value,
     extract_characteristic,
     extract_receding,
+    final_leg_ray_misalignment_deg,
     gradient_consistency_check,
+    toy_hybrid_vs_classic,
 )
 from infotraj.dynamics import ToyCascade
 from infotraj.grid import Axis
@@ -65,6 +68,7 @@ def _require(condition: bool, where: str, message: str) -> None:
 
 def _take(obj: dict, where: str, known: dict) -> dict:
     """Pull known fields (with defaults, None = required) and reject unknowns."""
+    _require(isinstance(obj, dict), where, "expected an object")
     unknown = set(obj) - set(known)
     _require(not unknown, where, f"unknown field(s) {sorted(unknown)}")
     out = {}
@@ -73,6 +77,35 @@ def _take(obj: dict, where: str, known: dict) -> dict:
             raise ScenarioError(f"{where}.{key}: required field is missing")
         out[key] = obj.get(key, default)
     return out
+
+
+def _number(value, where: str, integer: bool = False):
+    """A finite number as float, or as int when integer; anything else
+    (strings, null, booleans, NaN, infinities) names the field."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
+        number = math.nan
+    if isinstance(value, (bool, str)) or not math.isfinite(number):
+        raise ScenarioError(f"{where}: expected a finite number, got {value!r}")
+    if not integer:
+        return number
+    _require(number.is_integer(), where, f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _positive(value, where: str, integer: bool = False):
+    number = _number(value, where, integer)
+    _require(number > 0, where, "must be positive")
+    return number
+
+
+def _numbers(values, where: str, length: Optional[int] = None) -> list:
+    """A list of finite numbers (of the given length)."""
+    _require(isinstance(values, list), where, "expected a list of numbers")
+    if length is not None:
+        _require(len(values) == length, where, f"expected {length} entries")
+    return [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
 @dataclass
@@ -140,7 +173,7 @@ class Scenario:
                 "mean_m": [float(v) for v in self.prior_mean],
                 "covariance_m2": [[float(v) for v in row] for row in self.prior_covariance],
             },
-            "sensors": self.sensors,
+            "sensors": [dict(spec) for spec in self.sensors],
             "grid": {
                 "x_extent_m": list(self.x_extent),
                 "y_extent_m": list(self.y_extent),
@@ -163,7 +196,7 @@ class Scenario:
             },
             "initial_states": [[s.x, s.y, s.psi] for s in self.initial_states],
             "seed": self.seed,
-            "provenance": self.provenance,
+            "provenance": dict(self.provenance),
         }
 
 
@@ -188,21 +221,21 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     _require(top["schema_version"] == 1, f"{where}.schema_version", "expected 1")
 
     veh = _take(top["vehicle"], f"{where}.vehicle", {"speed_mps": None, "turn_rate_limit_radps": None})
-    _require(veh["speed_mps"] > 0, f"{where}.vehicle.speed_mps", "must be positive")
-    _require(
-        veh["turn_rate_limit_radps"] > 0,
-        f"{where}.vehicle.turn_rate_limit_radps",
-        "must be positive",
+    speed = _positive(veh["speed_mps"], f"{where}.vehicle.speed_mps")
+    turn_rate_limit = _positive(
+        veh["turn_rate_limit_radps"], f"{where}.vehicle.turn_rate_limit_radps"
     )
 
     pri = _take(top["prior"], f"{where}.prior", {"mean_m": None, "covariance_m2": None})
-    mean = np.asarray(pri["mean_m"], dtype=float)
-    cov = np.asarray(pri["covariance_m2"], dtype=float)
-    _require(mean.ndim == 1, f"{where}.prior.mean_m", "must be a vector")
+    mean = np.array(_numbers(pri["mean_m"], f"{where}.prior.mean_m"))
+    rows = pri["covariance_m2"]
+    where_cov = f"{where}.prior.covariance_m2"
+    _require(isinstance(rows, list) and len(rows) == mean.size, where_cov, "expected a matrix")
+    cov = np.array([_numbers(row, f"{where_cov}[{i}]", mean.size) for i, row in enumerate(rows)])
     try:
         GaussianPrior(mean, cov)
     except (ValueError, NotPositiveDefiniteError) as exc:
-        raise ScenarioError(f"{where}.prior.covariance_m2: {exc}") from exc
+        raise ScenarioError(f"{where_cov}: {exc}") from exc
 
     _require(isinstance(top["sensors"], list) and top["sensors"], f"{where}.sensors", "need at least one sensor")
     sensors = []
@@ -219,9 +252,11 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
             },
         )
         _require(spec["type"] == "doppler", f"{where}.sensors[{i}].type", "only 'doppler' is available")
+        # checked only: the spec is kept as written, it feeds the suite hash
         for key in ("frequency_scale_hz_per_mps", "noise_std_hz", "rate_hz"):
-            _require(spec[key] > 0, f"{where}.sensors[{i}].{key}", "must be positive")
-        _require(spec["altitude_m"] >= 0, f"{where}.sensors[{i}].altitude_m", "must be nonnegative")
+            _positive(spec[key], f"{where}.sensors[{i}].{key}")
+        altitude = _number(spec["altitude_m"], f"{where}.sensors[{i}].altitude_m")
+        _require(altitude >= 0, f"{where}.sensors[{i}].altitude_m", "must be nonnegative")
         sensors.append(spec)
 
     gr = _take(
@@ -229,8 +264,15 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         f"{where}.grid",
         {"x_extent_m": None, "y_extent_m": None, "nx": None, "ny": None, "npsi": None},
     )
+    extents = {}
+    for key in ("x_extent_m", "y_extent_m"):
+        lo, hi = _numbers(gr[key], f"{where}.grid.{key}", 2)
+        _require(lo < hi, f"{where}.grid.{key}", "expected [lo, hi] with lo < hi")
+        extents[key] = (lo, hi)
+    counts = {}
     for key in ("nx", "ny", "npsi"):
-        _require(int(gr[key]) >= 3, f"{where}.grid.{key}", "needs at least 3 points")
+        counts[key] = _number(gr[key], f"{where}.grid.{key}", integer=True)
+        _require(counts[key] >= 3, f"{where}.grid.{key}", "needs at least 3 points")
 
     sv = _take(
         top["solver"],
@@ -244,14 +286,19 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
             "snapshot_stride": 0,
         },
     )
+    horizon = _positive(sv["horizon_s"], f"{where}.solver.horizon_s")
+    cfl_number = _positive(sv["cfl_number"], f"{where}.solver.cfl_number")
+    _require(cfl_number <= 1.0, f"{where}.solver.cfl_number", "must lie in (0, 1]")
+    stride = _number(sv["snapshot_stride"], f"{where}.solver.snapshot_stride", integer=True)
+    _require(stride >= 0, f"{where}.solver.snapshot_stride", "must be nonnegative")
     try:
         solver = SolverConfig(
-            horizon=float(sv["horizon_s"]),
-            cfl_number=float(sv["cfl_number"]),
+            horizon=horizon,
+            cfl_number=cfl_number,
             integrator=sv["integrator"],
             dissipation=sv["dissipation"],
             gradient_transport=sv["gradient_transport"],
-            snapshot_stride=int(sv["snapshot_stride"]),
+            snapshot_stride=stride,
         )
     except ValueError as exc:
         raise ScenarioError(f"{where}.solver: {exc}") from exc
@@ -261,37 +308,39 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         f"{where}.extraction",
         {"dt_s": 0.05, "mode": "characteristic", "legs": 1},
     )
-    _require(ex["dt_s"] > 0, f"{where}.extraction.dt_s", "must be positive")
+    dt = _positive(ex["dt_s"], f"{where}.extraction.dt_s")
     _require(
         ex["mode"] in ("characteristic", "receding"),
         f"{where}.extraction.mode",
         "must be 'characteristic' or 'receding'",
     )
-    _require(int(ex["legs"]) >= 1, f"{where}.extraction.legs", "must be >= 1")
+    legs = _positive(ex["legs"], f"{where}.extraction.legs", integer=True)
 
-    states = []
-    for i, row in enumerate(top["initial_states"]):
-        _require(len(row) == 3, f"{where}.initial_states[{i}]", "expected [X, Y, psi]")
-        states.append(State(float(row[0]), float(row[1]), float(row[2])))
+    _require(isinstance(top["initial_states"], list), f"{where}.initial_states", "expected a list")
+    states = [
+        State(*_numbers(row, f"{where}.initial_states[{i}]", 3))
+        for i, row in enumerate(top["initial_states"])
+    ]
+    _require(isinstance(top["provenance"], dict), f"{where}.provenance", "expected an object")
 
     return Scenario(
         name=str(top["name"]),
-        speed=float(veh["speed_mps"]),
-        turn_rate_limit=float(veh["turn_rate_limit_radps"]),
+        speed=speed,
+        turn_rate_limit=turn_rate_limit,
         prior_mean=mean,
         prior_covariance=cov,
         sensors=sensors,
-        x_extent=tuple(float(v) for v in gr["x_extent_m"]),
-        y_extent=tuple(float(v) for v in gr["y_extent_m"]),
-        nx=int(gr["nx"]),
-        ny=int(gr["ny"]),
-        npsi=int(gr["npsi"]),
+        x_extent=extents["x_extent_m"],
+        y_extent=extents["y_extent_m"],
+        nx=counts["nx"],
+        ny=counts["ny"],
+        npsi=counts["npsi"],
         solver=solver,
-        extraction_dt=float(ex["dt_s"]),
+        extraction_dt=dt,
         extraction_mode=ex["mode"],
-        extraction_legs=int(ex["legs"]),
+        extraction_legs=legs,
         initial_states=states,
-        seed=int(top["seed"]),
+        seed=_number(top["seed"], f"{where}.seed", integer=True),
         provenance=dict(top["provenance"]),
     )
 
@@ -322,10 +371,20 @@ def worker_count(requested: Optional[int]) -> int:
     return min(workers, os.cpu_count() or 1)
 
 
+def solution_fingerprints(scenario: Scenario) -> dict:
+    """The sensor-suite hash and the solver config hash that a solution of
+    this scenario carries in its manifest."""
+    suite = json.dumps(scenario.to_dict()["sensors"], sort_keys=True)
+    return {
+        "sensor_suite_hash": hashlib.sha256(suite.encode()).hexdigest(),
+        "config_hash": config_fingerprint(
+            scenario.grid(), scenario.initial_information(), scenario.solver
+        ),
+    }
+
+
 def cmd_solve(scenario: Scenario, out_dir, workers: int = 1) -> None:
     """Solve the scenario and persist the solution artifacts."""
-    import hashlib
-
     system = scenario.build_system()
     metric = LogDetMetric(scenario.prior().dim)
     grid = scenario.grid()
@@ -334,30 +393,21 @@ def cmd_solve(scenario: Scenario, out_dir, workers: int = 1) -> None:
     solution = hybrid_solve(
         system, metric, grid, z0, scenario.solver, info_rate_field=ell, workers=workers
     )
-    suite_hash = hashlib.sha256(
-        json.dumps(scenario.to_dict()["sensors"], sort_keys=True).encode()
-    ).hexdigest()
     os.makedirs(out_dir, exist_ok=True)
-    save_solution(solution, out_dir, extras={"sensor_suite_hash": suite_hash})
+    save_solution(solution, out_dir, extras=solution_fingerprints(scenario))
     write_manifest(os.path.join(out_dir, "scenario.json"), scenario.to_dict())
 
 
 def _shape_metrics(traj, prior_mean) -> dict:
     """Alignment of the final fifth of the path with the ray from the prior mean."""
-    n = traj.s.size
-    k0 = int(0.8 * n)
-    seg = traj.states[k0:]
-    disp = seg[-1][:2] - seg[0][:2]
-    mid = 0.5 * (seg[-1][:2] + seg[0][:2]) - prior_mean
-    ray = math.atan2(mid[1], mid[0])
-    net = abs((math.atan2(disp[1], disp[0]) - ray + math.pi) % (2 * math.pi) - math.pi)
+    seg = traj.states[int(0.8 * traj.s.size) :]
     rel = seg[:, :2] - prior_mean
     per = np.abs(
         (seg[:, 2] - np.arctan2(rel[:, 1], rel[:, 0]) + math.pi) % (2 * math.pi) - math.pi
     )
     deg = 180.0 / math.pi
     return {
-        "net_displacement_misalignment_deg": float(net * deg),
+        "net_displacement_misalignment_deg": final_leg_ray_misalignment_deg(traj, prior_mean),
         "mean_heading_misalignment_deg": float(np.mean(per) * deg),
         "max_heading_misalignment_deg": float(np.max(per) * deg),
     }
@@ -365,18 +415,30 @@ def _shape_metrics(traj, prior_mean) -> dict:
 
 def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario] = None,
                 workers: int = 1) -> dict:
-    """Extract trajectories from a stored solution; one CSV per initial state."""
+    """Extract trajectories from a stored solution; one CSV per initial state.
+
+    The scenario (by default the solution's own scenario.json) must carry the
+    sensor-suite and config hashes of the solution's manifest.
+    """
     if scenario is None:
-        scenario = scenario_from_dict(
-            read_manifest(os.path.join(solution_dir, "scenario.json")),
-            where=os.path.join(str(solution_dir), "scenario.json"),
-        )
+        path = os.path.join(str(solution_dir), "scenario.json")
+        scenario = scenario_from_dict(_read_json(path), where=path)
     starts = [State(*row) for row in x0_list] if x0_list else list(scenario.initial_states)
     if not starts:
         warnings.warn("no initial states given; nothing to extract", stacklevel=2)
         return {"trajectories": []}
 
-    solution = load_solution(solution_dir)
+    try:
+        manifest = read_manifest(os.path.join(solution_dir, "manifest.json"))
+        solution = load_solution(solution_dir)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ScenarioError(f"{solution_dir}: cannot load the solution: {exc}") from exc
+    for key, value in solution_fingerprints(scenario).items():
+        _require(
+            manifest.get(key) == value,
+            f"{solution_dir}: manifest {key}",
+            "does not match the scenario; extract with the scenario that was solved",
+        )
     system = scenario.build_system()
     metric = LogDetMetric(scenario.prior().dim)
     os.makedirs(out_dir, exist_ok=True)
@@ -493,28 +555,6 @@ def cmd_plot(in_dir, out_file, scenario: Optional[Scenario] = None) -> None:
         fh.write(render_svg(trajectories, mean, cov))
 
 
-def _toy_cross_check(dx: float) -> dict:
-    toy = ToyCascade()
-    metric = LogDetMetric(1)
-
-    def gap(step):
-        nx = int(round(4.0 / step)) + 1
-        nz = int(round(5.2 / step)) + 1
-        grid = GridSpec((Axis(-2.0, 2.0, nx),))
-        joint = GridSpec((Axis(-2.0, 2.0, nx), Axis(0.4, 5.6, nz)))
-        cfg = SolverConfig(horizon=1.0)
-        hyb = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg)
-        cls = classic_solve(toy, metric, joint, cfg)
-        zi = int(np.argmin(np.abs(joint.axes[1].nodes - 1.0)))
-        x = grid.axes[0].nodes
-        inner = np.abs(x) <= 1.0
-        return float(np.max(np.abs(hyb.phi_final() - cls.phi_final()[:, zi])[inner]))
-
-    coarse = gap(dx)
-    fine = gap(dx / 2.0)
-    return {"max_diff": coarse, "refined_max_diff": fine, "ratio": fine / coarse}
-
-
 def run_validation_suite(suite: dict, workers: int = 1) -> ValidationReport:
     """Run the oracle suite: toy cross-check, gradient-consistency checks,
     characteristic residuals, and the brute-force optimality sandwich."""
@@ -522,7 +562,7 @@ def run_validation_suite(suite: dict, workers: int = 1) -> ValidationReport:
     thresholds = suite.get("thresholds", {})
 
     toy_dx = suite.get("toy_dx", 0.05)
-    cross = _toy_cross_check(toy_dx)
+    cross = toy_hybrid_vs_classic(toy_dx)
     report.add(
         "toy_hybrid_vs_classic",
         cross["max_diff"] <= thresholds.get("toy_max_diff", 5e-2),

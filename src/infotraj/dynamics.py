@@ -268,27 +268,34 @@ def _segment_nodes(control: ControlSignal, horizon: float, dt: float) -> np.ndar
     return np.asarray(nodes, dtype=float)
 
 
-def rk4_step(system: CascadeSystem, x, z, u: float, dt: float):
-    """One classical Runge-Kutta step of the joint (x, z) cascade dynamics."""
+def rk4_step(system: CascadeSystem, deriv, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical Runge-Kutta step of dy/ds = deriv(y).
+
+    y has shape (batch, n) and its first system.state_dim columns are the
+    vehicle state, whose heading is wrapped after the step (never between
+    stages). Every integrator in the package steps through this function.
+    """
+    k1 = deriv(y)
+    k2 = deriv(y + 0.5 * h * k1)
+    k3 = deriv(y + 0.5 * h * k2)
+    k4 = deriv(y + h * k3)
+    y_new = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    d = system.state_dim
+    y_new[:, :d] = system.wrap(y_new[:, :d])
+    return y_new
+
+
+def cascade_deriv(system: CascadeSystem, u):
+    """The cascade dynamics d[x, z]/ds = [f(x) + g u, vec(Q(x))] on rows
+    y = [x, z]; u is a scalar or a (batch, 1) column of turn rates."""
+    d = system.state_dim
     g = system.control_column()
 
-    def f(xv):
-        return system.drift(xv) + g * u
+    def deriv(y):
+        x = y[:, :d]
+        return np.concatenate([system.drift(x) + g * u, system.info_rate(x)], axis=1)
 
-    k1x = f(x)
-    k1z = system.info_rate(x)
-    x2 = x + 0.5 * dt * k1x
-    k2x = f(x2)
-    k2z = system.info_rate(x2)
-    x3 = x + 0.5 * dt * k2x
-    k3x = f(x3)
-    k3z = system.info_rate(x3)
-    x4 = x + dt * k3x
-    k4x = f(x4)
-    k4z = system.info_rate(x4)
-    x_new = x + dt / 6.0 * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    z_new = z + dt / 6.0 * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-    return system.wrap(x_new), z_new
+    return deriv
 
 
 def simulate_open_loop(
@@ -317,21 +324,22 @@ def simulate_open_loop(
         )
 
     x = initial.x.as_array() if isinstance(initial.x, State) else np.asarray(initial.x, float)
-    z = np.asarray(initial.z, dtype=float).copy()
+    z = np.asarray(initial.z, dtype=float)
+    d = system.state_dim
     nodes = _segment_nodes(control, horizon, dt)
     n = nodes.size
-    states = np.empty((n, system.state_dim))
+    states = np.empty((n, d))
     infos = np.empty((n, z.size))
     controls = np.empty(n)
     states[0] = x
     infos[0] = z
     controls[0] = control.value_at(0.0) if horizon > 0.0 else 0.0
+    y = np.concatenate([x, z])[None, :]
     for k in range(n - 1):
-        step = nodes[k + 1] - nodes[k]
         u = control.value_at(nodes[k])
-        x, z = rk4_step(system, x, z, u, step)
-        states[k + 1] = x
-        infos[k + 1] = z
+        y = rk4_step(system, cascade_deriv(system, u), y, nodes[k + 1] - nodes[k])
+        states[k + 1] = y[0, :d]
+        infos[k + 1] = y[0, d:]
         controls[k + 1] = u
     return Trajectory(s=nodes, states=states, controls=controls, infos=infos)
 
@@ -339,11 +347,6 @@ def simulate_open_loop(
 def evaluate_cost(metric: TerminalMetric, trajectory: Trajectory) -> float:
     """Terminal cost G at the trajectory's final information state."""
     return metric.value(trajectory.final_info())
-
-
-def evaluate_gain(metric: TerminalMetric, trajectory: Trajectory) -> float:
-    """Cost normalized against the initial information state (zero at s = 0)."""
-    return metric.normalized_gain(trajectory.final_info(), trajectory.infos[0])
 
 
 _STATE_HEADERS = {3: ("X", "Y", "psi"), 1: ("x",)}

@@ -151,24 +151,6 @@ def upwind_gradients(values: np.ndarray, grid: GridSpec):
     return minus, plus
 
 
-@dataclass
-class ScalarField:
-    grid: GridSpec
-    values: np.ndarray
-
-    def interp(self, point) -> float:
-        return float(interpolate(self.values, self.grid, point))
-
-
-@dataclass
-class VectorField:
-    grid: GridSpec
-    values: np.ndarray  # grid.shape + (m,)
-
-    def interp(self, point) -> np.ndarray:
-        return interpolate(self.values, self.grid, point)
-
-
 def _locate(ax: Axis, coord: float):
     """Cell index and fraction along one axis; wraps periodic coordinates."""
     h = ax.spacing
@@ -217,7 +199,12 @@ def save_array(path, arr: np.ndarray) -> None:
 
 
 def load_array(path, shape) -> np.ndarray:
+    """Read a flat binary written by save_array; a file of the wrong size
+    raises ValueError naming it."""
     arr = np.fromfile(path, dtype="<f8")
+    expected = math.prod(shape)
+    if arr.size != expected:
+        raise ValueError(f"{path}: holds {arr.size} float64 values, expected {expected}")
     return arr.reshape(shape)
 
 

@@ -9,8 +9,8 @@ dynamic programming gives
 so the marching rate is the minimized Hamiltonian evaluated at the central
 gradient plus Lax-Friedrichs dissipation +  sum_i alpha_i (D+_i - D-_i) / 2
 (the sign pairs with the forward-in-horizon march; equivalently the standard
-terminal-value form with the upwind biases mirrored). Two solvers share this
-kernel:
+terminal-value form with the upwind biases mirrored). Both solvers evaluate
+this rate through one kernel, lf_rate, and march it with one explicit step:
 
 * classic_solve: full grid over the joint state (x, z); tractable only in
   very low dimension and kept as the reference oracle.
@@ -26,7 +26,7 @@ import json
 import math
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -42,7 +42,7 @@ from infotraj.grid import (
     upwind_gradients,
     write_manifest,
 )
-from infotraj.matrixcore import TerminalMetric, unvec, vec
+from infotraj.matrixcore import TerminalMetric, unvec
 
 POLICY_TIE_EPS = 1e-12
 
@@ -54,18 +54,6 @@ class InstabilityError(RuntimeError):
         super().__init__(f"non-finite field values at step {step} (s = {s:.6g})")
         self.step = step
         self.s = s
-
-
-@dataclass(frozen=True)
-class Adjoint:
-    """Costate of the augmented system: p pairs with x, lam with z."""
-
-    p: np.ndarray
-    lam: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
-        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -95,40 +83,15 @@ class SolverConfig:
             raise ValueError("snapshot stride must be nonnegative")
 
 
-def hamiltonian(system: CascadeSystem, x, u: float, adjoint: Adjoint, rate_matrix) -> float:
-    """<f, p> + <g u, p> + <vec(Q), lam> at a single point."""
-    x = np.asarray(x, dtype=float)
-    f = system.drift(x)
-    g = system.control_column()
-    ell = vec(np.asarray(rate_matrix, dtype=float))
-    return float(f @ adjoint.p + u * (g @ adjoint.p) + ell @ adjoint.lam)
-
-
-def optimal_hamiltonian(system: CascadeSystem, x, adjoint: Adjoint, rate_matrix) -> float:
-    """Hamiltonian minimized over the admissible turn rates.
-
-    min_{|u| <= bound} u * (g . p) = -bound * |g . p|, so the closed form is
-    <f, p> - bound |g . p| + <vec(Q), lam>.
-    """
-    x = np.asarray(x, dtype=float)
-    f = system.drift(x)
-    g = system.control_column()
-    ell = vec(np.asarray(rate_matrix, dtype=float))
-    return float(
-        f @ adjoint.p - system.control_bound * abs(g @ adjoint.p) + ell @ adjoint.lam
-    )
-
-
-def policy(system: CascadeSystem, x, adjoint: Adjoint, tie_eps: float = POLICY_TIE_EPS) -> float:
-    """Minimizing bang-bang control -bound * sign(g . p); zero on ties."""
-    switching = float(system.control_column() @ adjoint.p)
-    if abs(switching) <= tie_eps:
-        return 0.0
-    return -system.control_bound * math.copysign(1.0, switching)
+def bang_bang(switching, bound: float):
+    """Minimizing turn rate -bound * sign(switching); zero inside the tie band
+    |switching| <= POLICY_TIE_EPS. Scalars and arrays alike."""
+    return np.where(np.abs(switching) <= POLICY_TIE_EPS, 0.0, -bound * np.sign(switching))
 
 
 def dissipation_coeffs(system: CascadeSystem, mode: str, x=None) -> np.ndarray:
-    """Per-axis bounds on |dH/dp|: global sup or the local value at x."""
+    """Per-axis bounds alpha_i on |dH/dp_i|: the global sup, shape (d,), or
+    the local value |f(x)| + bound |g| at the states x, shape (..., d)."""
     if mode == "global":
         return system.rate_bounds()
     if mode == "local":
@@ -139,29 +102,27 @@ def dissipation_coeffs(system: CascadeSystem, mode: str, x=None) -> np.ndarray:
     raise ValueError(f"unknown dissipation mode {mode!r}")
 
 
-def lf_hamiltonian(
-    system: CascadeSystem,
-    x,
-    adjoint_plus: Adjoint,
-    adjoint_minus: Adjoint,
-    rate_matrix,
-    alpha,
-) -> float:
-    """Lax-Friedrichs numerical Hamiltonian on the x components:
+def lf_rate(minus, plus, drift, g, bound: float, alpha):
+    """Lax-Friedrichs numerical Hamiltonian, forward in horizon.
 
-        H(x, (sigma+ + sigma-)/2) - sum_i alpha_i (p_i+ - p_i-) / 2.
+    Every argument but bound is a per-axis sequence: the left- and
+    right-biased one-sided gradients, the drift fields f_i, the control
+    column g_i and the dissipation coefficients alpha_i (scalars or fields).
+    With the central gradient D0 = (D- + D+) / 2 the rate is
 
-    The information costate carries no grid differencing, so only the p
-    components are dissipated. Marching forward in horizon uses this operator
-    with the one-sided biases mirrored (see the module docstring).
+        <f, D0> - bound |<g, D0>| + sum_i alpha_i (D+_i - D-_i) / 2,
+
+    returned with the minimizing bang-bang control at the central gradient.
+    A solver over joint (x, z) axes passes the information rates as the drift
+    of the z axes, with g = 0 there.
     """
-    mean = Adjoint(
-        0.5 * (adjoint_plus.p + adjoint_minus.p),
-        0.5 * (adjoint_plus.lam + adjoint_minus.lam),
-    )
-    alpha = np.asarray(alpha, dtype=float)
-    dissipation = 0.5 * float(alpha @ (adjoint_plus.p - adjoint_minus.p))
-    return optimal_hamiltonian(system, x, mean, rate_matrix) - dissipation
+    central = [0.5 * (m + p) for m, p in zip(minus, plus)]
+    switching = sum(g_i * c for g_i, c in zip(g, central) if g_i != 0.0)
+    ham = sum(f * c for f, c in zip(drift, central))
+    ham = ham - bound * np.abs(switching)
+    # forward-in-horizon LF: dissipation enters with (D+ - D-)
+    diss = sum(0.5 * a * (p - m) for a, m, p in zip(alpha, minus, plus))
+    return ham + diss, bang_bang(switching, bound)
 
 
 def cfl_dt(grid: GridSpec, alpha, cfl_number: float) -> float:
@@ -261,11 +222,15 @@ class HybridSolution:
         minus, plus = upwind_gradients(self.phis[-1], self.grid)
         return np.stack([0.5 * (m + p) for m, p in zip(minus, plus)], axis=-1)
 
-    def save(self, out_dir) -> None:
-        save_solution(self, out_dir)
 
-
-def _config_fingerprint(payload: dict) -> str:
+def config_fingerprint(grid: GridSpec, z0, config: SolverConfig) -> str:
+    """SHA-256 of the grid, the initial information state and the solver
+    config: the config_hash a solution carries in its manifest."""
+    payload = {
+        "grid": grid.to_dict(),
+        "z0": [float(v) for v in z0],
+        "config": asdict(config),
+    }
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -313,6 +278,8 @@ def save_solution(solution: HybridSolution, out_dir, extras: Optional[dict] = No
 
 
 def load_solution(in_dir) -> HybridSolution:
+    """Read a solution written by save_solution; a snapshot file of the wrong
+    size raises ValueError naming the file."""
     import os
 
     manifest = read_manifest(os.path.join(in_dir, "manifest.json"))
@@ -341,6 +308,50 @@ def _check_finite(step: int, s: float, *arrays) -> None:
             raise InstabilityError(step, s)
 
 
+def _explicit_step(rate, fields: list, h: float, integrator: str) -> None:
+    """Advance fields (arrays, updated in place) by one forward Euler or
+    two-stage TVD-RK2 step of d(fields)/ds = rate(fields).
+
+    In place, because a new ~2 MB field per step on the shipped grid lets the
+    allocator hand memory back to the OS and fault it in again each step.
+    """
+    if integrator == "euler":
+        for f, r in zip(fields, rate(fields)):
+            f += h * r
+        return
+    first = [f + h * r for f, r in zip(fields, rate(fields))]
+    for f, f1, r in zip(fields, first, rate(first)):
+        f += f1  # 0.5 * (f + f1 + h r), in the same order
+        f += h * r
+        f *= 0.5
+
+
+def _march(fields: list, step, dt: float, config: SolverConfig):
+    """March fields (a list of arrays) from s = 0 to the horizon in steps of
+    at most dt, where step(fields, h) advances the list in place.
+
+    Snapshots (copies) are kept every config.snapshot_stride steps (0: about
+    24 in all) and at the horizon. Returns the snapshot times, the snapshots
+    and the step count; a non-finite field raises InstabilityError.
+    """
+    n_steps = int(math.ceil(config.horizon / dt - 1e-12))
+    stride = config.snapshot_stride or max(1, int(math.ceil(n_steps / 24)))
+    times = [0.0]
+    snapshots = [tuple(f.copy() for f in fields)]
+    s = 0.0
+    count = 0
+    while s < config.horizon - 1e-12:
+        h = min(dt, config.horizon - s)
+        step(fields, h)
+        s += h
+        count += 1
+        _check_finite(count, s, *fields)
+        if count % stride == 0 or s >= config.horizon - 1e-12:
+            times.append(s)
+            snapshots.append(tuple(f.copy() for f in fields))
+    return np.asarray(times), snapshots, count
+
+
 def hybrid_solve(
     system: CascadeSystem,
     metric: TerminalMetric,
@@ -355,8 +366,8 @@ def hybrid_solve(
     Each step splits into the pointwise information flow (the metric's
     closed-form accumulation of <vec(Q), Phi> into phi and of the curvature
     contraction into Phi) followed by the explicit spatial transport:
-      * phi: drift/control Hamiltonian at the central gradient plus LF
-        dissipation;
+      * phi: the Lax-Friedrichs kernel lf_rate (drift/control Hamiltonian at
+        the central gradient plus dissipation);
       * Phi: advection along the locally optimal velocity, by default with
         the same central + LF operator as the value equation ("matched"),
         optionally donor-cell upwind;
@@ -388,94 +399,51 @@ def hybrid_solve(
 
     mesh = grid.mesh()
     f_nodes = system.drift(mesh.reshape(-1, grid.ndim)).reshape(grid.shape + (grid.ndim,))
+    drift = [f_nodes[..., i] for i in range(grid.ndim)]
     g = system.control_column()
     bound = system.control_bound
+    alpha = list(np.moveaxis(dissipation_coeffs(system, config.dissipation, mesh), -1, 0))
+    transport_alpha = alpha if config.gradient_transport == "matched" else None
+    dt = cfl_dt(grid, system.rate_bounds(), config.cfl_number)
 
-    alpha_global = system.rate_bounds()
-    if config.dissipation == "local":
-        alpha = [
-            np.abs(f_nodes[..., i]) + bound * abs(g[i]) for i in range(grid.ndim)
-        ]
-    else:
-        alpha = [alpha_global[i] for i in range(grid.ndim)]
-
-    dt = cfl_dt(grid, alpha_global, config.cfl_number)
-    n_steps = int(math.ceil(config.horizon / dt - 1e-12))
-    stride = config.snapshot_stride or max(1, int(math.ceil(n_steps / 24)))
-
-    phi = np.full(grid.shape, metric.value(z0))
-    phi_z = np.broadcast_to(metric.gradient(z0), grid.shape + (system.info_len,)).copy()
-
-    def transport_rate(phi_now, phi_z_now):
+    def transport_rate(fields):
         """Spatial part of the marching rates (drift, control, dissipation)."""
+        phi_now, phi_z_now = fields
         minus, plus = upwind_gradients(phi_now, grid)
-        central = [0.5 * (m + p) for m, p in zip(minus, plus)]
-        switching = sum(g[i] * central[i] for i in range(grid.ndim) if g[i] != 0.0)
-        u_star = np.where(
-            np.abs(switching) <= POLICY_TIE_EPS, 0.0, -bound * np.sign(switching)
-        )
-        ham = sum(f_nodes[..., i] * central[i] for i in range(grid.ndim))
-        ham = ham - bound * np.abs(switching)
-        # forward-in-horizon LF: dissipation enters with (D+ - D-)
-        diss = sum(0.5 * alpha[i] * (plus[i] - minus[i]) for i in range(grid.ndim))
-        phi_rate = ham + diss
-        velocity = [f_nodes[..., i] + g[i] * u_star for i in range(grid.ndim)]
-        transport_alpha = alpha if config.gradient_transport == "matched" else None
-        phi_z_rate = rx_term(phi_z_now, grid, velocity, alpha=transport_alpha)
-        return phi_rate, phi_z_rate
+        phi_rate, u_star = lf_rate(minus, plus, drift, g, bound, alpha)
+        velocity = [f + g_i * u_star for f, g_i in zip(drift, g)]
+        return phi_rate, rx_term(phi_z_now, grid, velocity, alpha=transport_alpha)
 
-    times = [0.0]
-    phis = [phi.copy()]
-    phi_zs = [phi_z.copy()]
-    s = 0.0
-    step = 0
-    flow_time = transport_time = 0.0
-    while s < config.horizon - 1e-12:
-        h = min(dt, config.horizon - s)
+    timers = {"flow": 0.0, "transport": 0.0}
+
+    def step(fields, h):
         # pointwise information flow first (exact for the logdet metric,
         # stiffness-free while the accumulated information is small), then
         # the explicit spatial transport under the CFL step
         t0 = _time.perf_counter()
-        phi, phi_z = metric.flow(phi, phi_z, q_field, h)
+        fields[:] = metric.flow(*fields, q_field, h)
         t1 = _time.perf_counter()
-        if config.integrator == "euler":
-            rp, rz = transport_rate(phi, phi_z)
-            phi = phi + h * rp
-            phi_z = phi_z + h * rz
-        else:
-            rp1, rz1 = transport_rate(phi, phi_z)
-            phi1 = phi + h * rp1
-            phi_z1 = phi_z + h * rz1
-            rp2, rz2 = transport_rate(phi1, phi_z1)
-            phi = 0.5 * (phi + phi1 + h * rp2)
-            phi_z = 0.5 * (phi_z + phi_z1 + h * rz2)
-        flow_time += t1 - t0
-        transport_time += _time.perf_counter() - t1
-        s += h
-        step += 1
-        _check_finite(step, s, phi, phi_z)
-        if step % stride == 0 or s >= config.horizon - 1e-12:
-            times.append(s)
-            phis.append(phi.copy())
-            phi_zs.append(phi_z.copy())
+        _explicit_step(transport_rate, fields, h, config.integrator)
+        timers["flow"] += t1 - t0
+        timers["transport"] += _time.perf_counter() - t1
 
-    payload = {
-        "grid": grid.to_dict(),
-        "z0": [float(v) for v in z0],
-        "config": asdict(config),
-    }
+    fields = [
+        np.full(grid.shape, metric.value(z0)),
+        np.broadcast_to(metric.gradient(z0), grid.shape + (system.info_len,)).copy(),
+    ]
+    times, snapshots, steps = _march(fields, step, dt, config)
     return HybridSolution(
         grid=grid,
-        times=np.asarray(times),
-        phis=phis,
-        phi_zs=phi_zs,
+        times=times,
+        phis=[snap[0] for snap in snapshots],
+        phi_zs=[snap[1] for snap in snapshots],
         z0=z0,
         config=config,
-        config_hash=_config_fingerprint(payload),
+        config_hash=config_fingerprint(grid, z0, config),
         wall_time=_time.perf_counter() - t_start,
-        flow_time=flow_time,
-        transport_time=transport_time,
-        steps=step,
+        flow_time=timers["flow"],
+        transport_time=timers["transport"],
+        steps=steps,
     )
 
 
@@ -499,8 +467,10 @@ def classic_solve(
 ) -> ClassicSolution:
     """Full-grid Lax-Friedrichs method of lines over the joint state (x, z).
 
-    Tractable only in very low dimension; refuses more than 3 total axes.
-    Serves as the independent reference for the hybrid solver on toy systems.
+    The z axes enter the kernel as extra drift axes (drift vec(Q(x)), no
+    control). Tractable only in very low dimension; refuses more than 3 total
+    axes. Serves as the independent reference for the hybrid solver on toy
+    systems.
     """
     d = system.state_dim
     m = system.info_len
@@ -516,8 +486,8 @@ def classic_solve(
     z_nodes = mesh[..., d:]
     f_nodes = system.drift(x_nodes.reshape(-1, d)).reshape(joint_grid.shape + (d,))
     ell = system.info_rate(x_nodes.reshape(-1, d)).reshape(joint_grid.shape + (m,))
-    g = system.control_column()
-    bound = system.control_bound
+    drift = [f_nodes[..., i] for i in range(d)] + [ell[..., j] for j in range(m)]
+    g = np.concatenate([system.control_column(), np.zeros(m)])
 
     alpha_global = np.empty(joint_grid.ndim)
     alpha_global[:d] = system.rate_bounds()
@@ -525,38 +495,16 @@ def classic_solve(
     # the z-axis Hamiltonian slope is exactly |ell_j(x)|: dissipate with the
     # pointwise value (the global bound over-smooths wherever the rate is small)
     alpha = [alpha_global[i] for i in range(d)] + [np.abs(ell[..., j]) for j in range(m)]
-
     dt = cfl_dt(joint_grid, alpha_global, config.cfl_number)
-    n_steps = int(math.ceil(config.horizon / dt - 1e-12))
-    stride = config.snapshot_stride or max(1, int(math.ceil(n_steps / 24)))
 
-    phi = metric.value(z_nodes)
+    def rate(fields):
+        minus, plus = upwind_gradients(fields[0], joint_grid)
+        return (lf_rate(minus, plus, drift, g, system.control_bound, alpha)[0],)
 
-    def rate(phi_now):
-        minus, plus = upwind_gradients(phi_now, joint_grid)
-        central = [0.5 * (mi + pi) for mi, pi in zip(minus, plus)]
-        switching = sum(g[i] * central[i] for i in range(d) if g[i] != 0.0)
-        ham = sum(f_nodes[..., i] * central[i] for i in range(d))
-        ham = ham - bound * np.abs(switching)
-        ham = ham + sum(ell[..., j] * central[d + j] for j in range(m))
-        diss = sum(
-            0.5 * alpha[i] * (plus[i] - minus[i]) for i in range(joint_grid.ndim)
-        )
-        return ham + diss
+    def step(fields, h):
+        _explicit_step(rate, fields, h, config.integrator)
 
-    times = [0.0]
-    phis = [phi.copy()]
-    s = 0.0
-    for step in range(n_steps):
-        h = min(dt, config.horizon - s)
-        if config.integrator == "euler":
-            phi = phi + h * rate(phi)
-        else:
-            phi1 = phi + h * rate(phi)
-            phi = 0.5 * (phi + phi1 + h * rate(phi1))
-        s += h
-        _check_finite(step, s, phi)
-        if (step + 1) % stride == 0 or step == n_steps - 1:
-            times.append(s)
-            phis.append(phi.copy())
-    return ClassicSolution(grid=joint_grid, times=np.asarray(times), phis=phis)
+    times, snapshots, _ = _march([metric.value(z_nodes)], step, dt, config)
+    return ClassicSolution(
+        grid=joint_grid, times=times, phis=[snap[0] for snap in snapshots]
+    )

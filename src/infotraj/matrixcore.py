@@ -210,12 +210,15 @@ def _flow_lapack(value, grad, rate_matrix, h: float):
     lmat = unvec(grad)
     acc = -np.linalg.inv(lmat)  # accumulated information matrix, SPD
     acc_new = acc + h * rate_matrix
-    sign_old, logdet_old = np.linalg.slogdet(acc)
-    sign_new, logdet_new = np.linalg.slogdet(acc_new)
-    if np.any(sign_old <= 0.0) or np.any(sign_new <= 0.0):
-        raise NotPositiveDefiniteError(
-            "information state lost positive definiteness"
-        )
+    try:
+        # a positive determinant alone also admits an even number of
+        # negative eigenvalues; Cholesky fails on any of them (one call
+        # checks the old and the new matrices together)
+        np.linalg.cholesky(np.stack([acc, acc_new]))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError("information state lost positive definiteness") from exc
+    logdet_old = np.linalg.slogdet(acc)[1]
+    logdet_new = np.linalg.slogdet(acc_new)[1]
     value_new = value + (logdet_old - logdet_new)  # G(new) - G(old)
     grad_new = -vec(np.linalg.inv(acc_new))
     return value_new, grad_new
@@ -227,16 +230,24 @@ def _flow_2x2(value, grad, rate_matrix, h: float):
     grad holds vec(L) with L = -A^-1, so A = -adj(L) / det(L) and
     det(A) = 1 / det(L). With A' = A + h Q the value gains
     log det A - log det A', and the new gradient is -vec(adj(A') / det(A')).
+    Both A and A' must be positive definite: det > 0 and a00 > 0.
     """
     l00, l10, l01, l11 = grad[..., 0], grad[..., 1], grad[..., 2], grad[..., 3]
     det_l = l00 * l11 - l01 * l10
     det_old = 1.0 / det_l
-    a00 = -l11 * det_old + h * rate_matrix[..., 0, 0]
+    a00_old = -l11 * det_old
+    a00 = a00_old + h * rate_matrix[..., 0, 0]
     a10 = l10 * det_old + h * rate_matrix[..., 1, 0]
     a01 = l01 * det_old + h * rate_matrix[..., 0, 1]
     a11 = -l00 * det_old + h * rate_matrix[..., 1, 1]
     det_new = a00 * a11 - a01 * a10
-    if not (np.all(det_l > 0.0) and np.all(det_new > 0.0)):
+    # a 2x2 matrix is positive definite iff its determinant and a00 are > 0
+    if not (
+        np.all(det_l > 0.0)
+        and np.all(a00_old > 0.0)
+        and np.all(det_new > 0.0)
+        and np.all(a00 > 0.0)
+    ):
         raise NotPositiveDefiniteError("information state lost positive definiteness")
     value_new = value + (np.log(det_old) - np.log(det_new))  # G(new) - G(old)
     scale = 1.0 / det_new

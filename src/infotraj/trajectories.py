@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -21,19 +21,22 @@ from infotraj.dynamics import (
     CascadeSystem,
     ControlSignal,
     State,
+    ToyCascade,
     Trajectory,
+    cascade_deriv,
+    rk4_step,
     simulate_open_loop,
 )
-from infotraj.grid import GridSpec, interpolate
+from infotraj.grid import Axis, GridSpec, interpolate
 from infotraj.hjsolver import (
-    Adjoint,
     HybridSolution,
     SolverConfig,
+    classic_solve,
     hybrid_solve,
     info_rate_on_grid,
 )
 from infotraj import hjsolver as _hjsolver
-from infotraj.matrixcore import TerminalMetric
+from infotraj.matrixcore import LogDetMetric, TerminalMetric
 
 HYSTERESIS_BAND = 1e-9
 
@@ -70,10 +73,6 @@ def _info_rate_and_jacobian(system: CascadeSystem, x: np.ndarray, steps: np.ndar
     return rates[0], jac
 
 
-def _switching(system: CascadeSystem, p: np.ndarray) -> float:
-    return float(system.control_column() @ p)
-
-
 def extract_characteristic(
     solution: HybridSolution,
     system: CascadeSystem,
@@ -106,68 +105,60 @@ def extract_characteristic(
     p = interpolate(grad_field, grid, x)
     lam = interpolate(solution.phi_z_final(), grid, x)
     phi_at_start = float(interpolate(solution.phi_final(), grid, x))
-    z = solution.z0.copy()
 
+    d = system.state_dim
+    m = system.info_len
     g = system.control_column()
     fd_steps = 0.5 * grid.spacings
     n_steps = max(1, int(math.ceil(horizon / dt - 1e-12)))
     h = horizon / n_steps
 
     ns = n_steps + 1
-    states = np.empty((ns, system.state_dim))
-    infos = np.empty((ns, system.info_len))
+    # one row per sample: [x, z, p]
+    path = np.empty((ns, 2 * d + m))
     controls = np.empty(ns)
-    costates = np.empty((ns, system.state_dim))
     lam_row = np.asarray(lam, dtype=float)
     s_axis = h * np.arange(ns)
 
     u_prev = 0.0
 
-    def control_from(x_now: np.ndarray, p_now: np.ndarray) -> float:
+    def control_from(p_now: np.ndarray) -> float:
         # hysteresis against step-scale chatter; outside the band delegate to
         # the shared bang-bang rule
-        sw = _switching(system, p_now)
+        sw = float(g @ p_now)
         if abs(sw) < HYSTERESIS_BAND:
             return u_prev
-        return _hjsolver.policy(system, x_now, Adjoint(p_now, lam_row))
+        return float(_hjsolver.bang_bang(sw, system.control_bound))
 
-    def derivs(x_now, p_now, u_now):
+    def derivs(y, u_now):
+        x_now, p_now = y[0, :d], y[0, d + m :]
         dx = system.drift(x_now) + g * u_now
         dz, ell_jac = _info_rate_and_jacobian(system, x_now, fd_steps)
         dp = -system.drift_jacobian(x_now).T @ p_now - ell_jac.T @ lam_row
-        return dx, dz, dp
+        return np.concatenate([dx, dz, dp])[None, :]
 
-    states[0] = x
-    infos[0] = z
-    costates[0] = p
-    controls[0] = control_from(x, p)
+    y = np.concatenate([x, solution.z0, p])[None, :]
+    path[0] = y[0]
+    controls[0] = control_from(p)
     partial = None
     for k in range(n_steps):
-        u = control_from(x, p)
+        u = control_from(y[0, d + m :])
         u_prev = u
         controls[k] = u
-        k1x, k1z, k1p = derivs(x, p, u)
-        k2x, k2z, k2p = derivs(x + 0.5 * h * k1x, p + 0.5 * h * k1p, u)
-        k3x, k3z, k3p = derivs(x + 0.5 * h * k2x, p + 0.5 * h * k2p, u)
-        k4x, k4z, k4p = derivs(x + h * k3x, p + h * k3p, u)
-        x = system.wrap(x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x))
-        z = z + h / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
-        p = p + h / 6.0 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        states[k + 1] = x
-        infos[k + 1] = z
-        costates[k + 1] = p
+        y = rk4_step(system, lambda y_now: derivs(y_now, u), y, h)
+        path[k + 1] = y[0]
         controls[k + 1] = u
-        if not _inside(grid, x):
+        if not _inside(grid, y[0, :d]):
             partial = k + 2
             break
 
     n_kept = partial or ns
     traj = Trajectory(
         s=s_axis[:n_kept],
-        states=states[:n_kept],
-        infos=infos[:n_kept],
+        states=path[:n_kept, :d],
+        infos=path[:n_kept, d : d + m],
         controls=controls[:n_kept],
-        costates=costates[:n_kept],
+        costates=path[:n_kept, d + m :],
         info_costates=np.repeat(lam_row[None, :], n_kept, axis=0),
     )
     if partial is not None:
@@ -179,8 +170,8 @@ def extract_characteristic(
     grad_final = metric.gradient(z_final)
     traj.terminal_cost = metric.value(z_final)
     traj.residuals = {
-        "costate_terminal_norm": float(np.linalg.norm(p)),
-        "costate_initial_norm": float(np.linalg.norm(costates[0])),
+        "costate_terminal_norm": float(np.linalg.norm(traj.costates[-1])),
+        "costate_initial_norm": float(np.linalg.norm(traj.costates[0])),
         "info_costate_gap": float(np.linalg.norm(lam_row - grad_final)),
         "info_costate_gap_rel": float(
             np.linalg.norm(lam_row - grad_final) / max(np.linalg.norm(grad_final), 1e-300)
@@ -222,12 +213,9 @@ def extract_receding(
     pieces = []
     for k in range(legs):
         remaining = horizon - k * leg_span
-        cfg = SolverConfig(
+        cfg = replace(
+            config or SolverConfig(horizon=remaining),
             horizon=remaining,
-            cfl_number=config.cfl_number if config else 0.5,
-            integrator=config.integrator if config else "euler",
-            dissipation=config.dissipation if config else "global",
-            gradient_transport=config.gradient_transport if config else "matched",
             snapshot_stride=10**9,
         )
         sol = hybrid_solve(
@@ -235,7 +223,7 @@ def extract_receding(
         )
         piece = extract_characteristic(sol, system, metric, x, dt, duration=leg_span)
         pieces.append(piece)
-        x = State.from_array(piece.final_state()) if system.state_dim == 3 else piece.final_state()
+        x = piece.final_state()
         z = piece.final_info()
 
     s_off = 0.0
@@ -262,6 +250,17 @@ def extract_receding(
     return traj
 
 
+def final_leg_ray_misalignment_deg(traj: Trajectory, prior_mean) -> float:
+    """Angle in degrees between the net displacement over the final fifth of
+    the path and the ray from the prior mean through that leg's midpoint."""
+    seg = traj.states[int(0.8 * traj.s.size) :]
+    disp = seg[-1][:2] - seg[0][:2]
+    mid = 0.5 * (seg[-1][:2] + seg[0][:2]) - prior_mean
+    ray = math.atan2(mid[1], mid[0])
+    net = abs((math.atan2(disp[1], disp[0]) - ray + math.pi) % (2 * math.pi) - math.pi)
+    return float(net * (180.0 / math.pi))
+
+
 def _simulate_control_batch(
     system: CascadeSystem,
     x0: np.ndarray,
@@ -277,28 +276,14 @@ def _simulate_control_batch(
     """
     batch, segments = control_values.shape
     seg_span = horizon / segments
-    g = system.control_column()
-    x = np.repeat(x0[None, :], batch, axis=0)
-    z = np.repeat(z0[None, :], batch, axis=0)
+    n_sub = max(1, int(math.ceil(seg_span / dt - 1e-12)))
+    h = seg_span / n_sub
+    y = np.repeat(np.concatenate([x0, z0])[None, :], batch, axis=0)
     for k in range(segments):
-        u = control_values[:, k][:, None]
-        n_sub = max(1, int(math.ceil(seg_span / dt - 1e-12)))
-        h = seg_span / n_sub
+        deriv = cascade_deriv(system, control_values[:, k][:, None])
         for _ in range(n_sub):
-            k1x = system.drift(x) + g * u
-            k1z = system.info_rate(x)
-            x2 = x + 0.5 * h * k1x
-            k2x = system.drift(x2) + g * u
-            k2z = system.info_rate(x2)
-            x3 = x + 0.5 * h * k2x
-            k3x = system.drift(x3) + g * u
-            k3z = system.info_rate(x3)
-            x4 = x + h * k3x
-            k4x = system.drift(x4) + g * u
-            k4z = system.info_rate(x4)
-            x = system.wrap(x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x))
-            z = z + h / 6.0 * (k1z + 2 * k2z + 2 * k3z + k4z)
-    return z
+            y = rk4_step(system, deriv, y, h)
+    return y[:, system.state_dim :]
 
 
 def brute_force_value(
@@ -340,14 +325,12 @@ def brute_force_value(
         values = best_signal.values.copy()
         span = horizon / segments
 
-        start_state = State.from_array(x0_arr) if system.state_dim == 3 else x0_arr
-
         def cost_of(ts):
             keep = np.concatenate(([0.0], ts, [horizon]))
             if np.any(np.diff(keep) <= 1e-9):
                 return np.inf
             sig = ControlSignal(keep, values)
-            traj = simulate_open_loop(system, AugmentedState(start_state, z0), sig, horizon, dt)
+            traj = simulate_open_loop(system, AugmentedState(x0_arr, z0), sig, horizon, dt)
             return metric.value(traj.final_info())
 
         interior = times[1:-1].copy()
@@ -503,3 +486,27 @@ def gradient_consistency_check(
         "max_rel": float(np.max(rel_int)),
         "interior_points": int(rel_int.size),
     }
+
+
+def toy_hybrid_vs_classic(dx: float) -> dict:
+    """Hybrid against classic full-grid solves of the toy cascade (horizon 1,
+    z0 = 1) at grid step dx and at dx / 2: the max |phi| gap on |x| <= 1 at
+    z = 1 for each, and their ratio (about 0.5 for a first-order scheme)."""
+    toy = ToyCascade()
+    metric = LogDetMetric(1)
+    cfg = SolverConfig(horizon=1.0)
+
+    def gap(step):
+        nx = int(round(4.0 / step)) + 1
+        nz = int(round(5.2 / step)) + 1
+        grid = GridSpec((Axis(-2.0, 2.0, nx),))
+        joint = GridSpec((Axis(-2.0, 2.0, nx), Axis(0.4, 5.6, nz)))
+        hyb = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg)
+        cls = classic_solve(toy, metric, joint, cfg)
+        zi = int(np.argmin(np.abs(joint.axes[1].nodes - 1.0)))
+        inner = np.abs(grid.axes[0].nodes) <= 1.0
+        return float(np.max(np.abs(hyb.phi_final() - cls.phi_final()[:, zi])[inner]))
+
+    coarse = gap(dx)
+    fine = gap(dx / 2.0)
+    return {"max_diff": coarse, "refined_max_diff": fine, "ratio": fine / coarse}

@@ -25,7 +25,7 @@ from infotraj.dynamics import (
     simulate_open_loop,
 )
 from infotraj.grid import Axis, GridSpec, interpolate
-from infotraj.hjsolver import SolverConfig, classic_solve, hybrid_solve, info_rate_on_grid
+from infotraj.hjsolver import SolverConfig, hybrid_solve, info_rate_on_grid
 from infotraj.matrixcore import LogDetMetric, curvature_contraction, vec
 from infotraj.sensing import (
     DopplerSensor,
@@ -40,7 +40,9 @@ from infotraj.trajectories import (
     brute_force_value,
     extract_characteristic,
     extract_receding,
+    final_leg_ray_misalignment_deg,
     gradient_consistency_check,
+    toy_hybrid_vs_classic,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -70,28 +72,11 @@ def survey(scenario):
     return scenario, system, metric, grid, z0, ell, solution
 
 
-def toy_hybrid_vs_classic_gap(dx: float) -> float:
-    toy = ToyCascade()
-    metric = LogDetMetric(1)
-    nx = int(round(4.0 / dx)) + 1
-    nz = int(round(5.2 / dx)) + 1
-    grid = GridSpec((Axis(-2.0, 2.0, nx),))
-    joint = GridSpec((Axis(-2.0, 2.0, nx), Axis(0.4, 5.6, nz)))
-    cfg = SolverConfig(horizon=1.0)
-    hyb = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg)
-    cls = classic_solve(toy, metric, joint, cfg)
-    zi = int(np.argmin(np.abs(joint.axes[1].nodes - 1.0)))
-    x = grid.axes[0].nodes
-    inner = np.abs(x) <= 1.0
-    return float(np.max(np.abs(hyb.phi_final() - cls.phi_final()[:, zi])[inner]))
-
-
 def test_criterion_1_hybrid_matches_classic_on_toy():
     t0 = time.time()
-    coarse = toy_hybrid_vs_classic_gap(0.05)
-    fine = toy_hybrid_vs_classic_gap(0.025)
+    cross = toy_hybrid_vs_classic(0.05)
     elapsed = time.time() - t0
-    ratio = fine / coarse
+    coarse, ratio = cross["max_diff"], cross["ratio"]
     ok = coarse <= 5e-2 and 0.4 <= ratio <= 0.6 and elapsed <= 30.0
     report(
         1,
@@ -264,17 +249,6 @@ def test_criterion_5_optimality_sandwich(survey):
     assert elapsed <= 600.0
 
 
-def final_leg_ray_misalignment_deg(traj, prior_mean=np.zeros(2)) -> float:
-    """Angle between the mean velocity over the final fifth of the horizon and
-    the ray from the prior mean through that leg's midpoint."""
-    n = traj.s.size
-    seg = traj.states[int(0.8 * n) :]
-    disp = seg[-1][:2] - seg[0][:2]
-    mid = 0.5 * (seg[-1][:2] + seg[0][:2]) - prior_mean
-    gap = math.atan2(disp[1], disp[0]) - math.atan2(mid[1], mid[0])
-    return abs((gap + math.pi) % (2.0 * math.pi) - math.pi) * 180.0 / math.pi
-
-
 def test_criterion_6_figure_style_shape(survey):
     scenario, system, metric, grid, z0, ell, solution = survey
     rows = []
@@ -285,7 +259,7 @@ def test_criterion_6_figure_style_shape(survey):
         traj = extract_characteristic(solution, system, metric, start, scenario.extraction_dt)
         n = traj.s.size
         turning = float(np.mean(np.abs(traj.controls[: int(0.1 * n)]) >= 0.99 * 0.05))
-        rows.append((start.y, final_leg_ray_misalignment_deg(traj), turning))
+        rows.append((start.y, final_leg_ray_misalignment_deg(traj, scenario.prior_mean), turning))
     worst = max(r[1] for r in rows)
     all_turn = all(r[2] == 1.0 for r in rows)
     ok = worst <= 10.0 and all_turn

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -75,6 +76,63 @@ class TestLoadScenario:
         once = scenario.to_dict()
         again = scenario_from_dict(once).to_dict()
         assert once == again
+
+
+def numeric_fields(node, path=()):
+    """Paths to every numeric leaf of a scenario dict."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from numeric_fields(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from numeric_fields(value, path + (i,))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path
+
+
+FIG2_NUMERIC_FIELDS = list(numeric_fields(json.loads(FIG2.read_text())))
+BAD_NUMBERS = [-1, 0, math.nan, math.inf, "x", None]
+
+
+class TestScenarioFieldMutations:
+    def test_every_numeric_field_is_swept(self):
+        assert len(FIG2_NUMERIC_FIELDS) * len(BAD_NUMBERS) == 174
+
+    @pytest.mark.parametrize("value", BAD_NUMBERS, ids=repr)
+    @pytest.mark.parametrize(
+        "path", FIG2_NUMERIC_FIELDS, ids=lambda p: ".".join(str(k) for k in p)
+    )
+    def test_loads_or_names_the_field(self, path, value):
+        data = json.loads(FIG2.read_text())
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        try:
+            scenario = scenario_from_dict(data)
+            scenario.grid()
+            scenario.build_system()
+        except ScenarioError as exc:
+            field = [key for key in path if isinstance(key, str)][-1]
+            assert field in str(exc)
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("grid", "x_extent_m", [1700.0, -1700.0]),
+            ("grid", "nx", "x"),
+            ("vehicle", "speed_mps", math.nan),
+            ("extraction", "legs", 2.5),
+        ],
+    )
+    def test_solve_exits_2_naming_the_field(self, tmp_path, capsys, section, key, value):
+        data = json.loads(FIG2.read_text())
+        data[section][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"{section}.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +219,38 @@ class TestSolveExtractPlot:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["solve", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+
+    def test_truncated_snapshot_exits_2_naming_it(self, pipeline, tmp_path, capsys):
+        _, _, sol_dir = pipeline
+        broken = tmp_path / "broken"
+        shutil.copytree(sol_dir, broken)
+        phi = broken / "phi_0001.bin"
+        phi.write_bytes(phi.read_bytes()[:-3])
+        assert main(["extract", "--solution", str(broken), "--out", str(tmp_path / "o")]) == 2
+        assert "phi_0001.bin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,key,value,hash_name",
+        [
+            ("sensors", "noise_std_hz", 5.0, "sensor_suite_hash"),
+            ("solver", "horizon_s", 3.0, "config_hash"),
+        ],
+        ids=["sensor_suite_hash", "config_hash"],
+    )
+    def test_extract_refuses_another_scenario(
+        self, pipeline, tmp_path, capsys, section, key, value, hash_name
+    ):
+        _, scenario, sol_dir = pipeline
+        data = scenario.to_dict()
+        target = data["sensors"][0] if section == "sensors" else data[section]
+        target[key] = value
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(data))
+        argv = ["extract", "--solution", str(sol_dir), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--scenario", str(other)]) == 2
+        assert hash_name in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestRenderSvg:

@@ -165,23 +165,6 @@ class TestInterpolate:
         assert np.allclose(got, [0.25, 0.5])
 
 
-class TestFieldWrappers:
-    def test_scalar_field_interp(self):
-        from infotraj.grid import ScalarField
-
-        grid = GridSpec((Axis(0.0, 1.0, 5),))
-        field = ScalarField(grid, 2.0 * grid.axes[0].nodes)
-        assert field.interp(np.array([0.25])) == pytest.approx(0.5)
-
-    def test_vector_field_interp(self):
-        from infotraj.grid import VectorField
-
-        grid = GridSpec((Axis(0.0, 1.0, 5),))
-        values = np.stack([grid.axes[0].nodes, -grid.axes[0].nodes], axis=-1)
-        field = VectorField(grid, values)
-        assert np.allclose(field.interp(np.array([0.5])), [0.5, -0.5])
-
-
 class TestGridIO:
     def test_spec_round_trip(self):
         grid = GridSpec.vehicle_plane((-400.0, 400.0), (-300.0, 300.0), 41, 31, 32)

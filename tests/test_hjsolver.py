@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -6,23 +7,66 @@ import pytest
 from infotraj.dynamics import DubinsCar, ToyCascade
 from infotraj.grid import Axis, GridSpec
 from infotraj.hjsolver import (
-    Adjoint,
     InstabilityError,
     SolverConfig,
     cfl_dt,
     classic_solve,
     dissipation_coeffs,
-    hamiltonian,
     hybrid_solve,
     info_rate_on_grid,
-    lf_hamiltonian,
+    lf_rate,
     load_solution,
-    optimal_hamiltonian,
-    policy,
     rx_term,
     save_solution,
 )
 from infotraj.matrixcore import LogDetMetric, unvec, vec
+from infotraj.trajectories import toy_hybrid_vs_classic
+
+# costate of the augmented system: p pairs with x, lam with z
+Adjoint = namedtuple("Adjoint", "p lam")
+
+
+def hamiltonian(system, x, u: float, adjoint, rate_matrix) -> float:
+    """<f, p> + <g u, p> + <vec(Q), lam> at a single point."""
+    x = np.asarray(x, dtype=float)
+    f = system.drift(x)
+    g = system.control_column()
+    ell = vec(np.asarray(rate_matrix, dtype=float))
+    return float(f @ adjoint.p + u * (g @ adjoint.p) + ell @ adjoint.lam)
+
+
+def kernel_at(system, x, minus, plus, rate_matrix, alpha):
+    """lf_rate at one node, as (rate, control): the x axes carry the one-sided
+    costates minus.p / plus.p and dissipation alpha; the z axes enter with
+    drift vec(Q), g = 0 and no dissipation, as in classic_solve."""
+    m = len(minus.lam)
+    rate, u = lf_rate(
+        np.concatenate([minus.p, minus.lam]),
+        np.concatenate([plus.p, plus.lam]),
+        np.concatenate([system.drift(np.asarray(x, dtype=float)), vec(np.asarray(rate_matrix))]),
+        np.concatenate([system.control_column(), np.zeros(m)]),
+        system.control_bound,
+        np.concatenate([np.asarray(alpha, dtype=float), np.zeros(m)]),
+    )
+    return float(rate), float(u)
+
+
+def optimal_hamiltonian(system, x, adjoint, rate_matrix) -> float:
+    """Hamiltonian minimized over the admissible turn rates: the kernel with
+    equal one-sided costates."""
+    return kernel_at(system, x, adjoint, adjoint, rate_matrix, np.zeros(system.state_dim))[0]
+
+
+def lf_hamiltonian(system, x, adjoint_plus, adjoint_minus, rate_matrix, alpha) -> float:
+    """H(x, (sigma+ + sigma-)/2) - sum_i alpha_i (p_i+ - p_i-) / 2: the
+    forward-in-horizon kernel with the one-sided biases mirrored."""
+    return kernel_at(system, x, adjoint_plus, adjoint_minus, rate_matrix, alpha)[0]
+
+
+def policy(system, x, adjoint) -> float:
+    """The kernel's bang-bang control at one node."""
+    zero_q = np.zeros((system.info_dim, system.info_dim))
+    return kernel_at(system, x, adjoint, adjoint, zero_q, np.zeros(system.state_dim))[1]
 
 
 def toy_truth(t, x, z):
@@ -256,26 +300,9 @@ class TestHybridSolve:
         assert np.max(err[inner]) < 0.05
 
     def test_toy_matches_classic_and_halves_under_refinement(self):
-        toy = ToyCascade()
-        metric = LogDetMetric(1)
-
-        def gap(dx):
-            nx = int(round(4.0 / dx)) + 1
-            nz = int(round(5.2 / dx)) + 1
-            grid = toy_grid(dx)
-            joint = GridSpec((Axis(-2.0, 2.0, nx), Axis(0.4, 5.6, nz)))
-            cfg = SolverConfig(horizon=1.0)
-            hyb = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg)
-            cls = classic_solve(toy, metric, joint, cfg)
-            zi = int(np.argmin(np.abs(joint.axes[1].nodes - 1.0)))
-            x = grid.axes[0].nodes
-            inner = np.abs(x) <= 1.0
-            return float(np.max(np.abs(hyb.phi_final() - cls.phi_final()[:, zi])[inner]))
-
-        coarse = gap(0.05)
-        fine = gap(0.025)
-        assert coarse <= 5e-2
-        assert 0.4 <= fine / coarse <= 0.6
+        cross = toy_hybrid_vs_classic(0.05)
+        assert cross["max_diff"] <= 5e-2
+        assert 0.4 <= cross["ratio"] <= 0.6
 
     def test_gradient_field_tracks_resolve_sensitivity(self):
         toy = ToyCascade()

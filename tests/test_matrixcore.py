@@ -339,6 +339,19 @@ class TestClosedFormFlow:
         with pytest.raises(NotPositiveDefiniteError):
             metric.flow(values, grads, bad_rate, 0.1)
 
+    @pytest.mark.parametrize("kernel", ["closed_form", "lapack"])
+    def test_negative_definite_state_raises(self, kernel):
+        # A = -I has det(A) = +1, so a determinant-sign check alone lets it pass
+        flow = LogDetMetric(2).flow if kernel == "closed_form" else _flow_lapack
+        minus_identity = vec(np.eye(2))[None, :]  # grad = vec(-A^-1) with A = -I
+        with pytest.raises(NotPositiveDefiniteError):
+            flow(np.zeros(1), minus_identity, np.zeros((1, 2, 2)), 0.1)
+        # A = I is fine, but A' = A + h Q = -2 I is not
+        identity = -vec(np.eye(2))[None, :]
+        flow(np.zeros(1), identity, np.zeros((1, 2, 2)), 0.1)
+        with pytest.raises(NotPositiveDefiniteError):
+            flow(np.zeros(1), identity, -30.0 * np.eye(2)[None], 0.1)
+
     def test_survey_solve_matches_lapack_kernel(self):
         from infotraj.cli import load_scenario
         from infotraj.grid import GridSpec

@@ -94,13 +94,10 @@ class TestCharacteristicExtraction:
     def test_policy_mutation_breaks_toy_agreement(self, toy_setup, monkeypatch):
         toy, metric, grid, sol = toy_setup
 
-        def flipped(system, x, adjoint, tie_eps=1e-12):
-            sw = float(system.control_column() @ adjoint.p)
-            if abs(sw) <= tie_eps:
-                return 0.0
-            return system.control_bound * math.copysign(1.0, sw)
+        def flipped(switching, bound):
+            return np.where(np.abs(switching) <= 1e-12, 0.0, bound * np.sign(switching))
 
-        monkeypatch.setattr(infotraj.hjsolver, "policy", flipped)
+        monkeypatch.setattr(infotraj.hjsolver, "bang_bang", flipped)
         traj = extract_characteristic(sol, toy, metric, np.array([0.5]), dt=0.01)
         bf_cost, _ = brute_force_value(
             toy, metric, np.array([0.5]), np.array([1.0]), 1.0, segments=4, dt=0.01
