@@ -389,10 +389,7 @@ def cmd_solve(scenario: Scenario, out_dir, workers: int = 1) -> None:
     metric = LogDetMetric(scenario.prior().dim)
     grid = scenario.grid()
     z0 = scenario.initial_information()
-    ell = info_rate_on_grid(system, grid, workers=workers)
-    solution = hybrid_solve(
-        system, metric, grid, z0, scenario.solver, info_rate_field=ell, workers=workers
-    )
+    solution = hybrid_solve(system, metric, grid, z0, scenario.solver, workers=workers)
     os.makedirs(out_dir, exist_ok=True)
     save_solution(solution, out_dir, extras=solution_fingerprints(scenario))
     write_manifest(os.path.join(out_dir, "scenario.json"), scenario.to_dict())
@@ -544,11 +541,19 @@ def cmd_plot(in_dir, out_file, scenario: Optional[Scenario] = None) -> None:
     if scenario is None:
         candidate = os.path.join(in_dir, "scenario.json")
         if os.path.exists(candidate):
-            scenario = scenario_from_dict(read_manifest(candidate), where=candidate)
+            scenario = scenario_from_dict(_read_json(candidate), where=candidate)
     names = sorted(f for f in os.listdir(in_dir) if f.startswith("trajectory_") and f.endswith(".csv"))
     if not names:
         raise ScenarioError(f"{in_dir}: no trajectory CSV files found")
-    trajectories = [trajectory_from_csv(os.path.join(in_dir, f)) for f in names]
+    trajectories = []
+    for name in names:
+        path = os.path.join(in_dir, name)
+        try:
+            traj = trajectory_from_csv(path)
+        except (OSError, ValueError) as exc:
+            raise ScenarioError(f"{path}: cannot read the trajectory: {exc}") from exc
+        _require(traj.states.shape[1] >= 2, path, "expected planar X and Y columns")
+        trajectories.append(traj)
     mean = scenario.prior_mean if scenario else np.zeros(2)
     cov = scenario.prior_covariance if scenario else 100.0 * np.eye(2)
     with open(out_file, "w", encoding="utf-8") as fh:
@@ -701,6 +706,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_x0(chunk: str) -> list:
+    """One --x0 value: three finite numbers X,Y,PSI."""
+    try:
+        parts = [float(v) for v in chunk.split(",")]
+    except ValueError:
+        parts = []
+    if len(parts) != 3 or not all(math.isfinite(v) for v in parts):
+        raise ScenarioError(f"--x0 {chunk!r}: expected three finite numbers X,Y,PSI")
+    return parts
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -714,12 +730,7 @@ def main(argv=None) -> int:
             scenario = load_scenario(args.scenario) if args.scenario else None
             x0_list = None
             if args.x0 is not None:
-                x0_list = []
-                for chunk in args.x0:
-                    parts = [float(v) for v in chunk.split(",")]
-                    if len(parts) != 3:
-                        raise ScenarioError(f"--x0 {chunk!r}: expected X,Y,PSI")
-                    x0_list.append(parts)
+                x0_list = [_parse_x0(chunk) for chunk in args.x0]
             summary = cmd_extract(
                 args.solution, args.out, x0_list=x0_list, scenario=scenario, workers=workers
             )

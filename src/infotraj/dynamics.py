@@ -387,12 +387,20 @@ def trajectory_to_csv(trajectory: Trajectory, path, metric: TerminalMetric) -> N
 
 
 def trajectory_from_csv(path) -> Trajectory:
-    """Read back a trajectory CSV written by :func:`trajectory_to_csv`."""
+    """Read back a trajectory CSV written by :func:`trajectory_to_csv`; a
+    malformed file raises ValueError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
         rows = [line.strip() for line in fh if line.strip()]
     data_rows = [r for r in rows if not r.startswith("#")]
+    if len(data_rows) < 2:
+        raise ValueError(f"{path}: expected a header and at least one data row")
     header = data_rows[0].split(",")
-    body = np.array([[float(v) for v in r.split(",")] for r in data_rows[1:]])
+    try:
+        body = np.array([[float(v) for v in r.split(",")] for r in data_rows[1:]])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    if body.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {body.shape[1]} columns, the header {len(header)}")
     try:
         u_idx = header.index("u")
     except ValueError as exc:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -169,15 +170,17 @@ def info_rate_on_grid(system: CascadeSystem, grid: GridSpec, workers: int = 1) -
     """vec(Q) at every grid node, shape grid.shape + (m,).
 
     The evaluation is embarrassingly parallel: worker threads fill disjoint
-    row blocks, so the result is identical for any worker count.
+    row blocks, so the result is identical for any worker count. The thread
+    count is capped by the node count and the CPU count.
     """
     mesh = grid.mesh().reshape(-1, grid.ndim)
     npts = mesh.shape[0]
+    workers = min(workers, npts, os.cpu_count() or 1)
     if workers <= 1:
         flat = system.info_rate(mesh)
     else:
         flat = np.empty((npts, system.info_len))
-        bounds = np.linspace(0, npts, min(workers, npts) + 1).astype(int)
+        bounds = np.linspace(0, npts, workers + 1).astype(int)
 
         def fill(k):
             lo, hi = bounds[k], bounds[k + 1]
@@ -201,10 +204,15 @@ class HybridSolution:
     config: SolverConfig
     config_hash: str = ""
     wall_time: float = 0.0
-    # seconds spent in the pointwise flow and in the spatial transport, and
-    # the number of march steps; saved to timings.json, not the manifest
+    # seconds spent in the info-rate field (0 when it was passed in), the
+    # pointwise flow, the spatial transport, the finite checks and the
+    # snapshot copies, and the number of march steps; saved to timings.json,
+    # not the manifest
+    field_time: float = 0.0
     flow_time: float = 0.0
     transport_time: float = 0.0
+    check_time: float = 0.0
+    snapshot_time: float = 0.0
     steps: int = 0
 
     @property
@@ -240,8 +248,8 @@ def save_solution(solution: HybridSolution, out_dir, extras: Optional[dict] = No
     """Persist a solution: deterministic manifest + flat binary snapshots.
 
     Binary layout: float64 little-endian, row-major in (iX, iY, ipsi[, j])
-    order. Wall-clock timings (total, flow and transport seconds) and the
-    step count go to a separate timings.json so that repeated runs with the
+    order. Wall-clock timings (total and per-phase seconds) and the step
+    count go to a separate timings.json so that repeated runs with the
     same configuration produce byte-identical manifests and fields. extras
     (e.g. a sensor-suite hash) are merged into the manifest.
     """
@@ -270,8 +278,11 @@ def save_solution(solution: HybridSolution, out_dir, extras: Optional[dict] = No
     write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
     timings = {
         "wall_time_s": solution.wall_time,
+        "field_s": solution.field_time,
         "flow_s": solution.flow_time,
         "transport_s": solution.transport_time,
+        "check_s": solution.check_time,
+        "snapshot_s": solution.snapshot_time,
         "steps": solution.steps,
     }
     write_manifest(os.path.join(out_dir, "timings.json"), timings)
@@ -326,18 +337,24 @@ def _explicit_step(rate, fields: list, h: float, integrator: str) -> None:
         f *= 0.5
 
 
-def _march(fields: list, step, dt: float, config: SolverConfig):
+def _march(fields: list, step, dt: float, config: SolverConfig, timers: Optional[dict] = None):
     """March fields (a list of arrays) from s = 0 to the horizon in steps of
     at most dt, where step(fields, h) advances the list in place.
 
     Snapshots (copies) are kept every config.snapshot_stride steps (0: about
     24 in all) and at the horizon. Returns the snapshot times, the snapshots
-    and the step count; a non-finite field raises InstabilityError.
+    and the step count; a non-finite field raises InstabilityError. Seconds
+    spent in the finite checks and the snapshot copies are added to
+    timers["check"] and timers["snapshot"] when timers is given.
     """
+    timers = {"check": 0.0, "snapshot": 0.0} if timers is None else timers
+    clock = _time.perf_counter
     n_steps = int(math.ceil(config.horizon / dt - 1e-12))
     stride = config.snapshot_stride or max(1, int(math.ceil(n_steps / 24)))
     times = [0.0]
+    t0 = clock()
     snapshots = [tuple(f.copy() for f in fields)]
+    timers["snapshot"] += clock() - t0
     s = 0.0
     count = 0
     while s < config.horizon - 1e-12:
@@ -345,10 +362,14 @@ def _march(fields: list, step, dt: float, config: SolverConfig):
         step(fields, h)
         s += h
         count += 1
+        t0 = clock()
         _check_finite(count, s, *fields)
+        t1 = clock()
+        timers["check"] += t1 - t0
         if count % stride == 0 or s >= config.horizon - 1e-12:
             times.append(s)
             snapshots.append(tuple(f.copy() for f in fields))
+            timers["snapshot"] += clock() - t1
     return np.asarray(times), snapshots, count
 
 
@@ -390,8 +411,10 @@ def hybrid_solve(
     metric.value(z0)
 
     t_start = _time.perf_counter()
+    timers = {"field": 0.0, "flow": 0.0, "transport": 0.0, "check": 0.0, "snapshot": 0.0}
     if info_rate_field is None:
         info_rate_field = info_rate_on_grid(system, grid, workers=workers)
+        timers["field"] = _time.perf_counter() - t_start
     ell = np.asarray(info_rate_field, dtype=float)
     if ell.shape != grid.shape + (system.info_len,):
         raise ValueError("information-rate field shape does not match the grid")
@@ -414,8 +437,6 @@ def hybrid_solve(
         velocity = [f + g_i * u_star for f, g_i in zip(drift, g)]
         return phi_rate, rx_term(phi_z_now, grid, velocity, alpha=transport_alpha)
 
-    timers = {"flow": 0.0, "transport": 0.0}
-
     def step(fields, h):
         # pointwise information flow first (exact for the logdet metric,
         # stiffness-free while the accumulated information is small), then
@@ -431,7 +452,7 @@ def hybrid_solve(
         np.full(grid.shape, metric.value(z0)),
         np.broadcast_to(metric.gradient(z0), grid.shape + (system.info_len,)).copy(),
     ]
-    times, snapshots, steps = _march(fields, step, dt, config)
+    times, snapshots, steps = _march(fields, step, dt, config, timers)
     return HybridSolution(
         grid=grid,
         times=times,
@@ -441,8 +462,11 @@ def hybrid_solve(
         config=config,
         config_hash=config_fingerprint(grid, z0, config),
         wall_time=_time.perf_counter() - t_start,
+        field_time=timers["field"],
         flow_time=timers["flow"],
         transport_time=timers["transport"],
+        check_time=timers["check"],
+        snapshot_time=timers["snapshot"],
         steps=steps,
     )
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -76,20 +77,18 @@ class Sensor(ABC):
 
 
 def _doppler_geometry(sensor: "DopplerSensor", x, theta):
+    """Planar offsets X - theta_X, Y - theta_Y and the 3-d sensor-target
+    distance, broadcast over the leading axes of x and theta."""
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    rel = np.stack(
-        [
-            x[..., 0] - theta[..., 0],
-            x[..., 1] - theta[..., 1],
-            np.broadcast_to(sensor.altitude, np.broadcast_shapes(x.shape[:-1], theta.shape[:-1])).astype(float),
-        ],
-        axis=-1,
-    )
-    dist = np.linalg.norm(rel, axis=-1)
+    dx = x[..., 0] - theta[..., 0]
+    dy = x[..., 1] - theta[..., 1]
+    altitude = float(sensor.altitude)
+    # summed in the order of a norm over (dx, dy, altitude)
+    dist = np.sqrt(dx * dx + dy * dy + altitude * altitude)
     if np.any(dist == 0.0):
         raise GeometryError("sensor and target positions coincide in 3-d")
-    return x, rel, dist
+    return x, dx, dy, dist
 
 
 def doppler_mean(sensor: "DopplerSensor", x, speed: float, theta) -> np.ndarray:
@@ -99,21 +98,23 @@ def doppler_mean(sensor: "DopplerSensor", x, speed: float, theta) -> np.ndarray:
     range rate, so an approaching target reads positive and the magnitude is
     bounded by frequency_scale * speed.
     """
-    x, rel, dist = _doppler_geometry(sensor, x, theta)
-    vel_along = speed * (np.cos(x[..., 2]) * rel[..., 0] + np.sin(x[..., 2]) * rel[..., 1])
+    x, dx, dy, dist = _doppler_geometry(sensor, x, theta)
+    vel_along = speed * (np.cos(x[..., 2]) * dx + np.sin(x[..., 2]) * dy)
     return -sensor.frequency_scale * vel_along / dist
 
 
 def doppler_jacobian(sensor: "DopplerSensor", x, speed: float, theta) -> np.ndarray:
     """Analytic d(doppler_mean)/d(theta), shape (..., 1, 2)."""
-    x, rel, dist = _doppler_geometry(sensor, x, theta)
+    x, dx, dy, dist = _doppler_geometry(sensor, x, theta)
     vx = speed * np.cos(x[..., 2])
     vy = speed * np.sin(x[..., 2])
-    v_dot_r = vx * rel[..., 0] + vy * rel[..., 1]
+    v_dot_r = vx * dx + vy * dy
+    dist3 = dist**3
     scale = sensor.frequency_scale
-    jx = scale * (vx / dist - v_dot_r * rel[..., 0] / dist**3)
-    jy = scale * (vy / dist - v_dot_r * rel[..., 1] / dist**3)
-    return np.stack([jx, jy], axis=-1)[..., None, :]
+    jac = np.empty(dist.shape + (1, 2))
+    jac[..., 0, 0] = scale * (vx / dist - v_dot_r * dx / dist3)
+    jac[..., 0, 1] = scale * (vy / dist - v_dot_r * dy / dist3)
+    return jac
 
 
 @dataclass(frozen=True)
@@ -158,58 +159,43 @@ class DopplerSensor(Sensor):
         return doppler_jacobian(self, x, self.speed, theta)
 
 
-def conditional_fim(sensor: Sensor, x, theta) -> np.ndarray:
-    """Information matrix J^T Sigma^-1 J of one measurement at fixed theta."""
-    jac = sensor.jacobian(x, theta)
-    cov = np.asarray(sensor.noise_cov, dtype=float)
-    cholesky_spd(cov)
-    weighted = np.linalg.solve(cov, jac)
-    out = np.swapaxes(jac, -1, -2) @ weighted
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
+# defaults of the Taylor expectation: the finite-difference step of the
+# elementwise Hessians (meters) and the clipping tolerance on eigenvalues
+HESSIAN_STEP = 1e-2
+INDEFINITE_TOL = 1e-8
+# relative margin of the 2x2 definiteness screen: a row whose closed-form
+# smallest eigenvalue exceeds it times |trace| is positive definite beyond
+# any roundoff, so the eigh repair would return it unchanged
+_SCREEN_MARGIN = 1e-8
 
 
-def expected_fim(
-    sensor: Sensor,
-    x,
-    prior: GaussianPrior,
-    hessian_step: float = 1e-2,
-    indefinite_tol: float = 1e-8,
-) -> np.ndarray:
-    """Expectation of the conditional information matrix over the target prior.
+class _Stencil(NamedTuple):
+    """Target parameters at which the Taylor correction evaluates the
+    conditional information: the prior mean, +-step along each axis, then the
+    four corners (++, +-, -+, --) of each nonzero covariance cross term."""
 
-    Second-order Taylor correction around the prior mean:
-        E[Q_ij] ~= Q_ij(mean) + 0.5 * tr(Sigma H_ij(mean)),
-    with the elementwise Hessians H_ij formed by nested central differences of
-    step hessian_step (meters). Exact when Q is at most quadratic in theta.
+    thetas: np.ndarray  # (n, p)
+    cross_pairs: tuple  # (k, l), k < l, with sigma[k, l] != 0
+    step: float
 
-    The correction can leave the result slightly indefinite: eigenvalues in
-    [-indefinite_tol, 0) are clipped to zero; anything more negative triggers
-    a breakdown warning and a fallback to the conditional value at the mean.
-    """
-    if prior.dim != sensor.theta_dim:
-        raise DimensionError(
-            f"prior dimension {prior.dim} does not match sensor theta dimension "
-            f"{sensor.theta_dim}"
-        )
-    x = np.asarray(x, dtype=float)
+
+def _taylor_stencil(prior: GaussianPrior, h: float) -> Optional[_Stencil]:
+    """The stencil of the prior for step h; None for a zero covariance, where
+    the expectation is the conditional value at the mean."""
     theta0 = prior.mean
     sigma = prior.covariance
     if not np.any(sigma):
-        return conditional_fim(sensor, x, theta0)
-
-    h = hessian_step
+        return None
     p = prior.dim
-    # one batched stencil evaluation: center, +-h e_k, and the four corners
-    # per covariance cross term
     stencil = [theta0]
     for k in range(p):
         ek = np.zeros(p)
         ek[k] = h
         stencil.append(theta0 + ek)
         stencil.append(theta0 - ek)
-    cross_pairs = [
+    cross_pairs = tuple(
         (k, l) for k in range(p) for l in range(k + 1, p) if sigma[k, l] != 0.0
-    ]
+    )
     for k, l in cross_pairs:
         ek = np.zeros(p)
         el = np.zeros(p)
@@ -219,24 +205,39 @@ def expected_fim(
         stencil.append(theta0 + ek - el)
         stencil.append(theta0 - ek + el)
         stencil.append(theta0 - ek - el)
-    q_all = conditional_fim(sensor, x[..., None, :], np.asarray(stencil))
-    center = q_all[..., 0, :, :]
-    correction = np.zeros_like(center)
-    for k in range(p):
-        plus_k = q_all[..., 1 + 2 * k, :, :]
-        minus_k = q_all[..., 2 + 2 * k, :, :]
-        correction = correction + 0.5 * sigma[k, k] * (plus_k - 2.0 * center + minus_k) / h**2
-    base = 1 + 2 * p
-    for idx, (k, l) in enumerate(cross_pairs):
-        qpp = q_all[..., base + 4 * idx, :, :]
-        qpm = q_all[..., base + 4 * idx + 1, :, :]
-        qmp = q_all[..., base + 4 * idx + 2, :, :]
-        qmm = q_all[..., base + 4 * idx + 3, :, :]
-        cross = (qpp - qpm - qmp + qmm) / (4.0 * h**2)
-        correction = correction + sigma[k, l] * cross  # k<l counted twice in the trace
-    out = center + correction
-    out = 0.5 * (out + np.swapaxes(out, -1, -2))
+    return _Stencil(np.asarray(stencil), cross_pairs, h)
 
+
+def _noise_information(sensor: Sensor) -> np.ndarray:
+    """Sigma^-1 of the sensor's noise covariance, which must be SPD."""
+    cov = np.asarray(sensor.noise_cov, dtype=float)
+    cholesky_spd(cov)
+    return np.linalg.solve(cov, np.eye(cov.shape[-1]))
+
+
+def _check_theta_dim(sensor: Sensor, prior: GaussianPrior) -> None:
+    if prior.dim != sensor.theta_dim:
+        raise DimensionError(
+            f"prior dimension {prior.dim} does not match sensor theta dimension "
+            f"{sensor.theta_dim}"
+        )
+
+
+def _conditional_fim(sensor: Sensor, x, theta, info: np.ndarray) -> np.ndarray:
+    jac = sensor.jacobian(x, theta)
+    out = np.swapaxes(jac, -1, -2) @ (info @ jac)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def conditional_fim(sensor: Sensor, x, theta) -> np.ndarray:
+    """Information matrix J^T Sigma^-1 J of one measurement at fixed theta."""
+    return _conditional_fim(sensor, x, theta, _noise_information(sensor))
+
+
+def _clip_or_fall_back(out: np.ndarray, center: np.ndarray, indefinite_tol: float) -> np.ndarray:
+    """Repair Taylor-corrected matrices by eigh: eigenvalues in
+    [-indefinite_tol, 0) are clipped to zero; a more negative one warns and
+    falls back to the conditional value at the mean (center)."""
     eigvals, eigvecs = np.linalg.eigh(out)
     broken = eigvals[..., 0] < -indefinite_tol
     if np.any(broken):
@@ -245,7 +246,7 @@ def expected_fim(
             f"Taylor-corrected information matrix indefinite at {count} state(s); "
             "falling back to the conditional value at the prior mean there",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=4,
         )
     negative = eigvals[..., 0] < 0.0
     if np.any(negative):
@@ -260,6 +261,84 @@ def expected_fim(
     return out
 
 
+def _expected_fim(
+    sensor: Sensor,
+    x,
+    prior: GaussianPrior,
+    stencil: Optional[_Stencil],
+    info: np.ndarray,
+    indefinite_tol: float,
+) -> np.ndarray:
+    """expected_fim with the stencil and the noise information given."""
+    x = np.asarray(x, dtype=float)
+    if stencil is None:
+        return _conditional_fim(sensor, x, prior.mean, info)
+    sigma = prior.covariance
+    p = prior.dim
+    h2 = stencil.step**2
+    q_all = _conditional_fim(sensor, x[..., None, :], stencil.thetas, info)
+    center = q_all[..., 0, :, :]
+    correction = np.zeros_like(center)
+    for k in range(p):
+        plus_k = q_all[..., 1 + 2 * k, :, :]
+        minus_k = q_all[..., 2 + 2 * k, :, :]
+        correction = correction + 0.5 * sigma[k, k] * (plus_k - 2.0 * center + minus_k) / h2
+    base = 1 + 2 * p
+    for idx, (k, l) in enumerate(stencil.cross_pairs):
+        qpp = q_all[..., base + 4 * idx, :, :]
+        qpm = q_all[..., base + 4 * idx + 1, :, :]
+        qmp = q_all[..., base + 4 * idx + 2, :, :]
+        qmm = q_all[..., base + 4 * idx + 3, :, :]
+        cross = (qpp - qpm - qmp + qmm) / (4.0 * h2)
+        correction = correction + sigma[k, l] * cross  # k<l counted twice in the trace
+    out = center + correction
+    out = 0.5 * (out + np.swapaxes(out, -1, -2))
+    if p != 2:
+        return _clip_or_fall_back(out, center, indefinite_tol)
+
+    # 2x2 screen: only rows that are not clearly positive definite (and rows
+    # with NaNs) go through the eigh repair, which leaves the others unchanged
+    a = out[..., 0, 0]
+    b = out[..., 0, 1]
+    c = out[..., 1, 1]
+    lam_min = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+    suspect = ~(lam_min > _SCREEN_MARGIN * np.abs(a + c))
+    if np.any(suspect):
+        out[suspect] = _clip_or_fall_back(out[suspect], center[suspect], indefinite_tol)
+    return out
+
+
+def expected_fim(
+    sensor: Sensor,
+    x,
+    prior: GaussianPrior,
+    hessian_step: float = HESSIAN_STEP,
+    indefinite_tol: float = INDEFINITE_TOL,
+) -> np.ndarray:
+    """Expectation of the conditional information matrix over the target prior.
+
+    Second-order Taylor correction around the prior mean:
+        E[Q_ij] ~= Q_ij(mean) + 0.5 * tr(Sigma H_ij(mean)),
+    with the elementwise Hessians H_ij formed by nested central differences of
+    step hessian_step (meters). Exact when Q is at most quadratic in theta.
+
+    The correction can leave the result slightly indefinite: eigenvalues in
+    [-indefinite_tol, 0) are clipped to zero; anything more negative triggers
+    a breakdown warning and a fallback to the conditional value at the mean.
+    For p = 2 a closed-form smallest eigenvalue screens the rows first, and
+    only those that are not clearly positive definite are decomposed.
+    """
+    _check_theta_dim(sensor, prior)
+    return _expected_fim(
+        sensor,
+        x,
+        prior,
+        _taylor_stencil(prior, hessian_step),
+        _noise_information(sensor),
+        indefinite_tol,
+    )
+
+
 def prior_fim(prior: GaussianPrior) -> np.ndarray:
     """Information carried by the prior itself: the inverse covariance."""
     chol = cholesky_spd(prior.covariance)
@@ -268,24 +347,41 @@ def prior_fim(prior: GaussianPrior) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def suite_fim(sensors, x, prior: GaussianPrior) -> np.ndarray:
-    """Rate-weighted information rate of a sensor suite: sum_i F_i E[Q_i(x)]."""
+def suite_plan(sensors, prior: GaussianPrior) -> tuple:
+    """Check a sensor suite against the prior and build what every
+    evaluation shares: the Taylor stencil and each sensor's noise information."""
     if not sensors:
         raise ValueError("sensor suite is empty")
     dims = {s.theta_dim for s in sensors}
     if len(dims) != 1:
         raise DimensionError(f"sensors disagree on target dimension: {sorted(dims)}")
+    _check_theta_dim(sensors[0], prior)
+    stencil = _taylor_stencil(prior, HESSIAN_STEP)
+    return stencil, [_noise_information(s) for s in sensors]
+
+
+def suite_fim(sensors, x, prior: GaussianPrior, plan: Optional[tuple] = None) -> np.ndarray:
+    """Rate-weighted information rate of a sensor suite: sum_i F_i E[Q_i(x)].
+
+    plan is suite_plan(sensors, prior), built here when not given.
+    """
+    stencil, infos = suite_plan(sensors, prior) if plan is None else plan
     total = None
-    for sensor in sensors:
-        term = sensor.rate * expected_fim(sensor, x, prior)
+    for sensor, info in zip(sensors, infos):
+        term = sensor.rate * _expected_fim(sensor, x, prior, stencil, info, INDEFINITE_TOL)
         total = term if total is None else total + term
     return total
 
 
 def suite_info_rate(sensors, prior: GaussianPrior):
-    """Information-rate callable x -> vec(sum_i F_i E[Q_i(x)]) for a vehicle model."""
+    """Information-rate callable x -> vec(sum_i F_i E[Q_i(x)]) for a vehicle model.
+
+    The stencil and the noise information are built once here; each call
+    goes through the module's suite_fim.
+    """
+    plan = suite_plan(sensors, prior)
 
     def rate(x):
-        return vec(suite_fim(sensors, x, prior))
+        return vec(suite_fim(sensors, x, prior, plan=plan))
 
     return rate

@@ -1,9 +1,11 @@
 import math
+import os
 from collections import namedtuple
 
 import numpy as np
 import pytest
 
+from infotraj import hjsolver
 from infotraj.dynamics import DubinsCar, ToyCascade
 from infotraj.grid import Axis, GridSpec
 from infotraj.hjsolver import (
@@ -67,6 +69,13 @@ def policy(system, x, adjoint) -> float:
     """The kernel's bang-bang control at one node."""
     zero_q = np.zeros((system.info_dim, system.info_dim))
     return kernel_at(system, x, adjoint, adjoint, zero_q, np.zeros(system.state_dim))[1]
+
+
+def outer_rate(x):
+    """vec(j j^T) for j = (X, Y) / 100: a smooth information rate."""
+    j = np.stack([x[..., 0] / 100.0, x[..., 1] / 100.0], axis=-1)
+    outer = j[..., :, None] * j[..., None, :]
+    return np.swapaxes(outer, -1, -2).reshape(x.shape[:-1] + (4,))
 
 
 def toy_truth(t, x, z):
@@ -396,18 +405,45 @@ class TestHybridSolve:
         with pytest.raises((InstabilityError, ValueError)):
             hybrid_solve(car, metric, grid, vec(np.eye(2)), SolverConfig(horizon=1.0))
 
-    def test_deterministic_across_worker_counts(self):
-        def rate(x):
-            j = np.stack([x[..., 0] / 100.0, x[..., 1] / 100.0], axis=-1)
-            outer = j[..., :, None] * j[..., None, :]
-            return np.swapaxes(outer, -1, -2).reshape(x.shape[:-1] + (4,))
-
-        car = dubins(rate_fn=rate)
+    def test_deterministic_across_worker_counts(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)  # isolate from the CPU cap
+        car = dubins(rate_fn=outer_rate)
         grid = GridSpec.vehicle_plane((-100.0, 100.0), (-100.0, 100.0), 9, 9, 8)
         a = info_rate_on_grid(car, grid, workers=1)
         b = info_rate_on_grid(car, grid, workers=3)
         c = info_rate_on_grid(car, grid, workers=8)
         assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    @pytest.mark.parametrize(
+        "cpus,workers,shape,expected",
+        [(4, 10**6, (9, 9, 8), 4), (64, 100, (3, 3, 3), 27), (64, 5, (9, 9, 8), 5)],
+        ids=["cpu_count", "node_count", "requested"],
+    )
+    def test_thread_count_capped(self, monkeypatch, cpus, workers, shape, expected):
+        seen = []
+
+        class RecordingPool:
+            """Records max_workers and runs the blocks in this thread."""
+
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(hjsolver, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        car = dubins(rate_fn=outer_rate)
+        grid = GridSpec.vehicle_plane((-100.0, 100.0), (-100.0, 100.0), *shape)
+        out = info_rate_on_grid(car, grid, workers=workers)
+        assert seen == [expected]
+        assert np.array_equal(out, info_rate_on_grid(car, grid, workers=1))
 
 
 class TestClassicSolve:

@@ -1,9 +1,13 @@
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from infotraj.matrixcore import DimensionError
+from infotraj import sensing
+from infotraj.cli import load_scenario
+from infotraj.matrixcore import DimensionError, cholesky_spd, vec
 from infotraj.sensing import (
     DopplerSensor,
     GaussianPrior,
@@ -15,9 +19,108 @@ from infotraj.sensing import (
     expected_fim,
     prior_fim,
     suite_fim,
+    suite_info_rate,
 )
 
 SPEED = 50.0
+SINGLE_PATH = Path(__file__).resolve().parents[1] / "scenarios" / "doppler_single_path.json"
+FALLBACK_WARNING = "Taylor-corrected information matrix indefinite"
+
+
+def reference_conditional_fim(sensor, x, theta):
+    """The per-call Cholesky check and noise solve of the earlier kernel."""
+    jac = sensor.jacobian(x, theta)
+    cov = np.asarray(sensor.noise_cov, dtype=float)
+    cholesky_spd(cov)
+    weighted = np.linalg.solve(cov, jac)
+    out = np.swapaxes(jac, -1, -2) @ weighted
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+def reference_expected_fim(sensor, x, prior, hessian_step=1e-2, indefinite_tol=1e-8):
+    """The earlier expected_fim: the stencil built per call and eigh on every row."""
+    if prior.dim != sensor.theta_dim:
+        raise DimensionError(
+            f"prior dimension {prior.dim} does not match sensor theta dimension "
+            f"{sensor.theta_dim}"
+        )
+    x = np.asarray(x, dtype=float)
+    theta0 = prior.mean
+    sigma = prior.covariance
+    if not np.any(sigma):
+        return reference_conditional_fim(sensor, x, theta0)
+
+    h = hessian_step
+    p = prior.dim
+    # one batched stencil evaluation: center, +-h e_k, and the four corners
+    # per covariance cross term
+    stencil = [theta0]
+    for k in range(p):
+        ek = np.zeros(p)
+        ek[k] = h
+        stencil.append(theta0 + ek)
+        stencil.append(theta0 - ek)
+    cross_pairs = [
+        (k, l) for k in range(p) for l in range(k + 1, p) if sigma[k, l] != 0.0
+    ]
+    for k, l in cross_pairs:
+        ek = np.zeros(p)
+        el = np.zeros(p)
+        ek[k] = h
+        el[l] = h
+        stencil.append(theta0 + ek + el)
+        stencil.append(theta0 + ek - el)
+        stencil.append(theta0 - ek + el)
+        stencil.append(theta0 - ek - el)
+    q_all = reference_conditional_fim(sensor, x[..., None, :], np.asarray(stencil))
+    center = q_all[..., 0, :, :]
+    correction = np.zeros_like(center)
+    for k in range(p):
+        plus_k = q_all[..., 1 + 2 * k, :, :]
+        minus_k = q_all[..., 2 + 2 * k, :, :]
+        correction = correction + 0.5 * sigma[k, k] * (plus_k - 2.0 * center + minus_k) / h**2
+    base = 1 + 2 * p
+    for idx, (k, l) in enumerate(cross_pairs):
+        qpp = q_all[..., base + 4 * idx, :, :]
+        qpm = q_all[..., base + 4 * idx + 1, :, :]
+        qmp = q_all[..., base + 4 * idx + 2, :, :]
+        qmm = q_all[..., base + 4 * idx + 3, :, :]
+        cross = (qpp - qpm - qmp + qmm) / (4.0 * h**2)
+        correction = correction + sigma[k, l] * cross  # k<l counted twice in the trace
+    out = center + correction
+    out = 0.5 * (out + np.swapaxes(out, -1, -2))
+
+    eigvals, eigvecs = np.linalg.eigh(out)
+    broken = eigvals[..., 0] < -indefinite_tol
+    if np.any(broken):
+        count = int(np.count_nonzero(broken))
+        warnings.warn(
+            f"Taylor-corrected information matrix indefinite at {count} state(s); "
+            "falling back to the conditional value at the prior mean there",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    negative = eigvals[..., 0] < 0.0
+    if np.any(negative):
+        # repair strictly per element: results must not depend on what else
+        # shares the batch (parallel field evaluation chunks arbitrarily)
+        clipped = np.clip(eigvals, 0.0, None)
+        rebuilt = (eigvecs * clipped[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
+        rebuilt = 0.5 * (rebuilt + np.swapaxes(rebuilt, -1, -2))
+        out = np.where(negative[..., None, None], rebuilt, out)
+    if np.any(broken):
+        out = np.where(broken[..., None, None], center, out)
+    return out
+
+
+def reference_quiet(sensor, x, prior):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return reference_expected_fim(sensor, x, prior)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def make_sensor(altitude=1000.0, noise_std=1.0, rate=1.0, scale=3.33, speed=SPEED):
@@ -72,6 +175,31 @@ class QuadraticMeanSensor(Sensor):
     def jacobian(self, x, theta):
         theta = np.asarray(theta, dtype=float)
         return (theta @ self.a.T + self.b)[..., None, :]
+
+
+class ShrinkingJacobianSensor(Sensor):
+    """Jacobian b (1 - |theta|^2 / c) with c = X: the information falls off
+    from the prior mean, so the Taylor correction is -4 sigma^2 / c times the
+    centre value and drives it indefinite wherever c < 4 sigma^2."""
+
+    theta_dim = 2
+
+    def __init__(self, b, rate=1.0):
+        self.b = np.asarray(b, dtype=float)
+        self.rate = float(rate)
+
+    @property
+    def noise_cov(self):
+        return np.array([[1.0]])
+
+    def mean(self, x, theta):
+        raise NotImplementedError
+
+    def jacobian(self, x, theta):
+        x = np.asarray(x, dtype=float)
+        theta = np.asarray(theta, dtype=float)
+        shrink = 1.0 - np.sum(theta * theta, axis=-1) / x[..., 0]
+        return (shrink[..., None] * self.b)[..., None, :]
 
 
 class TestDopplerMean:
@@ -251,6 +379,110 @@ class TestExpectedFim:
         batch = expected_fim(sen, xs, prior)
         for k in range(3):
             assert np.allclose(batch[k], expected_fim(sen, xs[k], prior))
+
+
+class TestKernelAgainstReference:
+    """The kernel (stencil and noise information built once, 2x2 screen in
+    front of the eigh repair) against the earlier per-call kernel."""
+
+    @pytest.fixture(scope="class")
+    def shipped(self):
+        scenario = load_scenario(SINGLE_PATH)
+        return scenario.build_sensors(), scenario.prior(), scenario.grid()
+
+    def test_bit_identical_on_shipped_grid(self, shipped):
+        sensors, prior, grid = shipped
+        mesh = grid.mesh().reshape(-1, 3)
+        ref = reference_quiet(sensors[0], mesh, prior)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert same_bits(expected_fim(sensors[0], mesh, prior), ref)
+            assert same_bits(suite_info_rate(sensors, prior)(mesh), vec(sensors[0].rate * ref))
+
+    def test_bit_identical_at_random_states(self, shipped):
+        sensors, prior, _ = shipped
+        rng = np.random.default_rng(31)
+        n = 20_000
+        x = np.column_stack(
+            [
+                rng.uniform(-1700.0, 1700.0, n),
+                rng.uniform(-1700.0, 1700.0, n),
+                rng.uniform(-math.pi, math.pi, n),
+            ]
+        )
+        ref = reference_quiet(sensors[0], x, prior)
+        assert same_bits(suite_fim(sensors, x, prior), sensors[0].rate * ref)
+        for k in range(0, n, 2857):  # one state at a time: the same bits
+            assert same_bits(expected_fim(sensors[0], x[k], prior), ref[k])
+
+    def test_bit_identical_where_the_repair_runs(self, shipped, monkeypatch):
+        # directly above the prior mean the correction leaves roundoff-level
+        # negative eigenvalues, which the eigh repair clips
+        sensors, prior, grid = shipped
+        mesh = grid.mesh()
+        x = mesh[20, 20]  # X = Y = 0, every heading
+        assert np.all(x[:, :2] == 0.0)
+        repaired = []
+        repair = sensing._clip_or_fall_back
+
+        def spy(out, center, tol):
+            fixed = repair(out, center, tol)
+            repaired.append(int(np.count_nonzero(np.any(fixed != out, axis=(-2, -1)))))
+            return fixed
+
+        monkeypatch.setattr(sensing, "_clip_or_fall_back", spy)
+        got = expected_fim(sensors[0], x, prior)
+        assert len(repaired) == 1 and repaired[0] > 0
+        assert same_bits(got, reference_quiet(sensors[0], x, prior))
+
+    def test_quadratic_sensor_with_cross_terms(self):
+        a = np.array([[0.08, 0.02], [0.02, 0.05]])
+        b = np.array([0.7, -0.4])
+        sen = QuadraticMeanSensor(a, b, noise_std=1.3)
+        prior = GaussianPrior(np.array([1.0, -2.0]), np.array([[9.0, 2.0], [2.0, 16.0]]))
+        x = np.zeros((5, 3))
+        ref = reference_quiet(sen, x, prior)
+        got = expected_fim(sen, x, prior)
+        assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
+        assert np.allclose(suite_fim([sen], x, prior), ref, rtol=1e-12, atol=0.0)
+
+    def test_three_parameter_prior_without_the_screen(self):
+        a = np.array([[0.08, 0.02, 0.01], [0.02, 0.05, 0.0], [0.01, 0.0, 0.03]])
+        sen = QuadraticMeanSensor(a, np.array([0.7, -0.4, 0.2]), noise_std=1.3)
+        sen.theta_dim = 3
+        cov = np.array([[9.0, 2.0, 0.0], [2.0, 16.0, 1.0], [0.0, 1.0, 4.0]])
+        prior = GaussianPrior(np.array([1.0, -2.0, 0.5]), cov)
+        x = np.zeros((4, 3))
+        assert np.allclose(expected_fim(sen, x, prior), reference_quiet(sen, x, prior),
+                           rtol=1e-12, atol=0.0)
+
+    def test_breakdown_warns_once_and_falls_back(self):
+        # c = X = 1, 2 break down (c < 4 sigma^2 with sigma = 1); 10, 100 do not
+        sen = ShrinkingJacobianSensor([1.0, 2.0])
+        prior = GaussianPrior.isotropic(1.0)
+        x = np.array([[1.0, 0.0, 0.0], [10.0, 0.0, 0.0], [2.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
+        with pytest.warns(RuntimeWarning) as record:
+            got = expected_fim(sen, x, prior)
+        messages = [str(w.message) for w in record]
+        assert len(messages) == 1
+        assert messages[0].startswith(FALLBACK_WARNING)
+        assert "indefinite at 2 state(s)" in messages[0]
+        assert same_bits(got, reference_quiet(sen, x, prior))
+        center = conditional_fim(sen, x, prior.mean)
+        assert same_bits(got[[0, 2]], center[[0, 2]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no breakdown, no warning
+            expected_fim(sen, x[[1, 3]], prior)
+
+    def test_suite_fallbacks_warn_per_call(self):
+        sen = ShrinkingJacobianSensor([1.0, 2.0])
+        prior = GaussianPrior.isotropic(1.0)
+        rate = suite_info_rate([sen], prior)
+        x = np.array([[1.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+        with pytest.warns(RuntimeWarning, match=FALLBACK_WARNING) as record:
+            rate(x)
+            rate(x[0])
+        assert len(record) == 2
 
 
 class TestPriorFim:
