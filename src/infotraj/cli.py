@@ -184,9 +184,6 @@ class Scenario:
             "solver": {
                 "horizon_s": self.solver.horizon,
                 "cfl_number": self.solver.cfl_number,
-                "integrator": self.solver.integrator,
-                "dissipation": self.solver.dissipation,
-                "gradient_transport": self.solver.gradient_transport,
                 "snapshot_stride": self.solver.snapshot_stride,
             },
             "extraction": {
@@ -227,7 +224,8 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     )
 
     pri = _take(top["prior"], f"{where}.prior", {"mean_m": None, "covariance_m2": None})
-    mean = np.array(_numbers(pri["mean_m"], f"{where}.prior.mean_m"))
+    # the Doppler sensors estimate a planar (2-d) target position
+    mean = np.array(_numbers(pri["mean_m"], f"{where}.prior.mean_m", 2))
     rows = pri["covariance_m2"]
     where_cov = f"{where}.prior.covariance_m2"
     _require(isinstance(rows, list) and len(rows) == mean.size, where_cov, "expected a matrix")
@@ -277,31 +275,14 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     sv = _take(
         top["solver"],
         f"{where}.solver",
-        {
-            "horizon_s": None,
-            "cfl_number": 0.5,
-            "integrator": "euler",
-            "dissipation": "global",
-            "gradient_transport": "matched",
-            "snapshot_stride": 0,
-        },
+        {"horizon_s": None, "cfl_number": 0.5, "snapshot_stride": 0},
     )
     horizon = _positive(sv["horizon_s"], f"{where}.solver.horizon_s")
     cfl_number = _positive(sv["cfl_number"], f"{where}.solver.cfl_number")
     _require(cfl_number <= 1.0, f"{where}.solver.cfl_number", "must lie in (0, 1]")
     stride = _number(sv["snapshot_stride"], f"{where}.solver.snapshot_stride", integer=True)
     _require(stride >= 0, f"{where}.solver.snapshot_stride", "must be nonnegative")
-    try:
-        solver = SolverConfig(
-            horizon=horizon,
-            cfl_number=cfl_number,
-            integrator=sv["integrator"],
-            dissipation=sv["dissipation"],
-            gradient_transport=sv["gradient_transport"],
-            snapshot_stride=stride,
-        )
-    except ValueError as exc:
-        raise ScenarioError(f"{where}.solver: {exc}") from exc
+    solver = SolverConfig(horizon=horizon, cfl_number=cfl_number, snapshot_stride=stride)
 
     ex = _take(
         top["extraction"],
@@ -359,16 +340,19 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(_read_json(path), where=str(path))
 
 
-def worker_count(requested: Optional[int]) -> int:
-    """The requested worker count, capped by INFOTRAJ_WORKERS and the CPU count."""
+def worker_count(requested: int) -> int:
+    """The requested worker count, capped by INFOTRAJ_WORKERS and the CPU
+    count; either one below 1 names itself."""
+    _require(requested >= 1, f"--workers {requested}", "must be at least 1")
     cap = os.environ.get("INFOTRAJ_WORKERS")
-    workers = requested if requested else 1
     if cap is not None:
         try:
-            workers = min(workers, max(1, int(cap)))
+            cap_count = int(cap)
         except ValueError as exc:
             raise ScenarioError(f"INFOTRAJ_WORKERS={cap!r}: expected an integer") from exc
-    return min(workers, os.cpu_count() or 1)
+        _require(cap_count >= 1, f"INFOTRAJ_WORKERS={cap!r}", "must be at least 1")
+        requested = min(requested, cap_count)
+    return min(requested, os.cpu_count() or 1)
 
 
 def solution_fingerprints(scenario: Scenario) -> dict:

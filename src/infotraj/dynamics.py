@@ -37,11 +37,6 @@ class State:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.psi], dtype=float)
 
-    @classmethod
-    def from_array(cls, arr) -> "State":
-        arr = np.asarray(arr, dtype=float)
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
-
 
 @dataclass(frozen=True)
 class AugmentedState:
@@ -342,11 +337,6 @@ def simulate_open_loop(
         infos[k + 1] = y[0, d:]
         controls[k + 1] = u
     return Trajectory(s=nodes, states=states, controls=controls, infos=infos)
-
-
-def evaluate_cost(metric: TerminalMetric, trajectory: Trajectory) -> float:
-    """Terminal cost G at the trajectory's final information state."""
-    return metric.value(trajectory.final_info())
 
 
 _STATE_HEADERS = {3: ("X", "Y", "psi"), 1: ("x",)}

@@ -9,14 +9,17 @@ dynamic programming gives
 so the marching rate is the minimized Hamiltonian evaluated at the central
 gradient plus Lax-Friedrichs dissipation +  sum_i alpha_i (D+_i - D-_i) / 2
 (the sign pairs with the forward-in-horizon march; equivalently the standard
-terminal-value form with the upwind biases mirrored). Both solvers evaluate
-this rate through one kernel, lf_rate, and march it with one explicit step:
+terminal-value form with the upwind biases mirrored). The scheme is fixed:
+both solvers evaluate this rate through one kernel, lf_rate, and march it
+with forward Euler steps under the CFL limit:
 
 * classic_solve: full grid over the joint state (x, z); tractable only in
   very low dimension and kept as the reference oracle.
 * hybrid_solve: grid over x only; the gradient of the value with respect to
   the information state is co-evolved by a pointwise ODE (curvature
-  contraction plus advection along the optimal flow), with no z grid.
+  contraction plus advection along the optimal flow by the same LF
+  operator, rx_term), with no z grid. Its dissipation is one constant per
+  axis, the system's rate bound.
 """
 
 from __future__ import annotations
@@ -61,12 +64,6 @@ class InstabilityError(RuntimeError):
 class SolverConfig:
     horizon: float
     cfl_number: float = 0.5
-    integrator: str = "euler"  # "euler" | "rk2" (two-stage TVD)
-    dissipation: str = "global"  # "global" | "local"
-    # gradient transport: "matched" advects Phi with the same central + LF
-    # operator as the value equation, so Phi tracks the z0-sensitivity of the
-    # discrete phi; "upwind" is plain donor-cell along the optimal flow
-    gradient_transport: str = "matched"
     snapshot_stride: int = 0  # 0: choose automatically (~24 snapshots)
 
     def __post_init__(self):
@@ -74,12 +71,6 @@ class SolverConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if not 0.0 < self.cfl_number <= 1.0:
             raise ValueError(f"CFL number must lie in (0, 1], got {self.cfl_number}")
-        if self.integrator not in ("euler", "rk2"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.dissipation not in ("global", "local"):
-            raise ValueError(f"unknown dissipation mode {self.dissipation!r}")
-        if self.gradient_transport not in ("matched", "upwind"):
-            raise ValueError(f"unknown gradient transport {self.gradient_transport!r}")
         if self.snapshot_stride < 0:
             raise ValueError("snapshot stride must be nonnegative")
 
@@ -88,19 +79,6 @@ def bang_bang(switching, bound: float):
     """Minimizing turn rate -bound * sign(switching); zero inside the tie band
     |switching| <= POLICY_TIE_EPS. Scalars and arrays alike."""
     return np.where(np.abs(switching) <= POLICY_TIE_EPS, 0.0, -bound * np.sign(switching))
-
-
-def dissipation_coeffs(system: CascadeSystem, mode: str, x=None) -> np.ndarray:
-    """Per-axis bounds alpha_i on |dH/dp_i|: the global sup, shape (d,), or
-    the local value |f(x)| + bound |g| at the states x, shape (..., d)."""
-    if mode == "global":
-        return system.rate_bounds()
-    if mode == "local":
-        if x is None:
-            raise ValueError("local dissipation requires a state")
-        f = np.abs(system.drift(np.asarray(x, dtype=float)))
-        return f + system.control_bound * np.abs(system.control_column())
-    raise ValueError(f"unknown dissipation mode {mode!r}")
 
 
 def lf_rate(minus, plus, drift, g, bound: float, alpha):
@@ -135,16 +113,14 @@ def cfl_dt(grid: GridSpec, alpha, cfl_number: float) -> float:
     return cfl_number / denom
 
 
-def rx_term(phi_z_values: np.ndarray, grid: GridSpec, velocity, alpha=None) -> np.ndarray:
+def rx_term(phi_z_values: np.ndarray, grid: GridSpec, velocity, alpha) -> np.ndarray:
     """Advection of the z-gradient field along the optimal flow.
 
     velocity is a sequence of per-axis arrays (broadcastable to the grid
-    shape). Without alpha: donor-cell upwinding in the marching direction
-    (the trajectory ahead of x determines the value at x, so a positive
-    velocity component pulls from the right-biased difference). With alpha:
-    central differencing plus Lax-Friedrichs dissipation with the given
-    per-axis coefficients, i.e. exactly the operator the value equation
-    applies to its own z0-sensitivity.
+    shape) and alpha a sequence of per-axis dissipation constants. The
+    operator is central differencing plus Lax-Friedrichs dissipation, i.e.
+    exactly the operator the value equation applies to its own
+    z0-sensitivity, so Phi tracks the z0-sensitivity of the discrete phi.
     """
     out = np.zeros_like(phi_z_values)
     for axis in range(grid.ndim):
@@ -153,16 +129,8 @@ def rx_term(phi_z_values: np.ndarray, grid: GridSpec, velocity, alpha=None) -> n
         # matrices, so the gradient field stays a definite matrix everywhere
         dminus = backward_difference(phi_z_values, grid, axis, boundary="clamp")
         dplus = forward_difference(phi_z_values, grid, axis, boundary="clamp")
-        if alpha is None:
-            if not np.any(w):
-                continue
-            w_c = w[..., None]
-            out += w_c * np.where(w_c >= 0.0, dplus, dminus)
-        else:
-            a = np.asarray(alpha[axis], dtype=float)
-            if a.ndim:
-                a = a[..., None]
-            out += w[..., None] * 0.5 * (dminus + dplus) + 0.5 * a * (dplus - dminus)
+        a = float(alpha[axis])
+        out += w[..., None] * 0.5 * (dminus + dplus) + 0.5 * a * (dplus - dminus)
     return out
 
 
@@ -319,22 +287,15 @@ def _check_finite(step: int, s: float, *arrays) -> None:
             raise InstabilityError(step, s)
 
 
-def _explicit_step(rate, fields: list, h: float, integrator: str) -> None:
-    """Advance fields (arrays, updated in place) by one forward Euler or
-    two-stage TVD-RK2 step of d(fields)/ds = rate(fields).
+def _explicit_step(rate, fields: list, h: float) -> None:
+    """Advance fields (arrays, updated in place) by one forward Euler step of
+    d(fields)/ds = rate(fields).
 
     In place, because a new ~2 MB field per step on the shipped grid lets the
     allocator hand memory back to the OS and fault it in again each step.
     """
-    if integrator == "euler":
-        for f, r in zip(fields, rate(fields)):
-            f += h * r
-        return
-    first = [f + h * r for f, r in zip(fields, rate(fields))]
-    for f, f1, r in zip(fields, first, rate(first)):
-        f += f1  # 0.5 * (f + f1 + h r), in the same order
+    for f, r in zip(fields, rate(fields)):
         f += h * r
-        f *= 0.5
 
 
 def _march(fields: list, step, dt: float, config: SolverConfig, timers: Optional[dict] = None):
@@ -389,9 +350,8 @@ def hybrid_solve(
     contraction into Phi) followed by the explicit spatial transport:
       * phi: the Lax-Friedrichs kernel lf_rate (drift/control Hamiltonian at
         the central gradient plus dissipation);
-      * Phi: advection along the locally optimal velocity, by default with
-        the same central + LF operator as the value equation ("matched"),
-        optionally donor-cell upwind;
+      * Phi: advection along the locally optimal velocity with the same
+        central + LF operator as the value equation (rx_term);
       * initial data phi = G(z0), Phi = G_z(z0), uniformly over the grid.
 
     The information-rate field vec(Q) is precomputed once (or passed in) and
@@ -425,9 +385,8 @@ def hybrid_solve(
     drift = [f_nodes[..., i] for i in range(grid.ndim)]
     g = system.control_column()
     bound = system.control_bound
-    alpha = list(np.moveaxis(dissipation_coeffs(system, config.dissipation, mesh), -1, 0))
-    transport_alpha = alpha if config.gradient_transport == "matched" else None
-    dt = cfl_dt(grid, system.rate_bounds(), config.cfl_number)
+    alpha = list(system.rate_bounds())
+    dt = cfl_dt(grid, alpha, config.cfl_number)
 
     def transport_rate(fields):
         """Spatial part of the marching rates (drift, control, dissipation)."""
@@ -435,7 +394,7 @@ def hybrid_solve(
         minus, plus = upwind_gradients(phi_now, grid)
         phi_rate, u_star = lf_rate(minus, plus, drift, g, bound, alpha)
         velocity = [f + g_i * u_star for f, g_i in zip(drift, g)]
-        return phi_rate, rx_term(phi_z_now, grid, velocity, alpha=transport_alpha)
+        return phi_rate, rx_term(phi_z_now, grid, velocity, alpha)
 
     def step(fields, h):
         # pointwise information flow first (exact for the logdet metric,
@@ -444,7 +403,7 @@ def hybrid_solve(
         t0 = _time.perf_counter()
         fields[:] = metric.flow(*fields, q_field, h)
         t1 = _time.perf_counter()
-        _explicit_step(transport_rate, fields, h, config.integrator)
+        _explicit_step(transport_rate, fields, h)
         timers["flow"] += t1 - t0
         timers["transport"] += _time.perf_counter() - t1
 
@@ -526,7 +485,7 @@ def classic_solve(
         return (lf_rate(minus, plus, drift, g, system.control_bound, alpha)[0],)
 
     def step(fields, h):
-        _explicit_step(rate, fields, h, config.integrator)
+        _explicit_step(rate, fields, h)
 
     times, snapshots, _ = _march([metric.value(z_nodes)], step, dt, config)
     return ClassicSolution(

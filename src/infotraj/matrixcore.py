@@ -17,17 +17,6 @@ class NotPositiveDefiniteError(ValueError):
     """A matrix required to be (symmetric) positive definite is not."""
 
 
-def info_matrix(entries) -> np.ndarray:
-    """Build a symmetric information matrix from array-like entries.
-
-    Constructors symmetrize: the result is exactly 0.5 * (Z + Z.T).
-    """
-    z = np.array(entries, dtype=float)
-    if z.ndim != 2 or z.shape[0] != z.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {z.shape}")
-    return 0.5 * (z + z.T)
-
-
 def vec(mat) -> np.ndarray:
     """Stack matrix columns into a vector of length p**2 (column-major).
 

@@ -63,13 +63,38 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="covariance"):
             load_scenario(path)
 
-    def test_unknown_field_rejected(self, tmp_path):
+    # a misspelled key, and the marching-scheme switches that no longer exist
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("horizont_s", 3.0),
+            ("integrator", "euler"),
+            ("dissipation", "global"),
+            ("gradient_transport", "matched"),
+        ],
+    )
+    def test_unknown_field_rejected(self, tmp_path, key, value):
         data = small_scenario_dict()
-        data["solver"]["horizont_s"] = 3.0
+        data["solver"][key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(ScenarioError, match="horizont_s"):
+        with pytest.raises(ScenarioError, match=key):
             load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "mean,cov",
+        [([0.0], [[100.0]]), ([0.0, 0.0, 0.0], (100.0 * np.eye(3)).tolist())],
+        ids=["1d", "3d"],
+    )
+    def test_prior_must_be_planar(self, tmp_path, capsys, mean, cov):
+        data = small_scenario_dict()
+        data["prior"] = {"mean_m": mean, "covariance_m2": cov}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "prior.mean_m" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_round_trip_idempotent(self, tmp_path):
         scenario = load_scenario(FIG2)
@@ -291,6 +316,18 @@ class TestSolveExtractPlot:
         assert hash_name in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_extract_refuses_removed_solver_key(self, pipeline, tmp_path, capsys):
+        _, _, sol_dir = pipeline
+        old = tmp_path / "old"
+        shutil.copytree(sol_dir, old)
+        manifest = json.loads((old / "manifest.json").read_text())
+        manifest["config"]["integrator"] = "euler"
+        (old / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["extract", "--solution", str(old), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "integrator" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestRenderSvg:
     def test_prior_ellipse_radius(self):
@@ -354,6 +391,34 @@ class TestWorkerEnvCap:
         suite.write_text(json.dumps({"toy_dx": 0.05}))
         assert main(["validate", "--suite", str(suite)]) == 2
         assert "INFOTRAJ_WORKERS" in capsys.readouterr().err
+
+    @pytest.fixture
+    def no_solve(self, monkeypatch):
+        """Fail on any solve or thread pool, so a rejected count starts neither."""
+        import infotraj.cli as cli
+        import infotraj.hjsolver as hj
+
+        def refuse(*args, **kwargs):
+            pytest.fail("a worker count below 1 must be rejected before any work")
+
+        monkeypatch.setattr(cli, "cmd_solve", refuse)
+        monkeypatch.setattr(hj, "ThreadPoolExecutor", refuse)
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exits_2(self, no_solve, monkeypatch, capsys, workers):
+        monkeypatch.delenv("INFOTRAJ_WORKERS", raising=False)
+        argv = ["--workers", workers, "solve", "--config", str(FIG2), "--out", "unused"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"--workers {workers}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("cap", ["0", "-2"])
+    def test_env_below_one_exits_2(self, no_solve, monkeypatch, capsys, cap):
+        monkeypatch.setenv("INFOTRAJ_WORKERS", cap)
+        argv = ["solve", "--config", str(FIG2), "--out", "unused"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"INFOTRAJ_WORKERS='{cap}'" in err and "Traceback" not in err
 
 
 class TestValidationSuite:

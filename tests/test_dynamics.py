@@ -9,7 +9,6 @@ from infotraj.dynamics import (
     DubinsCar,
     State,
     ToyCascade,
-    evaluate_cost,
     simulate_open_loop,
     trajectory_from_csv,
     trajectory_to_csv,
@@ -226,7 +225,7 @@ class TestCost:
             horizon=0.0,
             dt=0.1,
         )
-        assert evaluate_cost(metric, traj) == 0.0
+        assert metric.value(traj.final_info()) == 0.0
 
     def test_known_final_state(self):
         metric = LogDetMetric(2)
@@ -239,7 +238,7 @@ class TestCost:
             horizon=1.0,
             dt=0.05,
         )
-        assert evaluate_cost(metric, traj) == pytest.approx(-2.0, abs=1e-12)
+        assert metric.value(traj.final_info()) == pytest.approx(-2.0, abs=1e-12)
 
     def test_equals_metric_value(self):
         metric = LogDetMetric(2)
@@ -251,7 +250,8 @@ class TestCost:
             horizon=2.0,
             dt=0.05,
         )
-        assert evaluate_cost(metric, traj) == metric.value(traj.final_info())
+        _, logdet = np.linalg.slogdet(unvec(traj.final_info()))
+        assert metric.value(traj.final_info()) == pytest.approx(-logdet, rel=1e-12)
 
 
 class TestControlSignal:

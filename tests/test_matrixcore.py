@@ -9,7 +9,6 @@ from infotraj.matrixcore import (
     NotPositiveDefiniteError,
     _flow_lapack,
     curvature_contraction,
-    info_matrix,
     logdet_spd,
     unvec,
     vec,
@@ -53,7 +52,8 @@ class TestVec:
 
     def test_round_trip_random_symmetric(self):
         rng = np.random.default_rng(7)
-        z = info_matrix(rng.normal(size=(3, 3)))
+        a = rng.normal(size=(3, 3))
+        z = 0.5 * (a + a.T)
         assert np.array_equal(unvec(vec(z)), z)
 
     def test_round_trip_all_dims(self):
@@ -243,16 +243,6 @@ class TestCurvatureContraction:
         batched = curvature_contraction(qs, grads)
         for k in range(6):
             assert np.allclose(batched[k], curvature_contraction(qs[k], grads[k]))
-
-
-class TestInfoMatrix:
-    def test_symmetrizes(self):
-        z = info_matrix([[1.0, 2.0], [0.0, 3.0]])
-        assert np.array_equal(z, [[1.0, 1.0], [1.0, 3.0]])
-
-    def test_rejects_non_square(self):
-        with pytest.raises(DimensionError):
-            info_matrix(np.zeros((2, 3)))
 
 
 class TestMetricFlow:
