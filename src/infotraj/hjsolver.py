@@ -17,9 +17,11 @@ with forward Euler steps under the CFL limit:
   very low dimension and kept as the reference oracle.
 * hybrid_solve: grid over x only; the gradient of the value with respect to
   the information state is co-evolved by a pointwise ODE (curvature
-  contraction plus advection along the optimal flow by the same LF
-  operator, rx_term), with no z grid. Its dissipation is one constant per
-  axis, the system's rate bound.
+  contraction plus advection along the optimal flow by the same LF scheme),
+  with no z grid. phi and Phi march as one component-major stack, and one
+  lf_rate call returns both rates from one set of ghost-row differences
+  per axis. Its dissipation is one constant per axis, the system's rate
+  bound.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ import numpy as np
 from infotraj.dynamics import CascadeSystem
 from infotraj.grid import (
     GridSpec,
-    backward_difference,
-    forward_difference,
     load_array,
     read_manifest,
     save_array,
@@ -82,26 +82,70 @@ def bang_bang(switching, bound: float):
 
 
 def lf_rate(minus, plus, drift, g, bound: float, alpha):
-    """Lax-Friedrichs numerical Hamiltonian, forward in horizon.
+    """Lax-Friedrichs numerical Hamiltonian, forward in horizon, over a
+    component-major stack.
 
-    Every argument but bound is a per-axis sequence: the left- and
-    right-biased one-sided gradients, the drift fields f_i, the control
-    column g_i and the dissipation coefficients alpha_i (scalars or fields).
-    With the central gradient D0 = (D- + D+) / 2 the rate is
+    minus[i] and plus[i] are the left- and right-biased one-sided
+    differences along axis i of a stack of shape (k, *nodes): component 0 is
+    the value phi, components 1.. its sensitivities (k = 1 for the value
+    alone). The drift fields f_i, the control column g_i and the dissipation
+    coefficients alpha_i (scalars or fields) are per-axis sequences too. With
+    the central gradient D0 = (D- + D+) / 2 of component 0 the value rate is
 
         <f, D0> - bound |<g, D0>| + sum_i alpha_i (D+_i - D-_i) / 2,
 
-    returned with the minimizing bang-bang control at the central gradient.
-    A solver over joint (x, z) axes passes the information rates as the drift
-    of the z axes, with g = 0 there.
+    and, with the minimizing bang-bang control u* at D0 and w = f + g u*,
+    components 1.. get the same scheme at that fixed control,
+
+        sum_i (w_i - alpha_i) / 2 D-_i + (w_i + alpha_i) / 2 D+_i.
+
+    Returns the (k, *nodes) rate and u*. hybrid_solve passes the (D-, D+)
+    views of its ghost-row difference buffers; a solver over joint (x, z)
+    axes passes the value alone (k = 1), with the information rates as the
+    drift of the z axes and g = 0 there.
     """
-    central = [0.5 * (m + p) for m, p in zip(minus, plus)]
-    switching = sum(g_i * c for g_i, c in zip(g, central) if g_i != 0.0)
-    ham = sum(f * c for f, c in zip(drift, central))
-    ham = ham - bound * np.abs(switching)
-    # forward-in-horizon LF: dissipation enters with (D+ - D-)
-    diss = sum(0.5 * a * (p - m) for a, m, p in zip(alpha, minus, plus))
-    return ham + diss, bang_bang(switching, bound)
+    k = len(minus[0])
+    nodes = np.broadcast_shapes(
+        *(np.shape(m)[1:] for m in minus), *(np.shape(f) for f in drift),
+        *(np.shape(a) for a in alpha),
+    )
+    out = np.empty((k,) + nodes)
+    # scratch written with out=: the central gradient of one axis, the
+    # switching function, the Hamiltonian, the dissipation and a temporary;
+    # each sum runs from 0 in axis order, as Python's sum() would
+    # (indexed with ... so that one node still gives writable 0-d views)
+    work = np.empty((5,) + nodes)
+    central, switching, ham, diss, tmp = (work[j, ...] for j in range(5))
+    work[1:4] = 0.0
+    for m, p, f, g_i, a in zip(minus, plus, drift, g, alpha):
+        np.add(m[0], p[0], out=central)
+        central *= 0.5
+        if g_i != 0.0:
+            switching += np.multiply(central, g_i, out=tmp)
+        ham += np.multiply(central, f, out=tmp)
+        # forward-in-horizon LF: dissipation enters with (D+ - D-)
+        diss += np.multiply(np.subtract(p[0], m[0], out=tmp), 0.5 * a, out=tmp)
+    ham -= np.multiply(np.abs(switching, out=tmp), bound, out=tmp)
+    np.add(ham, diss, out=out[0, ...])
+    u_star = bang_bang(switching, bound)
+    if k > 1:
+        sens, prod = out[1:], np.empty((k - 1,) + nodes)
+        # coefficients (w -+ alpha) / 2 = w / 2 -+ alpha / 2, exactly
+        half_w, lower, upper = central, ham, diss
+        for i, (m, p, f, g_i, a) in enumerate(zip(minus, plus, drift, g, alpha)):
+            if g_i != 0.0:
+                np.add(f, np.multiply(u_star, g_i, out=half_w), out=half_w)
+                half_w *= 0.5
+            else:
+                np.multiply(f, 0.5, out=half_w)
+            np.subtract(half_w, 0.5 * a, out=lower)
+            np.add(half_w, 0.5 * a, out=upper)
+            if i == 0:
+                np.multiply(m[1:], lower, out=sens)
+            else:
+                sens += np.multiply(m[1:], lower, out=prod)
+            sens += np.multiply(p[1:], upper, out=prod)
+    return out, u_star
 
 
 def cfl_dt(grid: GridSpec, alpha, cfl_number: float) -> float:
@@ -111,27 +155,6 @@ def cfl_dt(grid: GridSpec, alpha, cfl_number: float) -> float:
         raise ValueError("dissipation bounds must be nonnegative with at least one positive")
     denom = float(np.sum(alpha / grid.spacings))
     return cfl_number / denom
-
-
-def rx_term(phi_z_values: np.ndarray, grid: GridSpec, velocity, alpha) -> np.ndarray:
-    """Advection of the z-gradient field along the optimal flow.
-
-    velocity is a sequence of per-axis arrays (broadcastable to the grid
-    shape) and alpha a sequence of per-axis dissipation constants. The
-    operator is central differencing plus Lax-Friedrichs dissipation, i.e.
-    exactly the operator the value equation applies to its own
-    z0-sensitivity, so Phi tracks the z0-sensitivity of the discrete phi.
-    """
-    out = np.zeros_like(phi_z_values)
-    for axis in range(grid.ndim):
-        w = np.asarray(velocity[axis], dtype=float)
-        # clamped boundary slopes keep updates convex combinations of nodal
-        # matrices, so the gradient field stays a definite matrix everywhere
-        dminus = backward_difference(phi_z_values, grid, axis, boundary="clamp")
-        dplus = forward_difference(phi_z_values, grid, axis, boundary="clamp")
-        a = float(alpha[axis])
-        out += w[..., None] * 0.5 * (dminus + dplus) + 0.5 * a * (dplus - dminus)
-    return out
 
 
 def info_rate_on_grid(system: CascadeSystem, grid: GridSpec, workers: int = 1) -> np.ndarray:
@@ -259,8 +282,6 @@ def save_solution(solution: HybridSolution, out_dir, extras: Optional[dict] = No
 def load_solution(in_dir) -> HybridSolution:
     """Read a solution written by save_solution; a snapshot file of the wrong
     size raises ValueError naming the file."""
-    import os
-
     manifest = read_manifest(os.path.join(in_dir, "manifest.json"))
     grid = GridSpec.from_dict(manifest["grid"])
     m = int(manifest["m"])
@@ -289,13 +310,71 @@ def _check_finite(step: int, s: float, *arrays) -> None:
 
 def _explicit_step(rate, fields: list, h: float) -> None:
     """Advance fields (arrays, updated in place) by one forward Euler step of
-    d(fields)/ds = rate(fields).
+    d(fields)/ds = rate(fields); the rate arrays are scaled by h in place.
 
     In place, because a new ~2 MB field per step on the shipped grid lets the
     allocator hand memory back to the OS and fault it in again each step.
     """
     for f, r in zip(fields, rate(fields)):
-        f += h * r
+        r *= h
+        f += r
+
+
+def _rows(axis: int, lo, hi) -> tuple:
+    """Index of rows lo..hi-1 along grid axis `axis` of a component-major stack."""
+    return (slice(None),) * (axis + 1) + (slice(lo, hi),)
+
+
+def _ghost_difference_buffers(stack: np.ndarray, grid: GridSpec):
+    """Per-axis difference buffers for a component-major stack, with their
+    (D-, D+) views.
+
+    The buffer of axis i has n_i + 1 rows along that axis: row j holds
+    (v[j] - v[j-1]) / h_i, and the two ghost rows 0 and n_i hold the
+    boundary differences, so D- is rows 0..n_i-1 and D+ rows 1..n_i, both
+    without a copy. The buffers start at zero, which is the clamped boundary
+    of the sensitivity components on a non-periodic axis.
+    """
+    bufs, minus, plus = [], [], []
+    for axis, ax in enumerate(grid.axes):
+        shape = list(stack.shape)
+        shape[axis + 1] = ax.n + 1
+        buf = np.zeros(shape)
+        bufs.append(buf)
+        minus.append(buf[_rows(axis, 0, ax.n)])
+        plus.append(buf[_rows(axis, 1, ax.n + 1)])
+    return bufs, minus, plus
+
+
+def _ghost_differences(stack: np.ndarray, grid: GridSpec, bufs) -> None:
+    """Fill the buffers of _ghost_difference_buffers from stack: one
+    subtraction per axis serves D- and D+ of every component.
+
+    A periodic axis wraps. On a non-periodic axis the value (component 0)
+    extrapolates its edge slope and the sensitivities keep a zero ghost
+    difference (clamped: every update stays a combination of stored nodal
+    matrices, so the gradient field remains a definite matrix).
+    """
+    for axis, (ax, buf) in enumerate(zip(grid.axes, bufs)):
+        n, h = ax.n, ax.spacing
+        head, tail = _rows(axis, 0, 1), _rows(axis, n - 1, n)
+        inner = _rows(axis, 1, n)
+        np.subtract(stack[inner], stack[_rows(axis, 0, n - 1)], out=buf[inner])
+        if ax.periodic:
+            np.subtract(stack[head], stack[tail], out=buf[head])
+        filled = buf[_rows(axis, 0 if ax.periodic else 1, n)]
+        # the value divides by h exactly as a one-sided gradient does (its
+        # switching function decides policy ties); the sensitivities
+        # multiply by the reciprocal, which is faster and off by an ulp
+        np.divide(filled[0], h, out=filled[0])
+        filled[1:] *= 1.0 / h
+        if ax.periodic:
+            buf[_rows(axis, n, n + 1)] = buf[head]
+        else:
+            value = buf[0, ...]
+            edge = (slice(None),) * axis
+            value[edge + (0,)] = value[edge + (1,)]
+            value[edge + (n,)] = value[edge + (n - 1,)]
 
 
 def _march(fields: list, step, dt: float, config: SolverConfig, timers: Optional[dict] = None):
@@ -348,13 +427,21 @@ def hybrid_solve(
     Each step splits into the pointwise information flow (the metric's
     closed-form accumulation of <vec(Q), Phi> into phi and of the curvature
     contraction into Phi) followed by the explicit spatial transport:
-      * phi: the Lax-Friedrichs kernel lf_rate (drift/control Hamiltonian at
-        the central gradient plus dissipation);
-      * Phi: advection along the locally optimal velocity with the same
-        central + LF operator as the value equation (rx_term);
+      * the march state is one component-major stack of shape
+        (1 + m, *grid.shape): stack[0] is phi, stack[1:] is Phi, so each
+        component is contiguous;
+      * one subtraction per axis fills a difference buffer with a ghost row
+        at each end, whose (D-, D+) views are shifted by one row; phi
+        extrapolates its edge slope, Phi is clamped (zero ghost
+        difference) and the periodic heading wraps;
+      * one lf_rate call returns phi's rate (drift/control Hamiltonian at
+        the central gradient plus dissipation) and Phi's rate (the same LF
+        scheme along the locally optimal velocity w = f + g u*);
       * initial data phi = G(z0), Phi = G_z(z0), uniformly over the grid.
 
-    The information-rate field vec(Q) is precomputed once (or passed in) and
+    The flow and the snapshots see Phi through an (..., m) view, so the
+    snapshots keep the row-major (iX, iY, ipsi, j) layout. The
+    information-rate field vec(Q) is precomputed once (or passed in) and
     reused every step. Every output point of a step depends only on the
     previous snapshot, so per-point updates are schedule independent.
     """
@@ -388,30 +475,31 @@ def hybrid_solve(
     alpha = list(system.rate_bounds())
     dt = cfl_dt(grid, alpha, config.cfl_number)
 
+    # component-major march state: stack[0] is phi, stack[1:] is Phi; phi_z
+    # is the (..., m) view that the flow and the snapshots see
+    stack = np.empty((1 + system.info_len,) + grid.shape)
+    stack[0] = metric.value(z0)
+    phi, phi_z = stack[0], np.moveaxis(stack[1:], 0, -1)
+    phi_z[...] = metric.gradient(z0)
+    bufs, minus, plus = _ghost_difference_buffers(stack, grid)
+
     def transport_rate(fields):
         """Spatial part of the marching rates (drift, control, dissipation)."""
-        phi_now, phi_z_now = fields
-        minus, plus = upwind_gradients(phi_now, grid)
-        phi_rate, u_star = lf_rate(minus, plus, drift, g, bound, alpha)
-        velocity = [f + g_i * u_star for f, g_i in zip(drift, g)]
-        return phi_rate, rx_term(phi_z_now, grid, velocity, alpha)
+        _ghost_differences(stack, grid, bufs)
+        return (lf_rate(minus, plus, drift, g, bound, alpha)[0],)
 
     def step(fields, h):
         # pointwise information flow first (exact for the logdet metric,
         # stiffness-free while the accumulated information is small), then
         # the explicit spatial transport under the CFL step
         t0 = _time.perf_counter()
-        fields[:] = metric.flow(*fields, q_field, h)
+        phi[...], phi_z[...] = metric.flow(phi, phi_z, q_field, h)
         t1 = _time.perf_counter()
-        _explicit_step(transport_rate, fields, h)
+        _explicit_step(transport_rate, [stack], h)
         timers["flow"] += t1 - t0
         timers["transport"] += _time.perf_counter() - t1
 
-    fields = [
-        np.full(grid.shape, metric.value(z0)),
-        np.broadcast_to(metric.gradient(z0), grid.shape + (system.info_len,)).copy(),
-    ]
-    times, snapshots, steps = _march(fields, step, dt, config, timers)
+    times, snapshots, steps = _march([phi, phi_z], step, dt, config, timers)
     return HybridSolution(
         grid=grid,
         times=times,
@@ -482,7 +570,9 @@ def classic_solve(
 
     def rate(fields):
         minus, plus = upwind_gradients(fields[0], joint_grid)
-        return (lf_rate(minus, plus, drift, g, system.control_bound, alpha)[0],)
+        value_only = ([m[None] for m in minus], [p[None] for p in plus])
+        rate, _ = lf_rate(*value_only, drift, g, system.control_bound, alpha)
+        return (rate[0],)
 
     def step(fields, h):
         _explicit_step(rate, fields, h)

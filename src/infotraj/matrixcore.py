@@ -240,5 +240,11 @@ def _flow_2x2(value, grad, rate_matrix, h: float):
         raise NotPositiveDefiniteError("information state lost positive definiteness")
     value_new = value + (np.log(det_old) - np.log(det_new))  # G(new) - G(old)
     scale = 1.0 / det_new
-    grad_new = np.stack([-a11 * scale, a10 * scale, a01 * scale, -a00 * scale], axis=-1)
+    # written component by component, with no temporaries beside the result
+    # (-a * scale equals a * -scale exactly)
+    grad_new = np.empty(scale.shape + (4,))
+    np.multiply(a11, -scale, out=grad_new[..., 0])
+    np.multiply(a10, scale, out=grad_new[..., 1])
+    np.multiply(a01, scale, out=grad_new[..., 2])
+    np.multiply(a00, -scale, out=grad_new[..., 3])
     return value_new, grad_new

@@ -19,7 +19,6 @@ from infotraj.cli import load_scenario
 from infotraj.dynamics import (
     AugmentedState,
     ControlSignal,
-    DubinsCar,
     State,
     ToyCascade,
     simulate_open_loop,
@@ -34,7 +33,6 @@ from infotraj.sensing import (
     doppler_jacobian,
     doppler_mean,
     expected_fim,
-    prior_fim,
 )
 from infotraj.trajectories import (
     brute_force_value,

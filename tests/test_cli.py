@@ -9,7 +9,6 @@ import pytest
 
 from infotraj.cli import (
     CHI2_2DOF_95,
-    Scenario,
     ScenarioError,
     cmd_extract,
     cmd_plot,
@@ -471,13 +470,13 @@ class TestValidationSuite:
         from infotraj.matrixcore import NotPositiveDefiniteError
         from infotraj.cli import run_validation_suite
 
-        original = hj.upwind_gradients
+        original = hj.lf_rate
 
-        def swapped(values, grid):
-            minus, plus = original(values, grid)
-            return plus, minus
+        def swapped(minus, plus, *args):
+            return original(plus, minus, *args)
 
-        monkeypatch.setattr(hj, "upwind_gradients", swapped)
+        # lf_rate serves the hybrid and the classic march alike
+        monkeypatch.setattr(hj, "lf_rate", swapped)
         try:
             report = run_validation_suite({"toy_dx": 0.05, "toy_gradient_dx": 0.05})
             detected = not report.passed

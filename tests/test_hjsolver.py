@@ -6,22 +6,31 @@ import numpy as np
 import pytest
 
 from infotraj import hjsolver
+from infotraj.cli import load_scenario
 from infotraj.dynamics import DubinsCar, ToyCascade
-from infotraj.grid import Axis, GridSpec
+from infotraj.grid import (
+    Axis,
+    GridSpec,
+    backward_difference,
+    forward_difference,
+    upwind_gradients,
+)
 from infotraj.hjsolver import (
     InstabilityError,
     SolverConfig,
+    bang_bang,
     cfl_dt,
     classic_solve,
     hybrid_solve,
     info_rate_on_grid,
     lf_rate,
     load_solution,
-    rx_term,
     save_solution,
 )
 from infotraj.matrixcore import LogDetMetric, unvec, vec
 from infotraj.trajectories import toy_hybrid_vs_classic
+
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "scenarios", "doppler_single_path.json")
 
 # costate of the augmented system: p pairs with x, lam with z
 Adjoint = namedtuple("Adjoint", "p lam")
@@ -42,14 +51,14 @@ def kernel_at(system, x, minus, plus, rate_matrix, alpha):
     drift vec(Q), g = 0 and no dissipation, as in classic_solve."""
     m = len(minus.lam)
     rate, u = lf_rate(
-        np.concatenate([minus.p, minus.lam]),
-        np.concatenate([plus.p, plus.lam]),
+        np.concatenate([minus.p, minus.lam])[:, None],
+        np.concatenate([plus.p, plus.lam])[:, None],
         np.concatenate([system.drift(np.asarray(x, dtype=float)), vec(np.asarray(rate_matrix))]),
         np.concatenate([system.control_column(), np.zeros(m)]),
         system.control_bound,
         np.concatenate([np.asarray(alpha, dtype=float), np.zeros(m)]),
     )
-    return float(rate), float(u)
+    return float(rate[0]), float(u)
 
 
 def optimal_hamiltonian(system, x, adjoint, rate_matrix) -> float:
@@ -68,6 +77,80 @@ def policy(system, x, adjoint) -> float:
     """The kernel's bang-bang control at one node."""
     zero_q = np.zeros((system.info_dim, system.info_dim))
     return kernel_at(system, x, adjoint, adjoint, zero_q, np.zeros(system.state_dim))[1]
+
+
+def reference_transport_rate(phi, phi_z, grid, drift, g, bound: float, alpha):
+    """The transport step the stacked kernel replaced, kept as its oracle.
+
+    One-sided gradients of phi (upwind_gradients), the per-array LF rate
+    and control, then the central + LF advection of Phi, shape (..., m),
+    along w = f + g u* with clamped boundary slopes (the former rx_term).
+    """
+    minus, plus = upwind_gradients(phi, grid)
+    central = [0.5 * (m + p) for m, p in zip(minus, plus)]
+    switching = sum(g_i * c for g_i, c in zip(g, central) if g_i != 0.0)
+    ham = sum(f * c for f, c in zip(drift, central))
+    ham = ham - bound * np.abs(switching)
+    diss = sum(0.5 * a * (p - m) for a, m, p in zip(alpha, minus, plus))
+    u_star = bang_bang(switching, bound)
+    velocity = [f + g_i * u_star for f, g_i in zip(drift, g)]
+    phi_z_rate = np.zeros_like(phi_z)
+    for axis in range(grid.ndim):
+        w = np.asarray(velocity[axis], dtype=float)
+        dminus = backward_difference(phi_z, grid, axis, boundary="clamp")
+        dplus = forward_difference(phi_z, grid, axis, boundary="clamp")
+        a = float(alpha[axis])
+        phi_z_rate += w[..., None] * 0.5 * (dminus + dplus) + 0.5 * a * (dplus - dminus)
+    return ham + diss, phi_z_rate, u_star
+
+
+def transport_rate(phi, phi_z, grid, drift, g, bound: float, alpha):
+    """hybrid_solve's transport on (phi, Phi): stack component-major, fill
+    the ghost-row differences, one lf_rate call; rates back in (..., m)."""
+    stack = np.concatenate([phi[None], np.moveaxis(phi_z, -1, 0)])
+    bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid)
+    hjsolver._ghost_differences(stack, grid, bufs)
+    rate, u_star = lf_rate(minus, plus, drift, g, bound, alpha)
+    return rate[0], np.moveaxis(rate[1:], 0, -1), u_star
+
+
+def sensitivity_rate(values, grid, velocity, alpha):
+    """The kernel's Phi rate for a fixed velocity field: with g = 0 the
+    control is 0 and w is the drift."""
+    zeros = np.zeros(grid.ndim)
+    return transport_rate(np.zeros(grid.shape), values, grid, velocity, zeros, 1.0, alpha)[1]
+
+
+def transport_inputs(system, grid):
+    """Per-axis drift fields, control column, bound and dissipation."""
+    f_nodes = system.drift(grid.mesh())
+    drift = [f_nodes[..., i] for i in range(grid.ndim)]
+    return drift, system.control_column(), system.control_bound, list(system.rate_bounds())
+
+
+def reference_march(system, metric, grid, z0, config):
+    """hybrid_solve's march (same flow, steps and snapshots) with
+    reference_transport_rate: the final (phi, Phi) of the former kernel."""
+    q_field = unvec(info_rate_on_grid(system, grid))
+    drift, g, bound, alpha = transport_inputs(system, grid)
+
+    def step(fields, h):
+        fields[:] = metric.flow(*fields, q_field, h)
+        rates = reference_transport_rate(*fields, grid, drift, g, bound, alpha)[:2]
+        for f, r in zip(fields, rates):
+            f += h * r
+
+    fields = [
+        np.full(grid.shape, metric.value(z0)),
+        np.broadcast_to(metric.gradient(z0), grid.shape + (system.info_len,)).copy(),
+    ]
+    hjsolver._march(fields, step, cfl_dt(grid, alpha, config.cfl_number), config)
+    return fields
+
+
+def max_rel(got, ref) -> float:
+    """Largest deviation relative to the largest reference entry."""
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
 def outer_rate(x):
@@ -237,12 +320,14 @@ class TestCflDt:
             cfl_dt(grid, np.array([0.0]), 0.5)
 
 
-class TestRxTerm:
+class TestSensitivityTransport:
+    """The kernel's Phi rate (components 1..) as an operator."""
+
     def test_constant_field_gives_zero(self):
         grid = GridSpec.vehicle_plane((-1.0, 1.0), (-1.0, 1.0), 5, 5, 8)
         values = np.ones(grid.shape + (4,))
         vel = [np.full(grid.shape, 2.0), np.zeros(grid.shape), np.zeros(grid.shape)]
-        assert np.allclose(rx_term(values, grid, vel, alpha=[2.0, 0.0, 0.0]), 0.0)
+        assert np.allclose(sensitivity_rate(values, grid, vel, alpha=[2.0, 0.0, 0.0]), 0.0)
 
     def test_linear_advection(self):
         grid = GridSpec.vehicle_plane((-1.0, 1.0), (-1.0, 1.0), 9, 9, 8)
@@ -250,7 +335,7 @@ class TestRxTerm:
         a = 3.0
         values = np.repeat((a * mesh[..., 0])[..., None], 4, axis=-1)
         vel = [np.full(grid.shape, 50.0), np.zeros(grid.shape), np.zeros(grid.shape)]
-        got = rx_term(values, grid, vel, alpha=[50.0, 50.0, 0.05])
+        got = sensitivity_rate(values, grid, vel, alpha=[50.0, 50.0, 0.05])
         assert np.allclose(got[1:-1], a * 50.0)
 
     def test_smooth_field_first_order(self):
@@ -259,7 +344,7 @@ class TestRxTerm:
             xs = grid.axes[0].nodes
             values = np.sin(3.0 * xs)[:, None]
             vel = [np.full(grid.shape, -2.0)]
-            got = rx_term(values, grid, vel, alpha=[2.0])[:, 0]
+            got = sensitivity_rate(values, grid, vel, alpha=[2.0])[:, 0]
             truth = -2.0 * 3.0 * np.cos(3.0 * xs)
             return np.max(np.abs(got - truth)[2:-2])
 
@@ -270,9 +355,62 @@ class TestRxTerm:
         xs = grid.axes[0].nodes
         values = (xs**2)[:, None]
         vel = [np.zeros(grid.shape)]
-        got = rx_term(values, grid, vel, alpha=[1.0])
+        got = sensitivity_rate(values, grid, vel, alpha=[1.0])
         # pure dissipation of a convex field: (D+ - D-)/2 = dx * phi'' / 2 > 0
         assert np.all(got[1:-1, 0] > 0.0)
+
+
+SHIPPED_GRID = GridSpec.vehicle_plane((-1700.0, 1700.0), (-1700.0, 1700.0), 41, 41, 32)
+SURVEY_GRID = GridSpec.vehicle_plane((-1700.0, 1700.0), (-1700.0, 1700.0), 21, 21, 16)
+
+
+class TestKernelAgainstReference:
+    """The stacked kernel against reference_transport_rate."""
+
+    @pytest.mark.parametrize(
+        "system,grid,m",
+        [
+            (dubins(speed=25.0), SHIPPED_GRID, 4),
+            (dubins(speed=25.0), SURVEY_GRID, 4),
+            (ToyCascade(), toy_grid(0.05), 1),
+        ],
+        ids=["shipped", "survey", "toy"],
+    )
+    def test_one_step_rates_agree(self, system, grid, m):
+        rng = np.random.default_rng(71)
+        phi = rng.normal(size=grid.shape)
+        phi_z = rng.normal(size=grid.shape + (m,))
+        inputs = transport_inputs(system, grid)
+        got_phi, got_phi_z, got_u = transport_rate(phi, phi_z, grid, *inputs)
+        ref_phi, ref_phi_z, ref_u = reference_transport_rate(phi, phi_z, grid, *inputs)
+        # the value rate and the control are computed exactly as before
+        assert np.array_equal(got_phi, ref_phi)
+        assert np.array_equal(got_u, ref_u)
+        assert max_rel(got_phi_z, ref_phi_z) <= 1e-12
+
+    def test_shipped_march_stays_at_roundoff(self):
+        # measured: phi 1.4e-14 and Phi 1.0e-15 of their largest entries; a
+        # policy-tie flip would move phi by ~3e-6
+        scenario = load_scenario(SHIPPED)
+        system, metric = scenario.build_system(), LogDetMetric(2)
+        grid, z0 = scenario.grid(), scenario.initial_information()
+        sol = hybrid_solve(system, metric, grid, z0, scenario.solver)
+        ref_phi, ref_phi_z = reference_march(system, metric, grid, z0, scenario.solver)
+        assert max_rel(sol.phi_final(), ref_phi) <= 1e-12
+        assert max_rel(sol.phi_z_final(), ref_phi_z) <= 1e-12
+
+    def test_asymmetric_probe_keeps_four_entries(self):
+        # gradient_consistency_check perturbs z0[1] and z0[2] one at a time,
+        # so Phi's off-diagonal entries differ and all four are transported
+        scenario = load_scenario(SHIPPED)
+        system, metric = scenario.build_system(), LogDetMetric(2)
+        z0 = scenario.initial_information().copy()
+        z0[1] += 1e-5
+        config = SolverConfig(horizon=5.0)
+        phi_z = hybrid_solve(system, metric, SURVEY_GRID, z0, config).phi_z_final()
+        assert np.all(phi_z[..., 1] != phi_z[..., 2])
+        ref_phi_z = reference_march(system, metric, SURVEY_GRID, z0, config)[1]
+        assert max_rel(phi_z, ref_phi_z) <= 1e-12
 
 
 class TestHybridSolve:

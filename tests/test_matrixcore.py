@@ -316,6 +316,15 @@ class TestClosedFormFlow:
         scale = np.max(np.abs(g_lapack), axis=-1, keepdims=True)
         assert np.all(np.abs(g_closed - g_lapack) <= 1e-12 * scale)
 
+    def test_component_major_view_gives_same_bits(self):
+        # hybrid_solve passes Phi as an (..., m) view of a component-major stack
+        rng = np.random.default_rng(32)
+        values, grads, qs = self.random_state(rng, 400)
+        stacked = np.ascontiguousarray(grads.T)
+        v_view, g_view = LogDetMetric(2).flow(values, np.moveaxis(stacked, 0, -1), qs, 0.37)
+        v_flat, g_flat = LogDetMetric(2).flow(values, grads, qs, 0.37)
+        assert np.array_equal(v_view, v_flat) and np.array_equal(g_view, g_flat)
+
     def test_one_indefinite_node_raises(self):
         rng = np.random.default_rng(33)
         values, grads, qs = self.random_state(rng, 8)

@@ -10,7 +10,6 @@ from infotraj.hjsolver import SolverConfig, hybrid_solve
 from infotraj.matrixcore import LogDetMetric, vec
 from infotraj.trajectories import (
     BoundaryExitError,
-    ValidationReport,
     _info_rate_and_jacobian,
     brute_force_value,
     extract_characteristic,
