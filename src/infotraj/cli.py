@@ -108,6 +108,17 @@ def _numbers(values, where: str, length: Optional[int] = None) -> list:
     return [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
+def _require_inside(state: State, x_extent, y_extent, where: str) -> None:
+    """A start must lie in the planar extent of the grid (the heading wraps)."""
+    for name, value, key, (lo, hi) in (
+        ("X", state.x, "x_extent_m", x_extent),
+        ("Y", state.y, "y_extent_m", y_extent),
+    ):
+        _require(
+            lo <= value <= hi, where, f"{name} = {value} lies outside grid.{key} [{lo}, {hi}]"
+        )
+
+
 @dataclass
 class Scenario:
     """Everything needed to reproduce a run: vehicle, prior, sensor suite,
@@ -302,6 +313,10 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         State(*_numbers(row, f"{where}.initial_states[{i}]", 3))
         for i, row in enumerate(top["initial_states"])
     ]
+    for i, state in enumerate(states):
+        _require_inside(
+            state, extents["x_extent_m"], extents["y_extent_m"], f"{where}.initial_states[{i}]"
+        )
     _require(isinstance(top["provenance"], dict), f"{where}.provenance", "expected an object")
 
     return Scenario(
@@ -420,6 +435,11 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
             f"{solution_dir}: manifest {key}",
             "does not match the scenario; extract with the scenario that was solved",
         )
+    for row in x0_list or ():
+        _require_inside(
+            State(*row), scenario.x_extent, scenario.y_extent,
+            f"--x0 {','.join(repr(v) for v in row)}",
+        )
     system = scenario.build_system()
     metric = LogDetMetric(scenario.prior().dim)
     os.makedirs(out_dir, exist_ok=True)
@@ -432,14 +452,11 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
     for idx, start in enumerate(starts):
         if scenario.extraction_mode == "receding":
             traj = extract_receding(
+                solution,
                 system,
                 metric,
-                solution.grid,
                 start,
-                solution.z0,
-                solution.horizon,
                 legs=scenario.extraction_legs,
-                config=scenario.solver,
                 dt=scenario.extraction_dt,
                 info_rate_field=ell,
                 workers=workers,
@@ -609,8 +626,7 @@ def run_validation_suite(suite: dict, workers: int = 1) -> ValidationReport:
             x0 = scenario.initial_states[0]
             char = extract_characteristic(solution, system, metric, x0, scenario.extraction_dt)
             best = extract_receding(
-                system, metric, grid, x0, z0, scenario.solver.horizon,
-                legs=suite.get("sandwich_legs", 6), config=scenario.solver,
+                solution, system, metric, x0, legs=suite.get("sandwich_legs", 6),
                 dt=scenario.extraction_dt, info_rate_field=ell, workers=workers,
             )
             bf_cost, _ = brute_force_value(

@@ -12,6 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# cells kept beyond the requested half-width on each side of a window
+WINDOW_MARGIN_CELLS = 4
+
+
 class ExtrapolationError(ValueError):
     """A query point lies outside the non-periodic extent of the grid."""
 
@@ -63,6 +67,38 @@ class GridSpec:
         """Node coordinates, shape grid.shape + (ndim,)."""
         grids = np.meshgrid(*[ax.nodes for ax in self.axes], indexing="ij")
         return np.stack(grids, axis=-1)
+
+    def window(self, center, half_widths):
+        """Sub-grid around center and its index tuple (one slice per axis).
+
+        On each non-periodic axis the window keeps the nodes within
+        half_widths[i] of center[i], plus WINDOW_MARGIN_CELLS nodes on each
+        side, clipped to the grid and widened to at least 3 nodes; periodic
+        axes stay whole. field[idx] is a field on the sub-grid, whose spacing
+        and node coordinates are those of the parent's slice (exactly when the
+        parent's nodes are exact binary numbers, up to rounding otherwise). A
+        window that covers the whole grid returns the grid itself.
+        """
+        axes, idx = [], []
+        for ax, c, half in zip(self.axes, center, half_widths):
+            if ax.periodic:
+                axes.append(ax)
+                idx.append(slice(0, ax.n))
+                continue
+            h = ax.spacing
+            first = math.ceil((c - half - ax.lo) / h - 1e-9) - WINDOW_MARGIN_CELLS
+            last = math.floor((c + half - ax.lo) / h + 1e-9) + WINDOW_MARGIN_CELLS
+            first, last = max(first, 0), min(last, ax.n - 1)
+            if last - first < 2:
+                mid = min(max((first + last) // 2, 1), ax.n - 2)
+                first, last = mid - 1, mid + 1
+            if (first, last) != (0, ax.n - 1):
+                nodes = ax.nodes
+                ax = Axis(float(nodes[first]), float(nodes[last]), last - first + 1)
+            axes.append(ax)
+            idx.append(slice(first, last + 1))
+        sub = self if axes == list(self.axes) else GridSpec(tuple(axes))
+        return sub, tuple(idx)
 
     @classmethod
     def vehicle_plane(cls, x_extent, y_extent, nx: int, ny: int, npsi: int) -> "GridSpec":

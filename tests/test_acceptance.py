@@ -10,12 +10,9 @@ measured analysis.
 
 import math
 import time
-from pathlib import Path
 
 import numpy as np
-import pytest
 
-from infotraj.cli import load_scenario
 from infotraj.dynamics import (
     AugmentedState,
     ControlSignal,
@@ -43,31 +40,11 @@ from infotraj.trajectories import (
     toy_hybrid_vs_classic,
 )
 
-REPO = Path(__file__).resolve().parents[1]
 SEED = 20260810
 
 
 def report(criterion: int, passed: bool, detail: str) -> None:
     print(f"[criterion {criterion}] {'PASS' if passed else 'FAIL'}: {detail}", flush=True)
-
-
-@pytest.fixture(scope="module")
-def scenario():
-    return load_scenario(REPO / "scenarios" / "doppler_single_path.json")
-
-
-@pytest.fixture(scope="module")
-def survey(scenario):
-    """Shared production-scale solve of the shipped survey scenario."""
-    system = scenario.build_system()
-    metric = LogDetMetric(2)
-    grid = scenario.grid()
-    z0 = scenario.initial_information()
-    ell = info_rate_on_grid(system, grid)
-    solution = hybrid_solve(
-        system, metric, grid, z0, scenario.solver, info_rate_field=ell
-    )
-    return scenario, system, metric, grid, z0, ell, solution
 
 
 def test_criterion_1_hybrid_matches_classic_on_toy():
@@ -202,14 +179,11 @@ def test_criterion_5_optimality_sandwich(survey):
     scenario, system, metric, grid, z0, ell, solution = survey
     x0 = scenario.initial_states[0]
     best = extract_receding(
+        solution,
         system,
         metric,
-        grid,
         x0,
-        z0,
-        scenario.solver.horizon,
         legs=6,
-        config=scenario.solver,
         dt=scenario.extraction_dt,
         info_rate_field=ell,
     )

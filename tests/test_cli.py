@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import infotraj.trajectories
 from infotraj.cli import (
     CHI2_2DOF_95,
     ScenarioError,
@@ -18,7 +19,10 @@ from infotraj.cli import (
     render_svg,
     scenario_from_dict,
 )
-from infotraj.dynamics import Trajectory
+from infotraj.dynamics import Trajectory, trajectory_to_csv
+from infotraj.hjsolver import hybrid_solve, load_solution
+from infotraj.matrixcore import LogDetMetric
+from infotraj.trajectories import extract_receding
 
 REPO = Path(__file__).resolve().parents[1]
 FIG2 = REPO / "scenarios" / "doppler_single_path.json"
@@ -257,6 +261,26 @@ class TestSolveExtractPlot:
         assert "--x0" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_x0_outside_grid_exits_2_naming_it(self, pipeline, tmp_path, capsys):
+        _, _, sol_dir = pipeline
+        argv = ["extract", "--solution", str(sol_dir), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--x0", "5000,0,0"]) == 2
+        err = capsys.readouterr().err
+        assert "--x0 5000.0,0.0,0.0" in err and "x_extent_m" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_initial_state_outside_grid_exits_2_naming_it(self, pipeline, tmp_path, capsys):
+        _, scenario, sol_dir = pipeline
+        data = scenario.to_dict()
+        data["initial_states"].append([0.0, -450.0, 0.0])
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(data))
+        argv = ["extract", "--solution", str(sol_dir), "--out", str(tmp_path / "o")]
+        assert main(argv + ["--scenario", str(other)]) == 2
+        err = capsys.readouterr().err
+        assert "initial_states[1]" in err and "y_extent_m" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "name,content",
         [
@@ -326,6 +350,42 @@ class TestSolveExtractPlot:
         err = capsys.readouterr().err
         assert "integrator" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+
+class TestRecedingExtract:
+    def test_cropped_resolves_and_csvs_match_direct_calls(self, tmp_path, monkeypatch):
+        data = small_scenario_dict()
+        data["grid"].update({"nx": 17, "ny": 17, "x_extent_m": [-800.0, 800.0],
+                             "y_extent_m": [-800.0, 800.0]})
+        data["extraction"].update({"mode": "receding", "legs": 2})
+        data["initial_states"] = [[50.0, -36.6, -math.pi], [-200.0, 100.0, 0.5]]
+        scenario = scenario_from_dict(data)
+        sol_dir = tmp_path / "solution"
+        cmd_solve(scenario, sol_dir)
+
+        shapes = []
+
+        def recording_solve(system, metric, grid, *args, **kwargs):
+            shapes.append(grid.shape)
+            return hybrid_solve(system, metric, grid, *args, **kwargs)
+
+        monkeypatch.setattr(infotraj.trajectories, "hybrid_solve", recording_solve)
+        summary = cmd_extract(sol_dir, tmp_path / "out", scenario=scenario)
+        legs = scenario.extraction_legs
+        assert len(shapes) == (legs - 1) * len(scenario.initial_states)
+        assert all(nx < 17 and ny < 17 for nx, ny, _ in shapes)
+        monkeypatch.undo()
+
+        solution = load_solution(sol_dir)
+        system = scenario.build_system()
+        metric = LogDetMetric(2)
+        for entry, start in zip(summary["trajectories"], scenario.initial_states):
+            traj = extract_receding(
+                solution, system, metric, start, legs=legs, dt=scenario.extraction_dt
+            )
+            direct = tmp_path / f"direct_{entry['file']}"
+            trajectory_to_csv(traj, direct, metric)
+            assert (tmp_path / "out" / entry["file"]).read_bytes() == direct.read_bytes()
 
 
 class TestRenderSvg:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import infotraj.grid as grid_module
 from infotraj.grid import (
     Axis,
     ExtrapolationError,
@@ -176,3 +177,67 @@ class TestGridIO:
         path = tmp_path / "field.bin"
         save_array(path, arr)
         assert np.array_equal(load_array(path, (4, 5, 6)), arr)
+
+
+def shipped_plane():
+    return GridSpec.vehicle_plane((-1700.0, 1700.0), (-1700.0, 1700.0), 41, 41, 32)
+
+
+class TestWindow:
+    def test_interior_keeps_half_width_plus_margin(self):
+        grid = shipped_plane()
+        # 200 m is 2.35 cells of 85 m: nodes 18..22 around node 20, plus the margin
+        sub, idx = grid.window([0.0, 0.0, 0.0], [200.0, 200.0, 0.1])
+        m = grid_module.WINDOW_MARGIN_CELLS
+        assert idx[:2] == (slice(18 - m, 23 + m), slice(18 - m, 23 + m))
+        assert sub.shape == (5 + 2 * m, 5 + 2 * m, 32)
+        field = np.arange(math.prod(grid.shape), dtype=float).reshape(grid.shape)
+        assert field[idx].shape == sub.shape
+
+    def test_periodic_axis_stays_whole(self):
+        grid = shipped_plane()
+        sub, idx = grid.window([0.0, 0.0, 1.0], [100.0, 100.0, 0.0])
+        assert sub.axes[2] == grid.axes[2]
+        assert idx[2] == slice(0, 32)
+
+    def test_clipped_at_each_edge(self):
+        grid = shipped_plane()
+        m = grid_module.WINDOW_MARGIN_CELLS
+        sub, idx = grid.window([-1700.0, 1700.0, 0.0], [200.0, 200.0, 0.0])
+        assert idx[0] == slice(0, 3 + m) and idx[1] == slice(38 - m, 41)
+        assert sub.axes[0].lo == -1700.0 and sub.axes[1].hi == 1700.0
+        sub, idx = grid.window([1690.0, -1690.0, 0.0], [200.0, 200.0, 0.0])
+        assert idx[0] == slice(38 - m, 41) and idx[1] == slice(0, 3 + m)
+        assert sub.axes[0].hi == 1700.0 and sub.axes[1].lo == -1700.0
+
+    def test_floor_of_three_nodes(self, monkeypatch):
+        grid = shipped_plane()
+        # a centre outside the grid keeps the 3 nodes nearest to it
+        sub, idx = grid.window([-5000.0, 5000.0, 0.0], [0.0, 0.0, 0.0])
+        assert idx[:2] == (slice(0, 3), slice(38, 41))
+        monkeypatch.setattr(grid_module, "WINDOW_MARGIN_CELLS", 0)
+        sub, idx = grid.window([0.0, 10.0, 0.0], [0.0, 0.0, 0.0])
+        assert idx[:2] == (slice(19, 22), slice(19, 22))
+        assert sub.shape == (3, 3, 32)
+
+    def test_nodes_and_spacing_equal_the_parent_slice(self):
+        grid = shipped_plane()
+        sub, idx = grid.window([310.0, -1020.0, 0.0], [600.0, 450.0, 0.0])
+        assert sub.shape[:2] != grid.shape[:2]
+        for ax, parent, sl in zip(sub.axes, grid.axes, idx):
+            assert np.array_equal(ax.nodes, parent.nodes[sl])
+            assert ax.spacing == parent.spacing
+        # nodes that are not exact binary numbers agree to rounding
+        odd = GridSpec((Axis(-1.0, 2.3, 29), Axis(0.1, 0.7, 13)))
+        sub, idx = odd.window([0.4, 0.3], [0.5, 0.1])
+        assert sub.shape != odd.shape
+        for ax, parent, sl in zip(sub.axes, odd.axes, idx):
+            assert np.allclose(ax.nodes, parent.nodes[sl], rtol=0.0, atol=1e-14)
+            assert ax.spacing == pytest.approx(parent.spacing, rel=1e-14)
+
+    def test_wider_than_the_grid_returns_it(self):
+        grid = shipped_plane()
+        # leg 0 of the shipped sandwich: 60 s at 25 m/s from the shipped start
+        sub, idx = grid.window([50.0, -36.6, -math.pi], np.array([25.0, 25.0, 0.05]) * 60.0)
+        assert sub == grid
+        assert idx == (slice(0, 41), slice(0, 41), slice(0, 32))

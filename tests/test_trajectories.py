@@ -1,12 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import infotraj.hjsolver
-from infotraj.dynamics import DubinsCar, State, ToyCascade
+import infotraj.trajectories
+from infotraj.dynamics import DubinsCar, State, ToyCascade, Trajectory
 from infotraj.grid import Axis, GridSpec
-from infotraj.hjsolver import SolverConfig, hybrid_solve
+from infotraj.hjsolver import SolverConfig, hybrid_solve, info_rate_on_grid
 from infotraj.matrixcore import LogDetMetric, vec
 from infotraj.trajectories import (
     BoundaryExitError,
@@ -152,21 +154,71 @@ class TestConcurrentExtraction:
             assert a.terminal_cost == b.terminal_cost
 
 
+def reference_extract_receding(
+    system, metric, grid, x0, z0, horizon, legs, config=None, dt=0.05,
+    info_rate_field=None, workers=1,
+):
+    """The former receding extractor: every leg, leg 0 included, re-solves
+    the value function on the full grid."""
+    if legs < 1:
+        raise ValueError("need at least one leg")
+    if info_rate_field is None:
+        info_rate_field = info_rate_on_grid(system, grid, workers=workers)
+
+    leg_span = horizon / legs
+    z = np.asarray(z0, dtype=float).copy()
+    x = x0
+    pieces = []
+    for k in range(legs):
+        remaining = horizon - k * leg_span
+        cfg = replace(
+            config or SolverConfig(horizon=remaining),
+            horizon=remaining,
+            snapshot_stride=10**9,
+        )
+        sol = hybrid_solve(
+            system, metric, grid, z, cfg, info_rate_field=info_rate_field, workers=workers
+        )
+        piece = extract_characteristic(sol, system, metric, x, dt, duration=leg_span)
+        pieces.append(piece)
+        x = piece.final_state()
+        z = piece.final_info()
+
+    s_off = 0.0
+    s_all, st_all, u_all, z_all, p_all, lam_all = [], [], [], [], [], []
+    for i, piece in enumerate(pieces):
+        sl = slice(None) if i == 0 else slice(1, None)
+        s_all.append(piece.s[sl] + s_off)
+        st_all.append(piece.states[sl])
+        u_all.append(piece.controls[sl])
+        z_all.append(piece.infos[sl])
+        p_all.append(piece.costates[sl])
+        lam_all.append(piece.info_costates[sl])
+        s_off += piece.duration
+    traj = Trajectory(
+        s=np.concatenate(s_all),
+        states=np.concatenate(st_all),
+        controls=np.concatenate(u_all),
+        infos=np.concatenate(z_all),
+        costates=np.concatenate(p_all),
+        info_costates=np.concatenate(lam_all),
+    )
+    traj.terminal_cost = metric.value(traj.final_info())
+    traj.residuals = dict(pieces[-1].residuals)
+    return traj
+
+
 class TestRecedingExtraction:
     def test_single_leg_equals_characteristic(self, toy_setup):
         toy, metric, grid, sol = toy_setup
         a = extract_characteristic(sol, toy, metric, np.array([0.5]), dt=0.01)
-        b = extract_receding(
-            toy, metric, grid, np.array([0.5]), np.array([1.0]), 1.0, legs=1, dt=0.01
-        )
-        assert np.allclose(a.states, b.states)
-        assert np.allclose(a.infos, b.infos)
+        b = extract_receding(sol, toy, metric, np.array([0.5]), legs=1, dt=0.01)
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.infos, b.infos)
 
     def test_four_legs_near_brute_force(self, toy_setup):
-        toy, metric, grid, _ = toy_setup
-        traj = extract_receding(
-            toy, metric, grid, np.array([0.5]), np.array([1.0]), 1.0, legs=4, dt=0.01
-        )
+        toy, metric, grid, sol = toy_setup
+        traj = extract_receding(sol, toy, metric, np.array([0.5]), legs=4, dt=0.01)
         bf_cost, _ = brute_force_value(
             toy, metric, np.array([0.5]), np.array([1.0]), 1.0, segments=4, dt=0.01
         )
@@ -176,10 +228,52 @@ class TestRecedingExtraction:
         car = DubinsCar(10.0, 0.1, info_rate_fn=None, info_dim=2)
         metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-500.0, 500.0), (-500.0, 500.0), 9, 9, 8)
-        traj = extract_receding(
-            car, metric, grid, State(0.0, 0.0, 0.0), vec(np.eye(2)), 9.0, legs=3, dt=0.05
-        )
+        sol = hybrid_solve(car, metric, grid, vec(np.eye(2)), SolverConfig(horizon=9.0))
+        traj = extract_receding(sol, car, metric, State(0.0, 0.0, 0.0), legs=3, dt=0.05)
         assert np.all(traj.controls == 0.0)
+
+
+class TestRecedingCropAgainstReference:
+    # largest |cropped - full| over the largest full-grid entry, measured on
+    # the shipped six-leg sandwich at a 4-cell margin: 6.3e-4 for the x
+    # costates, 1.6e-4 for the information costates
+    COSTATE_REL_TOL = 1e-3
+    INFO_COSTATE_REL_TOL = 3e-4
+
+    def test_cropped_legs_match_full_grid_resolves(self, survey, monkeypatch):
+        scenario, system, metric, grid, z0, ell, solution = survey
+        x0 = scenario.initial_states[0]
+        legs = 6
+        shapes = []
+
+        def recording_solve(system, metric, grid, *args, **kwargs):
+            shapes.append(grid.shape)
+            return hybrid_solve(system, metric, grid, *args, **kwargs)
+
+        monkeypatch.setattr(infotraj.trajectories, "hybrid_solve", recording_solve)
+        got = extract_receding(
+            solution, system, metric, x0, legs=legs, dt=scenario.extraction_dt,
+            info_rate_field=ell,
+        )
+        monkeypatch.undo()
+        want = reference_extract_receding(
+            system, metric, grid, x0, z0, scenario.solver.horizon, legs=legs,
+            config=scenario.solver, dt=scenario.extraction_dt, info_rate_field=ell,
+        )
+        # leg 0 reuses the solution; every later leg runs on a cropped plane
+        assert len(shapes) == legs - 1
+        nx, ny, npsi = grid.shape
+        assert all(a < nx and b < ny and c == npsi for a, b, c in shapes)
+        assert np.array_equal(got.s, want.s)
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.infos, want.infos)
+        assert np.array_equal(got.controls, want.controls)
+        assert got.terminal_cost == want.terminal_cost
+        for a, b, tol in (
+            (got.costates, want.costates, self.COSTATE_REL_TOL),
+            (got.info_costates, want.info_costates, self.INFO_COSTATE_REL_TOL),
+        ):
+            assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
 
 
 class TestBruteForce:
