@@ -26,10 +26,11 @@ from infotraj.hjsolver import (
     InstabilityError,
     SolverConfig,
     config_fingerprint,
+    final_only,
     hybrid_solve,
     info_rate_on_grid,
     load_solution,
-    save_solution,
+    solve_to_disk,
 )
 from infotraj.matrixcore import LogDetMetric, NotPositiveDefiniteError, vec
 from infotraj.sensing import DopplerSensor, GaussianPrior, prior_fim, suite_info_rate
@@ -383,15 +384,16 @@ def solution_fingerprints(scenario: Scenario) -> dict:
 
 
 def cmd_solve(scenario: Scenario, out_dir, workers: int = 1) -> None:
-    """Solve the scenario and persist the solution artifacts."""
+    """Solve the scenario and stream the solution artifacts to out_dir; the
+    manifest is the last file written."""
     system = scenario.build_system()
     metric = LogDetMetric(scenario.prior().dim)
-    grid = scenario.grid()
-    z0 = scenario.initial_information()
-    solution = hybrid_solve(system, metric, grid, z0, scenario.solver, workers=workers)
     os.makedirs(out_dir, exist_ok=True)
-    save_solution(solution, out_dir, extras=solution_fingerprints(scenario))
     write_manifest(os.path.join(out_dir, "scenario.json"), scenario.to_dict())
+    solve_to_disk(
+        out_dir, system, metric, scenario.grid(), scenario.initial_information(),
+        scenario.solver, extras=solution_fingerprints(scenario), workers=workers,
+    )
 
 
 def _shape_metrics(traj, prior_mean) -> dict:
@@ -621,7 +623,8 @@ def run_validation_suite(suite: dict, workers: int = 1) -> ValidationReport:
             z0 = scenario.initial_information()
             ell = info_rate_on_grid(system, grid, workers=workers)
             solution = hybrid_solve(
-                system, metric, grid, z0, scenario.solver, info_rate_field=ell, workers=workers
+                system, metric, grid, z0, scenario.solver, info_rate_field=ell,
+                workers=workers, on_snapshot=final_only,
             )
             x0 = scenario.initial_states[0]
             char = extract_characteristic(solution, system, metric, x0, scenario.extraction_dt)

@@ -1,12 +1,13 @@
 """Cartesian grid over the vehicle state (periodic heading axis), first-order
 one-sided differences with linear-extrapolation ghost values, multilinear
-interpolation, and flat-binary field snapshots."""
+interpolation, and flat-binary field snapshots (written whole, mapped on read)."""
 
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,13 +236,15 @@ def save_array(path, arr: np.ndarray) -> None:
 
 
 def load_array(path, shape) -> np.ndarray:
-    """Read a flat binary written by save_array; a file of the wrong size
-    raises ValueError naming it."""
-    arr = np.fromfile(path, dtype="<f8")
-    expected = math.prod(shape)
-    if arr.size != expected:
-        raise ValueError(f"{path}: holds {arr.size} float64 values, expected {expected}")
-    return arr.reshape(shape)
+    """Map a flat binary written by save_array read-only, without reading
+    it; a file of the wrong size raises ValueError naming it."""
+    count = math.prod(shape)
+    size = os.stat(path).st_size
+    if size != 8 * count:
+        raise ValueError(
+            f"{path}: holds {size} bytes, expected {8 * count} ({count} float64 values)"
+        )
+    return np.memmap(path, dtype="<f8", mode="r", shape=tuple(shape))
 
 
 def write_manifest(path, payload: dict) -> None:

@@ -185,7 +185,11 @@ def info_rate_on_grid(system: CascadeSystem, grid: GridSpec, workers: int = 1) -
 @dataclass
 class HybridSolution:
     """Snapshots of the value approximation phi and the information-gradient
-    approximation Phi on the x grid, for the fixed initial information state z0."""
+    approximation Phi on the x grid, for the fixed initial information state z0.
+
+    times[k] is the horizon of phis[k] and phi_zs[k]: every snapshot of an
+    in-memory solve, the final one alone of a final_only or streamed solve,
+    or memory maps of the files of a stored one (load_solution)."""
 
     grid: GridSpec
     times: np.ndarray
@@ -196,9 +200,9 @@ class HybridSolution:
     config_hash: str = ""
     wall_time: float = 0.0
     # seconds spent in the info-rate field (0 when it was passed in), the
-    # pointwise flow, the spatial transport, the finite checks and the
-    # snapshot copies, and the number of march steps; saved to timings.json,
-    # not the manifest
+    # pointwise flow, the spatial transport, the finite checks and taking
+    # the snapshots (copies or writes), and the number of march steps; saved
+    # to timings.json, not the manifest
     field_time: float = 0.0
     flow_time: float = 0.0
     transport_time: float = 0.0
@@ -235,38 +239,50 @@ def config_fingerprint(grid: GridSpec, z0, config: SolverConfig) -> str:
     ).hexdigest()
 
 
-def save_solution(solution: HybridSolution, out_dir, extras: Optional[dict] = None) -> None:
-    """Persist a solution: deterministic manifest + flat binary snapshots.
+def final_only(s, *snapshot) -> None:
+    """Snapshot consumer that discards every snapshot it is handed: a solve
+    given it (on_snapshot=final_only) keeps and returns its final snapshot
+    alone. For solves whose callers read only the final fields."""
 
-    Binary layout: float64 little-endian, row-major in (iX, iY, ipsi[, j])
-    order. Wall-clock timings (total and per-phase seconds) and the step
-    count go to a separate timings.json so that repeated runs with the
-    same configuration produce byte-identical manifests and fields. extras
-    (e.g. a sensor-suite hash) are merged into the manifest.
+
+def solve_to_disk(
+    out_dir,
+    system: CascadeSystem,
+    metric: TerminalMetric,
+    grid: GridSpec,
+    z0: np.ndarray,
+    config: SolverConfig,
+    extras: Optional[dict] = None,
+    workers: int = 1,
+) -> HybridSolution:
+    """Solve and persist the solution, one snapshot at a time.
+
+    Each snapshot pair is written to phi_####.bin / phiz_####.bin as soon
+    as the march takes it, and none is kept in memory. Binary layout:
+    float64 little-endian, row-major in (iX, iY, ipsi[, j]) order. Any
+    manifest.json already in out_dir is removed before the first snapshot
+    is written and the new one is written last, so a failed or
+    half-overwritten directory never loads as a solution. Wall-clock
+    timings (total and per-phase seconds) and the step count go to a
+    separate timings.json so that repeated runs with the same configuration
+    produce byte-identical manifests and fields. extras (e.g. a sensor-suite
+    hash) are merged into the manifest. Returns the solution with its final
+    snapshot alone.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    if os.path.lexists(manifest_path):
+        os.remove(manifest_path)
     snapshots = []
-    for k, s in enumerate(solution.times):
-        phi_name = f"phi_{k:04d}.bin"
-        pz_name = f"phiz_{k:04d}.bin"
-        save_array(os.path.join(out_dir, phi_name), solution.phis[k])
-        save_array(os.path.join(out_dir, pz_name), solution.phi_zs[k])
-        snapshots.append({"s": float(s), "phi": phi_name, "phi_z": pz_name})
-    manifest = {
-        "schema": 1,
-        "kind": "hybrid_solution",
-        "axis_order": ["X", "Y", "psi"][: solution.grid.ndim],
-        "grid": solution.grid.to_dict(),
-        "m": int(solution.phi_zs[0].shape[-1]),
-        "z0": [float(v) for v in solution.z0],
-        "config": asdict(solution.config),
-        "config_hash": solution.config_hash,
-        "snapshots": snapshots,
-    }
-    manifest.update(extras or {})
-    write_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+
+    def write(s, phi, phi_z):
+        k = len(snapshots)
+        entry = {"s": float(s), "phi": f"phi_{k:04d}.bin", "phi_z": f"phiz_{k:04d}.bin"}
+        save_array(os.path.join(out_dir, entry["phi"]), phi)
+        save_array(os.path.join(out_dir, entry["phi_z"]), phi_z)
+        snapshots.append(entry)
+
+    solution = hybrid_solve(system, metric, grid, z0, config, workers=workers, on_snapshot=write)
     timings = {
         "wall_time_s": solution.wall_time,
         "field_s": solution.field_time,
@@ -277,11 +293,30 @@ def save_solution(solution: HybridSolution, out_dir, extras: Optional[dict] = No
         "steps": solution.steps,
     }
     write_manifest(os.path.join(out_dir, "timings.json"), timings)
+    manifest = {
+        "schema": 1,
+        "kind": "hybrid_solution",
+        "axis_order": ["X", "Y", "psi"][: grid.ndim],
+        "grid": grid.to_dict(),
+        "m": int(system.info_len),
+        "z0": [float(v) for v in solution.z0],
+        "config": asdict(config),
+        "config_hash": solution.config_hash,
+        "snapshots": snapshots,
+    }
+    manifest.update(extras or {})
+    write_manifest(manifest_path, manifest)
+    return solution
 
 
 def load_solution(in_dir) -> HybridSolution:
-    """Read a solution written by save_solution; a snapshot file of the wrong
-    size raises ValueError naming the file."""
+    """Open a solution written by solve_to_disk.
+
+    Each snapshot file is mapped read-only (grid.load_array), not read: a
+    caller that uses only the final snapshot pages in only that pair. A
+    snapshot file of the wrong size raises ValueError naming the file; a
+    directory without manifest.json is not a solution.
+    """
     manifest = read_manifest(os.path.join(in_dir, "manifest.json"))
     grid = GridSpec.from_dict(manifest["grid"])
     m = int(manifest["m"])
@@ -377,23 +412,37 @@ def _ghost_differences(stack: np.ndarray, grid: GridSpec, bufs) -> None:
             value[edge + (n,)] = value[edge + (n - 1,)]
 
 
-def _march(fields: list, step, dt: float, config: SolverConfig, timers: Optional[dict] = None):
+def _march(
+    fields: list, step, dt: float, config: SolverConfig, timers: Optional[dict] = None,
+    on_snapshot=None,
+):
     """March fields (a list of arrays) from s = 0 to the horizon in steps of
     at most dt, where step(fields, h) advances the list in place.
 
-    Snapshots (copies) are kept every config.snapshot_stride steps (0: about
-    24 in all) and at the horizon. Returns the snapshot times, the snapshots
+    Snapshots are taken at s = 0, every config.snapshot_stride steps (0:
+    about 24 in all) and at the horizon. Without on_snapshot the march keeps
+    a copy of each. With it, each snapshot is handed to on_snapshot(s,
+    *fields) as soon as it is taken, as the live fields (valid until the
+    call returns), and none is kept: the one snapshot returned is the final
+    fields themselves, uncopied. Returns the snapshot times, the snapshots
     and the step count; a non-finite field raises InstabilityError. Seconds
-    spent in the finite checks and the snapshot copies are added to
-    timers["check"] and timers["snapshot"] when timers is given.
+    spent in the finite checks and in taking snapshots (copies, or the
+    on_snapshot calls) are added to timers["check"] and timers["snapshot"]
+    when timers is given.
     """
     timers = {"check": 0.0, "snapshot": 0.0} if timers is None else timers
     clock = _time.perf_counter
     n_steps = int(math.ceil(config.horizon / dt - 1e-12))
     stride = config.snapshot_stride or max(1, int(math.ceil(n_steps / 24)))
-    times = [0.0]
+    times, snapshots = [], []
+    keep_copies = on_snapshot is None
+    if keep_copies:
+        def on_snapshot(s, *snapshot):
+            times.append(s)
+            snapshots.append(tuple(f.copy() for f in snapshot))
+
     t0 = clock()
-    snapshots = [tuple(f.copy() for f in fields)]
+    on_snapshot(0.0, *fields)
     timers["snapshot"] += clock() - t0
     s = 0.0
     count = 0
@@ -407,9 +456,10 @@ def _march(fields: list, step, dt: float, config: SolverConfig, timers: Optional
         t1 = clock()
         timers["check"] += t1 - t0
         if count % stride == 0 or s >= config.horizon - 1e-12:
-            times.append(s)
-            snapshots.append(tuple(f.copy() for f in fields))
+            on_snapshot(s, *fields)
             timers["snapshot"] += clock() - t1
+    if not keep_copies:
+        times, snapshots = [s], [tuple(fields)]
     return np.asarray(times), snapshots, count
 
 
@@ -421,6 +471,7 @@ def hybrid_solve(
     config: SolverConfig,
     info_rate_field: Optional[np.ndarray] = None,
     workers: int = 1,
+    on_snapshot=None,
 ) -> HybridSolution:
     """Co-evolve phi (value) and Phi (value gradient in z) on the x grid.
 
@@ -439,8 +490,13 @@ def hybrid_solve(
         scheme along the locally optimal velocity w = f + g u*);
       * initial data phi = G(z0), Phi = G_z(z0), uniformly over the grid.
 
-    The flow and the snapshots see Phi through an (..., m) view, so the
-    snapshots keep the row-major (iX, iY, ipsi, j) layout. The
+    The flow and the snapshots see Phi through an (..., m) view, so copied
+    and persisted snapshots keep the row-major (iX, iY, ipsi, j) layout.
+    Without on_snapshot the solution keeps a copy of every snapshot. With
+    it, on_snapshot(s, phi, phi_z) receives each snapshot as the march takes
+    it (live views, valid until the call returns), and the solution holds
+    the final snapshot alone, with no copy: final_only asks for just that,
+    solve_to_disk streams each snapshot to disk. The
     information-rate field vec(Q) is precomputed once (or passed in) and
     reused every step. Every output point of a step depends only on the
     previous snapshot, so per-point updates are schedule independent.
@@ -499,7 +555,7 @@ def hybrid_solve(
         timers["flow"] += t1 - t0
         timers["transport"] += _time.perf_counter() - t1
 
-    times, snapshots, steps = _march([phi, phi_z], step, dt, config, timers)
+    times, snapshots, steps = _march([phi, phi_z], step, dt, config, timers, on_snapshot)
     return HybridSolution(
         grid=grid,
         times=times,
@@ -535,13 +591,15 @@ def classic_solve(
     metric: TerminalMetric,
     joint_grid: GridSpec,
     config: SolverConfig,
+    on_snapshot=None,
 ) -> ClassicSolution:
     """Full-grid Lax-Friedrichs method of lines over the joint state (x, z).
 
     The z axes enter the kernel as extra drift axes (drift vec(Q(x)), no
     control). Tractable only in very low dimension; refuses more than 3 total
     axes. Serves as the independent reference for the hybrid solver on toy
-    systems.
+    systems. on_snapshot works as in hybrid_solve: final_only keeps the
+    final snapshot alone.
     """
     d = system.state_dim
     m = system.info_len
@@ -577,7 +635,9 @@ def classic_solve(
     def step(fields, h):
         _explicit_step(rate, fields, h)
 
-    times, snapshots, _ = _march([metric.value(z_nodes)], step, dt, config)
+    times, snapshots, _ = _march(
+        [metric.value(z_nodes)], step, dt, config, on_snapshot=on_snapshot
+    )
     return ClassicSolution(
         grid=joint_grid, times=times, phis=[snap[0] for snap in snapshots]
     )

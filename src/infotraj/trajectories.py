@@ -32,6 +32,7 @@ from infotraj.hjsolver import (
     HybridSolution,
     SolverConfig,
     classic_solve,
+    final_only,
     hybrid_solve,
     info_rate_on_grid,
 )
@@ -233,10 +234,10 @@ def extract_receding(
         if k > 0:
             remaining = horizon - k * leg_span
             sub, idx = grid.window(x, bounds * remaining)
-            cfg = replace(solution.config, horizon=remaining, snapshot_stride=10**9)
             sol = hybrid_solve(
-                system, metric, sub, z, cfg, info_rate_field=info_rate_field[idx],
-                workers=workers,
+                system, metric, sub, z, replace(solution.config, horizon=remaining),
+                info_rate_field=info_rate_field[idx], workers=workers,
+                on_snapshot=final_only,
             )
         piece = extract_characteristic(sol, system, metric, x, dt, duration=leg_span)
         pieces.append(piece)
@@ -289,18 +290,29 @@ def _simulate_control_batch(
     """Final information states for a batch of equal-segment control sequences.
 
     control_values has shape (batch, segments); all rollouts share the time
-    discretization, so the whole batch advances through vectorized RK4.
+    discretization, so they advance together through vectorized RK4. Rows
+    that share their first k + 1 controls share their state after segment
+    k, so segment k advances one row per distinct prefix (3^(k+1) for the
+    full bang-bang search, not 3^segments) and each row reads its own
+    prefix's state at the end.
     """
-    batch, segments = control_values.shape
+    segments = control_values.shape[1]
     seg_span = horizon / segments
     n_sub = max(1, int(math.ceil(seg_span / dt - 1e-12)))
     h = seg_span / n_sub
-    y = np.repeat(np.concatenate([x0, z0])[None, :], batch, axis=0)
+    y = np.concatenate([x0, z0])[None, :]
+    # state row of each batch row's prefix so far (all share the empty one)
+    row = np.zeros(control_values.shape[0], dtype=int)
     for k in range(segments):
-        deriv = cascade_deriv(system, control_values[:, k][:, None])
+        _, first, inverse = np.unique(
+            control_values[:, : k + 1], axis=0, return_index=True, return_inverse=True
+        )
+        y = y[row[first]]
+        deriv = cascade_deriv(system, control_values[first, k][:, None])
         for _ in range(n_sub):
             y = rk4_step(system, deriv, y, h)
-    return y[:, system.state_dim :]
+        row = inverse.reshape(-1)
+    return y[row, system.state_dim :]
 
 
 def brute_force_value(
@@ -466,9 +478,14 @@ def gradient_consistency_check(
     """
     if info_rate_field is None:
         info_rate_field = info_rate_on_grid(system, grid, workers=workers)
-    sol = hybrid_solve(
-        system, metric, grid, z0, config, info_rate_field=info_rate_field, workers=workers
-    )
+
+    def final_solve(z):
+        return hybrid_solve(
+            system, metric, grid, z, config, info_rate_field=info_rate_field,
+            workers=workers, on_snapshot=final_only,
+        )
+
+    sol = final_solve(z0)
     m = system.info_len
     fd = np.empty(grid.shape + (m,))
     for j in range(m):
@@ -476,13 +493,9 @@ def gradient_consistency_check(
         zm = z0.copy()
         zp[j] += delta
         zm[j] -= delta
-        sp = hybrid_solve(
-            system, metric, grid, zp, config, info_rate_field=info_rate_field, workers=workers
+        fd[..., j] = (final_solve(zp).phi_final() - final_solve(zm).phi_final()) / (
+            2.0 * delta
         )
-        sm = hybrid_solve(
-            system, metric, grid, zm, config, info_rate_field=info_rate_field, workers=workers
-        )
-        fd[..., j] = (sp.phi_final() - sm.phi_final()) / (2.0 * delta)
     rel = np.linalg.norm(sol.phi_z_final() - fd, axis=-1) / np.maximum(
         np.linalg.norm(fd, axis=-1), 1e-300
     )
@@ -518,8 +531,8 @@ def toy_hybrid_vs_classic(dx: float) -> dict:
         nz = int(round(5.2 / step)) + 1
         grid = GridSpec((Axis(-2.0, 2.0, nx),))
         joint = GridSpec((Axis(-2.0, 2.0, nx), Axis(0.4, 5.6, nz)))
-        hyb = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg)
-        cls = classic_solve(toy, metric, joint, cfg)
+        hyb = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg, on_snapshot=final_only)
+        cls = classic_solve(toy, metric, joint, cfg, on_snapshot=final_only)
         zi = int(np.argmin(np.abs(joint.axes[1].nodes - 1.0)))
         inner = np.abs(grid.axes[0].nodes) <= 1.0
         return float(np.max(np.abs(hyb.phi_final() - cls.phi_final()[:, zi])[inner]))

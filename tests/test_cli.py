@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import infotraj.cli
+import infotraj.hjsolver
 import infotraj.trajectories
 from infotraj.cli import (
     CHI2_2DOF_95,
@@ -17,10 +19,11 @@ from infotraj.cli import (
     load_scenario,
     main,
     render_svg,
+    run_validation_suite,
     scenario_from_dict,
 )
 from infotraj.dynamics import Trajectory, trajectory_to_csv
-from infotraj.hjsolver import hybrid_solve, load_solution
+from infotraj.hjsolver import InstabilityError, final_only, hybrid_solve, load_solution
 from infotraj.matrixcore import LogDetMetric
 from infotraj.trajectories import extract_receding
 
@@ -352,6 +355,75 @@ class TestSolveExtractPlot:
         assert not (tmp_path / "o").exists()
 
 
+class TestStreamedSolve:
+    def test_files_equal_the_in_memory_snapshots(self, pipeline):
+        _, scenario, sol_dir = pipeline
+        sol = hybrid_solve(
+            scenario.build_system(), LogDetMetric(2), scenario.grid(),
+            scenario.initial_information(), scenario.solver,
+        )
+        snaps = json.loads((sol_dir / "manifest.json").read_text())["snapshots"]
+        assert [snap["s"] for snap in snaps] == sol.times.tolist()
+        for snap, phi, phi_z in zip(snaps, sol.phis, sol.phi_zs):
+            assert (sol_dir / snap["phi"]).read_bytes() == phi.astype("<f8").tobytes()
+            assert (sol_dir / snap["phi_z"]).read_bytes() == phi_z.astype("<f8").tobytes()
+        written = sorted(f for f in os.listdir(sol_dir) if f.endswith(".bin"))
+        assert written == sorted(snap[key] for snap in snaps for key in ("phi", "phi_z"))
+
+    def test_resolve_removes_the_manifest_first_and_writes_it_last(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        _, scenario, sol_dir = pipeline
+        out = tmp_path / "solution"
+        shutil.copytree(sol_dir, out)
+        order, manifest_seen = [], []
+        save_array = infotraj.hjsolver.save_array
+
+        def spy_save(path, arr):
+            order.append(os.path.basename(path))
+            manifest_seen.append((out / "manifest.json").exists())
+            save_array(path, arr)
+
+        def spy_writer(write):
+            def spy(path, payload):
+                order.append(os.path.basename(path))
+                write(path, payload)
+            return spy
+
+        monkeypatch.setattr(infotraj.hjsolver, "save_array", spy_save)
+        for module in (infotraj.hjsolver, infotraj.cli):
+            monkeypatch.setattr(module, "write_manifest", spy_writer(module.write_manifest))
+        cmd_solve(scenario, out)
+        assert manifest_seen and not any(manifest_seen)
+        assert order[-1] == "manifest.json" and order.count("manifest.json") == 1
+        assert order.index("phi_0000.bin") < order.index("manifest.json")
+        for name in os.listdir(sol_dir):
+            if name != "timings.json":
+                assert (out / name).read_bytes() == (sol_dir / name).read_bytes()
+
+    def test_instability_mid_march_leaves_no_manifest(
+        self, pipeline, tmp_path, monkeypatch, capsys
+    ):
+        root, _, sol_dir = pipeline
+        out = tmp_path / "solution"
+        shutil.copytree(sol_dir, out)
+        fail_at = json.loads((sol_dir / "timings.json").read_text())["steps"] // 2
+        check_finite = infotraj.hjsolver._check_finite
+
+        def failing(step, s, *arrays):
+            if step == fail_at:
+                raise InstabilityError(step, s)
+            check_finite(step, s, *arrays)
+
+        monkeypatch.setattr(infotraj.hjsolver, "_check_finite", failing)
+        argv = ["solve", "--config", str(root / "scenario.json"), "--out", str(out)]
+        assert main(argv) == 3
+        assert f"step {fail_at} " in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert main(["extract", "--solution", str(out), "--out", str(tmp_path / "o")]) == 2
+        assert "manifest.json" in capsys.readouterr().err
+
+
 class TestRecedingExtract:
     def test_cropped_resolves_and_csvs_match_direct_calls(self, tmp_path, monkeypatch):
         data = small_scenario_dict()
@@ -499,6 +571,44 @@ class TestValidationSuite:
         )
         assert not report.passed
         assert "toy_hybrid_vs_classic" in report.violations
+
+    def test_final_only_solves_leave_the_report_unchanged(self, monkeypatch):
+        suite = {
+            "toy_dx": 0.05,
+            "toy_gradient_dx": 0.025,
+            "_scenario": scenario_from_dict(small_scenario_dict()),
+            "sandwich_legs": 3,
+            "sandwich_segments": 3,
+        }
+        solvers = {
+            (module, name): getattr(module, name)
+            for module, name in (
+                (infotraj.cli, "hybrid_solve"),
+                (infotraj.trajectories, "hybrid_solve"),
+                (infotraj.trajectories, "classic_solve"),
+            )
+        }
+
+        def run(keep_all: bool):
+            final = []
+            for (module, name), solve in solvers.items():
+                def spy(*args, _solve=solve, on_snapshot=None, **kwargs):
+                    final.append(on_snapshot is final_only)
+                    if not keep_all:
+                        kwargs["on_snapshot"] = on_snapshot
+                    return _solve(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, spy)
+            report = run_validation_suite(suite)
+            return json.dumps(report.to_dict(), sort_keys=True), final
+
+        with_helper, final = run(keep_all=False)
+        # toy cross-check 2 x (hybrid, classic), toy and survey gradient checks
+        # 1 + 2 m, the sandwich solve and its 2 receding re-solves
+        assert len(final) == 4 + 3 + 9 + 3
+        assert all(final)
+        without_helper, _ = run(keep_all=True)
+        assert with_helper == without_helper
 
     def test_validate_exit_codes_via_main(self, tmp_path):
         good = tmp_path / "suite_ok.json"

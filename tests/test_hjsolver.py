@@ -21,11 +21,12 @@ from infotraj.hjsolver import (
     bang_bang,
     cfl_dt,
     classic_solve,
+    final_only,
     hybrid_solve,
     info_rate_on_grid,
     lf_rate,
     load_solution,
-    save_solution,
+    solve_to_disk,
 )
 from infotraj.matrixcore import LogDetMetric, unvec, vec
 from infotraj.trajectories import toy_hybrid_vs_classic
@@ -579,19 +580,51 @@ class TestClassicSolve:
         assert np.max(np.abs(mid - expected)[interior]) < 2e-2
 
 
+class TestFinalOnly:
+    def test_hybrid_keeps_the_final_snapshot_alone(self):
+        car = dubins(rate_fn=outer_rate)
+        metric = LogDetMetric(2)
+        grid = GridSpec.vehicle_plane((-100.0, 100.0), (-100.0, 100.0), 7, 7, 8)
+        cfg = SolverConfig(horizon=3.0)
+        full = hybrid_solve(car, metric, grid, vec(np.eye(2)), cfg)
+        final = hybrid_solve(car, metric, grid, vec(np.eye(2)), cfg, on_snapshot=final_only)
+        assert len(full.times) > 2
+        assert final.times.tolist() == [full.horizon]
+        assert len(final.phis) == len(final.phi_zs) == 1
+        assert np.array_equal(final.phi_final(), full.phi_final())
+        assert np.array_equal(final.phi_z_final(), full.phi_z_final())
+        assert np.array_equal(final.value_gradient_final(), full.value_gradient_final())
+        assert final.steps == full.steps
+
+    def test_classic_keeps_the_final_snapshot_alone(self):
+        toy = ToyCascade()
+        metric = LogDetMetric(1)
+        joint = GridSpec((Axis(-2.0, 2.0, 21), Axis(0.4, 5.6, 27)))
+        cfg = SolverConfig(horizon=1.0)
+        full = classic_solve(toy, metric, joint, cfg)
+        final = classic_solve(toy, metric, joint, cfg, on_snapshot=final_only)
+        assert len(full.phis) > 2 and len(final.phis) == 1
+        assert final.times.tolist() == [full.times[-1]]
+        assert np.array_equal(final.phi_final(), full.phi_final())
+
+
 class TestSolutionIO:
     def test_round_trip(self, tmp_path):
         toy = ToyCascade()
         metric = LogDetMetric(1)
         grid = toy_grid(0.1)
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), SolverConfig(horizon=0.5))
+        cfg = SolverConfig(horizon=0.5)
+        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg)
         out = tmp_path / "sol"
-        save_solution(sol, out)
+        streamed = solve_to_disk(out, toy, metric, grid, np.array([1.0]), cfg)
+        assert streamed.times.tolist() == [sol.horizon]
+        assert np.array_equal(streamed.phi_final(), sol.phi_final())
         back = load_solution(out)
         assert np.array_equal(back.times, sol.times)
         assert all(np.array_equal(a, b) for a, b in zip(back.phis, sol.phis))
         assert all(np.array_equal(a, b) for a, b in zip(back.phi_zs, sol.phi_zs))
         assert back.grid == sol.grid
+        assert back.config_hash == sol.config_hash
 
     def test_reruns_byte_identical(self, tmp_path):
         toy = ToyCascade()
@@ -599,9 +632,24 @@ class TestSolutionIO:
         grid = toy_grid(0.1)
         outs = []
         for name in ("a", "b"):
-            sol = hybrid_solve(toy, metric, grid, np.array([1.0]), SolverConfig(horizon=0.5))
             out = tmp_path / name
-            save_solution(sol, out)
+            solve_to_disk(out, toy, metric, grid, np.array([1.0]), SolverConfig(horizon=0.5))
             outs.append(out)
         for fname in ("manifest.json", "phi_0000.bin"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+    def test_load_maps_read_only_and_names_a_wrong_size_file(self, tmp_path):
+        toy = ToyCascade()
+        metric = LogDetMetric(1)
+        out = tmp_path / "sol"
+        solve_to_disk(out, toy, metric, toy_grid(0.1), np.array([1.0]), SolverConfig(horizon=0.5))
+        back = load_solution(out)
+        for arr in back.phis + back.phi_zs:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        del back
+        longer = out / "phiz_0002.bin"
+        longer.write_bytes(longer.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match="phiz_0002.bin"):
+            load_solution(out)

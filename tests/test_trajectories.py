@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -6,13 +7,21 @@ import pytest
 
 import infotraj.hjsolver
 import infotraj.trajectories
-from infotraj.dynamics import DubinsCar, State, ToyCascade, Trajectory
+from infotraj.dynamics import (
+    DubinsCar,
+    State,
+    ToyCascade,
+    Trajectory,
+    cascade_deriv,
+    rk4_step,
+)
 from infotraj.grid import Axis, GridSpec
-from infotraj.hjsolver import SolverConfig, hybrid_solve, info_rate_on_grid
+from infotraj.hjsolver import SolverConfig, final_only, hybrid_solve, info_rate_on_grid
 from infotraj.matrixcore import LogDetMetric, vec
 from infotraj.trajectories import (
     BoundaryExitError,
     _info_rate_and_jacobian,
+    _simulate_control_batch,
     brute_force_value,
     extract_characteristic,
     extract_receding,
@@ -171,13 +180,10 @@ def reference_extract_receding(
     pieces = []
     for k in range(legs):
         remaining = horizon - k * leg_span
-        cfg = replace(
-            config or SolverConfig(horizon=remaining),
-            horizon=remaining,
-            snapshot_stride=10**9,
-        )
+        cfg = replace(config or SolverConfig(horizon=remaining), horizon=remaining)
         sol = hybrid_solve(
-            system, metric, grid, z, cfg, info_rate_field=info_rate_field, workers=workers
+            system, metric, grid, z, cfg, info_rate_field=info_rate_field, workers=workers,
+            on_snapshot=final_only,
         )
         piece = extract_characteristic(sol, system, metric, x, dt, duration=leg_span)
         pieces.append(piece)
@@ -276,7 +282,38 @@ class TestRecedingCropAgainstReference:
             assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
 
 
+def reference_simulate_control_batch(system, x0, z0, control_values, horizon, dt):
+    """The former brute-force batch: every row advances through every
+    segment, shared prefixes included."""
+    batch, segments = control_values.shape
+    seg_span = horizon / segments
+    n_sub = max(1, int(math.ceil(seg_span / dt - 1e-12)))
+    h = seg_span / n_sub
+    y = np.repeat(np.concatenate([x0, z0])[None, :], batch, axis=0)
+    for k in range(segments):
+        deriv = cascade_deriv(system, control_values[:, k][:, None])
+        for _ in range(n_sub):
+            y = rk4_step(system, deriv, y, h)
+    return y[:, system.state_dim :]
+
+
 class TestBruteForce:
+    def test_shared_prefixes_match_the_flat_batch(self, scenario):
+        system = scenario.build_system()
+        x0 = scenario.initial_states[0].as_array()
+        z0 = scenario.initial_information()
+        b = system.control_bound
+        combos = np.array(list(itertools.product((0.0, -b, b), repeat=6)))
+        # every sequence of the shipped sandwich search, shuffled, 40 twice
+        rng = np.random.default_rng(9)
+        vals = np.concatenate([combos, combos[rng.choice(len(combos), 40)]])
+        vals = vals[rng.permutation(len(vals))]
+        got = _simulate_control_batch(system, x0, z0, vals, scenario.solver.horizon, 0.2)
+        want = reference_simulate_control_batch(
+            system, x0, z0, vals, scenario.solver.horizon, 0.2
+        )
+        assert np.array_equal(got, want)
+
     def test_zero_information_returns_coast(self):
         car = DubinsCar(10.0, 0.1, info_rate_fn=None, info_dim=2)
         metric = LogDetMetric(2)
@@ -314,7 +351,6 @@ class TestBruteForce:
 
     def test_batch_simulator_matches_single(self):
         from infotraj.dynamics import AugmentedState, ControlSignal, simulate_open_loop
-        from infotraj.trajectories import _simulate_control_batch
 
         car = DubinsCar(5.0, 0.5, info_rate_fn=None, info_dim=2)
         vals = np.array([[0.5, -0.5, 0.0], [0.0, 0.5, 0.5]])
