@@ -1,9 +1,8 @@
 """Command-line driver: scenario files, solve / extract / plot / validate.
 
 Exit codes: 0 success, 1 validation failure, 2 input error, 3 numerical
-instability. The worker count is capped by the INFOTRAJ_WORKERS environment
-variable and by the CPU count. All artifacts are deterministic for a fixed
-configuration; wall clock timings are segregated into timings.json.
+instability. All artifacts are deterministic for a fixed configuration;
+wall clock timings are segregated into timings.json.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ CHI2_2DOF_95 = -2.0 * math.log(0.05)
 
 
 class ScenarioError(ValueError):
-    """An input (scenario or suite file, option or environment variable)
-    failed to parse or validate; names the offending field, file or variable."""
+    """An input (scenario or suite file, or option) failed to parse or
+    validate; names the offending field, file or option."""
 
 
 def _require(condition: bool, where: str, message: str) -> None:
@@ -356,21 +355,6 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(_read_json(path), where=str(path))
 
 
-def worker_count(requested: int) -> int:
-    """The requested worker count, capped by INFOTRAJ_WORKERS and the CPU
-    count; either one below 1 names itself."""
-    _require(requested >= 1, f"--workers {requested}", "must be at least 1")
-    cap = os.environ.get("INFOTRAJ_WORKERS")
-    if cap is not None:
-        try:
-            cap_count = int(cap)
-        except ValueError as exc:
-            raise ScenarioError(f"INFOTRAJ_WORKERS={cap!r}: expected an integer") from exc
-        _require(cap_count >= 1, f"INFOTRAJ_WORKERS={cap!r}", "must be at least 1")
-        requested = min(requested, cap_count)
-    return min(requested, os.cpu_count() or 1)
-
-
 def solution_fingerprints(scenario: Scenario) -> dict:
     """The sensor-suite hash and the solver config hash that a solution of
     this scenario carries in its manifest."""
@@ -383,7 +367,7 @@ def solution_fingerprints(scenario: Scenario) -> dict:
     }
 
 
-def cmd_solve(scenario: Scenario, out_dir, workers: int = 1) -> None:
+def cmd_solve(scenario: Scenario, out_dir) -> None:
     """Solve the scenario and stream the solution artifacts to out_dir; the
     manifest is the last file written."""
     system = scenario.build_system()
@@ -392,7 +376,7 @@ def cmd_solve(scenario: Scenario, out_dir, workers: int = 1) -> None:
     write_manifest(os.path.join(out_dir, "scenario.json"), scenario.to_dict())
     solve_to_disk(
         out_dir, system, metric, scenario.grid(), scenario.initial_information(),
-        scenario.solver, extras=solution_fingerprints(scenario), workers=workers,
+        scenario.solver, extras=solution_fingerprints(scenario),
     )
 
 
@@ -411,8 +395,7 @@ def _shape_metrics(traj, prior_mean) -> dict:
     }
 
 
-def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario] = None,
-                workers: int = 1) -> dict:
+def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario] = None) -> dict:
     """Extract trajectories from a stored solution; one CSV per initial state.
 
     The scenario (by default the solution's own scenario.json) must carry the
@@ -448,7 +431,7 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
 
     ell = None
     if scenario.extraction_mode == "receding":
-        ell = info_rate_on_grid(system, solution.grid, workers=workers)
+        ell = info_rate_on_grid(system, solution.grid)
 
     summary = {"trajectories": []}
     for idx, start in enumerate(starts):
@@ -461,7 +444,6 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
                 legs=scenario.extraction_legs,
                 dt=scenario.extraction_dt,
                 info_rate_field=ell,
-                workers=workers,
             )
         else:
             traj = extract_characteristic(
@@ -563,7 +545,7 @@ def cmd_plot(in_dir, out_file, scenario: Optional[Scenario] = None) -> None:
         fh.write(render_svg(trajectories, mean, cov))
 
 
-def run_validation_suite(suite: dict, workers: int = 1) -> ValidationReport:
+def run_validation_suite(suite: dict) -> ValidationReport:
     """Run the oracle suite: toy cross-check, gradient-consistency checks,
     characteristic residuals, and the brute-force optimality sandwich."""
     report = ValidationReport()
@@ -608,7 +590,6 @@ def run_validation_suite(suite: dict, workers: int = 1) -> ValidationReport:
             coarse_grid,
             scenario.initial_information(),
             SolverConfig(horizon=horizon, cfl_number=scenario.solver.cfl_number),
-            workers=workers,
         )
         report.add(
             "survey_gradient_consistency",
@@ -621,16 +602,16 @@ def run_validation_suite(suite: dict, workers: int = 1) -> ValidationReport:
         if suite.get("sandwich", True):
             grid = scenario.grid()
             z0 = scenario.initial_information()
-            ell = info_rate_on_grid(system, grid, workers=workers)
+            ell = info_rate_on_grid(system, grid)
             solution = hybrid_solve(
                 system, metric, grid, z0, scenario.solver, info_rate_field=ell,
-                workers=workers, on_snapshot=final_only,
+                on_snapshot=final_only,
             )
             x0 = scenario.initial_states[0]
             char = extract_characteristic(solution, system, metric, x0, scenario.extraction_dt)
             best = extract_receding(
                 solution, system, metric, x0, legs=suite.get("sandwich_legs", 6),
-                dt=scenario.extraction_dt, info_rate_field=ell, workers=workers,
+                dt=scenario.extraction_dt, info_rate_field=ell,
             )
             bf_cost, _ = brute_force_value(
                 system, metric, x0, z0, scenario.solver.horizon,
@@ -668,12 +649,12 @@ def run_validation_suite(suite: dict, workers: int = 1) -> ValidationReport:
     return report
 
 
-def cmd_validate(suite_path, workers: int = 1) -> ValidationReport:
+def cmd_validate(suite_path) -> ValidationReport:
     suite = _read_json(suite_path)
     if "scenario" in suite:
         scen_path = os.path.join(os.path.dirname(str(suite_path)), suite["scenario"])
         suite["_scenario"] = load_scenario(scen_path)
-    report = run_validation_suite(suite, workers=workers)
+    report = run_validation_suite(suite)
     out_path = suite.get("report", None)
     if out_path:
         write_manifest(out_path, report.to_dict())
@@ -686,7 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Information-optimal vehicle trajectories from a hybrid "
         "method-of-lines Hamilton-Jacobi solver",
     )
-    parser.add_argument("--workers", type=int, default=1, help="worker thread cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_solve = sub.add_parser("solve", help="solve a scenario and store the value fields")
@@ -721,12 +701,17 @@ def _parse_x0(chunk: str) -> list:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top level takes no option but help; name a stray one before
+    # argparse reads its value as the command
+    if argv and argv[0].startswith("-") and argv[0] not in ("-h", "--help"):
+        parser.error(f"unrecognized arguments: {argv[0]}")
+    args = parser.parse_args(argv)
     try:
-        workers = worker_count(args.workers)
         if args.command == "solve":
             scenario = load_scenario(args.config)
-            cmd_solve(scenario, args.out, workers=workers)
+            cmd_solve(scenario, args.out)
             print(f"solution written to {args.out}")
             return EXIT_OK
         if args.command == "extract":
@@ -734,9 +719,7 @@ def main(argv=None) -> int:
             x0_list = None
             if args.x0 is not None:
                 x0_list = [_parse_x0(chunk) for chunk in args.x0]
-            summary = cmd_extract(
-                args.solution, args.out, x0_list=x0_list, scenario=scenario, workers=workers
-            )
+            summary = cmd_extract(args.solution, args.out, x0_list=x0_list, scenario=scenario)
             for entry in summary["trajectories"]:
                 print(
                     f"{entry['file']}: cost {entry['cost']:.6f}, gain "
@@ -750,7 +733,7 @@ def main(argv=None) -> int:
             print(f"figure written to {args.out}")
             return EXIT_OK
         if args.command == "validate":
-            report = cmd_validate(args.suite, workers=workers)
+            report = cmd_validate(args.suite)
             for name, entry in report.checks.items():
                 status = "pass" if entry["passed"] else "FAIL"
                 detail = {k: v for k, v in entry.items() if k != "passed"}

@@ -30,8 +30,8 @@ import hashlib
 import json
 import math
 import os
+import re
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -49,6 +49,8 @@ from infotraj.grid import (
 from infotraj.matrixcore import TerminalMetric, unvec
 
 POLICY_TIE_EPS = 1e-12
+# the names solve_to_disk gives snapshot files
+SNAPSHOT_FILE = re.compile(r"phiz?_[0-9]{4}\.bin")
 
 
 class InstabilityError(RuntimeError):
@@ -157,28 +159,10 @@ def cfl_dt(grid: GridSpec, alpha, cfl_number: float) -> float:
     return cfl_number / denom
 
 
-def info_rate_on_grid(system: CascadeSystem, grid: GridSpec, workers: int = 1) -> np.ndarray:
-    """vec(Q) at every grid node, shape grid.shape + (m,).
-
-    The evaluation is embarrassingly parallel: worker threads fill disjoint
-    row blocks, so the result is identical for any worker count. The thread
-    count is capped by the node count and the CPU count.
-    """
-    mesh = grid.mesh().reshape(-1, grid.ndim)
-    npts = mesh.shape[0]
-    workers = min(workers, npts, os.cpu_count() or 1)
-    if workers <= 1:
-        flat = system.info_rate(mesh)
-    else:
-        flat = np.empty((npts, system.info_len))
-        bounds = np.linspace(0, npts, workers + 1).astype(int)
-
-        def fill(k):
-            lo, hi = bounds[k], bounds[k + 1]
-            flat[lo:hi] = system.info_rate(mesh[lo:hi])
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(len(bounds) - 1)))
+def info_rate_on_grid(system: CascadeSystem, grid: GridSpec) -> np.ndarray:
+    """vec(Q) at every grid node, shape grid.shape + (m,), from one batched
+    info_rate call over the flattened mesh."""
+    flat = system.info_rate(grid.mesh().reshape(-1, grid.ndim))
     return flat.reshape(grid.shape + (system.info_len,))
 
 
@@ -253,7 +237,6 @@ def solve_to_disk(
     z0: np.ndarray,
     config: SolverConfig,
     extras: Optional[dict] = None,
-    workers: int = 1,
 ) -> HybridSolution:
     """Solve and persist the solution, one snapshot at a time.
 
@@ -262,7 +245,9 @@ def solve_to_disk(
     float64 little-endian, row-major in (iX, iY, ipsi[, j]) order. Any
     manifest.json already in out_dir is removed before the first snapshot
     is written and the new one is written last, so a failed or
-    half-overwritten directory never loads as a solution. Wall-clock
+    half-overwritten directory never loads as a solution; the snapshot
+    files of an earlier solve go with the old manifest, so the directory's
+    snapshot files are exactly the ones its manifest names. Wall-clock
     timings (total and per-phase seconds) and the step count go to a
     separate timings.json so that repeated runs with the same configuration
     produce byte-identical manifests and fields. extras (e.g. a sensor-suite
@@ -273,6 +258,9 @@ def solve_to_disk(
     manifest_path = os.path.join(out_dir, "manifest.json")
     if os.path.lexists(manifest_path):
         os.remove(manifest_path)
+    for name in os.listdir(out_dir):
+        if SNAPSHOT_FILE.fullmatch(name):
+            os.remove(os.path.join(out_dir, name))
     snapshots = []
 
     def write(s, phi, phi_z):
@@ -282,7 +270,7 @@ def solve_to_disk(
         save_array(os.path.join(out_dir, entry["phi_z"]), phi_z)
         snapshots.append(entry)
 
-    solution = hybrid_solve(system, metric, grid, z0, config, workers=workers, on_snapshot=write)
+    solution = hybrid_solve(system, metric, grid, z0, config, on_snapshot=write)
     timings = {
         "wall_time_s": solution.wall_time,
         "field_s": solution.field_time,
@@ -420,7 +408,9 @@ def _march(
     at most dt, where step(fields, h) advances the list in place.
 
     Snapshots are taken at s = 0, every config.snapshot_stride steps (0:
-    about 24 in all) and at the horizon. Without on_snapshot the march keeps
+    about 24 in all) and at the horizon. The march ends once s is within
+    1e-12 of config.horizon, and the final snapshot is labelled
+    config.horizon itself. Without on_snapshot the march keeps
     a copy of each. With it, each snapshot is handed to on_snapshot(s,
     *fields) as soon as it is taken, as the live fields (valid until the
     call returns), and none is kept: the one snapshot returned is the final
@@ -451,11 +441,14 @@ def _march(
         step(fields, h)
         s += h
         count += 1
+        last = s >= config.horizon - 1e-12
+        if last:
+            s = config.horizon
         t0 = clock()
         _check_finite(count, s, *fields)
         t1 = clock()
         timers["check"] += t1 - t0
-        if count % stride == 0 or s >= config.horizon - 1e-12:
+        if count % stride == 0 or last:
             on_snapshot(s, *fields)
             timers["snapshot"] += clock() - t1
     if not keep_copies:
@@ -470,7 +463,6 @@ def hybrid_solve(
     z0: np.ndarray,
     config: SolverConfig,
     info_rate_field: Optional[np.ndarray] = None,
-    workers: int = 1,
     on_snapshot=None,
 ) -> HybridSolution:
     """Co-evolve phi (value) and Phi (value gradient in z) on the x grid.
@@ -516,7 +508,7 @@ def hybrid_solve(
     t_start = _time.perf_counter()
     timers = {"field": 0.0, "flow": 0.0, "transport": 0.0, "check": 0.0, "snapshot": 0.0}
     if info_rate_field is None:
-        info_rate_field = info_rate_on_grid(system, grid, workers=workers)
+        info_rate_field = info_rate_on_grid(system, grid)
         timers["field"] = _time.perf_counter() - t_start
     ell = np.asarray(info_rate_field, dtype=float)
     if ell.shape != grid.shape + (system.info_len,):

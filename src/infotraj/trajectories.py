@@ -190,7 +190,6 @@ def extract_receding(
     legs: int,
     dt: float,
     info_rate_field: Optional[np.ndarray] = None,
-    workers: int = 1,
 ) -> Trajectory:
     """Closed-loop extraction: before each leg, re-solve the value function
     with the information collected so far as the new initial state.
@@ -219,11 +218,9 @@ def extract_receding(
     if legs < 1:
         raise ValueError("need at least one leg")
     grid = solution.grid
-    # the horizon the final snapshot holds: the march may stop up to 1e-12
-    # short of config.horizon, and leg 0 must span exactly that snapshot
     horizon = solution.horizon
     if info_rate_field is None and legs > 1:
-        info_rate_field = info_rate_on_grid(system, grid, workers=workers)
+        info_rate_field = info_rate_on_grid(system, grid)
     bounds = system.rate_bounds()
 
     leg_span = horizon / legs
@@ -236,8 +233,7 @@ def extract_receding(
             sub, idx = grid.window(x, bounds * remaining)
             sol = hybrid_solve(
                 system, metric, sub, z, replace(solution.config, horizon=remaining),
-                info_rate_field=info_rate_field[idx], workers=workers,
-                on_snapshot=final_only,
+                info_rate_field=info_rate_field[idx], on_snapshot=final_only,
             )
         piece = extract_characteristic(sol, system, metric, x, dt, duration=leg_span)
         pieces.append(piece)
@@ -408,57 +404,6 @@ class ValidationReport:
         }
 
 
-def validate(
-    solution: Optional[HybridSolution],
-    trajectory: Optional[Trajectory],
-    oracle_results: Optional[dict] = None,
-    thresholds: Optional[dict] = None,
-) -> ValidationReport:
-    """Assemble a validation report from a solution, an extracted trajectory,
-    and externally computed oracle results (each entry: measured value,
-    threshold, direction)."""
-    thresholds = thresholds or {}
-    report = ValidationReport()
-
-    if solution is not None:
-        finite = all(np.all(np.isfinite(p)) for p in solution.phis) and all(
-            np.all(np.isfinite(p)) for p in solution.phi_zs
-        )
-        report.add("fields_finite", finite)
-        # longer horizons cannot cost more (up to dissipation error)
-        tol = thresholds.get("monotonicity_slack", 1e-9)
-        worst = 0.0
-        for k in range(1, len(solution.times)):
-            worst = max(worst, float(np.max(solution.phis[k] - solution.phis[k - 1])))
-        report.add("value_monotone_in_horizon", worst <= tol, worst_increase=worst, slack=tol)
-
-    if trajectory is not None and trajectory.residuals:
-        res = trajectory.residuals
-        limit = thresholds.get("costate_terminal_ratio", 0.1)
-        ratio = res["costate_terminal_norm"] / max(res["costate_initial_norm"], 1e-300)
-        report.add(
-            "costate_terminal_residual",
-            ratio <= limit,
-            ratio=ratio,
-            limit=limit,
-        )
-        limit = thresholds.get("info_costate_gap_rel", 0.05)
-        report.add(
-            "info_costate_consistency",
-            res["info_costate_gap_rel"] <= limit,
-            gap_rel=res["info_costate_gap_rel"],
-            limit=limit,
-        )
-
-    for name, entry in (oracle_results or {}).items():
-        measured = entry["measured"]
-        limit = entry["limit"]
-        direction = entry.get("direction", "<=")
-        ok = measured <= limit if direction == "<=" else measured >= limit
-        report.add(name, ok, measured=measured, limit=limit, direction=direction)
-    return report
-
-
 def gradient_consistency_check(
     system: CascadeSystem,
     metric: TerminalMetric,
@@ -468,7 +413,6 @@ def gradient_consistency_check(
     delta: float = 1e-5,
     interior_margin: int = 2,
     info_rate_field: Optional[np.ndarray] = None,
-    workers: int = 1,
 ) -> dict:
     """Compare the gradient field against central differences of re-solves.
 
@@ -477,12 +421,12 @@ def gradient_consistency_check(
     approximation to the initial information state.
     """
     if info_rate_field is None:
-        info_rate_field = info_rate_on_grid(system, grid, workers=workers)
+        info_rate_field = info_rate_on_grid(system, grid)
 
     def final_solve(z):
         return hybrid_solve(
             system, metric, grid, z, config, info_rate_field=info_rate_field,
-            workers=workers, on_snapshot=final_only,
+            on_snapshot=final_only,
         )
 
     sol = final_solve(z0)

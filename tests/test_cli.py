@@ -193,13 +193,12 @@ class TestSolveExtractPlot:
 
     def test_solve_deterministic_across_runs_and_workers(self, pipeline, tmp_path):
         _, scenario, sol_dir = pipeline
-        for workers in (2, 8):
-            other = tmp_path / f"again_{workers}"
-            cmd_solve(scenario, other, workers=workers)
-            assert (other / "manifest.json").read_bytes() == (sol_dir / "manifest.json").read_bytes()
-            names = [f for f in os.listdir(sol_dir) if f.endswith(".bin")]
-            for name in names:
-                assert (other / name).read_bytes() == (sol_dir / name).read_bytes()
+        other = tmp_path / "again"
+        cmd_solve(scenario, other)
+        assert (other / "manifest.json").read_bytes() == (sol_dir / "manifest.json").read_bytes()
+        names = [f for f in os.listdir(sol_dir) if f.endswith(".bin")]
+        for name in names:
+            assert (other / name).read_bytes() == (sol_dir / name).read_bytes()
 
     def test_extract_writes_csv_and_summary(self, pipeline):
         root, scenario, sol_dir = pipeline
@@ -253,6 +252,19 @@ class TestSolveExtractPlot:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["solve", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_removed_workers_flag_exits_2_naming_it(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("an unknown option must be rejected before any solve")
+
+        monkeypatch.setattr(infotraj.cli, "cmd_solve", refuse)
+        argv = ["--workers", "2", "solve", "--config", str(FIG2), "--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
     @pytest.mark.parametrize("x0", ["a,b,c", "1,2", "1,2,nan"])
@@ -369,6 +381,27 @@ class TestStreamedSolve:
             assert (sol_dir / snap["phi_z"]).read_bytes() == phi_z.astype("<f8").tobytes()
         written = sorted(f for f in os.listdir(sol_dir) if f.endswith(".bin"))
         assert written == sorted(snap[key] for snap in snaps for key in ("phi", "phi_z"))
+
+    def test_resolve_with_fewer_snapshots_leaves_no_stale_files(self, tmp_path):
+        out = tmp_path / "solution"
+
+        def solve(stride):
+            data = small_scenario_dict()
+            data["solver"]["snapshot_stride"] = stride
+            cmd_solve(scenario_from_dict(data), out)
+            snaps = json.loads((out / "manifest.json").read_text())["snapshots"]
+            return sorted(snap[key] for snap in snaps for key in ("phi", "phi_z"))
+
+        every_step = solve(1)
+        named = solve(5)
+        assert len(named) < len(every_step)
+        assert sorted(f for f in os.listdir(out) if f.endswith(".bin")) == named
+        # only exact snapshot names are the solver's to remove
+        decoys = ("phi_00001.bin", "phiz_12.bin", "phi_0000.bin.orig")
+        for name in decoys:
+            (out / name).write_bytes(b"keep")
+        solve(5)
+        assert all((out / name).read_bytes() == b"keep" for name in decoys)
 
     def test_resolve_removes_the_manifest_first_and_writes_it_last(
         self, pipeline, tmp_path, monkeypatch
@@ -498,58 +531,6 @@ class TestRenderSvg:
         a = render_svg([traj], np.zeros(2), 100.0 * np.eye(2))
         b = render_svg([traj], np.zeros(2), 100.0 * np.eye(2))
         assert a == b
-
-
-class TestWorkerEnvCap:
-    def test_env_caps_workers(self, monkeypatch):
-        from infotraj.cli import worker_count
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 16)  # isolate the env cap
-        monkeypatch.setenv("INFOTRAJ_WORKERS", "2")
-        assert worker_count(8) == 2
-        monkeypatch.delenv("INFOTRAJ_WORKERS")
-        assert worker_count(8) == 8
-
-    def test_cpu_count_caps_workers(self, monkeypatch):
-        from infotraj.cli import worker_count
-
-        monkeypatch.delenv("INFOTRAJ_WORKERS", raising=False)
-        assert worker_count(10**6) == (os.cpu_count() or 1)
-
-    def test_malformed_env_exits_2_naming_it(self, monkeypatch, tmp_path, capsys):
-        monkeypatch.setenv("INFOTRAJ_WORKERS", "abc")
-        suite = tmp_path / "suite.json"
-        suite.write_text(json.dumps({"toy_dx": 0.05}))
-        assert main(["validate", "--suite", str(suite)]) == 2
-        assert "INFOTRAJ_WORKERS" in capsys.readouterr().err
-
-    @pytest.fixture
-    def no_solve(self, monkeypatch):
-        """Fail on any solve or thread pool, so a rejected count starts neither."""
-        import infotraj.cli as cli
-        import infotraj.hjsolver as hj
-
-        def refuse(*args, **kwargs):
-            pytest.fail("a worker count below 1 must be rejected before any work")
-
-        monkeypatch.setattr(cli, "cmd_solve", refuse)
-        monkeypatch.setattr(hj, "ThreadPoolExecutor", refuse)
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_exits_2(self, no_solve, monkeypatch, capsys, workers):
-        monkeypatch.delenv("INFOTRAJ_WORKERS", raising=False)
-        argv = ["--workers", workers, "solve", "--config", str(FIG2), "--out", "unused"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"--workers {workers}" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("cap", ["0", "-2"])
-    def test_env_below_one_exits_2(self, no_solve, monkeypatch, capsys, cap):
-        monkeypatch.setenv("INFOTRAJ_WORKERS", cap)
-        argv = ["solve", "--config", str(FIG2), "--out", "unused"]
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert f"INFOTRAJ_WORKERS='{cap}'" in err and "Traceback" not in err
 
 
 class TestValidationSuite:

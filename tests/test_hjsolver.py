@@ -1,3 +1,4 @@
+import json
 import math
 import os
 from collections import namedtuple
@@ -499,46 +500,6 @@ class TestHybridSolve:
         with pytest.raises((InstabilityError, ValueError)):
             hybrid_solve(car, metric, grid, vec(np.eye(2)), SolverConfig(horizon=1.0))
 
-    def test_deterministic_across_worker_counts(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 16)  # isolate from the CPU cap
-        car = dubins(rate_fn=outer_rate)
-        grid = GridSpec.vehicle_plane((-100.0, 100.0), (-100.0, 100.0), 9, 9, 8)
-        a = info_rate_on_grid(car, grid, workers=1)
-        b = info_rate_on_grid(car, grid, workers=3)
-        c = info_rate_on_grid(car, grid, workers=8)
-        assert np.array_equal(a, b) and np.array_equal(a, c)
-
-    @pytest.mark.parametrize(
-        "cpus,workers,shape,expected",
-        [(4, 10**6, (9, 9, 8), 4), (64, 100, (3, 3, 3), 27), (64, 5, (9, 9, 8), 5)],
-        ids=["cpu_count", "node_count", "requested"],
-    )
-    def test_thread_count_capped(self, monkeypatch, cpus, workers, shape, expected):
-        seen = []
-
-        class RecordingPool:
-            """Records max_workers and runs the blocks in this thread."""
-
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(hjsolver, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        car = dubins(rate_fn=outer_rate)
-        grid = GridSpec.vehicle_plane((-100.0, 100.0), (-100.0, 100.0), *shape)
-        out = info_rate_on_grid(car, grid, workers=workers)
-        assert seen == [expected]
-        assert np.array_equal(out, info_rate_on_grid(car, grid, workers=1))
-
 
 class TestClassicSolve:
     def test_refuses_high_dimension(self):
@@ -606,6 +567,23 @@ class TestFinalOnly:
         assert len(full.phis) > 2 and len(final.phis) == 1
         assert final.times.tolist() == [full.times[-1]]
         assert np.array_equal(final.phi_final(), full.phi_final())
+
+
+class TestFinalHorizon:
+    def test_toy_and_streamed_solves_end_at_the_configured_horizon(self, tmp_path):
+        # 241 nodes: the summed steps fall an ulp short of 1.0, which the
+        # final snapshot must not inherit
+        toy = ToyCascade()
+        metric = LogDetMetric(1)
+        grid = GridSpec((Axis(-2.0, 2.0, 241),))
+        cfg = SolverConfig(horizon=1.0)
+        full = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg)
+        final = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg, on_snapshot=final_only)
+        assert full.horizon == final.horizon == cfg.horizon
+        solve_to_disk(tmp_path, toy, metric, grid, np.array([1.0]), cfg)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["snapshots"][-1]["s"] == cfg.horizon
+        assert load_solution(tmp_path).horizon == cfg.horizon
 
 
 class TestSolutionIO:

@@ -1,0 +1,55 @@
+"""Every top-level import of a library or test module is used by it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parents[1]
+MODULES = sorted(
+    p for p in (REPO / "src" / "infotraj").glob("*.py") if p.name != "__init__.py"
+) + sorted((REPO / "tests").glob("*.py"))
+
+
+def _dotted(node):
+    """'a.b.c' for the expression a.b.c, None for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id] + parts[::-1])
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by the module's top-level imports that it never reads; a
+    dotted `import a.b` counts as used only where a.b itself is read."""
+    tree = ast.parse(source)
+    bound = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            bound += [alias.asname or alias.name for alias in stmt.names]
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            bound += [alias.asname or alias.name for alias in stmt.names if alias.name != "*"]
+    used = set()
+    for node in ast.walk(tree):
+        name = _dotted(node) if isinstance(node, (ast.Name, ast.Attribute)) else None
+        while name:
+            used.add(name)
+            name = name.rpartition(".")[0]
+    return [name for name in bound if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_top_level_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_unused_names():
+    source = (
+        "import os\nimport infotraj.cli\nimport infotraj.grid\n"
+        "from math import pi, tau as turn\n"
+        "print(infotraj.grid.Axis, turn)\n"
+    )
+    assert unused_imports(source) == ["os", "infotraj.cli", "pi"]

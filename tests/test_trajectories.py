@@ -20,13 +20,13 @@ from infotraj.hjsolver import SolverConfig, final_only, hybrid_solve, info_rate_
 from infotraj.matrixcore import LogDetMetric, vec
 from infotraj.trajectories import (
     BoundaryExitError,
+    ValidationReport,
     _info_rate_and_jacobian,
     _simulate_control_batch,
     brute_force_value,
     extract_characteristic,
     extract_receding,
     gradient_consistency_check,
-    validate,
 )
 
 
@@ -165,14 +165,14 @@ class TestConcurrentExtraction:
 
 def reference_extract_receding(
     system, metric, grid, x0, z0, horizon, legs, config=None, dt=0.05,
-    info_rate_field=None, workers=1,
+    info_rate_field=None,
 ):
     """The former receding extractor: every leg, leg 0 included, re-solves
     the value function on the full grid."""
     if legs < 1:
         raise ValueError("need at least one leg")
     if info_rate_field is None:
-        info_rate_field = info_rate_on_grid(system, grid, workers=workers)
+        info_rate_field = info_rate_on_grid(system, grid)
 
     leg_span = horizon / legs
     z = np.asarray(z0, dtype=float).copy()
@@ -182,8 +182,7 @@ def reference_extract_receding(
         remaining = horizon - k * leg_span
         cfg = replace(config or SolverConfig(horizon=remaining), horizon=remaining)
         sol = hybrid_solve(
-            system, metric, grid, z, cfg, info_rate_field=info_rate_field, workers=workers,
-            on_snapshot=final_only,
+            system, metric, grid, z, cfg, info_rate_field=info_rate_field, on_snapshot=final_only,
         )
         piece = extract_characteristic(sol, system, metric, x, dt, duration=leg_span)
         pieces.append(piece)
@@ -386,23 +385,38 @@ class TestValidationReport:
     def test_all_pass(self, toy_setup):
         toy, metric, grid, sol = toy_setup
         traj = extract_characteristic(sol, toy, metric, np.array([0.5]), dt=0.01)
-        report = validate(sol, traj)
+        res = traj.residuals
+        ratio = res["costate_terminal_norm"] / res["costate_initial_norm"]
+        assert ratio <= 0.1
+        assert res["info_costate_gap_rel"] <= 0.05
+        report = ValidationReport()
+        report.add("costate_terminal_residual", ratio <= 0.1, ratio=ratio, limit=0.1)
+        report.add("info_costate_consistency", True, gap_rel=res["info_costate_gap_rel"])
         assert report.passed
         assert report.violations == []
 
     def test_threshold_flags_failures(self):
-        report = validate(None, None, {"gap": {"measured": 0.5, "limit": 0.1}})
+        report = ValidationReport()
+        report.add("residual", True, ratio=0.01, limit=0.1)
+        report.add("gap", 0.5 <= 0.1, measured=0.5, limit=0.1)
         assert not report.passed
         assert report.violations == ["gap"]
 
-    def test_serializable(self, toy_setup):
+    def test_serializable(self):
         import json
 
-        toy, metric, grid, sol = toy_setup
-        traj = extract_characteristic(sol, toy, metric, np.array([0.5]), dt=0.01)
-        report = validate(sol, traj)
-        text = json.dumps(report.to_dict())
-        assert "costate_terminal_residual" in text
+        report = ValidationReport()
+        report.add("costate_terminal_residual", True, ratio=np.float64(0.01), limit=0.1)
+        report.add("gap", False, measured=0.5)
+        back = json.loads(json.dumps(report.to_dict()))
+        assert back == {
+            "passed": False,
+            "violations": ["gap"],
+            "checks": {
+                "costate_terminal_residual": {"passed": True, "ratio": 0.01, "limit": 0.1},
+                "gap": {"passed": False, "measured": 0.5},
+            },
+        }
 
 
 class TestGradientConsistencyCheck:
