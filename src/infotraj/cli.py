@@ -414,6 +414,15 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
         solution = load_solution(solution_dir)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ScenarioError(f"{solution_dir}: cannot load the solution: {exc}") from exc
+    # solve_to_disk never writes a non-finite field (the march raises
+    # InstabilityError first), so one here is a corrupt file: exit 2
+    final = manifest["snapshots"][-1]
+    for key, values in (("phi", solution.phi_final()), ("phi_z", solution.phi_z_final())):
+        _require(
+            bool(np.all(np.isfinite(values))),
+            os.path.join(str(solution_dir), final[key]),
+            "holds non-finite values",
+        )
     for key, value in solution_fingerprints(scenario).items():
         _require(
             manifest.get(key) == value,
@@ -611,7 +620,7 @@ def run_validation_suite(suite: dict) -> ValidationReport:
             char = extract_characteristic(solution, system, metric, x0, scenario.extraction_dt)
             best = extract_receding(
                 solution, system, metric, x0, legs=suite.get("sandwich_legs", 6),
-                dt=scenario.extraction_dt, info_rate_field=ell,
+                dt=scenario.extraction_dt, info_rate_field=ell, characteristic=char,
             )
             bf_cost, _ = brute_force_value(
                 system, metric, x0, z0, scenario.solver.horizon,

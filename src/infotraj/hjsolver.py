@@ -18,10 +18,15 @@ with forward Euler steps under the CFL limit:
 * hybrid_solve: grid over x only; the gradient of the value with respect to
   the information state is co-evolved by a pointwise ODE (curvature
   contraction plus advection along the optimal flow by the same LF scheme),
-  with no z grid. phi and Phi march as one component-major stack, and one
-  lf_rate call returns both rates from one set of ghost-row differences
-  per axis. Its dissipation is one constant per axis, the system's rate
-  bound.
+  with no z grid. Phi is the gradient with respect to the vectorized
+  information matrix, a symmetric matrix itself, so the march carries its
+  p (p + 1) / 2 distinct entries (matrixcore.sym_pack), not its p**2 vec
+  entries. phi and those entries march as one component-major stack: the
+  flow updates them in place, and one lf_rate call returns every rate from
+  one set of ghost-row differences per axis. Its dissipation is one
+  constant per axis, the system's rate bound, and the sensitivity
+  coefficients of the control-free axes are built once per solve.
+  Snapshots carry Phi in the (..., p**2) vec layout.
 """
 
 from __future__ import annotations
@@ -46,9 +51,11 @@ from infotraj.grid import (
     upwind_gradients,
     write_manifest,
 )
-from infotraj.matrixcore import TerminalMetric, unvec
+from infotraj.matrixcore import FLOW_WORK, TerminalMetric, sym_pack, sym_unpack, unvec
 
 POLICY_TIE_EPS = 1e-12
+# nodes per info_rate call when info_rate_on_grid evaluates a field
+FIELD_CHUNK_ROWS = 4096
 # the names solve_to_disk gives snapshot files
 SNAPSHOT_FILE = re.compile(r"phiz?_[0-9]{4}\.bin")
 
@@ -83,7 +90,39 @@ def bang_bang(switching, bound: float):
     return np.where(np.abs(switching) <= POLICY_TIE_EPS, 0.0, -bound * np.sign(switching))
 
 
-def lf_rate(minus, plus, drift, g, bound: float, alpha):
+@dataclass
+class LFPlan:
+    """What lf_rate reuses across the steps of one march over a stack of
+    shape (k, *nodes): the sensitivity coefficients ((w_i - alpha_i) / 2,
+    (w_i + alpha_i) / 2) of every axis with g_i = 0, where w_i = f_i does not
+    depend on the control (None on the other axes, and on every axis when
+    k = 1), and the scratch arrays the rate is written into.
+
+    lf_rate keeps nothing in work between calls, so it has FLOW_WORK rows
+    (at least the 5 lf_rate uses) and the march's flow computes in it too."""
+
+    fixed: list
+    out: np.ndarray  # (k, *nodes): the rate lf_rate returns
+    work: np.ndarray  # (max(5, FLOW_WORK), *nodes)
+    prod: np.ndarray  # (k - 1, *nodes)
+
+
+def lf_plan(drift, g, alpha, shape) -> LFPlan:
+    """LFPlan for lf_rate over a stack of shape (k, *nodes)."""
+    k, nodes = shape[0], tuple(shape[1:])
+    fixed = []
+    for f, g_i, a in zip(drift, g, alpha):
+        if k == 1 or g_i != 0.0:
+            fixed.append(None)
+            continue
+        # w / 2 -+ alpha / 2, exactly as lf_rate forms them on a control axis
+        half_w = np.multiply(f, 0.5)
+        fixed.append((np.subtract(half_w, 0.5 * a), np.add(half_w, 0.5 * a)))
+    work = np.empty((max(5, FLOW_WORK),) + nodes)
+    return LFPlan(fixed, np.empty((k,) + nodes), work, np.empty((k - 1,) + nodes))
+
+
+def lf_rate(minus, plus, drift, g, bound: float, alpha, plan=None):
     """Lax-Friedrichs numerical Hamiltonian, forward in horizon, over a
     component-major stack.
 
@@ -101,8 +140,11 @@ def lf_rate(minus, plus, drift, g, bound: float, alpha):
 
         sum_i (w_i - alpha_i) / 2 D-_i + (w_i + alpha_i) / 2 D+_i.
 
-    Returns the (k, *nodes) rate and u*. hybrid_solve passes the (D-, D+)
-    views of its ghost-row difference buffers; a solver over joint (x, z)
+    plan (lf_plan, built here when None) holds the coefficients of the axes
+    with g_i = 0 and the scratch arrays. Returns the (k, *nodes) rate, which
+    is plan.out and is overwritten by the next call with the same plan, and
+    u*. hybrid_solve passes the (D-, D+) views of its ghost-row difference
+    buffers and one plan for its whole march; a solver over joint (x, z)
     axes passes the value alone (k = 1), with the information rates as the
     drift of the z axes and g = 0 there.
     """
@@ -111,14 +153,15 @@ def lf_rate(minus, plus, drift, g, bound: float, alpha):
         *(np.shape(m)[1:] for m in minus), *(np.shape(f) for f in drift),
         *(np.shape(a) for a in alpha),
     )
-    out = np.empty((k,) + nodes)
+    if plan is None:
+        plan = lf_plan(drift, g, alpha, (k,) + nodes)
+    out = plan.out
     # scratch written with out=: the central gradient of one axis, the
     # switching function, the Hamiltonian, the dissipation and a temporary;
     # each sum runs from 0 in axis order, as Python's sum() would
     # (indexed with ... so that one node still gives writable 0-d views)
-    work = np.empty((5,) + nodes)
-    central, switching, ham, diss, tmp = (work[j, ...] for j in range(5))
-    work[1:4] = 0.0
+    central, switching, ham, diss, tmp = (plan.work[j, ...] for j in range(5))
+    plan.work[1:4] = 0.0
     for m, p, f, g_i, a in zip(minus, plus, drift, g, alpha):
         np.add(m[0], p[0], out=central)
         central *= 0.5
@@ -131,17 +174,18 @@ def lf_rate(minus, plus, drift, g, bound: float, alpha):
     np.add(ham, diss, out=out[0, ...])
     u_star = bang_bang(switching, bound)
     if k > 1:
-        sens, prod = out[1:], np.empty((k - 1,) + nodes)
+        sens, prod = out[1:], plan.prod
         # coefficients (w -+ alpha) / 2 = w / 2 -+ alpha / 2, exactly
-        half_w, lower, upper = central, ham, diss
+        half_w = central
         for i, (m, p, f, g_i, a) in enumerate(zip(minus, plus, drift, g, alpha)):
-            if g_i != 0.0:
+            if plan.fixed[i] is None:
+                lower, upper = ham, diss
                 np.add(f, np.multiply(u_star, g_i, out=half_w), out=half_w)
                 half_w *= 0.5
+                np.subtract(half_w, 0.5 * a, out=lower)
+                np.add(half_w, 0.5 * a, out=upper)
             else:
-                np.multiply(f, 0.5, out=half_w)
-            np.subtract(half_w, 0.5 * a, out=lower)
-            np.add(half_w, 0.5 * a, out=upper)
+                lower, upper = plan.fixed[i]
             if i == 0:
                 np.multiply(m[1:], lower, out=sens)
             else:
@@ -160,9 +204,17 @@ def cfl_dt(grid: GridSpec, alpha, cfl_number: float) -> float:
 
 
 def info_rate_on_grid(system: CascadeSystem, grid: GridSpec) -> np.ndarray:
-    """vec(Q) at every grid node, shape grid.shape + (m,), from one batched
-    info_rate call over the flattened mesh."""
-    flat = system.info_rate(grid.mesh().reshape(-1, grid.ndim))
+    """vec(Q) at every grid node, shape grid.shape + (m,).
+
+    The flattened mesh goes through system.info_rate in chunks of
+    FIELD_CHUNK_ROWS nodes, each written into one preallocated result, so
+    the rate's per-node temporaries stay the size of a chunk. Every node's
+    rate is computed row by row, so the chunks give the bits of one call.
+    """
+    points = grid.mesh().reshape(-1, grid.ndim)
+    flat = np.empty((points.shape[0], system.info_len))
+    for lo in range(0, points.shape[0], FIELD_CHUNK_ROWS):
+        flat[lo : lo + FIELD_CHUNK_ROWS] = system.info_rate(points[lo : lo + FIELD_CHUNK_ROWS])
     return flat.reshape(grid.shape + (system.info_len,))
 
 
@@ -171,6 +223,8 @@ class HybridSolution:
     """Snapshots of the value approximation phi and the information-gradient
     approximation Phi on the x grid, for the fixed initial information state z0.
 
+    phi_zs[k] holds Phi in the vec layout, shape grid.shape + (p**2,), with
+    equal off-diagonal pairs (the march carries the distinct entries).
     times[k] is the horizon of phis[k] and phi_zs[k]: every snapshot of an
     in-memory solve, the final one alone of a final_only or streamed solve,
     or memory maps of the files of a stored one (load_solution)."""
@@ -302,12 +356,22 @@ def load_solution(in_dir) -> HybridSolution:
 
     Each snapshot file is mapped read-only (grid.load_array), not read: a
     caller that uses only the final snapshot pages in only that pair. A
-    snapshot file of the wrong size raises ValueError naming the file; a
-    directory without manifest.json is not a solution.
+    snapshot file of the wrong size, an empty snapshot list, an m that is
+    not a square p**2 >= 1 or a z0 without m entries raises ValueError
+    naming the file and field; a directory without manifest.json is not a
+    solution. The values are not read here (see cli.cmd_extract).
     """
-    manifest = read_manifest(os.path.join(in_dir, "manifest.json"))
+    manifest_path = os.path.join(in_dir, "manifest.json")
+    manifest = read_manifest(manifest_path)
     grid = GridSpec.from_dict(manifest["grid"])
     m = int(manifest["m"])
+    if m < 1 or math.isqrt(m) ** 2 != m:
+        raise ValueError(f"{manifest_path}: m = {m} is not the square of a matrix side")
+    z0 = np.asarray(manifest["z0"], dtype=float)
+    if z0.shape != (m,):
+        raise ValueError(f"{manifest_path}: z0 has shape {z0.shape}, expected ({m},)")
+    if not manifest["snapshots"]:
+        raise ValueError(f"{manifest_path}: snapshots is empty")
     times, phis, phi_zs = [], [], []
     for snap in manifest["snapshots"]:
         times.append(snap["s"])
@@ -319,7 +383,7 @@ def load_solution(in_dir) -> HybridSolution:
         times=np.asarray(times),
         phis=phis,
         phi_zs=phi_zs,
-        z0=np.asarray(manifest["z0"], dtype=float),
+        z0=z0,
         config=cfg,
         config_hash=manifest.get("config_hash", ""),
     )
@@ -470,28 +534,39 @@ def hybrid_solve(
     Each step splits into the pointwise information flow (the metric's
     closed-form accumulation of <vec(Q), Phi> into phi and of the curvature
     contraction into Phi) followed by the explicit spatial transport:
-      * the march state is one component-major stack of shape
-        (1 + m, *grid.shape): stack[0] is phi, stack[1:] is Phi, so each
-        component is contiguous;
+      * Phi = G_z is a symmetric p x p matrix, so the march carries its
+        k = p (p + 1) / 2 distinct entries in packed order (sym_pack: for
+        p = 2, Phi_00, Phi_10, Phi_11). The march state is one
+        component-major stack of shape (1 + k, *grid.shape): stack[0] is
+        phi, stack[1:] the packed Phi, so each component is contiguous;
+      * the metric's flow reads the packed entries of Phi and of Q (packed
+        once per solve) and writes phi and Phi back into the stack;
       * one subtraction per axis fills a difference buffer with a ghost row
         at each end, whose (D-, D+) views are shifted by one row; phi
         extrapolates its edge slope, Phi is clamped (zero ghost
         difference) and the periodic heading wraps;
       * one lf_rate call returns phi's rate (drift/control Hamiltonian at
         the central gradient plus dissipation) and Phi's rate (the same LF
-        scheme along the locally optimal velocity w = f + g u*);
-      * initial data phi = G(z0), Phi = G_z(z0), uniformly over the grid.
+        scheme along the locally optimal velocity w = f + g u*), with the
+        coefficients of the control-free axes built once;
+      * initial data phi = G(z0) and the packed G_z(z0), uniformly over the
+        grid. Each off-diagonal pair of G_z(z0) is averaged, which is exact
+        when the pair is equal (a diagonal z0; the inverse of another
+        symmetric z0 may differ in its last bit), and a coordinate-probed
+        z0 (slightly asymmetric) starts from the symmetric part of its
+        gradient.
 
-    The flow and the snapshots see Phi through an (..., m) view, so copied
-    and persisted snapshots keep the row-major (iX, iY, ipsi, j) layout.
-    Without on_snapshot the solution keeps a copy of every snapshot. With
-    it, on_snapshot(s, phi, phi_z) receives each snapshot as the march takes
-    it (live views, valid until the call returns), and the solution holds
-    the final snapshot alone, with no copy: final_only asks for just that,
-    solve_to_disk streams each snapshot to disk. The
-    information-rate field vec(Q) is precomputed once (or passed in) and
-    reused every step. Every output point of a step depends only on the
-    previous snapshot, so per-point updates are schedule independent.
+    Snapshots carry Phi in the (..., p**2) vec layout, row-major (iX, iY,
+    ipsi, j), expanded from the packed entries once per snapshot. Without
+    on_snapshot the solution keeps a copy of every snapshot. With it,
+    on_snapshot(s, phi, phi_z) receives each snapshot as the march takes it
+    (phi is the live field, valid until the call returns), and the solution
+    holds the final snapshot alone, with phi uncopied: final_only asks for
+    just that (and skips the expansion of the other snapshots),
+    solve_to_disk streams each snapshot to disk. The information-rate field
+    vec(Q) is precomputed once (or passed in) and reused every step. Every
+    output point of a step depends only on the previous snapshot, so
+    per-point updates are schedule independent.
     """
     if grid.ndim != system.state_dim:
         raise ValueError(
@@ -513,46 +588,78 @@ def hybrid_solve(
     ell = np.asarray(info_rate_field, dtype=float)
     if ell.shape != grid.shape + (system.info_len,):
         raise ValueError("information-rate field shape does not match the grid")
-    q_field = unvec(ell)
+    k = system.info_dim * (system.info_dim + 1) // 2
 
-    mesh = grid.mesh()
-    f_nodes = system.drift(mesh.reshape(-1, grid.ndim)).reshape(grid.shape + (grid.ndim,))
+    def packed_view(components):
+        """(..., k) view of k component-major fields."""
+        return np.moveaxis(components, 0, -1)
+
+    q_packed = sym_pack(unvec(ell), out=packed_view(np.empty((k,) + grid.shape)))
+    del ell, info_rate_field  # the march reads the packed copy
+
+    f_nodes = system.drift(grid.mesh().reshape(-1, grid.ndim)).reshape(
+        grid.shape + (grid.ndim,)
+    )
     drift = [f_nodes[..., i] for i in range(grid.ndim)]
     g = system.control_column()
     bound = system.control_bound
     alpha = list(system.rate_bounds())
     dt = cfl_dt(grid, alpha, config.cfl_number)
 
-    # component-major march state: stack[0] is phi, stack[1:] is Phi; phi_z
-    # is the (..., m) view that the flow and the snapshots see
-    stack = np.empty((1 + system.info_len,) + grid.shape)
+    # component-major march state: stack[0] is phi, stack[1:] the packed
+    # Phi; phi_z is the (..., k) view that the flow reads and writes
+    stack = np.empty((1 + k,) + grid.shape)
     stack[0] = metric.value(z0)
-    phi, phi_z = stack[0], np.moveaxis(stack[1:], 0, -1)
-    phi_z[...] = metric.gradient(z0)
+    phi, phi_z = stack[0], packed_view(stack[1:])
+    phi_z[...] = sym_pack(unvec(metric.gradient(z0)))
+    # scratch reused by every step (the difference buffers, and lf_rate's
+    # plan, whose work the flow computes in), so that a step allocates no
+    # field-sized array
     bufs, minus, plus = _ghost_difference_buffers(stack, grid)
+    plan = lf_plan(drift, g, alpha, stack.shape)
 
     def transport_rate(fields):
         """Spatial part of the marching rates (drift, control, dissipation)."""
         _ghost_differences(stack, grid, bufs)
-        return (lf_rate(minus, plus, drift, g, bound, alpha)[0],)
+        return (lf_rate(minus, plus, drift, g, bound, alpha, plan)[0],)
 
     def step(fields, h):
         # pointwise information flow first (exact for the logdet metric,
         # stiffness-free while the accumulated information is small), then
         # the explicit spatial transport under the CFL step
         t0 = _time.perf_counter()
-        phi[...], phi_z[...] = metric.flow(phi, phi_z, q_field, h)
+        metric.flow(phi, phi_z, q_packed, h, plan.work)
         t1 = _time.perf_counter()
         _explicit_step(transport_rate, [stack], h)
         timers["flow"] += t1 - t0
         timers["transport"] += _time.perf_counter() - t1
 
-    times, snapshots, steps = _march([phi, phi_z], step, dt, config, timers, on_snapshot)
+    times, phis, phi_zs = [], [], []
+
+    def take(s, phi_now, packed_now):
+        # Phi back in the vec layout (sym_unpack gives new C-contiguous
+        # symmetric matrices, whose row-major entries are their vec)
+        phi_z_now = sym_unpack(packed_now).reshape(grid.shape + (system.info_len,))
+        if on_snapshot is None:
+            phi_now = phi_now.copy()
+        else:
+            del times[:], phis[:], phi_zs[:]
+            on_snapshot(s, phi_now, phi_z_now)
+        times.append(s)
+        phis.append(phi_now)
+        phi_zs.append(phi_z_now)
+
+    keep_final_only = on_snapshot is final_only
+    steps = _march(
+        [phi, phi_z], step, dt, config, timers, final_only if keep_final_only else take
+    )[2]
+    if keep_final_only:
+        take(config.horizon, phi, phi_z)
     return HybridSolution(
         grid=grid,
-        times=times,
-        phis=[snap[0] for snap in snapshots],
-        phi_zs=[snap[1] for snap in snapshots],
+        times=np.asarray(times),
+        phis=phis,
+        phi_zs=phi_zs,
         z0=z0,
         config=config,
         config_hash=config_fingerprint(grid, z0, config),

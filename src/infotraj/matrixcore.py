@@ -1,5 +1,6 @@
-"""Symmetric information matrices, column-major (un)vectorization, and the
-log-determinant terminal metric with its gradient and curvature contraction."""
+"""Symmetric information matrices, column-major (un)vectorization, the packed
+form of a symmetric matrix (its distinct entries), and the log-determinant
+terminal metric with its gradient, curvature contraction and flow."""
 
 from __future__ import annotations
 
@@ -7,6 +8,10 @@ import math
 from abc import ABC, abstractmethod
 
 import numpy as np
+
+
+# scratch arrays a flow kernel may use (TerminalMetric.flow's work)
+FLOW_WORK = 6
 
 
 class DimensionError(ValueError):
@@ -40,6 +45,51 @@ def unvec(z) -> np.ndarray:
     if p * p != n:
         raise DimensionError(f"vector length {n} is not a perfect square")
     return np.swapaxes(z.reshape(*z.shape[:-1], p, p), -1, -2)
+
+
+def _packed_index(p: int):
+    """Rows and columns of the p (p + 1) / 2 distinct entries of a symmetric
+    p x p matrix in packed order: column by column, from the diagonal down."""
+    cols, rows = np.triu_indices(p)
+    return rows, cols
+
+
+def sym_pack(mat, out=None) -> np.ndarray:
+    """The distinct entries of symmetric matrices (..., p, p), shape
+    (..., p (p + 1) / 2), in packed order (for p = 2: a00, a10, a11).
+
+    Each off-diagonal pair is averaged, (a_rc + a_cr) * 0.5, which is exact
+    when the pair is equal; a diagonal entry comes back unchanged. out may
+    be any (..., p (p + 1) / 2) array, e.g. a view of a component-major stack.
+    """
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
+        raise DimensionError(f"expected square matrices, got shape {mat.shape}")
+    rows, cols = _packed_index(mat.shape[-1])
+    if out is None:
+        out = np.empty(mat.shape[:-2] + (rows.size,))
+    for k, (r, c) in enumerate(zip(rows, cols)):
+        entry = out[..., k]
+        np.add(mat[..., r, c], mat[..., c, r], out=entry)
+        entry *= 0.5
+    return out
+
+
+def sym_unpack(packed) -> np.ndarray:
+    """Inverse of :func:`sym_pack`: the symmetric matrices (..., p, p) of
+    packed entries (..., p (p + 1) / 2), as a new C-contiguous array, so that
+    reshape(..., p * p) is their vec."""
+    packed = np.asarray(packed, dtype=float)
+    if packed.ndim < 1:
+        raise DimensionError("expected at least a 1-d vector")
+    k = packed.shape[-1]
+    p = (math.isqrt(8 * k + 1) - 1) // 2
+    if p * (p + 1) // 2 != k:
+        raise DimensionError(f"{k} packed entries do not form a symmetric matrix")
+    mat = np.empty(packed.shape[:-1] + (p, p))
+    for j, (r, c) in enumerate(zip(*_packed_index(p))):
+        mat[..., r, c] = mat[..., c, r] = packed[..., j]
+    return mat
 
 
 def require_symmetric(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -115,20 +165,27 @@ class TerminalMetric(ABC):
         """Gain relative to a reference information state; zero at z = z_ref."""
         return self.value(z) - self.value(z_ref)
 
-    def flow(self, value, grad, rate_matrix, h: float):
+    def flow(self, value, grad, rate, h: float, work=None):
         """Advance the pointwise accumulation (value, gradient) by h at a
-        fixed information rate Q.
+        fixed information rate Q, in place.
+
+        grad and rate hold the packed entries (sym_pack) of the symmetric
+        gradient matrix and of Q on their last axis; value has their leading
+        shape. Any strides will do, e.g. (..., k) views of a component-major
+        stack. The new value and gradient are written into value and grad,
+        which are returned. work is optional scratch of shape (r,) +
+        value.shape with r >= FLOW_WORK for a kernel to compute in: a march
+        that passes the same one every step allocates nothing per step.
 
         Generic fallback: one explicit Euler step of the coupled ODE
         d(value)/ds = <vec(Q), grad>, d(grad)/ds = curvature(Q, grad).
         Metrics with a closed-form flow should override it (exactness, and no
         step-size restriction when the accumulated information is small).
-        Supports batched inputs: value (...,), grad (..., p*p), Q (..., p, p).
         """
-        ell = vec(np.broadcast_to(rate_matrix, grad.shape[:-1] + rate_matrix.shape[-2:]))
-        value_new = value + h * np.einsum("...m,...m->...", ell, grad)
-        grad_new = grad + h * self.curvature_contraction(rate_matrix, grad)
-        return value_new, grad_new
+        q, lmat = sym_unpack(rate), sym_unpack(grad)
+        value += h * np.einsum("...ij,...ij->...", q, lmat)  # <vec(Q), vec(L)>
+        grad += h * sym_pack(unvec(self.curvature_contraction(q, vec(lmat))))
+        return value, grad
 
 
 class LogDetMetric(TerminalMetric):
@@ -170,8 +227,9 @@ class LogDetMetric(TerminalMetric):
     def curvature_contraction(self, rate_matrix, grad) -> np.ndarray:
         return curvature_contraction(rate_matrix, grad)
 
-    def flow(self, value, grad, rate_matrix, h: float):
-        """Closed-form flow: the accumulated matrix advances linearly, the
+    def flow(self, value, grad, rate, h: float, work=None):
+        """Closed-form flow, in place on packed entries as in
+        TerminalMetric.flow: the accumulated matrix advances linearly, the
         value picks up the exact logdet increment, and the gradient is the
         exact gradient of the advanced matrix.
 
@@ -180,12 +238,12 @@ class LogDetMetric(TerminalMetric):
         the identity between the gradient field and the sensitivity of the
         value to the initial information state exactly.
 
-        For p = 2 the inverses and determinants are the closed-form 2x2
-        adjugate formulas on the vec components; other p use LAPACK.
+        For p = 2 (three packed entries) the inverses and determinants are
+        the closed-form 2x2 adjugate formulas; other p use LAPACK.
         """
-        if grad.shape[-1] == 4:
-            return _flow_2x2(value, grad, rate_matrix, h)
-        return _flow_lapack(value, grad, rate_matrix, h)
+        if grad.shape[-1] == 3:
+            return _flow_2x2(value, grad, rate, h, work)
+        return _flow_lapack(value, grad, rate, h)
 
     def _check_dim(self, zmat: np.ndarray) -> None:
         if zmat.shape[-1] != self.dim:
@@ -194,11 +252,10 @@ class LogDetMetric(TerminalMetric):
             )
 
 
-def _flow_lapack(value, grad, rate_matrix, h: float):
+def _flow_lapack(value, grad, rate, h: float):
     """LogDetMetric.flow for any p through batched LAPACK inverses."""
-    lmat = unvec(grad)
-    acc = -np.linalg.inv(lmat)  # accumulated information matrix, SPD
-    acc_new = acc + h * rate_matrix
+    acc = -np.linalg.inv(sym_unpack(grad))  # accumulated information matrix, SPD
+    acc_new = acc + h * sym_unpack(rate)
     try:
         # a positive determinant alone also admits an even number of
         # negative eigenvalues; Cholesky fails on any of them (one call
@@ -208,43 +265,46 @@ def _flow_lapack(value, grad, rate_matrix, h: float):
         raise NotPositiveDefiniteError("information state lost positive definiteness") from exc
     logdet_old = np.linalg.slogdet(acc)[1]
     logdet_new = np.linalg.slogdet(acc_new)[1]
-    value_new = value + (logdet_old - logdet_new)  # G(new) - G(old)
-    grad_new = -vec(np.linalg.inv(acc_new))
-    return value_new, grad_new
+    value += logdet_old - logdet_new  # G(new) - G(old)
+    sym_pack(-np.linalg.inv(acc_new), out=grad)
+    return value, grad
 
 
-def _flow_2x2(value, grad, rate_matrix, h: float):
-    """LogDetMetric.flow for p = 2 from the vec components (column-major).
+def _flow_2x2(value, grad, rate, h: float, work=None):
+    """LogDetMetric.flow for p = 2 from the packed entries (l00, l10, l11).
 
-    grad holds vec(L) with L = -A^-1, so A = -adj(L) / det(L) and
-    det(A) = 1 / det(L). With A' = A + h Q the value gains
-    log det A - log det A', and the new gradient is -vec(adj(A') / det(A')).
-    Both A and A' must be positive definite: det > 0 and a00 > 0.
+    grad holds L = -A^-1, so A = -adj(L) / det(L) and det(A) = 1 / det(L).
+    With A' = A + h Q the value gains log det A - log det A', and the new
+    gradient is -adj(A') / det(A'). Both A and A' must be positive definite:
+    det > 0 and a00 > 0. Each operation is the one of the full vec(L) with
+    l01 = l10, so a symmetric state gives the same bits. They run in the
+    arrays of work, and value and grad are written once every check passed.
     """
-    l00, l10, l01, l11 = grad[..., 0], grad[..., 1], grad[..., 2], grad[..., 3]
-    det_l = l00 * l11 - l01 * l10
-    det_old = 1.0 / det_l
-    a00_old = -l11 * det_old
-    a00 = a00_old + h * rate_matrix[..., 0, 0]
-    a10 = l10 * det_old + h * rate_matrix[..., 1, 0]
-    a01 = l01 * det_old + h * rate_matrix[..., 0, 1]
-    a11 = -l00 * det_old + h * rate_matrix[..., 1, 1]
-    det_new = a00 * a11 - a01 * a10
+    l00, l10, l11 = grad[..., 0], grad[..., 1], grad[..., 2]
+    if work is None:
+        work = np.empty((FLOW_WORK,) + l00.shape)
+    det_a, a00, a10, a11, det_new, tmp = (work[j, ...] for j in range(FLOW_WORK))
+    np.multiply(l00, l11, out=det_a)
+    det_a -= np.multiply(l10, l10, out=tmp)
     # a 2x2 matrix is positive definite iff its determinant and a00 are > 0
-    if not (
-        np.all(det_l > 0.0)
-        and np.all(a00_old > 0.0)
-        and np.all(det_new > 0.0)
-        and np.all(a00 > 0.0)
-    ):
+    ok = np.all(det_a > 0.0)
+    np.divide(1.0, det_a, out=det_a)
+    np.multiply(np.negative(l11, out=a00), det_a, out=a00)
+    ok = ok and np.all(a00 > 0.0)
+    a00 += np.multiply(h, rate[..., 0], out=tmp)
+    np.multiply(l10, det_a, out=a10)
+    a10 += np.multiply(h, rate[..., 1], out=tmp)
+    np.multiply(np.negative(l00, out=a11), det_a, out=a11)
+    a11 += np.multiply(h, rate[..., 2], out=tmp)
+    np.multiply(a00, a11, out=det_new)
+    det_new -= np.multiply(a10, a10, out=tmp)
+    if not (ok and np.all(det_new > 0.0) and np.all(a00 > 0.0)):
         raise NotPositiveDefiniteError("information state lost positive definiteness")
-    value_new = value + (np.log(det_old) - np.log(det_new))  # G(new) - G(old)
-    scale = 1.0 / det_new
-    # written component by component, with no temporaries beside the result
-    # (-a * scale equals a * -scale exactly)
-    grad_new = np.empty(scale.shape + (4,))
-    np.multiply(a11, -scale, out=grad_new[..., 0])
-    np.multiply(a10, scale, out=grad_new[..., 1])
-    np.multiply(a01, scale, out=grad_new[..., 2])
-    np.multiply(a00, -scale, out=grad_new[..., 3])
-    return value_new, grad_new
+    # G(new) - G(old) = log det A - log det A'
+    value += np.subtract(np.log(det_a, out=det_a), np.log(det_new, out=tmp), out=det_a)
+    scale = np.divide(1.0, det_new, out=det_new)
+    # -a * scale equals a * -scale exactly
+    np.multiply(a11, np.negative(scale, out=tmp), out=l00)
+    np.multiply(a10, scale, out=l10)
+    np.multiply(a00, tmp, out=l11)
+    return value, grad

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from infotraj.dynamics import (
-    AugmentedState,
     CascadeSystem,
     ControlSignal,
     State,
@@ -25,7 +24,6 @@ from infotraj.dynamics import (
     Trajectory,
     cascade_deriv,
     rk4_step,
-    simulate_open_loop,
 )
 from infotraj.grid import Axis, GridSpec, interpolate
 from infotraj.hjsolver import (
@@ -190,6 +188,7 @@ def extract_receding(
     legs: int,
     dt: float,
     info_rate_field: Optional[np.ndarray] = None,
+    characteristic: Optional[Trajectory] = None,
 ) -> Trajectory:
     """Closed-loop extraction: before each leg, re-solve the value function
     with the information collected so far as the new initial state.
@@ -214,6 +213,12 @@ def extract_receding(
     of their largest entries (2.5e-3 / 7.6e-4 at a 2-cell margin, 7.6e-7 /
     6.0e-8 at 8 cells). The information-rate field does not depend on the
     information state and is computed once.
+
+    characteristic, when given, is extract_characteristic(solution, system,
+    metric, x0, dt) as the caller already holds it. Leg 0 of a multi-leg
+    run integrates the same steps from the same state, so when its step
+    count and step size equal that trajectory's prefix exactly, leg 0 is
+    the prefix, with no integration; otherwise leg 0 is integrated.
     """
     if legs < 1:
         raise ValueError("need at least one leg")
@@ -235,7 +240,9 @@ def extract_receding(
                 system, metric, sub, z, replace(solution.config, horizon=remaining),
                 info_rate_field=info_rate_field[idx], on_snapshot=final_only,
             )
-        piece = extract_characteristic(sol, system, metric, x, dt, duration=leg_span)
+        piece = _leading_steps(characteristic, leg_span, dt, x0) if k == 0 else None
+        if piece is None:
+            piece = extract_characteristic(sol, system, metric, x, dt, duration=leg_span)
         pieces.append(piece)
         x = piece.final_state()
         z = piece.final_info()
@@ -262,6 +269,40 @@ def extract_receding(
     traj.terminal_cost = metric.value(traj.final_info())
     traj.residuals = dict(pieces[-1].residuals)
     return traj
+
+
+def _leading_steps(
+    traj: Optional[Trajectory], duration: float, dt: float, x0
+) -> Optional[Trajectory]:
+    """The leading rows of a longer extracted trajectory that an extraction
+    from the same start over `duration` would produce, or None when there is
+    no trajectory or its steps do not line up (a different step size, no
+    more rows than that extraction's, or another start).
+
+    extract_characteristic takes n = ceil(duration / dt) steps of size
+    duration / n and records the last applied control in its final row, so
+    the prefix is that run's record once its last control is set to the one
+    before it. Residuals and the terminal cost are not carried over.
+    """
+    n = max(1, int(math.ceil(duration / dt - 1e-12)))
+    x = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
+    if (
+        traj is None
+        or traj.s.size <= n + 1
+        or traj.s[1] != duration / n
+        or not np.array_equal(traj.states[0], x)
+    ):
+        return None
+    controls = traj.controls[: n + 1].copy()
+    controls[n] = controls[n - 1]
+    return Trajectory(
+        s=traj.s[: n + 1],
+        states=traj.states[: n + 1],
+        infos=traj.infos[: n + 1],
+        controls=controls,
+        costates=traj.costates[: n + 1],
+        info_costates=traj.info_costates[: n + 1],
+    )
 
 
 def final_leg_ray_misalignment_deg(traj: Trajectory, prior_mean) -> float:
@@ -319,13 +360,11 @@ def brute_force_value(
     horizon: float,
     segments: int,
     dt: float = 0.1,
-    refine: bool = False,
 ):
     """Exhaustive search over piecewise-constant controls with values in
     {-bound, 0, +bound} on equal segments; the independent optimality oracle.
 
-    Returns (best cost, best ControlSignal). Optional deterministic
-    coordinate-descent refinement of the interior switch times.
+    Returns (best cost, best ControlSignal).
     """
     if segments < 1:
         raise ValueError("need at least one segment")
@@ -345,37 +384,6 @@ def brute_force_value(
     best_cost = float(costs[best])
     best_signal = ControlSignal.from_segments(combos[best], horizon)
 
-    if refine and segments > 1:
-        times = best_signal.times.copy()
-        values = best_signal.values.copy()
-        span = horizon / segments
-
-        def cost_of(ts):
-            keep = np.concatenate(([0.0], ts, [horizon]))
-            if np.any(np.diff(keep) <= 1e-9):
-                return np.inf
-            sig = ControlSignal(keep, values)
-            traj = simulate_open_loop(system, AugmentedState(x0_arr, z0), sig, horizon, dt)
-            return metric.value(traj.final_info())
-
-        interior = times[1:-1].copy()
-        current = cost_of(interior)
-        step = span / 4.0
-        for _ in range(4):
-            for i in range(interior.size):
-                for sign in (1.0, -1.0):
-                    trial = interior.copy()
-                    trial[i] += sign * step
-                    c = cost_of(trial)
-                    if c < current:
-                        current, interior = c, trial
-                        break
-            step *= 0.5
-        if current < best_cost:
-            best_cost = float(current)
-            best_signal = ControlSignal(
-                np.concatenate(([0.0], interior, [horizon])), values
-            )
     return best_cost, best_signal
 
 

@@ -333,6 +333,36 @@ class TestSolveExtractPlot:
         assert "phi_0001.bin" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "case", ["empty_snapshots", "short_z0", "m_not_square", "nan_final_phi"]
+    )
+    def test_corrupt_solution_exits_2_naming_it(self, pipeline, tmp_path, capsys, case):
+        _, _, sol_dir = pipeline
+        broken = tmp_path / "broken"
+        shutil.copytree(sol_dir, broken)
+        manifest = json.loads((broken / "manifest.json").read_text())
+        final_phi = manifest["snapshots"][-1]["phi"]
+        named = {
+            "empty_snapshots": "snapshots",
+            "short_z0": "z0",
+            "m_not_square": "m = 5",
+            "nan_final_phi": final_phi,
+        }[case]
+        if case == "empty_snapshots":
+            manifest["snapshots"] = []
+        elif case == "short_z0":
+            manifest["z0"] = manifest["z0"][:3]
+        elif case == "m_not_square":
+            manifest["m"] = 5
+        else:
+            np.full(9 * 9 * 8, np.nan).astype("<f8").tofile(broken / final_phi)
+        (broken / "manifest.json").write_text(json.dumps(manifest))
+        argv = ["extract", "--solution", str(broken), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "section,key,value,hash_name",
         [
             ("sensors", "noise_std_hz", 5.0, "sensor_suite_hash"),

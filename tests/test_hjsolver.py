@@ -2,6 +2,7 @@ import json
 import math
 import os
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from infotraj.hjsolver import (
     load_solution,
     solve_to_disk,
 )
-from infotraj.matrixcore import LogDetMetric, unvec, vec
+from infotraj.matrixcore import LogDetMetric, sym_pack, sym_unpack, unvec, vec
 from infotraj.trajectories import toy_hybrid_vs_classic
 
 SHIPPED = os.path.join(os.path.dirname(__file__), "..", "scenarios", "doppler_single_path.json")
@@ -130,6 +131,92 @@ def transport_inputs(system, grid):
     return drift, system.control_column(), system.control_bound, list(system.rate_bounds())
 
 
+def vec_flow(value, grad, rate_matrix, h):
+    """LogDetMetric.flow on all p**2 vec entries of Phi, as it ran before the
+    march carried Phi's distinct entries: the closed form for p = 2, LAPACK
+    otherwise. Returns new (value, grad); rate_matrix is (..., p, p)."""
+    if grad.shape[-1] != 4:
+        acc = -np.linalg.inv(unvec(grad))
+        acc_new = acc + h * rate_matrix
+        value_new = value + (np.linalg.slogdet(acc)[1] - np.linalg.slogdet(acc_new)[1])
+        return value_new, -vec(np.linalg.inv(acc_new))
+    l00, l10, l01, l11 = grad[..., 0], grad[..., 1], grad[..., 2], grad[..., 3]
+    det_old = 1.0 / (l00 * l11 - l01 * l10)
+    a00 = -l11 * det_old + h * rate_matrix[..., 0, 0]
+    a10 = l10 * det_old + h * rate_matrix[..., 1, 0]
+    a01 = l01 * det_old + h * rate_matrix[..., 0, 1]
+    a11 = -l00 * det_old + h * rate_matrix[..., 1, 1]
+    det_new = a00 * a11 - a01 * a10
+    value_new = value + (np.log(det_old) - np.log(det_new))
+    scale = 1.0 / det_new
+    grad_new = np.stack([a11 * -scale, a10 * scale, a01 * scale, a00 * -scale], axis=-1)
+    return value_new, grad_new
+
+
+def vec_lf_rate(minus, plus, drift, g, bound: float, alpha):
+    """lf_rate as it ran over the (1 + p**2) stack: every coefficient of
+    every axis formed each call, scratch allocated each call."""
+    k = len(minus[0])
+    nodes = np.broadcast_shapes(
+        *(np.shape(m)[1:] for m in minus), *(np.shape(f) for f in drift),
+        *(np.shape(a) for a in alpha),
+    )
+    out = np.empty((k,) + nodes)
+    work = np.empty((5,) + nodes)
+    central, switching, ham, diss, tmp = (work[j, ...] for j in range(5))
+    work[1:4] = 0.0
+    for m, p, f, g_i, a in zip(minus, plus, drift, g, alpha):
+        np.add(m[0], p[0], out=central)
+        central *= 0.5
+        if g_i != 0.0:
+            switching += np.multiply(central, g_i, out=tmp)
+        ham += np.multiply(central, f, out=tmp)
+        diss += np.multiply(np.subtract(p[0], m[0], out=tmp), 0.5 * a, out=tmp)
+    ham -= np.multiply(np.abs(switching, out=tmp), bound, out=tmp)
+    np.add(ham, diss, out=out[0, ...])
+    u_star = bang_bang(switching, bound)
+    sens, prod = out[1:], np.empty((k - 1,) + nodes)
+    half_w, lower, upper = central, ham, diss
+    for i, (m, p, f, g_i, a) in enumerate(zip(minus, plus, drift, g, alpha)):
+        if g_i != 0.0:
+            np.add(f, np.multiply(u_star, g_i, out=half_w), out=half_w)
+            half_w *= 0.5
+        else:
+            np.multiply(f, 0.5, out=half_w)
+        np.subtract(half_w, 0.5 * a, out=lower)
+        np.add(half_w, 0.5 * a, out=upper)
+        if i == 0:
+            np.multiply(m[1:], lower, out=sens)
+        else:
+            sens += np.multiply(m[1:], lower, out=prod)
+        sens += np.multiply(p[1:], upper, out=prod)
+    return out, u_star
+
+
+def vec_march(system, metric, grid, z0, config):
+    """hybrid_solve's march over the (1 + p**2) stack of phi and all vec
+    entries of Phi (vec_flow, then the ghost-row differences and vec_lf_rate),
+    as it ran before the march carried Phi's distinct entries; the oracle of
+    the packed march. Returns the final (phi, Phi)."""
+    q_field = unvec(info_rate_on_grid(system, grid))
+    drift, g, bound, alpha = transport_inputs(system, grid)
+    stack = np.empty((1 + system.info_len,) + grid.shape)
+    stack[0] = metric.value(z0)
+    phi, phi_z = stack[0], np.moveaxis(stack[1:], 0, -1)
+    phi_z[...] = metric.gradient(z0)
+    bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid)
+
+    def step(fields, h):
+        phi[...], phi_z[...] = vec_flow(phi, phi_z, q_field, h)
+        hjsolver._ghost_differences(stack, grid, bufs)
+        rate = vec_lf_rate(minus, plus, drift, g, bound, alpha)[0]
+        rate *= h
+        stack[...] += rate
+
+    hjsolver._march([phi, phi_z], step, cfl_dt(grid, alpha, config.cfl_number), config)
+    return phi, phi_z
+
+
 def reference_march(system, metric, grid, z0, config):
     """hybrid_solve's march (same flow, steps and snapshots) with
     reference_transport_rate: the final (phi, Phi) of the former kernel."""
@@ -137,7 +224,7 @@ def reference_march(system, metric, grid, z0, config):
     drift, g, bound, alpha = transport_inputs(system, grid)
 
     def step(fields, h):
-        fields[:] = metric.flow(*fields, q_field, h)
+        fields[:] = vec_flow(*fields, q_field, h)
         rates = reference_transport_rate(*fields, grid, drift, g, bound, alpha)[:2]
         for f, r in zip(fields, rates):
             f += h * r
@@ -401,18 +488,106 @@ class TestKernelAgainstReference:
         assert max_rel(sol.phi_final(), ref_phi) <= 1e-12
         assert max_rel(sol.phi_z_final(), ref_phi_z) <= 1e-12
 
-    def test_asymmetric_probe_keeps_four_entries(self):
-        # gradient_consistency_check perturbs z0[1] and z0[2] one at a time,
-        # so Phi's off-diagonal entries differ and all four are transported
+    def test_asymmetric_probe_drift_is_pinned(self):
+        # gradient_consistency_check perturbs z0[1] and z0[2] one at a time.
+        # The packed march starts from the average of G_z(z0)'s off-diagonal
+        # pair; the vec march transported both entries. Measured: phi moves
+        # by 3.2e-11, Phi by 5.4e-8 from the vec march's symmetric part, and
+        # the dropped antisymmetric half is 4.98e-4 (of the largest entries)
         scenario = load_scenario(SHIPPED)
         system, metric = scenario.build_system(), LogDetMetric(2)
         z0 = scenario.initial_information().copy()
         z0[1] += 1e-5
         config = SolverConfig(horizon=5.0)
-        phi_z = hybrid_solve(system, metric, SURVEY_GRID, z0, config).phi_z_final()
-        assert np.all(phi_z[..., 1] != phi_z[..., 2])
-        ref_phi_z = reference_march(system, metric, SURVEY_GRID, z0, config)[1]
-        assert max_rel(phi_z, ref_phi_z) <= 1e-12
+        sol = hybrid_solve(system, metric, SURVEY_GRID, z0, config, on_snapshot=final_only)
+        phi_z = sol.phi_z_final()
+        assert np.array_equal(phi_z[..., 1], phi_z[..., 2])
+        ref_phi, ref_phi_z = vec_march(system, metric, SURVEY_GRID, z0, config)
+        assert np.all(ref_phi_z[..., 1] != ref_phi_z[..., 2])
+        ref_sym = sym_unpack(sym_pack(unvec(ref_phi_z))).reshape(ref_phi_z.shape)
+        assert max_rel(sol.phi_final(), ref_phi) <= 1e-10
+        assert max_rel(phi_z, ref_sym) <= 1e-7
+        assert max_rel(phi_z, ref_phi_z) <= 1e-3
+
+
+class TestPackedMarch:
+    """hybrid_solve over Phi's distinct entries against vec_march, the
+    (1 + p**2) march it replaced."""
+
+    @pytest.mark.parametrize("grid", [SHIPPED_GRID, SURVEY_GRID], ids=["shipped", "survey"])
+    def test_diagonal_prior_gives_the_bits_of_the_vec_march(self, grid):
+        scenario = load_scenario(SHIPPED)
+        system, metric = scenario.build_system(), LogDetMetric(2)
+        z0 = scenario.initial_information()
+        config = replace(scenario.solver, horizon=10.0)
+        sol = hybrid_solve(system, metric, grid, z0, config, on_snapshot=final_only)
+        ref_phi, ref_phi_z = vec_march(system, metric, grid, z0, config)
+        assert np.array_equal(sol.phi_final(), ref_phi)
+        assert np.array_equal(sol.phi_z_final(), ref_phi_z)
+
+    def test_toy_gives_the_bits_of_the_vec_march(self):
+        toy, metric, grid = ToyCascade(), LogDetMetric(1), toy_grid(0.05)
+        config = SolverConfig(horizon=1.0)
+        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), config, on_snapshot=final_only)
+        ref_phi, ref_phi_z = vec_march(toy, metric, grid, np.array([1.0]), config)
+        assert np.array_equal(sol.phi_final(), ref_phi)
+        assert np.array_equal(sol.phi_z_final(), ref_phi_z)
+
+    def test_snapshots_keep_the_vec_layout(self):
+        # every snapshot mode hands out (..., p**2) arrays with equal
+        # off-diagonal entries, the same bits in each mode
+        scenario = load_scenario(SHIPPED)
+        system, metric = scenario.build_system(), LogDetMetric(2)
+        z0 = scenario.initial_information()
+        config = SolverConfig(horizon=5.0, snapshot_stride=5)
+        kept = hybrid_solve(system, metric, SURVEY_GRID, z0, config)
+        streamed = []
+        last = hybrid_solve(
+            system, metric, SURVEY_GRID, z0, config,
+            on_snapshot=lambda s, phi, phi_z: streamed.append((s, phi.copy(), phi_z.copy())),
+        )
+        assert [s for s, _, _ in streamed] == list(kept.times)
+        for (_, phi, phi_z), kept_phi, kept_phi_z in zip(streamed, kept.phis, kept.phi_zs):
+            assert phi_z.shape == SURVEY_GRID.shape + (4,) and phi_z.flags.c_contiguous
+            assert np.array_equal(phi_z[..., 1], phi_z[..., 2])
+            assert np.array_equal(phi, kept_phi) and np.array_equal(phi_z, kept_phi_z)
+        assert np.array_equal(last.phi_z_final(), kept.phi_z_final())
+        assert np.array_equal(last.phi_final(), kept.phi_final())
+
+    def test_packed_flow_gives_the_bits_of_the_vec_flow(self):
+        rng = np.random.default_rng(34)
+        a = rng.normal(size=(400, 2, 2))
+        acc = a @ np.swapaxes(a, -1, -2) + 0.05 * np.eye(2)
+        b = rng.normal(size=(400, 2, 1))
+        q = b @ np.swapaxes(b, -1, -2)
+        metric = LogDetMetric(2)
+        values = metric.value(vec(acc))
+        grads = -np.linalg.inv(acc)
+        grads = 0.5 * (grads + np.swapaxes(grads, -1, -2))
+        ref_value, ref_grad = vec_flow(values, vec(grads), q, 0.37)
+        assert np.array_equal(ref_grad[:, 1], ref_grad[:, 2])
+        new_value, new_grad = metric.flow(values.copy(), sym_pack(grads), sym_pack(q), 0.37)
+        assert np.array_equal(new_value, ref_value)
+        assert np.array_equal(new_grad, ref_grad[:, [0, 1, 3]])
+
+
+class TestInfoRateField:
+    def test_chunks_give_the_bits_of_one_call(self, monkeypatch):
+        # 21 x 21 x 16 = 7,056 nodes: one full chunk and a partial one
+        system = load_scenario(SHIPPED).build_system()
+        sizes = []
+        original = system.info_rate
+
+        def recording(x):
+            sizes.append(len(x))
+            return original(x)
+
+        monkeypatch.setattr(system, "info_rate", recording)
+        field = info_rate_on_grid(system, SURVEY_GRID)
+        nodes = math.prod(SURVEY_GRID.shape)
+        assert sizes == [hjsolver.FIELD_CHUNK_ROWS, nodes - hjsolver.FIELD_CHUNK_ROWS]
+        one_call = original(SURVEY_GRID.mesh().reshape(-1, 3)).reshape(SURVEY_GRID.shape + (4,))
+        assert np.array_equal(field, one_call)
 
 
 class TestHybridSolve:

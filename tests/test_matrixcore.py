@@ -10,6 +10,8 @@ from infotraj.matrixcore import (
     _flow_lapack,
     curvature_contraction,
     logdet_spd,
+    sym_pack,
+    sym_unpack,
     unvec,
     vec,
 )
@@ -25,6 +27,15 @@ def random_spd(rng, p, jitter=0.5):
 def random_psd(rng, p):
     a = rng.normal(size=(p, max(1, p - 1)))
     return a @ a.T
+
+
+def packed_gradient(metric, z):
+    """The packed entries of G_z(z) = -vec(Z^-T) for a (..., p*p) batch of
+    states (metric.gradient takes one state)."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 1:
+        return sym_pack(unvec(metric.gradient(z)))
+    return np.stack([packed_gradient(metric, row) for row in z])
 
 
 def cofactor_det(mat):
@@ -245,18 +256,57 @@ class TestCurvatureContraction:
             assert np.allclose(batched[k], curvature_contraction(qs[k], grads[k]))
 
 
+class TestSymPack:
+    def test_order_and_round_trip(self):
+        mat = np.array([[1.0, 2.0, 4.0], [2.0, 3.0, 5.0], [4.0, 5.0, 6.0]])
+        packed = sym_pack(mat)
+        # column by column from the diagonal down
+        assert np.array_equal(packed, [1.0, 2.0, 4.0, 3.0, 5.0, 6.0])
+        assert np.array_equal(sym_unpack(packed), mat)
+        assert np.array_equal(sym_pack(np.array([[1.0, 2.0], [2.0, 3.0]])), [1.0, 2.0, 3.0])
+
+    def test_equal_pairs_exact_and_unequal_pairs_averaged(self):
+        rng = np.random.default_rng(41)
+        a = rng.normal(size=(50, 3, 3))
+        sym = a + np.swapaxes(a, -1, -2)
+        assert np.array_equal(sym_unpack(sym_pack(sym)), sym)
+        assert np.allclose(sym_unpack(sym_pack(a)), 0.5 * sym, rtol=0.0, atol=1e-15)
+
+    def test_unpack_is_contiguous_vec(self):
+        rng = np.random.default_rng(42)
+        packed = rng.normal(size=(4, 5, 3))
+        mats = sym_unpack(packed)
+        assert mats.flags.c_contiguous and mats.shape == (4, 5, 2, 2)
+        assert np.array_equal(mats.reshape(4, 5, 4), vec(mats))
+
+    def test_writes_into_component_major_view(self):
+        rng = np.random.default_rng(43)
+        mats = rng.normal(size=(6, 7, 2, 2))
+        stack = np.empty((3, 6, 7))
+        sym_pack(mats, out=np.moveaxis(stack, 0, -1))
+        assert np.array_equal(np.moveaxis(stack, 0, -1), sym_pack(mats))
+
+    def test_bad_lengths_raise(self):
+        with pytest.raises(DimensionError):
+            sym_unpack(np.zeros(4))
+        with pytest.raises(DimensionError):
+            sym_pack(np.zeros((2, 3)))
+
+
 class TestMetricFlow:
     def test_logdet_flow_is_exact(self):
         rng = np.random.default_rng(17)
         metric = LogDetMetric(2)
         z = random_spd(rng, 2, jitter=0.1)
         q = random_psd(rng, 2)
-        value = metric.value(vec(z))
-        grad = metric.gradient(vec(z))
+        value = np.array(metric.value(vec(z)))
+        grad = packed_gradient(metric, vec(z))
         h = 7.0
-        value_new, grad_new = metric.flow(value, grad, q, h)
-        assert value_new == pytest.approx(metric.value(vec(z + h * q)), abs=1e-12)
-        assert np.allclose(grad_new, metric.gradient(vec(z + h * q)), atol=1e-12)
+        out = metric.flow(value, grad, sym_pack(q), h)
+        # written in place and returned
+        assert out[0] is value and out[1] is grad
+        assert value == pytest.approx(metric.value(vec(z + h * q)), abs=1e-12)
+        assert np.allclose(grad, packed_gradient(metric, vec(z + h * q)), atol=1e-12)
 
     def test_generic_euler_fallback_converges_to_exact(self):
         class EulerOnly(LogDetMetric):
@@ -266,13 +316,15 @@ class TestMetricFlow:
         exact = LogDetMetric(2)
         euler = EulerOnly(2)
         z = random_spd(rng, 2, jitter=0.5)
-        q = random_psd(rng, 2)
-        target_value, target_grad = exact.flow(exact.value(vec(z)), exact.gradient(vec(z)), q, 1.0)
+        q = sym_pack(random_psd(rng, 2))
+        target_value, target_grad = exact.flow(
+            np.array(exact.value(vec(z))), packed_gradient(exact, vec(z)), q, 1.0
+        )
 
         def euler_endpoint(n):
-            value, grad = euler.value(vec(z)), euler.gradient(vec(z))
+            value, grad = np.array(euler.value(vec(z))), packed_gradient(euler, vec(z))
             for _ in range(n):
-                value, grad = euler.flow(value, grad, q, 1.0 / n)
+                euler.flow(value, grad, q, 1.0 / n)
             return value, grad
 
         errs = []
@@ -281,60 +333,83 @@ class TestMetricFlow:
             errs.append(abs(value - target_value) + np.linalg.norm(grad - target_grad))
         assert errs[1] < 0.6 * errs[0]  # first-order convergence
 
+    def test_generic_euler_step_matches_vec_form(self):
+        # one packed Euler step against d(value) = <vec(Q), vec(L)>, d(L) = L Q L
+        class EulerOnly(LogDetMetric):
+            flow = LogDetMetric.__mro__[1].flow
+
+        rng = np.random.default_rng(20)
+        metric = EulerOnly(3)
+        z = vec(random_spd(rng, 3))
+        q = random_psd(rng, 3)
+        grad = metric.gradient(z)
+        value, packed = np.array(1.5), sym_pack(unvec(grad))
+        metric.flow(value, packed, sym_pack(q), 0.1)
+        assert value == pytest.approx(1.5 + 0.1 * vec(q) @ grad, rel=1e-14)
+        want = sym_pack(unvec(grad + 0.1 * curvature_contraction(q, grad)))
+        assert np.allclose(packed, want, rtol=1e-13, atol=0.0)
+
     def test_flow_batched(self):
         rng = np.random.default_rng(19)
         metric = LogDetMetric(2)
         zs = np.stack([random_spd(rng, 2) for _ in range(5)])
-        qs = np.stack([random_psd(rng, 2) for _ in range(5)])
+        qs = sym_pack(np.stack([random_psd(rng, 2) for _ in range(5)]))
         values = np.array([metric.value(vec(z)) for z in zs])
-        grads = np.stack([metric.gradient(vec(z)) for z in zs])
-        v_new, g_new = metric.flow(values, grads, qs, 0.5)
+        grads = packed_gradient(metric, vec(zs))
+        v_new, g_new = metric.flow(values.copy(), grads.copy(), qs, 0.5)
         for k in range(5):
-            v_k, g_k = metric.flow(values[k], grads[k], qs[k], 0.5)
-            assert v_new[k] == pytest.approx(v_k)
-            assert np.allclose(g_new[k], g_k)
+            v_k, g_k = metric.flow(values[k].copy(), grads[k].copy(), qs[k], 0.5)
+            assert v_new[k] == v_k
+            assert np.array_equal(g_new[k], g_k)
 
 
 class TestClosedFormFlow:
-    """The p = 2 closed form against the general LAPACK branch."""
+    """The packed p = 2 closed form against the general LAPACK branch (and,
+    in test_hjsolver, against the closed form on four vec entries)."""
 
     @staticmethod
     def random_state(rng, n):
         zs = np.stack([random_spd(rng, 2, jitter=0.05) for _ in range(n)])
         qs = np.stack([random_psd(rng, 2) for _ in range(n)])
         metric = LogDetMetric(2)
-        grads = np.stack([metric.gradient(vec(z)) for z in zs])
-        return metric.value(vec(zs)), grads, qs
+        return metric.value(vec(zs)), packed_gradient(metric, vec(zs)), sym_pack(qs)
 
     @pytest.mark.parametrize("h", [1e-3, 0.37, 25.0])
     def test_matches_lapack_branch(self, h):
         rng = np.random.default_rng(31)
         values, grads, qs = self.random_state(rng, 400)
-        v_closed, g_closed = LogDetMetric(2).flow(values, grads, qs, h)
-        v_lapack, g_lapack = _flow_lapack(values, grads, qs, h)
+        v_closed, g_closed = LogDetMetric(2).flow(values.copy(), grads.copy(), qs, h)
+        v_lapack, g_lapack = _flow_lapack(values.copy(), grads.copy(), qs, h)
         np.testing.assert_allclose(v_closed, v_lapack, rtol=1e-12, atol=1e-12)
         scale = np.max(np.abs(g_lapack), axis=-1, keepdims=True)
         assert np.all(np.abs(g_closed - g_lapack) <= 1e-12 * scale)
 
     def test_component_major_view_gives_same_bits(self):
-        # hybrid_solve passes Phi as an (..., m) view of a component-major stack
+        # hybrid_solve passes Phi as an (..., k) view of a component-major
+        # stack, and its own scratch
         rng = np.random.default_rng(32)
         values, grads, qs = self.random_state(rng, 400)
         stacked = np.ascontiguousarray(grads.T)
-        v_view, g_view = LogDetMetric(2).flow(values, np.moveaxis(stacked, 0, -1), qs, 0.37)
-        v_flat, g_flat = LogDetMetric(2).flow(values, grads, qs, 0.37)
+        work = np.full((6, 400), np.nan)
+        v_view, g_view = LogDetMetric(2).flow(
+            values.copy(), np.moveaxis(stacked, 0, -1), qs, 0.37, work
+        )
+        v_flat, g_flat = LogDetMetric(2).flow(values.copy(), grads.copy(), qs, 0.37)
         assert np.array_equal(v_view, v_flat) and np.array_equal(g_view, g_flat)
+        assert np.array_equal(stacked.T, g_flat)
 
-    def test_one_indefinite_node_raises(self):
+    def test_one_indefinite_node_raises_and_writes_nothing(self):
         rng = np.random.default_rng(33)
         values, grads, qs = self.random_state(rng, 8)
         metric = LogDetMetric(2)
         bad_grad = grads.copy()
-        bad_grad[5] = -vec(np.linalg.inv(np.diag([1.0, -2.0])))
+        bad_grad[5] = sym_pack(-np.linalg.inv(np.diag([1.0, -2.0])))
+        before = (values.copy(), bad_grad.copy())
         with pytest.raises(NotPositiveDefiniteError):
             metric.flow(values, bad_grad, qs, 0.1)
+        assert np.array_equal(values, before[0]) and np.array_equal(bad_grad, before[1])
         bad_rate = qs.copy()
-        bad_rate[2] = np.diag([-1e6, 0.0])  # one negative eigenvalue after the step
+        bad_rate[2] = sym_pack(np.diag([-1e6, 0.0]))  # one negative eigenvalue after the step
         with pytest.raises(NotPositiveDefiniteError):
             metric.flow(values, grads, bad_rate, 0.1)
 
@@ -342,14 +417,14 @@ class TestClosedFormFlow:
     def test_negative_definite_state_raises(self, kernel):
         # A = -I has det(A) = +1, so a determinant-sign check alone lets it pass
         flow = LogDetMetric(2).flow if kernel == "closed_form" else _flow_lapack
-        minus_identity = vec(np.eye(2))[None, :]  # grad = vec(-A^-1) with A = -I
+        minus_identity = sym_pack(np.eye(2))[None, :]  # grad = -A^-1 with A = -I
         with pytest.raises(NotPositiveDefiniteError):
-            flow(np.zeros(1), minus_identity, np.zeros((1, 2, 2)), 0.1)
+            flow(np.zeros(1), minus_identity, np.zeros((1, 3)), 0.1)
         # A = I is fine, but A' = A + h Q = -2 I is not
-        identity = -vec(np.eye(2))[None, :]
-        flow(np.zeros(1), identity, np.zeros((1, 2, 2)), 0.1)
+        identity = sym_pack(-np.eye(2))[None, :]
+        flow(np.zeros(1), identity.copy(), np.zeros((1, 3)), 0.1)
         with pytest.raises(NotPositiveDefiniteError):
-            flow(np.zeros(1), identity, -30.0 * np.eye(2)[None], 0.1)
+            flow(np.zeros(1), identity, sym_pack(-30.0 * np.eye(2))[None], 0.1)
 
     def test_survey_solve_matches_lapack_kernel(self):
         from infotraj.cli import load_scenario
@@ -357,8 +432,8 @@ class TestClosedFormFlow:
         from infotraj.hjsolver import SolverConfig, hybrid_solve, info_rate_on_grid
 
         class LapackLogDet(LogDetMetric):
-            def flow(self, value, grad, rate_matrix, h):
-                return _flow_lapack(value, grad, rate_matrix, h)
+            def flow(self, value, grad, rate, h, work=None):
+                return _flow_lapack(value, grad, rate, h)
 
         scenario = load_scenario(REPO / "scenarios" / "doppler_single_path.json")
         system = scenario.build_system()

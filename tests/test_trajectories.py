@@ -22,6 +22,7 @@ from infotraj.trajectories import (
     BoundaryExitError,
     ValidationReport,
     _info_rate_and_jacobian,
+    _leading_steps,
     _simulate_control_batch,
     brute_force_value,
     extract_characteristic,
@@ -238,6 +239,82 @@ class TestRecedingExtraction:
         assert np.all(traj.controls == 0.0)
 
 
+TRAJECTORY_FIELDS = ("s", "states", "infos", "controls", "costates", "info_costates")
+
+
+@pytest.fixture(scope="module")
+def shipped_characteristic(survey):
+    """The validate sandwich's characteristic extraction of the shipped solve."""
+    scenario, system, metric, grid, z0, ell, solution = survey
+    x0 = scenario.initial_states[0]
+    return extract_characteristic(solution, system, metric, x0, scenario.extraction_dt)
+
+
+class TestRecedingLegZeroReuse:
+    """extract_receding(characteristic=...) takes leg 0 from the prefix."""
+
+    def test_sandwich_equal_with_and_without_reuse(self, survey, shipped_characteristic):
+        scenario, system, metric, grid, z0, ell, solution = survey
+        x0, dt = scenario.initial_states[0], scenario.extraction_dt
+        runs = [
+            extract_receding(
+                solution, system, metric, x0, legs=6, dt=dt, info_rate_field=ell,
+                characteristic=char,
+            )
+            for char in (None, shipped_characteristic)
+        ]
+        for name in TRAJECTORY_FIELDS:
+            assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
+        assert runs[0].terminal_cost == runs[1].terminal_cost
+        assert runs[0].residuals == runs[1].residuals
+
+    def test_prefix_ending_at_a_switch_equals_a_short_extraction(
+        self, survey, shipped_characteristic
+    ):
+        # a run that stops after n steps records its last applied control in
+        # row n, where the longer run already holds the next one
+        scenario, system, metric, grid, z0, ell, solution = survey
+        x0, dt = scenario.initial_states[0], scenario.extraction_dt
+        char = shipped_characteristic
+        switches = np.flatnonzero(char.controls[1:-1] != char.controls[:-2]) + 1
+        durations = [n * char.s[1] for n in switches]
+        checked = 0
+        for duration in durations:
+            prefix = _leading_steps(char, duration, dt, x0)
+            if prefix is None:
+                continue
+            short = extract_characteristic(solution, system, metric, x0, dt, duration=duration)
+            for name in TRAJECTORY_FIELDS:
+                assert np.array_equal(getattr(prefix, name), getattr(short, name))
+            checked += 1
+            if checked == 2:
+                break
+        assert checked == 2
+
+    @pytest.mark.parametrize("legs,integrated", [(4, 3), (3, 3)], ids=["aligned", "unaligned"])
+    def test_reuses_only_aligned_steps(self, toy_setup, monkeypatch, legs, integrated):
+        # horizon 1, dt 0.01: four legs take 25 steps of 0.01 like the full
+        # extraction, three legs take 34 steps of 1/102
+        toy, metric, grid, sol = toy_setup
+        x0 = np.array([0.5])
+        char = extract_characteristic(sol, toy, metric, x0, dt=0.01)
+        plain = extract_receding(sol, toy, metric, x0, legs=legs, dt=0.01)
+        calls = []
+        original = infotraj.trajectories.extract_characteristic
+
+        def counting(*args, **kwargs):
+            calls.append(args[4] if len(args) > 4 else kwargs["x0"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(infotraj.trajectories, "extract_characteristic", counting)
+        reused = extract_receding(sol, toy, metric, x0, legs=legs, dt=0.01, characteristic=char)
+        assert len(calls) == integrated
+        for name in TRAJECTORY_FIELDS:
+            assert np.array_equal(getattr(reused, name), getattr(plain, name))
+        # another start never reuses the prefix
+        assert _leading_steps(char, 0.25, 0.01, np.array([0.4])) is None
+
+
 class TestRecedingCropAgainstReference:
     # largest |cropped - full| over the largest full-grid entry, measured on
     # the shipped six-leg sandwich at a 4-cell margin: 6.3e-4 for the x
@@ -335,18 +412,6 @@ class TestBruteForce:
         metric = LogDetMetric(1)
         with pytest.raises(ValueError, match="refus"):
             brute_force_value(toy, metric, np.array([0.0]), np.array([1.0]), 1.0, segments=9)
-
-    def test_refinement_improves_or_keeps_cost(self):
-        toy = ToyCascade()
-        metric = LogDetMetric(1)
-        coarse, _ = brute_force_value(
-            toy, metric, np.array([0.1]), np.array([1.0]), 1.0, segments=3, dt=0.01
-        )
-        refined, sig = brute_force_value(
-            toy, metric, np.array([0.1]), np.array([1.0]), 1.0, segments=3, dt=0.01, refine=True
-        )
-        assert refined <= coarse + 1e-12
-        assert sig.times[0] == 0.0 and sig.times[-1] == pytest.approx(1.0)
 
     def test_batch_simulator_matches_single(self):
         from infotraj.dynamics import AugmentedState, ControlSignal, simulate_open_loop
