@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -554,45 +554,113 @@ def cmd_plot(in_dir, out_file, scenario: Optional[Scenario] = None) -> None:
         fh.write(render_svg(trajectories, mean, cov))
 
 
-def run_validation_suite(suite: dict) -> ValidationReport:
+@dataclass(frozen=True)
+class ValidationSuite:
+    """Settings of the oracle suite (suite_from_dict reads them from a suite
+    file). scenario, when given, adds the survey gradient check and the
+    sandwich."""
+
+    scenario: Optional[Scenario] = None
+    report: str = ""  # path the report is written to; empty: not written
+    toy_dx: float = 0.05
+    toy_gradient_dx: float = 0.0125
+    survey_gradient_horizon_s: float = 5.0
+    sandwich: bool = True
+    sandwich_legs: int = 6
+    sandwich_segments: int = 6
+    sandwich_sim_dt: float = 0.2
+    toy_max_diff: float = 5e-2
+    toy_ratio_band: tuple = (0.4, 0.6)
+    gradient_fraction: float = 0.9
+    sandwich_rel: float = 0.02
+    value_band: float = 0.6
+    costate_terminal_ratio: float = 1.0
+    info_costate_gap_rel: float = 1.0
+
+
+# the suite file's "thresholds" object: the last fields of ValidationSuite
+_THRESHOLDS = (
+    "toy_max_diff", "toy_ratio_band", "gradient_fraction", "sandwich_rel", "value_band",
+    "costate_terminal_ratio", "info_costate_gap_rel",
+)
+
+
+def suite_from_dict(data: dict, where: str = "suite", base_dir: str = ".") -> ValidationSuite:
+    """Parse a validate suite; every field is optional, with the defaults of
+    ValidationSuite. scenario is a scenario file's path relative to base_dir
+    and is loaded here. An unknown field or a bad value raises ScenarioError
+    naming it. The toy grid steps are at most 1, so that every toy grid has
+    at least 5 nodes, and brute force takes at most 8 segments."""
+    defaults = asdict(ValidationSuite())
+    defaults.update(scenario="", toy_ratio_band=list(defaults["toy_ratio_band"]))
+    known = {key: value for key, value in defaults.items() if key not in _THRESHOLDS}
+    top = _take(data, where, dict(known, thresholds={}))
+    limits = _take(
+        top.pop("thresholds"), f"{where}.thresholds", {key: defaults[key] for key in _THRESHOLDS}
+    )
+    values = dict(top, **limits)
+    for key in ("scenario", "report"):
+        _require(isinstance(values[key], str), f"{where}.{key}", "expected a file path")
+    _require(isinstance(values["sandwich"], bool), f"{where}.sandwich", "expected true or false")
+    for key, value in top.items():
+        if key in ("toy_dx", "toy_gradient_dx", "survey_gradient_horizon_s", "sandwich_sim_dt"):
+            values[key] = _positive(value, f"{where}.{key}")
+        elif key in ("sandwich_legs", "sandwich_segments"):
+            values[key] = _positive(value, f"{where}.{key}", integer=True)
+    for key, value in limits.items():
+        where_key = f"{where}.thresholds.{key}"
+        if key == "toy_ratio_band":
+            lo, hi = _numbers(value, where_key, 2)
+            _require(lo <= hi, where_key, "expected [lo, hi] with lo <= hi")
+            values[key] = (lo, hi)
+        else:
+            values[key] = _number(value, where_key)
+            _require(values[key] >= 0, where_key, "must be nonnegative")
+    for key in ("toy_dx", "toy_gradient_dx"):
+        _require(values[key] <= 1.0, f"{where}.{key}", "must be at most 1")
+    _require(values["sandwich_segments"] <= 8, f"{where}.sandwich_segments", "must be at most 8")
+    path = values["scenario"]
+    values["scenario"] = load_scenario(os.path.join(base_dir, path)) if path else None
+    return ValidationSuite(**values)
+
+
+def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
     """Run the oracle suite: toy cross-check, gradient-consistency checks,
     characteristic residuals, and the brute-force optimality sandwich."""
     report = ValidationReport()
-    thresholds = suite.get("thresholds", {})
 
-    toy_dx = suite.get("toy_dx", 0.05)
-    cross = toy_hybrid_vs_classic(toy_dx)
+    cross = toy_hybrid_vs_classic(suite.toy_dx)
     report.add(
         "toy_hybrid_vs_classic",
-        cross["max_diff"] <= thresholds.get("toy_max_diff", 5e-2),
+        cross["max_diff"] <= suite.toy_max_diff,
         **cross,
-        limit=thresholds.get("toy_max_diff", 5e-2),
+        limit=suite.toy_max_diff,
     )
-    lo, hi = thresholds.get("toy_ratio_band", (0.4, 0.6))
+    lo, hi = suite.toy_ratio_band
     report.add("toy_refinement_halves", lo <= cross["ratio"] <= hi, ratio=cross["ratio"], band=[lo, hi])
 
     toy = ToyCascade()
     metric1 = LogDetMetric(1)
-    toy_grid = GridSpec((Axis(-2.0, 2.0, int(round(4.0 / suite.get("toy_gradient_dx", 0.0125))) + 1),))
+    toy_grid = GridSpec((Axis(-2.0, 2.0, int(round(4.0 / suite.toy_gradient_dx)) + 1),))
     out = gradient_consistency_check(
         toy, metric1, toy_grid, np.array([1.0]), SolverConfig(horizon=1.0),
         interior_margin=int(0.25 * toy_grid.axes[0].n),
     )
     report.add(
         "toy_gradient_consistency",
-        out["fraction_within_1e2"] >= thresholds.get("gradient_fraction", 0.9),
+        out["fraction_within_1e2"] >= suite.gradient_fraction,
         **out,
-        limit=thresholds.get("gradient_fraction", 0.9),
+        limit=suite.gradient_fraction,
     )
 
-    scenario = suite.get("_scenario")
+    scenario = suite.scenario
     if scenario is not None:
         system = scenario.build_system()
         metric = LogDetMetric(scenario.prior().dim)
         coarse_grid = GridSpec.vehicle_plane(
             scenario.x_extent, scenario.y_extent, 21, 21, 16
         )
-        horizon = suite.get("survey_gradient_horizon_s", 5.0)
+        horizon = suite.survey_gradient_horizon_s
         out = gradient_consistency_check(
             system,
             metric,
@@ -602,13 +670,13 @@ def run_validation_suite(suite: dict) -> ValidationReport:
         )
         report.add(
             "survey_gradient_consistency",
-            out["fraction_within_1e2"] >= thresholds.get("gradient_fraction", 0.9),
+            out["fraction_within_1e2"] >= suite.gradient_fraction,
             **out,
             horizon_s=horizon,
-            limit=thresholds.get("gradient_fraction", 0.9),
+            limit=suite.gradient_fraction,
         )
 
-        if suite.get("sandwich", True):
+        if suite.sandwich:
             grid = scenario.grid()
             z0 = scenario.initial_information()
             ell = info_rate_on_grid(system, grid)
@@ -619,14 +687,14 @@ def run_validation_suite(suite: dict) -> ValidationReport:
             x0 = scenario.initial_states[0]
             char = extract_characteristic(solution, system, metric, x0, scenario.extraction_dt)
             best = extract_receding(
-                solution, system, metric, x0, legs=suite.get("sandwich_legs", 6),
+                solution, system, metric, x0, legs=suite.sandwich_legs,
                 dt=scenario.extraction_dt, info_rate_field=ell, characteristic=char,
             )
             bf_cost, _ = brute_force_value(
                 system, metric, x0, z0, scenario.solver.horizon,
-                segments=suite.get("sandwich_segments", 6), dt=suite.get("sandwich_sim_dt", 0.2),
+                segments=suite.sandwich_segments, dt=suite.sandwich_sim_dt,
             )
-            tol = thresholds.get("sandwich_rel", 0.02) * abs(bf_cost)
+            tol = suite.sandwich_rel * abs(bf_cost)
             report.add(
                 "optimality_sandwich",
                 best.terminal_cost <= bf_cost + tol,
@@ -635,7 +703,7 @@ def run_validation_suite(suite: dict) -> ValidationReport:
                 tolerance=tol,
             )
             phi_x0 = float(interpolate(solution.phi_final(), grid, x0.as_array()))
-            band = thresholds.get("value_band", 0.6)
+            band = suite.value_band
             report.add(
                 "value_consistency_band",
                 abs(best.terminal_cost - phi_x0) <= band and bf_cost >= phi_x0 - band,
@@ -649,9 +717,8 @@ def run_validation_suite(suite: dict) -> ValidationReport:
             )
             report.add(
                 "characteristic_residuals",
-                ratio <= thresholds.get("costate_terminal_ratio", 1.0)
-                and char.residuals["info_costate_gap_rel"]
-                <= thresholds.get("info_costate_gap_rel", 1.0),
+                ratio <= suite.costate_terminal_ratio
+                and char.residuals["info_costate_gap_rel"] <= suite.info_costate_gap_rel,
                 costate_ratio=ratio,
                 info_costate_gap_rel=char.residuals["info_costate_gap_rel"],
             )
@@ -659,14 +726,12 @@ def run_validation_suite(suite: dict) -> ValidationReport:
 
 
 def cmd_validate(suite_path) -> ValidationReport:
-    suite = _read_json(suite_path)
-    if "scenario" in suite:
-        scen_path = os.path.join(os.path.dirname(str(suite_path)), suite["scenario"])
-        suite["_scenario"] = load_scenario(scen_path)
+    suite = suite_from_dict(
+        _read_json(suite_path), where=str(suite_path), base_dir=os.path.dirname(str(suite_path))
+    )
     report = run_validation_suite(suite)
-    out_path = suite.get("report", None)
-    if out_path:
-        write_manifest(out_path, report.to_dict())
+    if suite.report:
+        write_manifest(suite.report, report.to_dict())
     return report
 
 

@@ -263,32 +263,76 @@ def _segment_nodes(control: ControlSignal, horizon: float, dt: float) -> np.ndar
     return np.asarray(nodes, dtype=float)
 
 
-def rk4_step(system: CascadeSystem, deriv, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step of dy/ds = deriv(y).
+# stage nodes of the classical RK4 scheme: stage i is taken at
+# y + (RK4_NODES[i] * h) * k_{i-1}, stage 0 at y itself
+RK4_NODES = (0.0, 0.5, 0.5, 1.0)
 
-    y has shape (batch, n) and its first system.state_dim columns are the
-    vehicle state, whose heading is wrapped after the step (never between
-    stages). Every integrator in the package steps through this function.
+
+def _rk4_slopes(deriv, y: np.ndarray, h: float) -> list:
+    """The four stage slopes k_i = deriv(y_i, i) of one RK4 step from y."""
+    k = []
+    for i, c in enumerate(RK4_NODES):
+        k.append(deriv(y if i == 0 else y + (c * h) * k[-1], i))
+    return k
+
+
+def rk4_step(system: CascadeSystem, deriv, y: np.ndarray, h: float) -> np.ndarray:
+    """One classical Runge-Kutta step of size h from the rows y.
+
+    deriv(y_i, i) returns the slope k_i at stage i = 0..3, whose state is
+    y_0 = y and y_i = y + (RK4_NODES[i] * h) * k_{i-1}; the step returns
+    y + h / 6 * (k_0 + 2 k_1 + 2 k_2 + k_3). y has shape (batch, n) and its
+    first system.state_dim columns are the vehicle state, whose heading is
+    wrapped after the step (never between stages). Every integrator in the
+    package steps through this function, and vehicle_stages forms the
+    vehicle part's stages with the same formula.
     """
-    k1 = deriv(y)
-    k2 = deriv(y + 0.5 * h * k1)
-    k3 = deriv(y + 0.5 * h * k2)
-    k4 = deriv(y + h * k3)
-    y_new = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    k = _rk4_slopes(deriv, y, h)
+    y_new = y + h / 6.0 * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
     d = system.state_dim
     y_new[:, :d] = system.wrap(y_new[:, :d])
     return y_new
 
 
-def cascade_deriv(system: CascadeSystem, u):
-    """The cascade dynamics d[x, z]/ds = [f(x) + g u, vec(Q(x))] on rows
-    y = [x, z]; u is a scalar or a (batch, 1) column of turn rates."""
-    d = system.state_dim
-    g = system.control_column()
+def vehicle_stages(system: CascadeSystem, x: np.ndarray, u, h: float):
+    """The four RK4 stage states of the vehicle part dx/ds = f(x) + g u of a
+    step of size h from the rows x, shape (4, batch, d), and their slopes,
+    shape (4, batch, d).
 
-    def deriv(y):
-        x = y[:, :d]
-        return np.concatenate([system.drift(x) + g * u, system.info_rate(x)], axis=1)
+    The vehicle rate never reads the information state or the costates, so
+    at a fixed u these are the vehicle parts of the stages rk4_step forms
+    for the whole cascade row, bit for bit, and every stage's information
+    rate can come from one call before the later stages are formed.
+    """
+    g = system.control_column()
+    states = []
+
+    def vehicle(x_i, i):
+        states.append(x_i)
+        return system.drift(x_i) + g * u
+
+    slopes = _rk4_slopes(vehicle, x, h)
+    return np.stack(states), np.stack(slopes)
+
+
+def cascade_deriv(system: CascadeSystem, u, h: float):
+    """rk4_step's deriv for the cascade dynamics d[x, z]/ds = [f(x) + g u,
+    vec(Q(x))] on rows y = [x, z] at step size h; u is a scalar or a
+    (batch, 1) column of turn rates.
+
+    At stage 0 it forms the vehicle stages (vehicle_stages) and evaluates
+    vec(Q) at all four in one (4 * batch)-row info_rate call; every stage
+    then returns its slice.
+    """
+    d = system.state_dim
+    slopes = []
+
+    def deriv(y, i):
+        if i == 0:
+            xs, kx = vehicle_stages(system, y[:, :d], u, h)
+            rates = system.info_rate(xs.reshape(-1, d)).reshape(xs.shape[:2] + (-1,))
+            slopes[:] = np.concatenate([kx, rates], axis=2)  # one row per stage
+        return slopes[i]
 
     return deriv
 
@@ -332,7 +376,8 @@ def simulate_open_loop(
     y = np.concatenate([x, z])[None, :]
     for k in range(n - 1):
         u = control.value_at(nodes[k])
-        y = rk4_step(system, cascade_deriv(system, u), y, nodes[k + 1] - nodes[k])
+        h = nodes[k + 1] - nodes[k]
+        y = rk4_step(system, cascade_deriv(system, u, h), y, h)
         states[k + 1] = y[0, :d]
         infos[k + 1] = y[0, d:]
         controls[k + 1] = u

@@ -1,5 +1,4 @@
-"""Cartesian grid over the vehicle state (periodic heading axis), first-order
-one-sided differences with linear-extrapolation ghost values, multilinear
+"""Cartesian grid over the vehicle state (periodic heading axis), multilinear
 interpolation, and flat-binary field snapshots (written whole, mapped on read)."""
 
 from __future__ import annotations
@@ -128,64 +127,6 @@ class GridSpec:
                 for a in data["axes"]
             )
         )
-
-
-def backward_difference(
-    values: np.ndarray, grid: GridSpec, axis: int, boundary: str = "extrapolate"
-) -> np.ndarray:
-    """Left-biased first difference along a grid axis.
-
-    Values may carry trailing component axes. On a non-periodic boundary the
-    missing neighbor is linearly extrapolated ("extrapolate", which reduces to
-    copying the interior one-sided slope) or held ("clamp", zero slope; keeps
-    every difference a combination of stored values, which matters for fields
-    whose entries must remain a definite matrix).
-    """
-    ax = grid.axes[axis]
-    h = ax.spacing
-    if ax.periodic:
-        return (values - np.roll(values, 1, axis=axis)) / h
-    out = np.empty_like(values)
-    src = np.diff(values, axis=axis) / h
-    first = [slice(None)] * values.ndim
-    first[axis] = slice(1, None)
-    out[tuple(first)] = src
-    lead = [slice(None)] * values.ndim
-    lead[axis] = slice(0, 1)
-    if boundary == "clamp":
-        out[tuple(lead)] = 0.0
-    else:
-        out[tuple(lead)] = np.take(src, [0], axis=axis)
-    return out
-
-
-def forward_difference(
-    values: np.ndarray, grid: GridSpec, axis: int, boundary: str = "extrapolate"
-) -> np.ndarray:
-    """Right-biased first difference along a grid axis (see backward_difference)."""
-    ax = grid.axes[axis]
-    h = ax.spacing
-    if ax.periodic:
-        return (np.roll(values, -1, axis=axis) - values) / h
-    out = np.empty_like(values)
-    src = np.diff(values, axis=axis) / h
-    head = [slice(None)] * values.ndim
-    head[axis] = slice(0, -1)
-    out[tuple(head)] = src
-    tail = [slice(None)] * values.ndim
-    tail[axis] = slice(-1, None)
-    if boundary == "clamp":
-        out[tuple(tail)] = 0.0
-    else:
-        out[tuple(tail)] = np.take(src, [-1], axis=axis)
-    return out
-
-
-def upwind_gradients(values: np.ndarray, grid: GridSpec):
-    """(left-biased, right-biased) one-sided gradients for every grid axis."""
-    minus = [backward_difference(values, grid, i) for i in range(grid.ndim)]
-    plus = [forward_difference(values, grid, i) for i in range(grid.ndim)]
-    return minus, plus
 
 
 def _locate(ax: Axis, coord: float):

@@ -48,7 +48,6 @@ from infotraj.grid import (
     load_array,
     read_manifest,
     save_array,
-    upwind_gradients,
     write_manifest,
 )
 from infotraj.matrixcore import FLOW_WORK, TerminalMetric, sym_pack, sym_unpack, unvec
@@ -259,9 +258,13 @@ class HybridSolution:
         return self.phi_zs[-1]
 
     def value_gradient_final(self) -> np.ndarray:
-        """Central-difference gradient of the final phi, shape grid.shape + (d,)."""
-        minus, plus = upwind_gradients(self.phis[-1], self.grid)
-        return np.stack([0.5 * (m + p) for m, p in zip(minus, plus)], axis=-1)
+        """Central-difference gradient of the final phi, shape grid.shape + (d,):
+        the mean of its one-sided differences (_ghost_differences on phi as a
+        one-component stack, its edge slopes extrapolated)."""
+        stack = np.asarray(self.phis[-1])[None]
+        bufs, minus, plus = _ghost_difference_buffers(stack, self.grid)
+        _ghost_differences(stack, self.grid, bufs)
+        return np.stack([0.5 * (m[0] + p[0]) for m, p in zip(minus, plus)], axis=-1)
 
 
 def config_fingerprint(grid: GridSpec, z0, config: SolverConfig) -> str:
@@ -697,8 +700,9 @@ def classic_solve(
     The z axes enter the kernel as extra drift axes (drift vec(Q(x)), no
     control). Tractable only in very low dimension; refuses more than 3 total
     axes. Serves as the independent reference for the hybrid solver on toy
-    systems. on_snapshot works as in hybrid_solve: final_only keeps the
-    final snapshot alone.
+    systems. The value marches as a one-component stack through the same
+    ghost-row differences as hybrid_solve's. on_snapshot works as in
+    hybrid_solve: final_only keeps the final snapshot alone.
     """
     d = system.state_dim
     m = system.info_len
@@ -725,18 +729,19 @@ def classic_solve(
     alpha = [alpha_global[i] for i in range(d)] + [np.abs(ell[..., j]) for j in range(m)]
     dt = cfl_dt(joint_grid, alpha_global, config.cfl_number)
 
+    # the value alone, as a one-component stack marched in place
+    stack = metric.value(z_nodes)[None]
+    bufs, minus, plus = _ghost_difference_buffers(stack, joint_grid)
+    plan = lf_plan(drift, g, alpha, stack.shape)
+
     def rate(fields):
-        minus, plus = upwind_gradients(fields[0], joint_grid)
-        value_only = ([m[None] for m in minus], [p[None] for p in plus])
-        rate, _ = lf_rate(*value_only, drift, g, system.control_bound, alpha)
-        return (rate[0],)
+        _ghost_differences(stack, joint_grid, bufs)
+        return lf_rate(minus, plus, drift, g, system.control_bound, alpha, plan)[0]
 
     def step(fields, h):
         _explicit_step(rate, fields, h)
 
-    times, snapshots, _ = _march(
-        [metric.value(z_nodes)], step, dt, config, on_snapshot=on_snapshot
-    )
+    times, snapshots, _ = _march([stack[0]], step, dt, config, on_snapshot=on_snapshot)
     return ClassicSolution(
         grid=joint_grid, times=times, phis=[snap[0] for snap in snapshots]
     )

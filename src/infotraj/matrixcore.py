@@ -215,14 +215,15 @@ class LogDetMetric(TerminalMetric):
         return out if out.ndim else float(out)
 
     def gradient(self, z) -> np.ndarray:
-        """G_z(z) = -vec(Z^-T), the elementwise derivative on all p**2 coordinates."""
+        """G_z(z) = -vec(Z^-T), the elementwise derivative on all p**2
+        coordinates; a (..., m) batch of states gives (..., m)."""
         zmat = unvec(z)
         self._check_dim(zmat)
         try:
             inv = np.linalg.inv(zmat)
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(f"information matrix is singular: {exc}") from exc
-        return -vec(inv.T)
+        return -vec(np.swapaxes(inv, -1, -2))
 
     def curvature_contraction(self, rate_matrix, grad) -> np.ndarray:
         return curvature_contraction(rate_matrix, grad)

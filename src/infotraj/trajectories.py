@@ -24,6 +24,7 @@ from infotraj.dynamics import (
     Trajectory,
     cascade_deriv,
     rk4_step,
+    vehicle_stages,
 )
 from infotraj.grid import Axis, GridSpec, interpolate
 from infotraj.hjsolver import (
@@ -58,18 +59,20 @@ def _inside(grid: GridSpec, x: np.ndarray) -> bool:
 
 
 def _info_rate_and_jacobian(system: CascadeSystem, x: np.ndarray, steps: np.ndarray):
-    """vec(Q) at x and d vec(Q)/dx by central differences, shapes (m,) and
-    (m, d), from one batched rate call on the centre and the 2d probes."""
-    d = system.state_dim
-    probes = np.repeat(x[None, :], 1 + 2 * d, axis=0)
+    """vec(Q) at each row of x, shape (n, m), and d vec(Q)/dx by central
+    differences, shape (n, m, d), from one n * (1 + 2d)-point rate call on
+    every row's centre and 2d probes."""
+    n, d = x.shape
+    probes = np.repeat(x[:, None, :], 1 + 2 * d, axis=1)
     for i in range(d):
-        probes[1 + 2 * i, i] += steps[i]
-        probes[2 + 2 * i, i] -= steps[i]
-    rates = system.info_rate(probes)
+        probes[:, 1 + 2 * i, i] += steps[i]
+        probes[:, 2 + 2 * i, i] -= steps[i]
+    rates = system.info_rate(probes.reshape(-1, d)).reshape(n, 1 + 2 * d, -1)
     jac = np.stack(
-        [(rates[1 + 2 * i] - rates[2 + 2 * i]) / (2.0 * steps[i]) for i in range(d)], axis=-1
+        [(rates[:, 1 + 2 * i] - rates[:, 2 + 2 * i]) / (2.0 * steps[i]) for i in range(d)],
+        axis=-1,
     )
-    return rates[0], jac
+    return rates[:, 0], jac
 
 
 def extract_characteristic(
@@ -88,7 +91,9 @@ def extract_characteristic(
     information state). Marches with fixed-step RK4, bang-bang control from
     the switching function with a hysteresis band against chattering, and the
     spatial information-rate Jacobian by central differences at half the grid
-    spacing. Reports the terminal costate residual (the transversality
+    spacing. Each step forms its four vehicle stages first (vehicle_stages)
+    and takes the rate and its Jacobian at all of them from one 28-point
+    info_rate call (for d = 3). Reports the terminal costate residual (the transversality
     condition sends it to zero), the gradient-consistency residual, and the
     value-vs-rollout gap.
     """
@@ -129,13 +134,6 @@ def extract_characteristic(
             return u_prev
         return float(_hjsolver.bang_bang(sw, system.control_bound))
 
-    def derivs(y, u_now):
-        x_now, p_now = y[0, :d], y[0, d + m :]
-        dx = system.drift(x_now) + g * u_now
-        dz, ell_jac = _info_rate_and_jacobian(system, x_now, fd_steps)
-        dp = -system.drift_jacobian(x_now).T @ p_now - ell_jac.T @ lam_row
-        return np.concatenate([dx, dz, dp])[None, :]
-
     y = np.concatenate([x, solution.z0, p])[None, :]
     path[0] = y[0]
     controls[0] = control_from(p)
@@ -144,7 +142,17 @@ def extract_characteristic(
         u = control_from(y[0, d + m :])
         u_prev = u
         controls[k] = u
-        y = rk4_step(system, lambda y_now: derivs(y_now, u), y, h)
+        # the vehicle stages first, then the rates at all four in one call;
+        # each costate stage reads its own stage's p
+        xs, dx = vehicle_stages(system, y[:, :d], u, h)
+        dz, ell_jac = _info_rate_and_jacobian(system, xs[:, 0], fd_steps)
+        f_jac = system.drift_jacobian(xs[:, 0])
+
+        def deriv(y_i, i):
+            dp = -f_jac[i].T @ y_i[0, d + m :] - ell_jac[i].T @ lam_row
+            return np.concatenate([dx[i, 0], dz[i], dp])[None, :]
+
+        y = rk4_step(system, deriv, y, h)
         path[k + 1] = y[0]
         controls[k + 1] = u
         if not _inside(grid, y[0, :d]):
@@ -345,7 +353,7 @@ def _simulate_control_batch(
             control_values[:, : k + 1], axis=0, return_index=True, return_inverse=True
         )
         y = y[row[first]]
-        deriv = cascade_deriv(system, control_values[first, k][:, None])
+        deriv = cascade_deriv(system, control_values[first, k][:, None], h)
         for _ in range(n_sub):
             y = rk4_step(system, deriv, y, h)
         row = inverse.reshape(-1)

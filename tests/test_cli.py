@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ import infotraj.trajectories
 from infotraj.cli import (
     CHI2_2DOF_95,
     ScenarioError,
+    ValidationSuite,
     cmd_extract,
     cmd_plot,
     cmd_solve,
@@ -21,6 +23,7 @@ from infotraj.cli import (
     render_svg,
     run_validation_suite,
     scenario_from_dict,
+    suite_from_dict,
 )
 from infotraj.dynamics import Trajectory, trajectory_to_csv
 from infotraj.hjsolver import InstabilityError, final_only, hybrid_solve, load_solution
@@ -565,32 +568,29 @@ class TestRenderSvg:
 
 class TestValidationSuite:
     def test_toy_only_suite_passes(self):
-        from infotraj.cli import run_validation_suite
-
-        report = run_validation_suite({"toy_dx": 0.05, "toy_gradient_dx": 0.025})
+        report = run_validation_suite(suite_from_dict({"toy_dx": 0.05, "toy_gradient_dx": 0.025}))
         assert report.passed
 
     def test_tightened_thresholds_flip_to_failure(self):
-        from infotraj.cli import run_validation_suite
-
         report = run_validation_suite(
-            {
-                "toy_dx": 0.05,
-                "toy_gradient_dx": 0.025,
-                "thresholds": {"toy_max_diff": 1e-6},
-            }
+            suite_from_dict(
+                {
+                    "toy_dx": 0.05,
+                    "toy_gradient_dx": 0.025,
+                    "thresholds": {"toy_max_diff": 1e-6},
+                }
+            )
         )
         assert not report.passed
         assert "toy_hybrid_vs_classic" in report.violations
 
     def test_final_only_solves_leave_the_report_unchanged(self, monkeypatch):
-        suite = {
-            "toy_dx": 0.05,
-            "toy_gradient_dx": 0.025,
-            "_scenario": scenario_from_dict(small_scenario_dict()),
-            "sandwich_legs": 3,
-            "sandwich_segments": 3,
-        }
+        suite = replace(
+            suite_from_dict(
+                {"toy_dx": 0.05, "toy_gradient_dx": 0.025, "sandwich_legs": 3, "sandwich_segments": 3}
+            ),
+            scenario=scenario_from_dict(small_scenario_dict()),
+        )
         solvers = {
             (module, name): getattr(module, name)
             for module, name in (
@@ -637,6 +637,44 @@ class TestValidationSuite:
         )
         assert main(["validate", "--suite", str(tight)]) == 1
 
+    @pytest.mark.parametrize(
+        "content,field",
+        [
+            ({"toy_dx": "abc"}, "toy_dx"),
+            ({"toy_gradient_dx": 1e9}, "toy_gradient_dx"),
+            ([1, 2], "suite.json: expected an object"),
+            ({"thresholds": [1, 2]}, "thresholds"),
+            ({"sandwhich": False}, "sandwhich"),
+            ({"thresholds": {"toy_ratio_band": 3}}, "toy_ratio_band"),
+            ({"scenario": 5}, "scenario"),
+            ({"sandwich_segments": 9}, "sandwich_segments"),
+            ({"toy_dx": 0}, "toy_dx"),
+            ({"sandwich": "yes"}, "sandwich"),
+        ],
+        ids=repr,
+    )
+    def test_malformed_suite_exits_2_naming_the_field(
+        self, tmp_path, capsys, monkeypatch, content, field
+    ):
+        def no_run(suite):
+            raise AssertionError("a malformed suite reached the checks")
+
+        monkeypatch.setattr(infotraj.cli, "run_validation_suite", no_run)
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(content))
+        assert main(["validate", "--suite", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    def test_shipped_suite_parses_to_its_values(self):
+        suite = suite_from_dict(
+            json.loads((REPO / "scenarios" / "validate_suite.json").read_text()),
+            base_dir=str(REPO / "scenarios"),
+        )
+        assert suite.scenario.name == "doppler_single_path"
+        assert suite == replace(ValidationSuite(), scenario=suite.scenario)
+        assert suite_from_dict({}) == ValidationSuite()
+
     def test_missing_suite_exits_2_naming_it(self, tmp_path, capsys):
         missing = tmp_path / "no_such_suite.json"
         assert main(["validate", "--suite", str(missing)]) == 2
@@ -649,8 +687,6 @@ class TestValidationSuite:
         import infotraj.hjsolver as hj
         from infotraj.hjsolver import InstabilityError
         from infotraj.matrixcore import NotPositiveDefiniteError
-        from infotraj.cli import run_validation_suite
-
         original = hj.lf_rate
 
         def swapped(minus, plus, *args):
@@ -659,7 +695,9 @@ class TestValidationSuite:
         # lf_rate serves the hybrid and the classic march alike
         monkeypatch.setattr(hj, "lf_rate", swapped)
         try:
-            report = run_validation_suite({"toy_dx": 0.05, "toy_gradient_dx": 0.05})
+            report = run_validation_suite(
+                suite_from_dict({"toy_dx": 0.05, "toy_gradient_dx": 0.05})
+            )
             detected = not report.passed
         except (InstabilityError, NotPositiveDefiniteError, FloatingPointError):
             detected = True

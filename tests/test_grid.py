@@ -4,21 +4,28 @@ import numpy as np
 import pytest
 
 import infotraj.grid as grid_module
+from infotraj import hjsolver
 from infotraj.grid import (
     Axis,
     ExtrapolationError,
     GridSpec,
-    backward_difference,
-    forward_difference,
     interpolate,
     load_array,
     save_array,
-    upwind_gradients,
 )
 
 
 def line_grid(lo=-1.0, hi=1.0, n=21, periodic=False):
     return GridSpec((Axis(lo, hi, n, periodic),))
+
+
+def one_sided(values, grid, axis=0):
+    """(D-, D+) of one field along a grid axis from the march's ghost-row
+    differences (hjsolver._ghost_differences on a one-component stack)."""
+    stack = np.asarray(values, dtype=float)[None]
+    bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid)
+    hjsolver._ghost_differences(stack, grid, bufs)
+    return minus[axis][0], plus[axis][0]
 
 
 class TestAxis:
@@ -42,8 +49,7 @@ class TestDifferences:
         grid = line_grid()
         a = 2.5
         phi = a * grid.axes[0].nodes
-        dm = backward_difference(phi, grid, 0)
-        dp = forward_difference(phi, grid, 0)
+        dm, dp = one_sided(phi, grid)
         assert np.allclose(dm, a, atol=1e-12)
         assert np.allclose(dp, a, atol=1e-12)
 
@@ -52,30 +58,29 @@ class TestDifferences:
         psi = grid.axes[0].nodes
         phi = np.sin(psi)
         h = grid.axes[0].spacing
-        for diff in (backward_difference(phi, grid, 0), forward_difference(phi, grid, 0)):
+        for diff in one_sided(phi, grid):
             assert np.max(np.abs(diff - np.cos(psi))) <= 0.5 * h + 1e-12
 
     def test_kink_one_sided_slopes(self):
         grid = line_grid(-1.0, 1.0, 21)
         phi = np.abs(grid.axes[0].nodes)
         k = 10  # the node at x = 0
-        assert backward_difference(phi, grid, 0)[k] == pytest.approx(-1.0)
-        assert forward_difference(phi, grid, 0)[k] == pytest.approx(1.0)
+        dm, dp = one_sided(phi, grid)
+        assert dm[k] == pytest.approx(-1.0)
+        assert dp[k] == pytest.approx(1.0)
 
     def test_one_sided_agreement_on_smooth_fields(self):
         grid = line_grid(0.0, 1.0, 101)
         x = grid.axes[0].nodes
         phi = np.exp(x)
-        dm = backward_difference(phi, grid, 0)
-        dp = forward_difference(phi, grid, 0)
+        dm, dp = one_sided(phi, grid)
         assert np.max(np.abs(dp - dm)) < 0.05  # O(h) with h = 0.01, |phi''| <= e
 
     def test_bracket_derivative_for_convex_section(self):
         grid = line_grid(-1.0, 1.0, 41)
         x = grid.axes[0].nodes
         phi = x**2
-        dm = backward_difference(phi, grid, 0)
-        dp = forward_difference(phi, grid, 0)
+        dm, dp = one_sided(phi, grid)
         inner = slice(1, -1)
         assert np.all(dm[inner] <= 2.0 * x[inner] + 1e-12)
         assert np.all(dp[inner] >= 2.0 * x[inner] - 1e-12)
@@ -84,21 +89,29 @@ class TestDifferences:
         grid = GridSpec((Axis(-math.pi, math.pi, 16, periodic=True),))
         rng = np.random.default_rng(5)
         phi = rng.normal(size=16)
-        dm = backward_difference(phi, grid, 0)
-        dm_shifted = backward_difference(np.roll(phi, 3), grid, 0)
+        dm = one_sided(phi, grid)[0]
+        dm_shifted = one_sided(np.roll(phi, 3), grid)[0]
         assert np.allclose(dm_shifted, np.roll(dm, 3))
 
-    def test_trailing_component_axes(self):
-        grid = GridSpec((Axis(0.0, 1.0, 5), Axis(0.0, 1.0, 4)))
-        values = np.arange(5 * 4 * 3, dtype=float).reshape(5, 4, 3)
-        out = forward_difference(values, grid, 0)
-        assert out.shape == values.shape
+    def test_edge_slopes_extrapolate_value_and_clamp_sensitivities(self):
+        grid = line_grid(0.0, 1.0, 5)
+        x = grid.axes[0].nodes
+        stack = np.stack([x**2, x**3])  # the value, then one sensitivity
+        bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid)
+        hjsolver._ghost_differences(stack, grid, bufs)
+        dm, dp = minus[0], plus[0]
+        inner = np.diff(stack, axis=1) / grid.axes[0].spacing
+        assert np.array_equal(dm[0], np.concatenate([inner[0, :1], inner[0]]))
+        assert np.array_equal(dp[0], np.concatenate([inner[0], inner[0, -1:]]))
+        assert dm[1, 0] == 0.0 and dp[1, -1] == 0.0
+        assert np.allclose(dm[1, 1:], inner[1], rtol=1e-15, atol=0.0)
 
-    def test_upwind_gradients_returns_both_sides_per_axis(self):
+    def test_buffers_give_both_sides_per_axis(self):
         grid = GridSpec.vehicle_plane((-1.0, 1.0), (-1.0, 1.0), 5, 5, 8)
-        phi = np.zeros(grid.shape)
-        minus, plus = upwind_gradients(phi, grid)
+        stack = np.zeros((1,) + grid.shape)
+        bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid)
         assert len(minus) == 3 and len(plus) == 3
+        assert all(m.shape == p.shape == stack.shape for m, p in zip(minus, plus))
 
 
 class TestInterpolate:

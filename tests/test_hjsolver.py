@@ -10,13 +10,7 @@ import pytest
 from infotraj import hjsolver
 from infotraj.cli import load_scenario
 from infotraj.dynamics import DubinsCar, ToyCascade
-from infotraj.grid import (
-    Axis,
-    GridSpec,
-    backward_difference,
-    forward_difference,
-    upwind_gradients,
-)
+from infotraj.grid import Axis, GridSpec
 from infotraj.hjsolver import (
     InstabilityError,
     SolverConfig,
@@ -82,14 +76,33 @@ def policy(system, x, adjoint) -> float:
     return kernel_at(system, x, adjoint, adjoint, zero_q, np.zeros(system.state_dim))[1]
 
 
+def one_sided(values, grid, axis: int, boundary: str):
+    """(D-, D+) of values along a grid axis, as the former difference
+    routine formed them: (v[j] - v[j-1]) / h, wrapped on a periodic axis;
+    on a non-periodic edge the missing difference is the interior one
+    ("extrapolate") or zero ("clamp")."""
+    h = grid.axes[axis].spacing
+    if grid.axes[axis].periodic:
+        return (
+            (values - np.roll(values, 1, axis=axis)) / h,
+            (np.roll(values, -1, axis=axis) - values) / h,
+        )
+    src = np.diff(values, axis=axis) / h
+    lead, tail = np.take(src, [0], axis=axis), np.take(src, [-1], axis=axis)
+    if boundary == "clamp":
+        lead, tail = np.zeros_like(lead), np.zeros_like(tail)
+    return np.concatenate([lead, src], axis=axis), np.concatenate([src, tail], axis=axis)
+
+
 def reference_transport_rate(phi, phi_z, grid, drift, g, bound: float, alpha):
     """The transport step the stacked kernel replaced, kept as its oracle.
 
-    One-sided gradients of phi (upwind_gradients), the per-array LF rate
-    and control, then the central + LF advection of Phi, shape (..., m),
-    along w = f + g u* with clamped boundary slopes (the former rx_term).
+    One-sided gradients of phi (edge slopes extrapolated), the per-array LF
+    rate and control, then the central + LF advection of Phi, shape
+    (..., m), along w = f + g u* with clamped boundary slopes (the former
+    rx_term).
     """
-    minus, plus = upwind_gradients(phi, grid)
+    minus, plus = zip(*(one_sided(phi, grid, axis, "extrapolate") for axis in range(grid.ndim)))
     central = [0.5 * (m + p) for m, p in zip(minus, plus)]
     switching = sum(g_i * c for g_i, c in zip(g, central) if g_i != 0.0)
     ham = sum(f * c for f, c in zip(drift, central))
@@ -100,8 +113,7 @@ def reference_transport_rate(phi, phi_z, grid, drift, g, bound: float, alpha):
     phi_z_rate = np.zeros_like(phi_z)
     for axis in range(grid.ndim):
         w = np.asarray(velocity[axis], dtype=float)
-        dminus = backward_difference(phi_z, grid, axis, boundary="clamp")
-        dplus = forward_difference(phi_z, grid, axis, boundary="clamp")
+        dminus, dplus = one_sided(phi_z, grid, axis, "clamp")
         a = float(alpha[axis])
         phi_z_rate += w[..., None] * 0.5 * (dminus + dplus) + 0.5 * a * (dplus - dminus)
     return ham + diss, phi_z_rate, u_star

@@ -31,11 +31,8 @@ def random_psd(rng, p):
 
 def packed_gradient(metric, z):
     """The packed entries of G_z(z) = -vec(Z^-T) for a (..., p*p) batch of
-    states (metric.gradient takes one state)."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        return sym_pack(unvec(metric.gradient(z)))
-    return np.stack([packed_gradient(metric, row) for row in z])
+    states."""
+    return sym_pack(unvec(metric.gradient(z)))
 
 
 def cofactor_det(mat):
@@ -194,6 +191,17 @@ class TestLogDetMetric:
         batch = metric.value(zs)
         assert batch.shape == (2, 3)
         loop = np.array([[metric.value(z) for z in row] for row in zs])
+        assert np.array_equal(batch, loop)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_gradient_batch_equals_loop(self, p):
+        rng = np.random.default_rng(15)
+        metric = LogDetMetric(p)
+        zs = np.stack([vec(random_spd(rng, p)) for _ in range(12)]).reshape(3, 4, p * p)
+        zs[1, 2, 1] += 1e-3  # an asymmetric probe: its gradient is no longer symmetric
+        batch = metric.gradient(zs)
+        assert batch.shape == (3, 4, p * p)
+        loop = np.array([[metric.gradient(z) for z in row] for row in zs])
         assert np.array_equal(batch, loop)
 
     def test_value_batch_rejects_one_nonpositive_state(self):

@@ -1,23 +1,28 @@
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import infotraj.hjsolver
 import infotraj.trajectories
+from infotraj.cli import load_scenario
 from infotraj.dynamics import (
+    AugmentedState,
+    ControlSignal,
     DubinsCar,
     State,
     ToyCascade,
     Trajectory,
-    cascade_deriv,
-    rk4_step,
+    _segment_nodes,
+    simulate_open_loop,
 )
-from infotraj.grid import Axis, GridSpec
+from infotraj.grid import Axis, GridSpec, interpolate
 from infotraj.hjsolver import SolverConfig, final_only, hybrid_solve, info_rate_on_grid
 from infotraj.matrixcore import LogDetMetric, vec
+from infotraj.sensing import suite_info_rate
 from infotraj.trajectories import (
     BoundaryExitError,
     ValidationReport,
@@ -29,6 +34,139 @@ from infotraj.trajectories import (
     extract_receding,
     gradient_consistency_check,
 )
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def count_info_rate_calls(system, monkeypatch) -> list:
+    """Wrap system.info_rate to record the number of points of each call."""
+    calls = []
+    rate = system.info_rate
+
+    def counting(x):
+        calls.append(int(np.prod(np.shape(x)[:-1])))
+        return rate(x)
+
+    monkeypatch.setattr(system, "info_rate", counting)
+    return calls
+
+
+def reference_rk4_step(system, deriv, y, h):
+    """The former RK4 step: four sequential deriv(y) calls."""
+    k1 = deriv(y)
+    k2 = deriv(y + 0.5 * h * k1)
+    k3 = deriv(y + 0.5 * h * k2)
+    k4 = deriv(y + h * k3)
+    y_new = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    d = system.state_dim
+    y_new[:, :d] = system.wrap(y_new[:, :d])
+    return y_new
+
+
+def reference_cascade_deriv(system, u):
+    """The former cascade deriv: one info-rate call per stage."""
+    d = system.state_dim
+    g = system.control_column()
+
+    def deriv(y):
+        x = y[:, :d]
+        return np.concatenate([system.drift(x) + g * u, system.info_rate(x)], axis=1)
+
+    return deriv
+
+
+def reference_extract(solution, system, metric, x0, dt):
+    """The former characteristic extractor, kept as the oracle of the
+    stage-batched one: every RK4 stage makes its own 7-point info-rate call
+    and its own drift_jacobian call."""
+    grid = solution.grid
+    horizon = solution.horizon
+    x = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
+    p = interpolate(solution.value_gradient_final(), grid, x)
+    lam_row = np.asarray(interpolate(solution.phi_z_final(), grid, x), dtype=float)
+    phi_at_start = float(interpolate(solution.phi_final(), grid, x))
+    d, m = system.state_dim, system.info_len
+    g = system.control_column()
+    fd_steps = 0.5 * grid.spacings
+    n_steps = max(1, int(math.ceil(horizon / dt - 1e-12)))
+    h = horizon / n_steps
+    ns = n_steps + 1
+    path = np.empty((ns, 2 * d + m))
+    controls = np.empty(ns)
+    s_axis = h * np.arange(ns)
+    u_prev = 0.0
+
+    def control_from(p_now):
+        sw = float(g @ p_now)
+        if abs(sw) < infotraj.trajectories.HYSTERESIS_BAND:
+            return u_prev
+        return float(infotraj.hjsolver.bang_bang(sw, system.control_bound))
+
+    def rate_and_jacobian(x_now):
+        probes = np.repeat(x_now[None, :], 1 + 2 * d, axis=0)
+        for i in range(d):
+            probes[1 + 2 * i, i] += fd_steps[i]
+            probes[2 + 2 * i, i] -= fd_steps[i]
+        rates = system.info_rate(probes)
+        jac = np.stack(
+            [(rates[1 + 2 * i] - rates[2 + 2 * i]) / (2.0 * fd_steps[i]) for i in range(d)],
+            axis=-1,
+        )
+        return rates[0], jac
+
+    def derivs(y, u_now):
+        x_now, p_now = y[0, :d], y[0, d + m :]
+        dx = system.drift(x_now) + g * u_now
+        dz, ell_jac = rate_and_jacobian(x_now)
+        dp = -system.drift_jacobian(x_now).T @ p_now - ell_jac.T @ lam_row
+        return np.concatenate([dx, dz, dp])[None, :]
+
+    y = np.concatenate([x, solution.z0, p])[None, :]
+    path[0] = y[0]
+    controls[0] = control_from(p)
+    partial = None
+    for k in range(n_steps):
+        u = control_from(y[0, d + m :])
+        u_prev = u
+        controls[k] = u
+        y = reference_rk4_step(system, lambda y_now: derivs(y_now, u), y, h)
+        path[k + 1] = y[0]
+        controls[k + 1] = u
+        if not infotraj.trajectories._inside(grid, y[0, :d]):
+            partial = k + 2
+            break
+    n_kept = partial or ns
+    traj = Trajectory(
+        s=s_axis[:n_kept],
+        states=path[:n_kept, :d],
+        infos=path[:n_kept, d : d + m],
+        controls=controls[:n_kept],
+        costates=path[:n_kept, d + m :],
+        info_costates=np.repeat(lam_row[None, :], n_kept, axis=0),
+    )
+    if partial is not None:
+        raise BoundaryExitError(
+            f"trajectory left the grid at s = {s_axis[n_kept - 1]:.6g}", traj
+        )
+    grad_final = metric.gradient(traj.final_info())
+    traj.terminal_cost = metric.value(traj.final_info())
+    gap = float(np.linalg.norm(lam_row - grad_final))
+    traj.residuals = {
+        "costate_terminal_norm": float(np.linalg.norm(traj.costates[-1])),
+        "costate_initial_norm": float(np.linalg.norm(traj.costates[0])),
+        "info_costate_gap": gap,
+        "info_costate_gap_rel": gap / max(np.linalg.norm(grad_final), 1e-300),
+        "value_consistency": float(abs(phi_at_start - traj.terminal_cost)),
+    }
+    return traj
+
+
+def assert_same_trajectory(got, want):
+    for name in ("s", "states", "infos", "controls", "costates", "info_costates"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert got.residuals == want.residuals
+    assert got.terminal_cost == want.terminal_cost
 
 
 def toy_truth(t, x, z):
@@ -118,19 +256,13 @@ class TestCharacteristicExtraction:
 
 
 class TestInfoRateAndJacobian:
-    def test_equals_separate_rate_and_difference_calls(self):
-        from pathlib import Path
-
-        from infotraj.cli import load_scenario
-
-        scenario = load_scenario(
-            Path(__file__).resolve().parents[1] / "scenarios" / "doppler_single_path.json"
-        )
+    def test_equals_separate_rate_and_difference_calls(self, scenario):
         system = scenario.build_system()
         steps = 0.5 * scenario.grid().spacings
-        for x in ([50.0, -36.6, -math.pi], [0.0, 0.0, 0.0], [-310.5, 122.25, 2.0]):
-            x = np.asarray(x)
-            rate, jac = _info_rate_and_jacobian(system, x, steps)
+        xs = np.array([[50.0, -36.6, -math.pi], [0.0, 0.0, 0.0], [-310.5, 122.25, 2.0]])
+        rate, jac = _info_rate_and_jacobian(system, xs, steps)
+        assert rate.shape == (3, 4) and jac.shape == (3, 4, 3)
+        for x, rate_x, jac_x in zip(xs, rate, jac):
             probes = np.repeat(x[None, :], 6, axis=0)
             for i in range(3):
                 probes[2 * i, i] += steps[i]
@@ -140,8 +272,14 @@ class TestInfoRateAndJacobian:
                 [(rates[2 * i] - rates[2 * i + 1]) / (2.0 * steps[i]) for i in range(3)],
                 axis=-1,
             )
-            assert np.array_equal(rate, system.info_rate(x))
-            assert np.array_equal(jac, expected)
+            assert np.array_equal(rate_x, system.info_rate(x))
+            assert np.array_equal(jac_x, expected)
+
+    def test_one_rate_call_for_all_rows(self, scenario, monkeypatch):
+        system = scenario.build_system()
+        calls = count_info_rate_calls(system, monkeypatch)
+        rate, jac = _info_rate_and_jacobian(system, np.zeros((4, 3)), np.ones(3))
+        assert calls == [28]
 
 
 class TestConcurrentExtraction:
@@ -360,16 +498,16 @@ class TestRecedingCropAgainstReference:
 
 def reference_simulate_control_batch(system, x0, z0, control_values, horizon, dt):
     """The former brute-force batch: every row advances through every
-    segment, shared prefixes included."""
+    segment, shared prefixes included, one info-rate call per RK4 stage."""
     batch, segments = control_values.shape
     seg_span = horizon / segments
     n_sub = max(1, int(math.ceil(seg_span / dt - 1e-12)))
     h = seg_span / n_sub
     y = np.repeat(np.concatenate([x0, z0])[None, :], batch, axis=0)
     for k in range(segments):
-        deriv = cascade_deriv(system, control_values[:, k][:, None])
+        deriv = reference_cascade_deriv(system, control_values[:, k][:, None])
         for _ in range(n_sub):
-            y = rk4_step(system, deriv, y, h)
+            y = reference_rk4_step(system, deriv, y, h)
     return y[:, system.state_dim :]
 
 
@@ -414,8 +552,6 @@ class TestBruteForce:
             brute_force_value(toy, metric, np.array([0.0]), np.array([1.0]), 1.0, segments=9)
 
     def test_batch_simulator_matches_single(self):
-        from infotraj.dynamics import AugmentedState, ControlSignal, simulate_open_loop
-
         car = DubinsCar(5.0, 0.5, info_rate_fn=None, info_dim=2)
         vals = np.array([[0.5, -0.5, 0.0], [0.0, 0.5, 0.5]])
         batch = _simulate_control_batch(
@@ -429,6 +565,94 @@ class TestBruteForce:
             assert np.allclose(batch[row], traj.final_info(), atol=1e-12)
 
 
+class TestStageBatchedRK4:
+    """Extraction, brute force and open-loop simulation make one info-rate
+    call per RK4 step, with the bits of the former integrator, which made
+    one per stage (reference_rk4_step, reference_cascade_deriv and
+    reference_extract)."""
+
+    def test_shipped_start(self, survey, shipped_characteristic):
+        scenario, system, metric, grid, z0, ell, solution = survey
+        want = reference_extract(
+            solution, system, metric, scenario.initial_states[0], scenario.extraction_dt
+        )
+        assert_same_trajectory(shipped_characteristic, want)
+
+    def test_fan_starts_with_one_call_per_step(self, survey, monkeypatch):
+        scenario, system, metric, grid, z0, ell, solution = survey
+        fan = load_scenario(REPO / "scenarios" / "doppler_fan.json")
+        # the fan scenario is the shipped one with other starts: one solve serves
+        same = replace(
+            fan, name=scenario.name, initial_states=scenario.initial_states,
+            provenance=scenario.provenance,
+        )
+        assert same.to_dict() == scenario.to_dict()
+        calls = count_info_rate_calls(system, monkeypatch)
+        for x0 in fan.initial_states:
+            del calls[:]
+            got = extract_characteristic(solution, system, metric, x0, fan.extraction_dt)
+            steps = got.s.size - 1
+            assert steps == 1200 and calls == [4 * 7] * steps
+            del calls[:]
+            want = reference_extract(solution, system, metric, x0, fan.extraction_dt)
+            assert calls == [7] * (4 * steps)
+            assert_same_trajectory(got, want)
+
+    def test_toy(self, toy_setup):
+        toy, metric, grid, sol = toy_setup
+        for x0 in (0.5, -0.8, 0.1):
+            got = extract_characteristic(sol, toy, metric, np.array([x0]), dt=0.01)
+            want = reference_extract(sol, toy, metric, np.array([x0]), dt=0.01)
+            assert_same_trajectory(got, want)
+
+    def test_boundary_exit_keeps_the_partial_record(self, scenario):
+        rate_fn = suite_info_rate(scenario.build_sensors(), scenario.prior())
+        car = DubinsCar(10.0, 0.1, info_rate_fn=rate_fn, info_dim=2)
+        metric = LogDetMetric(2)
+        grid = GridSpec.vehicle_plane((-50.0, 50.0), (-50.0, 50.0), 9, 9, 8)
+        sol = hybrid_solve(
+            car, metric, grid, scenario.initial_information(), SolverConfig(horizon=20.0),
+            on_snapshot=final_only,
+        )
+        errors = []
+        for extract in (extract_characteristic, reference_extract):
+            with pytest.raises(BoundaryExitError) as err:
+                extract(sol, car, metric, State(0.0, 0.0, 0.0), dt=0.05)
+            errors.append(err.value)
+        got, want = errors
+        assert str(got) == str(want)
+        assert got.trajectory.s.size > 2
+        assert_same_trajectory(got.trajectory, want.trajectory)
+
+    def test_brute_force_batch_with_one_call_per_step(self, scenario, monkeypatch):
+        system = scenario.build_system()
+        x0 = scenario.initial_states[0].as_array()
+        z0 = scenario.initial_information()
+        b = system.control_bound
+        combos = np.array(list(itertools.product((0.0, -b, b), repeat=3)))
+        calls = count_info_rate_calls(system, monkeypatch)
+        got = _simulate_control_batch(system, x0, z0, combos, 12.0, 0.2)
+        # 20 steps per segment, on one row per distinct prefix of each segment
+        assert calls == [4 * 3] * 20 + [4 * 9] * 20 + [4 * 27] * 20
+        want = reference_simulate_control_batch(system, x0, z0, combos, 12.0, 0.2)
+        assert np.array_equal(got, want)
+
+    def test_open_loop_with_one_call_per_step(self, scenario, monkeypatch):
+        system = scenario.build_system()
+        start = AugmentedState(scenario.initial_states[0], scenario.initial_information())
+        control = ControlSignal.from_segments([0.05, -0.05, 0.0, 0.02], 60.0)
+        calls = count_info_rate_calls(system, monkeypatch)
+        got = simulate_open_loop(system, start, control, 60.0, 0.13)
+        nodes = _segment_nodes(control, 60.0, 0.13)
+        assert calls == [4] * (nodes.size - 1)
+        y = np.concatenate([start.x.as_array(), start.z])[None, :]
+        for k in range(nodes.size - 1):
+            deriv = reference_cascade_deriv(system, control.value_at(nodes[k]))
+            y = reference_rk4_step(system, deriv, y, nodes[k + 1] - nodes[k])
+            assert np.array_equal(got.states[k + 1], y[0, :3])
+            assert np.array_equal(got.infos[k + 1], y[0, 3:])
+
+
 class TestSandwich:
     def test_toy_optimality_sandwich(self, toy_setup):
         toy, metric, grid, sol = toy_setup
@@ -437,8 +661,6 @@ class TestSandwich:
         bf_cost, _ = brute_force_value(
             toy, metric, x0, np.array([1.0]), 1.0, segments=6, dt=0.01
         )
-        from infotraj.grid import interpolate
-
         phi0 = float(interpolate(sol.phi_final(), grid, x0))
         band = 0.05
         assert bf_cost >= traj.terminal_cost - 0.02 * abs(bf_cost)
