@@ -19,13 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from infotraj.dynamics import DubinsCar, State, trajectory_to_csv, trajectory_from_csv
-from infotraj.grid import GridSpec, interpolate, read_manifest, write_manifest
+from infotraj.dynamics import DubinsCar, State, ToyCascade, trajectory_from_csv, trajectory_to_csv
+from infotraj.grid import Axis, GridSpec, interpolate, read_manifest, write_manifest
 from infotraj.hjsolver import (
     InstabilityError,
     SolverConfig,
     config_fingerprint,
-    final_only,
     hybrid_solve,
     info_rate_on_grid,
     load_solution,
@@ -43,8 +42,6 @@ from infotraj.trajectories import (
     gradient_consistency_check,
     toy_hybrid_vs_classic,
 )
-from infotraj.dynamics import ToyCascade
-from infotraj.grid import Axis
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -106,6 +103,15 @@ def _numbers(values, where: str, length: Optional[int] = None) -> list:
     if length is not None:
         _require(len(values) == length, where, f"expected {length} entries")
     return [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
+def _make_output_dir(path) -> None:
+    """Create the output directory path; one that exists as a file or
+    cannot be made is an input error naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot create the output directory ({exc.strerror})") from exc
 
 
 def _require_inside(state: State, x_extent, y_extent, where: str) -> None:
@@ -372,7 +378,7 @@ def cmd_solve(scenario: Scenario, out_dir) -> None:
     manifest is the last file written."""
     system = scenario.build_system()
     metric = LogDetMetric(scenario.prior().dim)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_output_dir(out_dir)
     write_manifest(os.path.join(out_dir, "scenario.json"), scenario.to_dict())
     solve_to_disk(
         out_dir, system, metric, scenario.grid(), scenario.initial_information(),
@@ -436,7 +442,7 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
         )
     system = scenario.build_system()
     metric = LogDetMetric(scenario.prior().dim)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_output_dir(out_dir)
 
     ell = None
     if scenario.extraction_mode == "receding":
@@ -550,8 +556,11 @@ def cmd_plot(in_dir, out_file, scenario: Optional[Scenario] = None) -> None:
         trajectories.append(traj)
     mean = scenario.prior_mean if scenario else np.zeros(2)
     cov = scenario.prior_covariance if scenario else 100.0 * np.eye(2)
-    with open(out_file, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(trajectories, mean, cov))
+    try:
+        with open(out_file, "w", encoding="utf-8") as fh:
+            fh.write(render_svg(trajectories, mean, cov))
+    except OSError as exc:
+        raise ScenarioError(f"{out_file}: cannot write the figure ({exc.strerror})") from exc
 
 
 @dataclass(frozen=True)
@@ -681,8 +690,7 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
             z0 = scenario.initial_information()
             ell = info_rate_on_grid(system, grid)
             solution = hybrid_solve(
-                system, metric, grid, z0, scenario.solver, info_rate_field=ell,
-                on_snapshot=final_only,
+                system, metric, grid, z0, scenario.solver, info_rate_field=ell
             )
             x0 = scenario.initial_states[0]
             char = extract_characteristic(solution, system, metric, x0, scenario.extraction_dt)
@@ -729,6 +737,12 @@ def cmd_validate(suite_path) -> ValidationReport:
     suite = suite_from_dict(
         _read_json(suite_path), where=str(suite_path), base_dir=os.path.dirname(str(suite_path))
     )
+    if suite.report:
+        # checked before any check runs, so a bad path costs no suite run
+        folder = os.path.dirname(suite.report) or "."
+        where = f"{suite_path}.report"
+        _require(os.path.isdir(folder), where, f"{suite.report}: no directory {folder}")
+        _require(not os.path.isdir(suite.report), where, f"{suite.report} is a directory")
     report = run_validation_suite(suite)
     if suite.report:
         write_manifest(suite.report, report.to_dict())

@@ -10,8 +10,8 @@ so the marching rate is the minimized Hamiltonian evaluated at the central
 gradient plus Lax-Friedrichs dissipation +  sum_i alpha_i (D+_i - D-_i) / 2
 (the sign pairs with the forward-in-horizon march; equivalently the standard
 terminal-value form with the upwind biases mirrored). The scheme is fixed:
-both solvers evaluate this rate through one kernel, lf_rate, and march it
-with forward Euler steps under the CFL limit:
+both solvers march through one loop, _march, which evaluates this rate with
+one kernel, lf_rate, and takes forward Euler steps under the CFL limit:
 
 * classic_solve: full grid over the joint state (x, z); tractable only in
   very low dimension and kept as the reference oracle.
@@ -27,6 +27,9 @@ with forward Euler steps under the CFL limit:
   constant per axis, the system's rate bound, and the sensitivity
   coefficients of the control-free axes are built once per solve.
   Snapshots carry Phi in the (..., p**2) vec layout.
+
+A solve returns its final snapshot alone; an optional on_snapshot observer
+sees the others as the march takes them (solve_to_disk writes each one).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import math
 import os
 import re
 import time as _time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -75,8 +78,8 @@ class SolverConfig:
     snapshot_stride: int = 0  # 0: choose automatically (~24 snapshots)
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if not 0.0 < self.cfl_number <= 1.0:
             raise ValueError(f"CFL number must lie in (0, 1], got {self.cfl_number}")
         if self.snapshot_stride < 0:
@@ -142,9 +145,9 @@ def lf_rate(minus, plus, drift, g, bound: float, alpha, plan=None):
     plan (lf_plan, built here when None) holds the coefficients of the axes
     with g_i = 0 and the scratch arrays. Returns the (k, *nodes) rate, which
     is plan.out and is overwritten by the next call with the same plan, and
-    u*. hybrid_solve passes the (D-, D+) views of its ghost-row difference
+    u*. _march passes the (D-, D+) views of its ghost-row difference
     buffers and one plan for its whole march; a solver over joint (x, z)
-    axes passes the value alone (k = 1), with the information rates as the
+    axes marches the value alone (k = 1), with the information rates as the
     drift of the z axes and g = 0 there.
     """
     k = len(minus[0])
@@ -224,9 +227,15 @@ class HybridSolution:
 
     phi_zs[k] holds Phi in the vec layout, shape grid.shape + (p**2,), with
     equal off-diagonal pairs (the march carries the distinct entries).
-    times[k] is the horizon of phis[k] and phi_zs[k]: every snapshot of an
-    in-memory solve, the final one alone of a final_only or streamed solve,
-    or memory maps of the files of a stored one (load_solution)."""
+    times[k] is the horizon of phis[k] and phi_zs[k]: the final snapshot
+    alone of a solve, or memory maps of every snapshot file of a stored one
+    (load_solution).
+
+    timings (solves only; saved to timings.json, not the manifest):
+    wall_time_s, then the seconds spent in the info-rate field (0 when it
+    was passed in), the pointwise flow, the spatial transport, the finite
+    checks and the on_snapshot calls (field_s, flow_s, transport_s, check_s,
+    snapshot_s), and the number of march steps (steps)."""
 
     grid: GridSpec
     times: np.ndarray
@@ -235,17 +244,7 @@ class HybridSolution:
     z0: np.ndarray
     config: SolverConfig
     config_hash: str = ""
-    wall_time: float = 0.0
-    # seconds spent in the info-rate field (0 when it was passed in), the
-    # pointwise flow, the spatial transport, the finite checks and taking
-    # the snapshots (copies or writes), and the number of march steps; saved
-    # to timings.json, not the manifest
-    field_time: float = 0.0
-    flow_time: float = 0.0
-    transport_time: float = 0.0
-    check_time: float = 0.0
-    snapshot_time: float = 0.0
-    steps: int = 0
+    timings: dict = field(default_factory=dict)
 
     @property
     def horizon(self) -> float:
@@ -278,12 +277,6 @@ def config_fingerprint(grid: GridSpec, z0, config: SolverConfig) -> str:
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-
-
-def final_only(s, *snapshot) -> None:
-    """Snapshot consumer that discards every snapshot it is handed: a solve
-    given it (on_snapshot=final_only) keeps and returns its final snapshot
-    alone. For solves whose callers read only the final fields."""
 
 
 def solve_to_disk(
@@ -328,16 +321,7 @@ def solve_to_disk(
         snapshots.append(entry)
 
     solution = hybrid_solve(system, metric, grid, z0, config, on_snapshot=write)
-    timings = {
-        "wall_time_s": solution.wall_time,
-        "field_s": solution.field_time,
-        "flow_s": solution.flow_time,
-        "transport_s": solution.transport_time,
-        "check_s": solution.check_time,
-        "snapshot_s": solution.snapshot_time,
-        "steps": solution.steps,
-    }
-    write_manifest(os.path.join(out_dir, "timings.json"), timings)
+    write_manifest(os.path.join(out_dir, "timings.json"), solution.timings)
     manifest = {
         "schema": 1,
         "kind": "hybrid_solution",
@@ -359,10 +343,12 @@ def load_solution(in_dir) -> HybridSolution:
 
     Each snapshot file is mapped read-only (grid.load_array), not read: a
     caller that uses only the final snapshot pages in only that pair. A
-    snapshot file of the wrong size, an empty snapshot list, an m that is
-    not a square p**2 >= 1 or a z0 without m entries raises ValueError
-    naming the file and field; a directory without manifest.json is not a
-    solution. The values are not read here (see cli.cmd_extract).
+    snapshot file of the wrong size, an empty snapshot list, snapshot times
+    that are not finite numbers rising strictly from 0 to config.horizon,
+    a config SolverConfig refuses, an m that is not a square p**2 >= 1 or a
+    z0 without m entries raises ValueError naming the file and field; a
+    directory without manifest.json is not a solution. The values are not
+    read here (see cli.cmd_extract).
     """
     manifest_path = os.path.join(in_dir, "manifest.json")
     manifest = read_manifest(manifest_path)
@@ -373,14 +359,28 @@ def load_solution(in_dir) -> HybridSolution:
     z0 = np.asarray(manifest["z0"], dtype=float)
     if z0.shape != (m,):
         raise ValueError(f"{manifest_path}: z0 has shape {z0.shape}, expected ({m},)")
+    try:
+        cfg = SolverConfig(**manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{manifest_path}: config: {exc}") from exc
     if not manifest["snapshots"]:
         raise ValueError(f"{manifest_path}: snapshots is empty")
     times, phis, phi_zs = [], [], []
-    for snap in manifest["snapshots"]:
-        times.append(snap["s"])
+    for k, snap in enumerate(manifest["snapshots"]):
+        s = snap["s"]
+        where = f"{manifest_path}: snapshots[{k}].s = {s!r}"
+        if isinstance(s, bool) or not isinstance(s, (int, float)) or not math.isfinite(s):
+            raise ValueError(f"{where} is not a finite number")
+        if (s != 0.0) if k == 0 else (s <= times[-1]):
+            raise ValueError(f"{where}: snapshot times must rise strictly from 0")
+        times.append(float(s))
         phis.append(load_array(os.path.join(in_dir, snap["phi"]), grid.shape))
         phi_zs.append(load_array(os.path.join(in_dir, snap["phi_z"]), grid.shape + (m,)))
-    cfg = SolverConfig(**manifest["config"])
+    if times[-1] != cfg.horizon:
+        raise ValueError(
+            f"{manifest_path}: snapshots[{len(times) - 1}].s = {times[-1]!r} is not "
+            f"config.horizon = {cfg.horizon!r}"
+        )
     return HybridSolution(
         grid=grid,
         times=np.asarray(times),
@@ -396,18 +396,6 @@ def _check_finite(step: int, s: float, *arrays) -> None:
     for arr in arrays:
         if not np.all(np.isfinite(arr)):
             raise InstabilityError(step, s)
-
-
-def _explicit_step(rate, fields: list, h: float) -> None:
-    """Advance fields (arrays, updated in place) by one forward Euler step of
-    d(fields)/ds = rate(fields); the rate arrays are scaled by h in place.
-
-    In place, because a new ~2 MB field per step on the shipped grid lets the
-    allocator hand memory back to the OS and fault it in again each step.
-    """
-    for f, r in zip(fields, rate(fields)):
-        r *= h
-        f += r
 
 
 def _rows(axis: int, lo, hi) -> tuple:
@@ -468,59 +456,67 @@ def _ghost_differences(stack: np.ndarray, grid: GridSpec, bufs) -> None:
 
 
 def _march(
-    fields: list, step, dt: float, config: SolverConfig, timers: Optional[dict] = None,
-    on_snapshot=None,
-):
-    """March fields (a list of arrays) from s = 0 to the horizon in steps of
-    at most dt, where step(fields, h) advances the list in place.
+    stack: np.ndarray, grid: GridSpec, drift, g, bound: float, alpha, dt: float,
+    config: SolverConfig, flow=None, on_snapshot=None, timers: Optional[dict] = None,
+) -> int:
+    """March a component-major stack (lf_rate's layout) in place from s = 0
+    to config.horizon in forward Euler steps of at most dt; returns the step
+    count.
 
-    Snapshots are taken at s = 0, every config.snapshot_stride steps (0:
-    about 24 in all) and at the horizon. The march ends once s is within
-    1e-12 of config.horizon, and the final snapshot is labelled
-    config.horizon itself. Without on_snapshot the march keeps
-    a copy of each. With it, each snapshot is handed to on_snapshot(s,
-    *fields) as soon as it is taken, as the live fields (valid until the
-    call returns), and none is kept: the one snapshot returned is the final
-    fields themselves, uncopied. Returns the snapshot times, the snapshots
-    and the step count; a non-finite field raises InstabilityError. Seconds
-    spent in the finite checks and in taking snapshots (copies, or the
-    on_snapshot calls) are added to timers["check"] and timers["snapshot"]
-    when timers is given.
+    Each step applies the pointwise flow(h, work) first, when given (it
+    updates the stack in place and may compute in work, the scratch of
+    lf_rate's plan), then the spatial transport: one _ghost_differences fill
+    and one lf_rate call, stack += h * rate. The difference buffers and the
+    plan are built once, so a step allocates no field-sized array (a new one
+    per step lets the allocator hand memory back to the OS and fault it in
+    again). A non-finite entry raises InstabilityError.
+
+    on_snapshot(s, stack), when given, receives the live stack (valid until
+    the call returns) at s = 0, every config.snapshot_stride steps (0: about
+    24 in all) and at the horizon. The march ends once s is within 1e-12 of
+    config.horizon, and the final snapshot is labelled config.horizon
+    itself. Seconds spent in the flow, the transport, the finite checks and
+    the on_snapshot calls are added to timers["flow_s"], ["transport_s"],
+    ["check_s"] and ["snapshot_s"] when timers is given.
     """
-    timers = {"check": 0.0, "snapshot": 0.0} if timers is None else timers
+    if timers is None:
+        timers = dict.fromkeys(("flow_s", "transport_s", "check_s", "snapshot_s"), 0.0)
     clock = _time.perf_counter
+    bufs, minus, plus = _ghost_difference_buffers(stack, grid)
+    plan = lf_plan(drift, g, alpha, stack.shape)
     n_steps = int(math.ceil(config.horizon / dt - 1e-12))
     stride = config.snapshot_stride or max(1, int(math.ceil(n_steps / 24)))
-    times, snapshots = [], []
-    keep_copies = on_snapshot is None
-    if keep_copies:
-        def on_snapshot(s, *snapshot):
-            times.append(s)
-            snapshots.append(tuple(f.copy() for f in snapshot))
-
-    t0 = clock()
-    on_snapshot(0.0, *fields)
-    timers["snapshot"] += clock() - t0
+    if on_snapshot is not None:
+        t0 = clock()
+        on_snapshot(0.0, stack)
+        timers["snapshot_s"] += clock() - t0
     s = 0.0
     count = 0
     while s < config.horizon - 1e-12:
         h = min(dt, config.horizon - s)
-        step(fields, h)
+        t0 = clock()
+        if flow is not None:
+            flow(h, plan.work)
+        t1 = clock()
+        _ghost_differences(stack, grid, bufs)
+        rate = lf_rate(minus, plus, drift, g, bound, alpha, plan)[0]
+        rate *= h
+        stack += rate
+        t2 = clock()
+        timers["flow_s"] += t1 - t0
+        timers["transport_s"] += t2 - t1
         s += h
         count += 1
         last = s >= config.horizon - 1e-12
         if last:
             s = config.horizon
-        t0 = clock()
-        _check_finite(count, s, *fields)
-        t1 = clock()
-        timers["check"] += t1 - t0
-        if count % stride == 0 or last:
-            on_snapshot(s, *fields)
-            timers["snapshot"] += clock() - t1
-    if not keep_copies:
-        times, snapshots = [s], [tuple(fields)]
-    return np.asarray(times), snapshots, count
+        _check_finite(count, s, stack)
+        t3 = clock()
+        timers["check_s"] += t3 - t2
+        if on_snapshot is not None and (count % stride == 0 or last):
+            on_snapshot(s, stack)
+            timers["snapshot_s"] += clock() - t3
+    return count
 
 
 def hybrid_solve(
@@ -534,9 +530,9 @@ def hybrid_solve(
 ) -> HybridSolution:
     """Co-evolve phi (value) and Phi (value gradient in z) on the x grid.
 
-    Each step splits into the pointwise information flow (the metric's
+    The march (_march) steps the pointwise information flow (the metric's
     closed-form accumulation of <vec(Q), Phi> into phi and of the curvature
-    contraction into Phi) followed by the explicit spatial transport:
+    contraction into Phi), then the explicit spatial transport:
       * Phi = G_z is a symmetric p x p matrix, so the march carries its
         k = p (p + 1) / 2 distinct entries in packed order (sym_pack: for
         p = 2, Phi_00, Phi_10, Phi_11). The march state is one
@@ -559,17 +555,14 @@ def hybrid_solve(
         z0 (slightly asymmetric) starts from the symmetric part of its
         gradient.
 
-    Snapshots carry Phi in the (..., p**2) vec layout, row-major (iX, iY,
-    ipsi, j), expanded from the packed entries once per snapshot. Without
-    on_snapshot the solution keeps a copy of every snapshot. With it,
-    on_snapshot(s, phi, phi_z) receives each snapshot as the march takes it
-    (phi is the live field, valid until the call returns), and the solution
-    holds the final snapshot alone, with phi uncopied: final_only asks for
-    just that (and skips the expansion of the other snapshots),
-    solve_to_disk streams each snapshot to disk. The information-rate field
-    vec(Q) is precomputed once (or passed in) and reused every step. Every
-    output point of a step depends only on the previous snapshot, so
-    per-point updates are schedule independent.
+    The solution holds the final snapshot alone: phi uncopied, and Phi in
+    the (..., p**2) vec layout, row-major (iX, iY, ipsi, j), expanded from
+    the packed entries. on_snapshot(s, phi, phi_z), when given, observes
+    every snapshot in that layout as the march takes it (phi is the live
+    field, valid until the call returns); solve_to_disk streams each one to
+    disk. The information-rate field vec(Q) is precomputed once (or passed
+    in) and reused every step. Every output point of a step depends only on
+    the previous snapshot, so per-point updates are schedule independent.
     """
     if grid.ndim != system.state_dim:
         raise ValueError(
@@ -584,10 +577,12 @@ def hybrid_solve(
     metric.value(z0)
 
     t_start = _time.perf_counter()
-    timers = {"field": 0.0, "flow": 0.0, "transport": 0.0, "check": 0.0, "snapshot": 0.0}
+    timings = dict.fromkeys(
+        ("wall_time_s", "field_s", "flow_s", "transport_s", "check_s", "snapshot_s"), 0.0
+    )
     if info_rate_field is None:
         info_rate_field = info_rate_on_grid(system, grid)
-        timers["field"] = _time.perf_counter() - t_start
+        timings["field_s"] = _time.perf_counter() - t_start
     ell = np.asarray(info_rate_field, dtype=float)
     if ell.shape != grid.shape + (system.info_len,):
         raise ValueError("information-rate field shape does not match the grid")
@@ -597,6 +592,11 @@ def hybrid_solve(
         """(..., k) view of k component-major fields."""
         return np.moveaxis(components, 0, -1)
 
+    def vec_layout(packed):
+        """Phi in the vec layout (sym_unpack gives new C-contiguous
+        symmetric matrices, whose row-major entries are their vec)."""
+        return sym_unpack(packed).reshape(grid.shape + (system.info_len,))
+
     q_packed = sym_pack(unvec(ell), out=packed_view(np.empty((k,) + grid.shape)))
     del ell, info_rate_field  # the march reads the packed copy
 
@@ -604,8 +604,6 @@ def hybrid_solve(
         grid.shape + (grid.ndim,)
     )
     drift = [f_nodes[..., i] for i in range(grid.ndim)]
-    g = system.control_column()
-    bound = system.control_bound
     alpha = list(system.rate_bounds())
     dt = cfl_dt(grid, alpha, config.cfl_number)
 
@@ -615,70 +613,35 @@ def hybrid_solve(
     stack[0] = metric.value(z0)
     phi, phi_z = stack[0], packed_view(stack[1:])
     phi_z[...] = sym_pack(unvec(metric.gradient(z0)))
-    # scratch reused by every step (the difference buffers, and lf_rate's
-    # plan, whose work the flow computes in), so that a step allocates no
-    # field-sized array
-    bufs, minus, plus = _ghost_difference_buffers(stack, grid)
-    plan = lf_plan(drift, g, alpha, stack.shape)
 
-    def transport_rate(fields):
-        """Spatial part of the marching rates (drift, control, dissipation)."""
-        _ghost_differences(stack, grid, bufs)
-        return (lf_rate(minus, plus, drift, g, bound, alpha, plan)[0],)
+    def flow(h, work):
+        # exact for the logdet metric, stiffness-free while the accumulated
+        # information is small
+        metric.flow(phi, phi_z, q_packed, h, work)
 
-    def step(fields, h):
-        # pointwise information flow first (exact for the logdet metric,
-        # stiffness-free while the accumulated information is small), then
-        # the explicit spatial transport under the CFL step
-        t0 = _time.perf_counter()
-        metric.flow(phi, phi_z, q_packed, h, plan.work)
-        t1 = _time.perf_counter()
-        _explicit_step(transport_rate, [stack], h)
-        timers["flow"] += t1 - t0
-        timers["transport"] += _time.perf_counter() - t1
+    def observe(s, _):
+        on_snapshot(s, phi, vec_layout(phi_z))
 
-    times, phis, phi_zs = [], [], []
-
-    def take(s, phi_now, packed_now):
-        # Phi back in the vec layout (sym_unpack gives new C-contiguous
-        # symmetric matrices, whose row-major entries are their vec)
-        phi_z_now = sym_unpack(packed_now).reshape(grid.shape + (system.info_len,))
-        if on_snapshot is None:
-            phi_now = phi_now.copy()
-        else:
-            del times[:], phis[:], phi_zs[:]
-            on_snapshot(s, phi_now, phi_z_now)
-        times.append(s)
-        phis.append(phi_now)
-        phi_zs.append(phi_z_now)
-
-    keep_final_only = on_snapshot is final_only
-    steps = _march(
-        [phi, phi_z], step, dt, config, timers, final_only if keep_final_only else take
-    )[2]
-    if keep_final_only:
-        take(config.horizon, phi, phi_z)
+    timings["steps"] = _march(
+        stack, grid, drift, system.control_column(), system.control_bound, alpha, dt, config,
+        flow, None if on_snapshot is None else observe, timings,
+    )
+    timings["wall_time_s"] = _time.perf_counter() - t_start
     return HybridSolution(
         grid=grid,
-        times=np.asarray(times),
-        phis=phis,
-        phi_zs=phi_zs,
+        times=np.asarray([config.horizon]),
+        phis=[phi],
+        phi_zs=[vec_layout(phi_z)],
         z0=z0,
         config=config,
         config_hash=config_fingerprint(grid, z0, config),
-        wall_time=_time.perf_counter() - t_start,
-        field_time=timers["field"],
-        flow_time=timers["flow"],
-        transport_time=timers["transport"],
-        check_time=timers["check"],
-        snapshot_time=timers["snapshot"],
-        steps=steps,
+        timings=timings,
     )
 
 
 @dataclass
 class ClassicSolution:
-    """Value approximation on a joint (x, z) grid (reference use only)."""
+    """Final value approximation on a joint (x, z) grid (reference use only)."""
 
     grid: GridSpec
     times: np.ndarray
@@ -693,16 +656,14 @@ def classic_solve(
     metric: TerminalMetric,
     joint_grid: GridSpec,
     config: SolverConfig,
-    on_snapshot=None,
 ) -> ClassicSolution:
     """Full-grid Lax-Friedrichs method of lines over the joint state (x, z).
 
     The z axes enter the kernel as extra drift axes (drift vec(Q(x)), no
     control). Tractable only in very low dimension; refuses more than 3 total
     axes. Serves as the independent reference for the hybrid solver on toy
-    systems. The value marches as a one-component stack through the same
-    ghost-row differences as hybrid_solve's. on_snapshot works as in
-    hybrid_solve: final_only keeps the final snapshot alone.
+    systems. The value marches as a one-component stack through hybrid_solve's
+    march, with no pointwise flow; the solution holds the final snapshot.
     """
     d = system.state_dim
     m = system.info_len
@@ -729,19 +690,6 @@ def classic_solve(
     alpha = [alpha_global[i] for i in range(d)] + [np.abs(ell[..., j]) for j in range(m)]
     dt = cfl_dt(joint_grid, alpha_global, config.cfl_number)
 
-    # the value alone, as a one-component stack marched in place
     stack = metric.value(z_nodes)[None]
-    bufs, minus, plus = _ghost_difference_buffers(stack, joint_grid)
-    plan = lf_plan(drift, g, alpha, stack.shape)
-
-    def rate(fields):
-        _ghost_differences(stack, joint_grid, bufs)
-        return lf_rate(minus, plus, drift, g, system.control_bound, alpha, plan)[0]
-
-    def step(fields, h):
-        _explicit_step(rate, fields, h)
-
-    times, snapshots, _ = _march([stack[0]], step, dt, config, on_snapshot=on_snapshot)
-    return ClassicSolution(
-        grid=joint_grid, times=times, phis=[snap[0] for snap in snapshots]
-    )
+    _march(stack, joint_grid, drift, g, system.control_bound, alpha, dt, config)
+    return ClassicSolution(grid=joint_grid, times=np.asarray([config.horizon]), phis=[stack[0]])

@@ -251,7 +251,7 @@ def _clip_or_fall_back(out: np.ndarray, center: np.ndarray, indefinite_tol: floa
     negative = eigvals[..., 0] < 0.0
     if np.any(negative):
         # repair strictly per element: results must not depend on what else
-        # shares the batch (parallel field evaluation chunks arbitrarily)
+        # shares the batch (info_rate_on_grid evaluates the field in chunks)
         clipped = np.clip(eigvals, 0.0, None)
         rebuilt = (eigvecs * clipped[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
         rebuilt = 0.5 * (rebuilt + np.swapaxes(rebuilt, -1, -2))

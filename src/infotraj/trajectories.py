@@ -31,7 +31,6 @@ from infotraj.hjsolver import (
     HybridSolution,
     SolverConfig,
     classic_solve,
-    final_only,
     hybrid_solve,
     info_rate_on_grid,
 )
@@ -246,7 +245,7 @@ def extract_receding(
             sub, idx = grid.window(x, bounds * remaining)
             sol = hybrid_solve(
                 system, metric, sub, z, replace(solution.config, horizon=remaining),
-                info_rate_field=info_rate_field[idx], on_snapshot=final_only,
+                info_rate_field=info_rate_field[idx],
             )
         piece = _leading_steps(characteristic, leg_span, dt, x0) if k == 0 else None
         if piece is None:
@@ -440,10 +439,7 @@ def gradient_consistency_check(
         info_rate_field = info_rate_on_grid(system, grid)
 
     def final_solve(z):
-        return hybrid_solve(
-            system, metric, grid, z, config, info_rate_field=info_rate_field,
-            on_snapshot=final_only,
-        )
+        return hybrid_solve(system, metric, grid, z, config, info_rate_field=info_rate_field)
 
     sol = final_solve(z0)
     m = system.info_len
@@ -491,8 +487,8 @@ def toy_hybrid_vs_classic(dx: float) -> dict:
         nz = int(round(5.2 / step)) + 1
         grid = GridSpec((Axis(-2.0, 2.0, nx),))
         joint = GridSpec((Axis(-2.0, 2.0, nx), Axis(0.4, 5.6, nz)))
-        hyb = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg, on_snapshot=final_only)
-        cls = classic_solve(toy, metric, joint, cfg, on_snapshot=final_only)
+        hyb = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg)
+        cls = classic_solve(toy, metric, joint, cfg)
         zi = int(np.argmin(np.abs(joint.axes[1].nodes - 1.0)))
         inner = np.abs(grid.axes[0].nodes) <= 1.0
         return float(np.max(np.abs(hyb.phi_final() - cls.phi_final()[:, zi])[inner]))

@@ -26,7 +26,7 @@ from infotraj.cli import (
     suite_from_dict,
 )
 from infotraj.dynamics import Trajectory, trajectory_to_csv
-from infotraj.hjsolver import InstabilityError, final_only, hybrid_solve, load_solution
+from infotraj.hjsolver import InstabilityError, hybrid_solve, load_solution
 from infotraj.matrixcore import LogDetMetric
 from infotraj.trajectories import extract_receding
 
@@ -336,19 +336,32 @@ class TestSolveExtractPlot:
         assert "phi_0001.bin" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "case", ["empty_snapshots", "short_z0", "m_not_square", "nan_final_phi"]
+        "case",
+        [
+            "empty_snapshots", "short_z0", "m_not_square", "nan_final_phi",
+            "nan_final_s", "text_final_s", "negative_final_s", "late_final_s",
+            "unsorted_s", "nan_horizon",
+        ],
     )
     def test_corrupt_solution_exits_2_naming_it(self, pipeline, tmp_path, capsys, case):
         _, _, sol_dir = pipeline
         broken = tmp_path / "broken"
         shutil.copytree(sol_dir, broken)
         manifest = json.loads((broken / "manifest.json").read_text())
-        final_phi = manifest["snapshots"][-1]["phi"]
+        snaps = manifest["snapshots"]
+        final_phi = snaps[-1]["phi"]
+        final_s = f"snapshots[{len(snaps) - 1}].s"
         named = {
             "empty_snapshots": "snapshots",
             "short_z0": "z0",
             "m_not_square": "m = 5",
             "nan_final_phi": final_phi,
+            "nan_final_s": final_s,
+            "text_final_s": final_s,
+            "negative_final_s": final_s,
+            "late_final_s": final_s,
+            "unsorted_s": "snapshots[2].s",
+            "nan_horizon": "horizon",
         }[case]
         if case == "empty_snapshots":
             manifest["snapshots"] = []
@@ -356,8 +369,17 @@ class TestSolveExtractPlot:
             manifest["z0"] = manifest["z0"][:3]
         elif case == "m_not_square":
             manifest["m"] = 5
-        else:
+        elif case == "nan_final_phi":
             np.full(9 * 9 * 8, np.nan).astype("<f8").tofile(broken / final_phi)
+        elif case == "unsorted_s":
+            snaps[2]["s"] = snaps[1]["s"]
+        elif case == "nan_horizon":
+            manifest["config"]["horizon"] = math.nan
+        else:
+            snaps[-1]["s"] = {
+                "nan_final_s": math.nan, "text_final_s": "abc",
+                "negative_final_s": -5.0, "late_final_s": 20.0,
+            }[case]
         (broken / "manifest.json").write_text(json.dumps(manifest))
         argv = ["extract", "--solution", str(broken), "--out", str(tmp_path / "o")]
         assert main(argv) == 2
@@ -400,16 +422,69 @@ class TestSolveExtractPlot:
         assert not (tmp_path / "o").exists()
 
 
+class TestOutputPaths:
+    """An output path the command cannot use exits 2 naming it, before any
+    solve, extraction or check runs."""
+
+    def test_solve_out_an_existing_file(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("reached the solve")
+
+        monkeypatch.setattr(infotraj.cli, "solve_to_disk", no_solve)
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(small_scenario_dict()))
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        assert main(["solve", "--config", str(config), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert str(taken) in err and "Traceback" not in err
+        assert taken.read_text() == "keep"
+
+    def test_extract_out_an_existing_file(self, pipeline, tmp_path, capsys, monkeypatch):
+        def no_extract(*args, **kwargs):
+            raise AssertionError("reached the extraction")
+
+        monkeypatch.setattr(infotraj.cli, "extract_characteristic", no_extract)
+        _, _, sol_dir = pipeline
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        assert main(["extract", "--solution", str(sol_dir), "--out", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert str(taken) in err and "Traceback" not in err
+        assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
+    def test_validate_report_path(self, tmp_path, capsys, monkeypatch, where):
+        def no_run(suite):
+            raise AssertionError("reached the checks")
+
+        monkeypatch.setattr(infotraj.cli, "run_validation_suite", no_run)
+        report = tmp_path / "missing" / "report.json" if where == "missing_dir" else tmp_path
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"toy_dx": 0.05, "report": str(report)}))
+        assert main(["validate", "--suite", str(suite)]) == 2
+        err = capsys.readouterr().err
+        assert str(report) in err and "report" in err and "Traceback" not in err
+
+    def test_plot_out_in_a_missing_directory(self, tmp_path, capsys):
+        (tmp_path / "trajectory_000.csv").write_text("s,X,Y,psi,u\n0,1,2,0,0\n1,2,3,0,0\n")
+        figure = tmp_path / "missing" / "f.svg"
+        assert main(["plot", "--in", str(tmp_path), "--out", str(figure)]) == 2
+        err = capsys.readouterr().err
+        assert str(figure) in err and "Traceback" not in err
+
+
 class TestStreamedSolve:
-    def test_files_equal_the_in_memory_snapshots(self, pipeline):
+    def test_files_equal_the_in_memory_snapshots(self, pipeline, snapshots):
         _, scenario, sol_dir = pipeline
-        sol = hybrid_solve(
+        hybrid_solve(
             scenario.build_system(), LogDetMetric(2), scenario.grid(),
-            scenario.initial_information(), scenario.solver,
+            scenario.initial_information(), scenario.solver, on_snapshot=snapshots,
         )
+        assert len(snapshots.times) > 2
         snaps = json.loads((sol_dir / "manifest.json").read_text())["snapshots"]
-        assert [snap["s"] for snap in snaps] == sol.times.tolist()
-        for snap, phi, phi_z in zip(snaps, sol.phis, sol.phi_zs):
+        assert [snap["s"] for snap in snaps] == snapshots.times
+        for snap, phi, phi_z in zip(snaps, snapshots.phis, snapshots.phi_zs):
             assert (sol_dir / snap["phi"]).read_bytes() == phi.astype("<f8").tobytes()
             assert (sol_dir / snap["phi_z"]).read_bytes() == phi_z.astype("<f8").tobytes()
         written = sorted(f for f in os.listdir(sol_dir) if f.endswith(".bin"))
@@ -583,43 +658,6 @@ class TestValidationSuite:
         )
         assert not report.passed
         assert "toy_hybrid_vs_classic" in report.violations
-
-    def test_final_only_solves_leave_the_report_unchanged(self, monkeypatch):
-        suite = replace(
-            suite_from_dict(
-                {"toy_dx": 0.05, "toy_gradient_dx": 0.025, "sandwich_legs": 3, "sandwich_segments": 3}
-            ),
-            scenario=scenario_from_dict(small_scenario_dict()),
-        )
-        solvers = {
-            (module, name): getattr(module, name)
-            for module, name in (
-                (infotraj.cli, "hybrid_solve"),
-                (infotraj.trajectories, "hybrid_solve"),
-                (infotraj.trajectories, "classic_solve"),
-            )
-        }
-
-        def run(keep_all: bool):
-            final = []
-            for (module, name), solve in solvers.items():
-                def spy(*args, _solve=solve, on_snapshot=None, **kwargs):
-                    final.append(on_snapshot is final_only)
-                    if not keep_all:
-                        kwargs["on_snapshot"] = on_snapshot
-                    return _solve(*args, **kwargs)
-
-                monkeypatch.setattr(module, name, spy)
-            report = run_validation_suite(suite)
-            return json.dumps(report.to_dict(), sort_keys=True), final
-
-        with_helper, final = run(keep_all=False)
-        # toy cross-check 2 x (hybrid, classic), toy and survey gradient checks
-        # 1 + 2 m, the sandwich solve and its 2 receding re-solves
-        assert len(final) == 4 + 3 + 9 + 3
-        assert all(final)
-        without_helper, _ = run(keep_all=True)
-        assert with_helper == without_helper
 
     def test_validate_exit_codes_via_main(self, tmp_path):
         good = tmp_path / "suite_ok.json"

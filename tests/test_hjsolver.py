@@ -17,7 +17,6 @@ from infotraj.hjsolver import (
     bang_bang,
     cfl_dt,
     classic_solve,
-    final_only,
     hybrid_solve,
     info_rate_on_grid,
     lf_rate,
@@ -205,6 +204,18 @@ def vec_lf_rate(minus, plus, drift, g, bound: float, alpha):
     return out, u_star
 
 
+def euler_march(step, dt: float, config) -> None:
+    """The march loop the oracles below run on, a copy of the solver's loop
+    as it stood before both solvers shared one: step(h) advances the
+    fields in place, in steps of at most dt, until s is within 1e-12 of
+    config.horizon."""
+    s = 0.0
+    while s < config.horizon - 1e-12:
+        h = min(dt, config.horizon - s)
+        step(h)
+        s += h
+
+
 def vec_march(system, metric, grid, z0, config):
     """hybrid_solve's march over the (1 + p**2) stack of phi and all vec
     entries of Phi (vec_flow, then the ghost-row differences and vec_lf_rate),
@@ -218,24 +229,24 @@ def vec_march(system, metric, grid, z0, config):
     phi_z[...] = metric.gradient(z0)
     bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid)
 
-    def step(fields, h):
+    def step(h):
         phi[...], phi_z[...] = vec_flow(phi, phi_z, q_field, h)
         hjsolver._ghost_differences(stack, grid, bufs)
         rate = vec_lf_rate(minus, plus, drift, g, bound, alpha)[0]
         rate *= h
         stack[...] += rate
 
-    hjsolver._march([phi, phi_z], step, cfl_dt(grid, alpha, config.cfl_number), config)
+    euler_march(step, cfl_dt(grid, alpha, config.cfl_number), config)
     return phi, phi_z
 
 
 def reference_march(system, metric, grid, z0, config):
-    """hybrid_solve's march (same flow, steps and snapshots) with
+    """hybrid_solve's march (same flow and steps) with
     reference_transport_rate: the final (phi, Phi) of the former kernel."""
     q_field = unvec(info_rate_on_grid(system, grid))
     drift, g, bound, alpha = transport_inputs(system, grid)
 
-    def step(fields, h):
+    def step(h):
         fields[:] = vec_flow(*fields, q_field, h)
         rates = reference_transport_rate(*fields, grid, drift, g, bound, alpha)[:2]
         for f, r in zip(fields, rates):
@@ -245,20 +256,13 @@ def reference_march(system, metric, grid, z0, config):
         np.full(grid.shape, metric.value(z0)),
         np.broadcast_to(metric.gradient(z0), grid.shape + (system.info_len,)).copy(),
     ]
-    hjsolver._march(fields, step, cfl_dt(grid, alpha, config.cfl_number), config)
+    euler_march(step, cfl_dt(grid, alpha, config.cfl_number), config)
     return fields
 
 
 def max_rel(got, ref) -> float:
     """Largest deviation relative to the largest reference entry."""
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
-
-
-def outer_rate(x):
-    """vec(j j^T) for j = (X, Y) / 100: a smooth information rate."""
-    j = np.stack([x[..., 0] / 100.0, x[..., 1] / 100.0], axis=-1)
-    outer = j[..., :, None] * j[..., None, :]
-    return np.swapaxes(outer, -1, -2).reshape(x.shape[:-1] + (4,))
 
 
 def toy_truth(t, x, z):
@@ -511,7 +515,7 @@ class TestKernelAgainstReference:
         z0 = scenario.initial_information().copy()
         z0[1] += 1e-5
         config = SolverConfig(horizon=5.0)
-        sol = hybrid_solve(system, metric, SURVEY_GRID, z0, config, on_snapshot=final_only)
+        sol = hybrid_solve(system, metric, SURVEY_GRID, z0, config)
         phi_z = sol.phi_z_final()
         assert np.array_equal(phi_z[..., 1], phi_z[..., 2])
         ref_phi, ref_phi_z = vec_march(system, metric, SURVEY_GRID, z0, config)
@@ -532,7 +536,7 @@ class TestPackedMarch:
         system, metric = scenario.build_system(), LogDetMetric(2)
         z0 = scenario.initial_information()
         config = replace(scenario.solver, horizon=10.0)
-        sol = hybrid_solve(system, metric, grid, z0, config, on_snapshot=final_only)
+        sol = hybrid_solve(system, metric, grid, z0, config)
         ref_phi, ref_phi_z = vec_march(system, metric, grid, z0, config)
         assert np.array_equal(sol.phi_final(), ref_phi)
         assert np.array_equal(sol.phi_z_final(), ref_phi_z)
@@ -540,31 +544,33 @@ class TestPackedMarch:
     def test_toy_gives_the_bits_of_the_vec_march(self):
         toy, metric, grid = ToyCascade(), LogDetMetric(1), toy_grid(0.05)
         config = SolverConfig(horizon=1.0)
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), config, on_snapshot=final_only)
+        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), config)
         ref_phi, ref_phi_z = vec_march(toy, metric, grid, np.array([1.0]), config)
         assert np.array_equal(sol.phi_final(), ref_phi)
         assert np.array_equal(sol.phi_z_final(), ref_phi_z)
 
-    def test_snapshots_keep_the_vec_layout(self):
-        # every snapshot mode hands out (..., p**2) arrays with equal
-        # off-diagonal entries, the same bits in each mode
+    def test_snapshots_keep_the_vec_layout(self, snapshots):
+        # the observer and the solution get (..., p**2) arrays with equal
+        # off-diagonal entries; the solution holds the final snapshot alone,
+        # with the bits of the observed one and of a solve without observer
         scenario = load_scenario(SHIPPED)
         system, metric = scenario.build_system(), LogDetMetric(2)
         z0 = scenario.initial_information()
-        config = SolverConfig(horizon=5.0, snapshot_stride=5)
-        kept = hybrid_solve(system, metric, SURVEY_GRID, z0, config)
-        streamed = []
-        last = hybrid_solve(
-            system, metric, SURVEY_GRID, z0, config,
-            on_snapshot=lambda s, phi, phi_z: streamed.append((s, phi.copy(), phi_z.copy())),
-        )
-        assert [s for s, _, _ in streamed] == list(kept.times)
-        for (_, phi, phi_z), kept_phi, kept_phi_z in zip(streamed, kept.phis, kept.phi_zs):
+        config = SolverConfig(horizon=5.0, snapshot_stride=1)
+        sol = hybrid_solve(system, metric, SURVEY_GRID, z0, config, on_snapshot=snapshots)
+        assert len(snapshots.times) > 2
+        assert snapshots.times[0] == 0.0 and snapshots.times[-1] == config.horizon
+        assert sol.times.tolist() == [config.horizon]
+        assert len(sol.phis) == len(sol.phi_zs) == 1
+        for phi_z in snapshots.phi_zs + sol.phi_zs:
             assert phi_z.shape == SURVEY_GRID.shape + (4,) and phi_z.flags.c_contiguous
             assert np.array_equal(phi_z[..., 1], phi_z[..., 2])
-            assert np.array_equal(phi, kept_phi) and np.array_equal(phi_z, kept_phi_z)
-        assert np.array_equal(last.phi_z_final(), kept.phi_z_final())
-        assert np.array_equal(last.phi_final(), kept.phi_final())
+        assert np.array_equal(sol.phi_final(), snapshots.phis[-1])
+        assert np.array_equal(sol.phi_z_final(), snapshots.phi_zs[-1])
+        plain = hybrid_solve(system, metric, SURVEY_GRID, z0, config)
+        assert np.array_equal(plain.phi_final(), sol.phi_final())
+        assert np.array_equal(plain.phi_z_final(), sol.phi_z_final())
+        assert plain.timings["steps"] == sol.timings["steps"] > 0
 
     def test_packed_flow_gives_the_bits_of_the_vec_flow(self):
         rng = np.random.default_rng(34)
@@ -642,19 +648,21 @@ class TestHybridSolve:
         rel = np.abs(sol.phi_z_final()[:, 0] - fd) / np.maximum(np.abs(fd), 1e-300)
         assert np.mean(rel[inner] <= 1e-2) >= 0.9
 
-    def test_value_monotone_in_horizon(self):
+    def test_value_monotone_in_horizon(self, snapshots):
         toy = ToyCascade()
         metric = LogDetMetric(1)
         grid = toy_grid(0.05)
-        sol = hybrid_solve(
-            toy, metric, grid, np.array([1.0]), SolverConfig(horizon=1.0, snapshot_stride=2)
+        hybrid_solve(
+            toy, metric, grid, np.array([1.0]), SolverConfig(horizon=1.0, snapshot_stride=2),
+            on_snapshot=snapshots,
         )
         x = grid.axes[0].nodes
         inner = np.abs(x) <= 1.0
-        for k in range(1, len(sol.times)):
-            assert np.all(sol.phis[k][inner] <= sol.phis[k - 1][inner] + 1e-9)
+        assert len(snapshots.phis) > 2
+        for k in range(1, len(snapshots.phis)):
+            assert np.all(snapshots.phis[k][inner] <= snapshots.phis[k - 1][inner] + 1e-9)
 
-    def test_gradient_matrices_stay_symmetric_and_definite(self):
+    def test_gradient_matrices_stay_symmetric_and_definite(self, snapshots):
         rng = np.random.default_rng(35)
 
         def rate(x):
@@ -666,9 +674,11 @@ class TestHybridSolve:
         metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-100.0, 100.0), (-100.0, 100.0), 7, 7, 8)
         sol = hybrid_solve(
-            car, metric, grid, vec(np.eye(2)), SolverConfig(horizon=3.0, snapshot_stride=3)
+            car, metric, grid, vec(np.eye(2)), SolverConfig(horizon=3.0, snapshot_stride=3),
+            on_snapshot=snapshots,
         )
-        for snap in sol.phi_zs:
+        assert len(snapshots.phi_zs) > 2
+        for snap in snapshots.phi_zs:
             mats = unvec(snap)
             assert np.allclose(mats, np.swapaxes(mats, -1, -2), atol=1e-10)
         final = -unvec(sol.phi_z_final())
@@ -706,6 +716,7 @@ class TestClassicSolve:
         joint = GridSpec((Axis(-1.0, 1.0, 11), Axis(0.5, 2.5, 21)))
         sys = Null(control_bound=1e-12)
         sol = classic_solve(sys, metric, joint, SolverConfig(horizon=1.0))
+        assert sol.times.tolist() == [1.0] and len(sol.phis) == 1
         z = joint.axes[1].nodes
         expected = -np.log(z)[None, :]
         assert np.allclose(sol.phi_final(), np.broadcast_to(expected, joint.shape), atol=1e-6)
@@ -728,45 +739,16 @@ class TestClassicSolve:
         assert np.max(np.abs(mid - expected)[interior]) < 2e-2
 
 
-class TestFinalOnly:
-    def test_hybrid_keeps_the_final_snapshot_alone(self):
-        car = dubins(rate_fn=outer_rate)
-        metric = LogDetMetric(2)
-        grid = GridSpec.vehicle_plane((-100.0, 100.0), (-100.0, 100.0), 7, 7, 8)
-        cfg = SolverConfig(horizon=3.0)
-        full = hybrid_solve(car, metric, grid, vec(np.eye(2)), cfg)
-        final = hybrid_solve(car, metric, grid, vec(np.eye(2)), cfg, on_snapshot=final_only)
-        assert len(full.times) > 2
-        assert final.times.tolist() == [full.horizon]
-        assert len(final.phis) == len(final.phi_zs) == 1
-        assert np.array_equal(final.phi_final(), full.phi_final())
-        assert np.array_equal(final.phi_z_final(), full.phi_z_final())
-        assert np.array_equal(final.value_gradient_final(), full.value_gradient_final())
-        assert final.steps == full.steps
-
-    def test_classic_keeps_the_final_snapshot_alone(self):
-        toy = ToyCascade()
-        metric = LogDetMetric(1)
-        joint = GridSpec((Axis(-2.0, 2.0, 21), Axis(0.4, 5.6, 27)))
-        cfg = SolverConfig(horizon=1.0)
-        full = classic_solve(toy, metric, joint, cfg)
-        final = classic_solve(toy, metric, joint, cfg, on_snapshot=final_only)
-        assert len(full.phis) > 2 and len(final.phis) == 1
-        assert final.times.tolist() == [full.times[-1]]
-        assert np.array_equal(final.phi_final(), full.phi_final())
-
-
 class TestFinalHorizon:
-    def test_toy_and_streamed_solves_end_at_the_configured_horizon(self, tmp_path):
+    def test_toy_and_streamed_solves_end_at_the_configured_horizon(self, tmp_path, snapshots):
         # 241 nodes: the summed steps fall an ulp short of 1.0, which the
         # final snapshot must not inherit
         toy = ToyCascade()
         metric = LogDetMetric(1)
         grid = GridSpec((Axis(-2.0, 2.0, 241),))
         cfg = SolverConfig(horizon=1.0)
-        full = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg)
-        final = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg, on_snapshot=final_only)
-        assert full.horizon == final.horizon == cfg.horizon
+        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg, on_snapshot=snapshots)
+        assert snapshots.times[-1] == sol.horizon == cfg.horizon
         solve_to_disk(tmp_path, toy, metric, grid, np.array([1.0]), cfg)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["snapshots"][-1]["s"] == cfg.horizon
@@ -774,20 +756,22 @@ class TestFinalHorizon:
 
 
 class TestSolutionIO:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self, tmp_path, snapshots):
         toy = ToyCascade()
         metric = LogDetMetric(1)
         grid = toy_grid(0.1)
         cfg = SolverConfig(horizon=0.5)
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg)
+        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg, on_snapshot=snapshots)
+        assert len(snapshots.times) > 2
         out = tmp_path / "sol"
         streamed = solve_to_disk(out, toy, metric, grid, np.array([1.0]), cfg)
         assert streamed.times.tolist() == [sol.horizon]
         assert np.array_equal(streamed.phi_final(), sol.phi_final())
         back = load_solution(out)
-        assert np.array_equal(back.times, sol.times)
-        assert all(np.array_equal(a, b) for a, b in zip(back.phis, sol.phis))
-        assert all(np.array_equal(a, b) for a, b in zip(back.phi_zs, sol.phi_zs))
+        assert back.times.tolist() == snapshots.times
+        assert len(back.phis) == len(back.phi_zs) == len(snapshots.times)
+        assert all(np.array_equal(a, b) for a, b in zip(back.phis, snapshots.phis))
+        assert all(np.array_equal(a, b) for a, b in zip(back.phi_zs, snapshots.phi_zs))
         assert back.grid == sol.grid
         assert back.config_hash == sol.config_hash
 

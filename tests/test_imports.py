@@ -1,11 +1,16 @@
-"""Every top-level import of a library or test module is used by it."""
+"""Every top-level import of a library or test module is used by it, each
+module is named by one `from X import` statement per file, and the package
+exports exactly what its __init__ imports."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+import infotraj
+
 REPO = Path(__file__).resolve().parents[1]
+PACKAGE_INIT = REPO / "src" / "infotraj" / "__init__.py"
 MODULES = sorted(
     p for p in (REPO / "src" / "infotraj").glob("*.py") if p.name != "__init__.py"
 ) + sorted((REPO / "tests").glob("*.py"))
@@ -53,3 +58,38 @@ def test_scan_flags_unused_names():
         "print(infotraj.grid.Axis, turn)\n"
     )
     assert unused_imports(source) == ["os", "infotraj.cli", "pi"]
+
+
+def repeated_from_imports(source: str) -> list:
+    """Modules that more than one top-level `from X import` statement names."""
+    seen, repeated = set(), []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.ImportFrom):
+            name = "." * stmt.level + (stmt.module or "")
+            if name in seen and name not in repeated:
+                repeated.append(name)
+            seen.add(name)
+    return repeated
+
+
+@pytest.mark.parametrize(
+    "path", [PACKAGE_INIT] + MODULES, ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_one_from_import_per_module(path):
+    assert repeated_from_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_scan_flags_repeated_from_imports():
+    source = "from a import b\nfrom c import d\nfrom a import e\nfrom a import f\n"
+    assert repeated_from_imports(source) == ["a"]
+
+
+def test_all_is_what_the_package_imports():
+    tree = ast.parse(PACKAGE_INIT.read_text(encoding="utf-8"))
+    imported = [
+        alias.asname or alias.name
+        for stmt in tree.body
+        if isinstance(stmt, ast.ImportFrom)
+        for alias in stmt.names
+    ]
+    assert sorted(infotraj.__all__) == sorted(imported)

@@ -451,7 +451,7 @@ class TestClosedFormFlow:
         ell = info_rate_on_grid(system, grid)
         closed = hybrid_solve(system, LogDetMetric(2), grid, z0, config, info_rate_field=ell)
         lapack = hybrid_solve(system, LapackLogDet(2), grid, z0, config, info_rate_field=ell)
-        assert closed.steps == lapack.steps
+        assert closed.timings["steps"] == lapack.timings["steps"]
         d_phi = np.abs(closed.phi_final() - lapack.phi_final())
         d_phi_z = np.linalg.norm(closed.phi_z_final() - lapack.phi_z_final(), axis=-1)
         rel_phi_z = d_phi_z / np.linalg.norm(lapack.phi_z_final(), axis=-1)

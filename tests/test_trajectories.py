@@ -20,7 +20,7 @@ from infotraj.dynamics import (
     simulate_open_loop,
 )
 from infotraj.grid import Axis, GridSpec, interpolate
-from infotraj.hjsolver import SolverConfig, final_only, hybrid_solve, info_rate_on_grid
+from infotraj.hjsolver import SolverConfig, hybrid_solve, info_rate_on_grid
 from infotraj.matrixcore import LogDetMetric, vec
 from infotraj.sensing import suite_info_rate
 from infotraj.trajectories import (
@@ -320,9 +320,7 @@ def reference_extract_receding(
     for k in range(legs):
         remaining = horizon - k * leg_span
         cfg = replace(config or SolverConfig(horizon=remaining), horizon=remaining)
-        sol = hybrid_solve(
-            system, metric, grid, z, cfg, info_rate_field=info_rate_field, on_snapshot=final_only,
-        )
+        sol = hybrid_solve(system, metric, grid, z, cfg, info_rate_field=info_rate_field)
         piece = extract_characteristic(sol, system, metric, x, dt, duration=leg_span)
         pieces.append(piece)
         x = piece.final_state()
@@ -611,8 +609,7 @@ class TestStageBatchedRK4:
         metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-50.0, 50.0), (-50.0, 50.0), 9, 9, 8)
         sol = hybrid_solve(
-            car, metric, grid, scenario.initial_information(), SolverConfig(horizon=20.0),
-            on_snapshot=final_only,
+            car, metric, grid, scenario.initial_information(), SolverConfig(horizon=20.0)
         )
         errors = []
         for extract in (extract_characteristic, reference_extract):
