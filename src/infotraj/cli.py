@@ -420,15 +420,6 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
         solution = load_solution(solution_dir)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ScenarioError(f"{solution_dir}: cannot load the solution: {exc}") from exc
-    # solve_to_disk never writes a non-finite field (the march raises
-    # InstabilityError first), so one here is a corrupt file: exit 2
-    final = manifest["snapshots"][-1]
-    for key, values in (("phi", solution.phi_final()), ("phi_z", solution.phi_z_final())):
-        _require(
-            bool(np.all(np.isfinite(values))),
-            os.path.join(str(solution_dir), final[key]),
-            "holds non-finite values",
-        )
     for key, value in solution_fingerprints(scenario).items():
         _require(
             manifest.get(key) == value,
@@ -596,10 +587,11 @@ _THRESHOLDS = (
 
 def suite_from_dict(data: dict, where: str = "suite", base_dir: str = ".") -> ValidationSuite:
     """Parse a validate suite; every field is optional, with the defaults of
-    ValidationSuite. scenario is a scenario file's path relative to base_dir
-    and is loaded here. An unknown field or a bad value raises ScenarioError
-    naming it. The toy grid steps are at most 1, so that every toy grid has
-    at least 5 nodes, and brute force takes at most 8 segments."""
+    ValidationSuite. scenario and report are paths relative to base_dir (the
+    suite file's directory); scenario is loaded here. An unknown field or a
+    bad value raises ScenarioError naming it. The toy grid steps are at most
+    1, so that every toy grid has at least 5 nodes, and brute force takes at
+    most 8 segments."""
     defaults = asdict(ValidationSuite())
     defaults.update(scenario="", toy_ratio_band=list(defaults["toy_ratio_band"]))
     known = {key: value for key, value in defaults.items() if key not in _THRESHOLDS}
@@ -630,6 +622,8 @@ def suite_from_dict(data: dict, where: str = "suite", base_dir: str = ".") -> Va
     _require(values["sandwich_segments"] <= 8, f"{where}.sandwich_segments", "must be at most 8")
     path = values["scenario"]
     values["scenario"] = load_scenario(os.path.join(base_dir, path)) if path else None
+    if values["report"]:
+        values["report"] = os.path.join(base_dir, values["report"])
     return ValidationSuite(**values)
 
 
@@ -710,7 +704,7 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
                 brute_force_cost=bf_cost,
                 tolerance=tol,
             )
-            phi_x0 = float(interpolate(solution.phi_final(), grid, x0.as_array()))
+            phi_x0 = float(interpolate(solution.phi, grid, x0.as_array()))
             band = suite.value_band
             report.add(
                 "value_consistency_band",

@@ -112,9 +112,11 @@ class GridSpec:
         )
 
     def to_dict(self) -> dict:
+        """In from_dict's types: a grid read back hashes the same (config_fingerprint)."""
         return {
             "axes": [
-                {"lo": ax.lo, "hi": ax.hi, "n": ax.n, "periodic": ax.periodic}
+                {"lo": float(ax.lo), "hi": float(ax.hi), "n": int(ax.n),
+                 "periodic": bool(ax.periodic)}
                 for ax in self.axes
             ]
         }

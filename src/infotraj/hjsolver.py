@@ -28,8 +28,8 @@ one kernel, lf_rate, and takes forward Euler steps under the CFL limit:
   coefficients of the control-free axes are built once per solve.
   Snapshots carry Phi in the (..., p**2) vec layout.
 
-A solve returns its final snapshot alone; an optional on_snapshot observer
-sees the others as the march takes them (solve_to_disk writes each one).
+A solve returns its final fields alone; an optional on_snapshot observer
+sees every snapshot as the march takes it (solve_to_disk writes each one).
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ from infotraj.matrixcore import FLOW_WORK, TerminalMetric, sym_pack, sym_unpack,
 POLICY_TIE_EPS = 1e-12
 # nodes per info_rate call when info_rate_on_grid evaluates a field
 FIELD_CHUNK_ROWS = 4096
-# the names solve_to_disk gives snapshot files
-SNAPSHOT_FILE = re.compile(r"phiz?_[0-9]{4}\.bin")
+# the names solve_to_disk gives snapshot files ({k:04d}: five digits past 9,999)
+SNAPSHOT_FILE = re.compile(r"phiz?_([0-9]{4}|[1-9][0-9]{4,})\.bin")
 
 
 class InstabilityError(RuntimeError):
@@ -222,14 +222,12 @@ def info_rate_on_grid(system: CascadeSystem, grid: GridSpec) -> np.ndarray:
 
 @dataclass
 class HybridSolution:
-    """Snapshots of the value approximation phi and the information-gradient
-    approximation Phi on the x grid, for the fixed initial information state z0.
-
-    phi_zs[k] holds Phi in the vec layout, shape grid.shape + (p**2,), with
-    equal off-diagonal pairs (the march carries the distinct entries).
-    times[k] is the horizon of phis[k] and phi_zs[k]: the final snapshot
-    alone of a solve, or memory maps of every snapshot file of a stored one
-    (load_solution).
+    """The final fields of a solve for the fixed initial information state
+    z0, at the horizon config.horizon: the value approximation phi on the x
+    grid, shape grid.shape, and the information-gradient approximation Phi,
+    phi_z, in the vec layout, shape grid.shape + (p**2,), with equal
+    off-diagonal pairs (the march carries the distinct entries). A stored
+    solution (load_solution) holds read-only memory maps of the final pair.
 
     timings (solves only; saved to timings.json, not the manifest):
     wall_time_s, then the seconds spent in the info-rate field (0 when it
@@ -238,29 +236,17 @@ class HybridSolution:
     snapshot_s), and the number of march steps (steps)."""
 
     grid: GridSpec
-    times: np.ndarray
-    phis: list
-    phi_zs: list
+    phi: np.ndarray
+    phi_z: np.ndarray
     z0: np.ndarray
     config: SolverConfig
-    config_hash: str = ""
     timings: dict = field(default_factory=dict)
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    def phi_final(self) -> np.ndarray:
-        return self.phis[-1]
-
-    def phi_z_final(self) -> np.ndarray:
-        return self.phi_zs[-1]
-
-    def value_gradient_final(self) -> np.ndarray:
-        """Central-difference gradient of the final phi, shape grid.shape + (d,):
-        the mean of its one-sided differences (_ghost_differences on phi as a
+    def value_gradient(self) -> np.ndarray:
+        """Central-difference gradient of phi, shape grid.shape + (d,): the
+        mean of its one-sided differences (_ghost_differences on phi as a
         one-component stack, its edge slopes extrapolated)."""
-        stack = np.asarray(self.phis[-1])[None]
+        stack = np.asarray(self.phi)[None]
         bufs, minus, plus = _ghost_difference_buffers(stack, self.grid)
         _ghost_differences(stack, self.grid, bufs)
         return np.stack([0.5 * (m[0] + p[0]) for m, p in zip(minus, plus)], axis=-1)
@@ -300,9 +286,10 @@ def solve_to_disk(
     snapshot files are exactly the ones its manifest names. Wall-clock
     timings (total and per-phase seconds) and the step count go to a
     separate timings.json so that repeated runs with the same configuration
-    produce byte-identical manifests and fields. extras (e.g. a sensor-suite
-    hash) are merged into the manifest. Returns the solution with its final
-    snapshot alone.
+    produce byte-identical manifests and fields. The manifest's config_hash
+    is config_fingerprint(grid, z0, config), which load_solution checks.
+    extras (e.g. a sensor-suite hash) are merged into the manifest. Returns
+    the solution's final fields.
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
@@ -330,7 +317,7 @@ def solve_to_disk(
         "m": int(system.info_len),
         "z0": [float(v) for v in solution.z0],
         "config": asdict(config),
-        "config_hash": solution.config_hash,
+        "config_hash": config_fingerprint(grid, solution.z0, config),
         "snapshots": snapshots,
     }
     manifest.update(extras or {})
@@ -339,16 +326,18 @@ def solve_to_disk(
 
 
 def load_solution(in_dir) -> HybridSolution:
-    """Open a solution written by solve_to_disk.
+    """Open a solution written by solve_to_disk: its final pair of fields.
 
-    Each snapshot file is mapped read-only (grid.load_array), not read: a
-    caller that uses only the final snapshot pages in only that pair. A
-    snapshot file of the wrong size, an empty snapshot list, snapshot times
-    that are not finite numbers rising strictly from 0 to config.horizon,
-    a config SolverConfig refuses, an m that is not a square p**2 >= 1 or a
-    z0 without m entries raises ValueError naming the file and field; a
-    directory without manifest.json is not a solution. The values are not
-    read here (see cli.cmd_extract).
+    Every snapshot file is mapped read-only (grid.load_array), and only the
+    final pair is kept and read. ValueError, naming the file and field, for:
+    an m that is not a square p**2 >= 1, a z0 without m entries, a config
+    SolverConfig refuses, no snapshots, snapshot times that are not finite
+    numbers rising strictly from 0 to config.horizon, a snapshot file name
+    that SNAPSHOT_FILE does not match (so every file lies in in_dir), a file
+    of the wrong size, a config_hash other than config_fingerprint of the
+    manifest's grid, z0 and config, and a final field with a NaN or an
+    infinity (the march never writes one). A directory without manifest.json
+    is not a solution.
     """
     manifest_path = os.path.join(in_dir, "manifest.json")
     manifest = read_manifest(manifest_path)
@@ -363,33 +352,36 @@ def load_solution(in_dir) -> HybridSolution:
         cfg = SolverConfig(**manifest["config"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path}: config: {exc}") from exc
-    if not manifest["snapshots"]:
+    snapshots = manifest["snapshots"]
+    if not snapshots:
         raise ValueError(f"{manifest_path}: snapshots is empty")
-    times, phis, phi_zs = [], [], []
-    for k, snap in enumerate(manifest["snapshots"]):
+    shapes, final = {"phi": grid.shape, "phi_z": grid.shape + (m,)}, {}
+    for k, snap in enumerate(snapshots):
         s = snap["s"]
         where = f"{manifest_path}: snapshots[{k}].s = {s!r}"
         if isinstance(s, bool) or not isinstance(s, (int, float)) or not math.isfinite(s):
             raise ValueError(f"{where} is not a finite number")
-        if (s != 0.0) if k == 0 else (s <= times[-1]):
+        if (s != 0.0) if k == 0 else (s <= last):
             raise ValueError(f"{where}: snapshot times must rise strictly from 0")
-        times.append(float(s))
-        phis.append(load_array(os.path.join(in_dir, snap["phi"]), grid.shape))
-        phi_zs.append(load_array(os.path.join(in_dir, snap["phi_z"]), grid.shape + (m,)))
-    if times[-1] != cfg.horizon:
+        last = s
+        for key, shape in shapes.items():
+            name = snap[key]
+            if not (isinstance(name, str) and SNAPSHOT_FILE.fullmatch(name)):
+                raise ValueError(
+                    f"{manifest_path}: snapshots[{k}].{key} = {name!r} is not a snapshot file name"
+                )
+            final[key] = load_array(os.path.join(in_dir, name), shape)
+    if last != cfg.horizon:
         raise ValueError(
-            f"{manifest_path}: snapshots[{len(times) - 1}].s = {times[-1]!r} is not "
+            f"{manifest_path}: snapshots[{len(snapshots) - 1}].s = {last!r} is not "
             f"config.horizon = {cfg.horizon!r}"
         )
-    return HybridSolution(
-        grid=grid,
-        times=np.asarray(times),
-        phis=phis,
-        phi_zs=phi_zs,
-        z0=z0,
-        config=cfg,
-        config_hash=manifest.get("config_hash", ""),
-    )
+    if manifest.get("config_hash") != config_fingerprint(grid, z0, cfg):
+        raise ValueError(f"{manifest_path}: config_hash does not match its grid, z0 and config")
+    for key, values in final.items():
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{os.path.join(in_dir, snapshots[-1][key])}: holds non-finite values")
+    return HybridSolution(grid, final["phi"], final["phi_z"], z0, cfg)
 
 
 def _check_finite(step: int, s: float, *arrays) -> None:
@@ -555,7 +547,7 @@ def hybrid_solve(
         z0 (slightly asymmetric) starts from the symmetric part of its
         gradient.
 
-    The solution holds the final snapshot alone: phi uncopied, and Phi in
+    The solution holds the final fields: phi uncopied, and Phi in
     the (..., p**2) vec layout, row-major (iX, iY, ipsi, j), expanded from
     the packed entries. on_snapshot(s, phi, phi_z), when given, observes
     every snapshot in that layout as the march takes it (phi is the live
@@ -627,28 +619,7 @@ def hybrid_solve(
         flow, None if on_snapshot is None else observe, timings,
     )
     timings["wall_time_s"] = _time.perf_counter() - t_start
-    return HybridSolution(
-        grid=grid,
-        times=np.asarray([config.horizon]),
-        phis=[phi],
-        phi_zs=[vec_layout(phi_z)],
-        z0=z0,
-        config=config,
-        config_hash=config_fingerprint(grid, z0, config),
-        timings=timings,
-    )
-
-
-@dataclass
-class ClassicSolution:
-    """Final value approximation on a joint (x, z) grid (reference use only)."""
-
-    grid: GridSpec
-    times: np.ndarray
-    phis: list
-
-    def phi_final(self) -> np.ndarray:
-        return self.phis[-1]
+    return HybridSolution(grid, phi, vec_layout(phi_z), z0, config, timings)
 
 
 def classic_solve(
@@ -656,14 +627,15 @@ def classic_solve(
     metric: TerminalMetric,
     joint_grid: GridSpec,
     config: SolverConfig,
-) -> ClassicSolution:
-    """Full-grid Lax-Friedrichs method of lines over the joint state (x, z).
+) -> np.ndarray:
+    """Full-grid Lax-Friedrichs method of lines over the joint state (x, z);
+    returns the final value approximation, shape joint_grid.shape.
 
     The z axes enter the kernel as extra drift axes (drift vec(Q(x)), no
     control). Tractable only in very low dimension; refuses more than 3 total
     axes. Serves as the independent reference for the hybrid solver on toy
     systems. The value marches as a one-component stack through hybrid_solve's
-    march, with no pointwise flow; the solution holds the final snapshot.
+    march, with no pointwise flow.
     """
     d = system.state_dim
     m = system.info_len
@@ -692,4 +664,4 @@ def classic_solve(
 
     stack = metric.value(z_nodes)[None]
     _march(stack, joint_grid, drift, g, system.control_bound, alpha, dt, config)
-    return ClassicSolution(grid=joint_grid, times=np.asarray([config.horizon]), phis=[stack[0]])
+    return stack[0]

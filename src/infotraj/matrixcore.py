@@ -139,9 +139,9 @@ def curvature_contraction(rate_matrix, grad) -> np.ndarray:
 class TerminalMetric(ABC):
     """Terminal cost on the vectorized information state.
 
-    Provides the value G(z), its gradient G_z(z), and the curvature
-    contraction used by the grid-free gradient ODE (the z-derivative of the
-    gain rate <G_z, vec(Q)> expressed through the gradient value).
+    Provides the value G(z), its gradient G_z(z), and the pointwise flow of
+    (value, gradient) under a fixed information rate that the hybrid solver
+    steps at every node.
     """
 
     def __init__(self, dim: int):
@@ -157,17 +157,17 @@ class TerminalMetric(ABC):
     def gradient(self, z) -> np.ndarray:
         ...
 
-    @abstractmethod
-    def curvature_contraction(self, rate_matrix, grad) -> np.ndarray:
-        ...
-
     def normalized_gain(self, z, z_ref) -> float:
         """Gain relative to a reference information state; zero at z = z_ref."""
         return self.value(z) - self.value(z_ref)
 
+    @abstractmethod
     def flow(self, value, grad, rate, h: float, work=None):
         """Advance the pointwise accumulation (value, gradient) by h at a
-        fixed information rate Q, in place.
+        fixed information rate Q, in place: the solution of
+        d(value)/ds = <vec(Q), grad>, d(grad)/ds = the z-derivative of that
+        gain rate, expressed through grad (curvature_contraction for the
+        logdet metric).
 
         grad and rate hold the packed entries (sym_pack) of the symmetric
         gradient matrix and of Q on their last axis; value has their leading
@@ -176,16 +176,7 @@ class TerminalMetric(ABC):
         which are returned. work is optional scratch of shape (r,) +
         value.shape with r >= FLOW_WORK for a kernel to compute in: a march
         that passes the same one every step allocates nothing per step.
-
-        Generic fallback: one explicit Euler step of the coupled ODE
-        d(value)/ds = <vec(Q), grad>, d(grad)/ds = curvature(Q, grad).
-        Metrics with a closed-form flow should override it (exactness, and no
-        step-size restriction when the accumulated information is small).
         """
-        q, lmat = sym_unpack(rate), sym_unpack(grad)
-        value += h * np.einsum("...ij,...ij->...", q, lmat)  # <vec(Q), vec(L)>
-        grad += h * sym_pack(unvec(self.curvature_contraction(q, vec(lmat))))
-        return value, grad
 
 
 class LogDetMetric(TerminalMetric):
@@ -224,9 +215,6 @@ class LogDetMetric(TerminalMetric):
         except np.linalg.LinAlgError as exc:
             raise NotPositiveDefiniteError(f"information matrix is singular: {exc}") from exc
         return -vec(np.swapaxes(inv, -1, -2))
-
-    def curvature_contraction(self, rate_matrix, grad) -> np.ndarray:
-        return curvature_contraction(rate_matrix, grad)
 
     def flow(self, value, grad, rate, h: float, work=None):
         """Closed-form flow, in place on packed entries as in

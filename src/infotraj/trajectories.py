@@ -99,15 +99,14 @@ def extract_characteristic(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     grid = solution.grid
-    horizon = solution.horizon if duration is None else float(duration)
-    if duration is not None and duration > solution.horizon + 1e-9:
+    horizon = solution.config.horizon if duration is None else float(duration)
+    if duration is not None and duration > solution.config.horizon + 1e-9:
         raise ValueError("requested duration exceeds the solved horizon")
 
     x = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
-    grad_field = solution.value_gradient_final()
-    p = interpolate(grad_field, grid, x)
-    lam = interpolate(solution.phi_z_final(), grid, x)
-    phi_at_start = float(interpolate(solution.phi_final(), grid, x))
+    p = interpolate(solution.value_gradient(), grid, x)
+    lam = interpolate(solution.phi_z, grid, x)
+    phi_at_start = float(interpolate(solution.phi, grid, x))
 
     d = system.state_dim
     m = system.info_len
@@ -201,9 +200,10 @@ def extract_receding(
     with the information collected so far as the new initial state.
 
     The gridded solution is valid for one initial information state only, so
-    re-solving is what makes long extractions self-consistent. The grid, z0,
-    horizon and solver config come from solution, the full-horizon solve from
-    the initial information state; leg 0 extracts from it directly, so
+    re-solving is what makes long extractions self-consistent. The grid, z0
+    and solver config come from solution, the full-horizon solve from the
+    initial information state, and the horizon is solution.config.horizon,
+    the label of its final fields; leg 0 extracts from it directly, so
     legs = 1 is exactly the characteristic extractor.
 
     A later leg k only reads the value gradient and Phi at its own start x_k
@@ -230,7 +230,7 @@ def extract_receding(
     if legs < 1:
         raise ValueError("need at least one leg")
     grid = solution.grid
-    horizon = solution.horizon
+    horizon = solution.config.horizon
     if info_rate_field is None and legs > 1:
         info_rate_field = info_rate_on_grid(system, grid)
     bounds = system.rate_bounds()
@@ -449,10 +449,8 @@ def gradient_consistency_check(
         zm = z0.copy()
         zp[j] += delta
         zm[j] -= delta
-        fd[..., j] = (final_solve(zp).phi_final() - final_solve(zm).phi_final()) / (
-            2.0 * delta
-        )
-    rel = np.linalg.norm(sol.phi_z_final() - fd, axis=-1) / np.maximum(
+        fd[..., j] = (final_solve(zp).phi - final_solve(zm).phi) / (2.0 * delta)
+    rel = np.linalg.norm(sol.phi_z - fd, axis=-1) / np.maximum(
         np.linalg.norm(fd, axis=-1), 1e-300
     )
     interior = np.ones(grid.shape, dtype=bool)
@@ -491,7 +489,7 @@ def toy_hybrid_vs_classic(dx: float) -> dict:
         cls = classic_solve(toy, metric, joint, cfg)
         zi = int(np.argmin(np.abs(joint.axes[1].nodes - 1.0)))
         inner = np.abs(grid.axes[0].nodes) <= 1.0
-        return float(np.max(np.abs(hyb.phi_final() - cls.phi_final()[:, zi])[inner]))
+        return float(np.max(np.abs(hyb.phi - cls[:, zi])[inner]))
 
     coarse = gap(dx)
     fine = gap(dx / 2.0)

@@ -20,7 +20,7 @@ from infotraj.dynamics import (
     ToyCascade,
     simulate_open_loop,
 )
-from infotraj.grid import Axis, GridSpec, interpolate
+from infotraj.grid import Axis, GridSpec, interpolate, load_array, read_manifest
 from infotraj.hjsolver import SolverConfig, hybrid_solve, info_rate_on_grid
 from infotraj.matrixcore import LogDetMetric, curvature_contraction, vec
 from infotraj.sensing import (
@@ -200,8 +200,8 @@ def test_criterion_5_optimality_sandwich(survey):
         scenario.solver,
         info_rate_field=info_rate_on_grid(system, coarse_grid),
     )
-    phi_fine = float(interpolate(solution.phi_final(), grid, x0.as_array()))
-    phi_coarse = float(interpolate(coarse.phi_final(), coarse_grid, x0.as_array()))
+    phi_fine = float(interpolate(solution.phi, grid, x0.as_array()))
+    phi_coarse = float(interpolate(coarse.phi, coarse_grid, x0.as_array()))
     band = 2.0 * abs(phi_fine - phi_coarse)
     elapsed = time.time() - t0
 
@@ -324,11 +324,14 @@ def test_criterion_9_stability_and_worker_determinism(scenario, tmp_path):
         for other in outs[1:]
         for n in names
     )
-    from infotraj.hjsolver import load_solution
-
-    sol = load_solution(outs[0])
-    finite = all(np.all(np.isfinite(p)) for p in sol.phis) and all(
-        np.all(np.isfinite(p)) for p in sol.phi_zs
+    # every stored snapshot, read by the manifest's names
+    manifest = read_manifest(outs[0] / "manifest.json")
+    shape = scenario.grid().shape
+    shapes = {"phi": shape, "phi_z": shape + (manifest["m"],)}
+    finite = all(
+        np.all(np.isfinite(load_array(outs[0] / snap[key], shape)))
+        for snap in manifest["snapshots"]
+        for key, shape in shapes.items()
     )
     elapsed = time.time() - t0
     ok = identical and finite

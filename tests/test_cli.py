@@ -340,7 +340,8 @@ class TestSolveExtractPlot:
         [
             "empty_snapshots", "short_z0", "m_not_square", "nan_final_phi",
             "nan_final_s", "text_final_s", "negative_final_s", "late_final_s",
-            "unsorted_s", "nan_horizon",
+            "unsorted_s", "nan_horizon", "absolute_name", "parent_name", "number_name",
+            "doubled_z0", "shifted_x_extent", "non_spd_z0",
         ],
     )
     def test_corrupt_solution_exits_2_naming_it(self, pipeline, tmp_path, capsys, case):
@@ -351,6 +352,7 @@ class TestSolveExtractPlot:
         snaps = manifest["snapshots"]
         final_phi = snaps[-1]["phi"]
         final_s = f"snapshots[{len(snaps) - 1}].s"
+        hash_named = "manifest.json: config_hash"
         named = {
             "empty_snapshots": "snapshots",
             "short_z0": "z0",
@@ -362,6 +364,12 @@ class TestSolveExtractPlot:
             "late_final_s": final_s,
             "unsorted_s": "snapshots[2].s",
             "nan_horizon": "horizon",
+            "absolute_name": final_s[:-1] + "phi",
+            "parent_name": final_s[:-1] + "phi_z",
+            "number_name": final_s[:-1] + "phi",
+            "doubled_z0": hash_named,
+            "shifted_x_extent": hash_named,
+            "non_spd_z0": hash_named,
         }[case]
         if case == "empty_snapshots":
             manifest["snapshots"] = []
@@ -375,6 +383,21 @@ class TestSolveExtractPlot:
             snaps[2]["s"] = snaps[1]["s"]
         elif case == "nan_horizon":
             manifest["config"]["horizon"] = math.nan
+        elif case in ("absolute_name", "parent_name"):
+            # another solution's final pair, with the local one gone
+            key = "phi" if case == "absolute_name" else "phi_z"
+            other = sol_dir / snaps[-1][key]
+            (broken / snaps[-1][key]).unlink()
+            relative = os.path.relpath(other, broken)
+            snaps[-1][key] = str(other) if case == "absolute_name" else relative
+        elif case == "number_name":
+            snaps[-1]["phi"] = 21
+        elif case in ("doubled_z0", "non_spd_z0"):
+            doubled = [2.0 * v for v in manifest["z0"]]
+            manifest["z0"] = doubled if case == "doubled_z0" else [1.0, 0.0, 0.0, -1.0]
+        elif case == "shifted_x_extent":
+            axis = manifest["grid"]["axes"][0]
+            axis["lo"], axis["hi"] = axis["lo"] + 100.0, axis["hi"] + 100.0
         else:
             snaps[-1]["s"] = {
                 "nan_final_s": math.nan, "text_final_s": "abc",
@@ -504,12 +527,14 @@ class TestStreamedSolve:
         named = solve(5)
         assert len(named) < len(every_step)
         assert sorted(f for f in os.listdir(out) if f.endswith(".bin")) == named
-        # only exact snapshot names are the solver's to remove
+        # only exact snapshot names are the solver's to remove; past 9,999
+        # snapshots the names it writes have five digits
         decoys = ("phi_00001.bin", "phiz_12.bin", "phi_0000.bin.orig")
-        for name in decoys:
+        for name in decoys + ("phiz_10000.bin",):
             (out / name).write_bytes(b"keep")
         solve(5)
         assert all((out / name).read_bytes() == b"keep" for name in decoys)
+        assert not (out / "phiz_10000.bin").exists()
 
     def test_resolve_removes_the_manifest_first_and_writes_it_last(
         self, pipeline, tmp_path, monkeypatch
@@ -712,6 +737,15 @@ class TestValidationSuite:
         assert suite.scenario.name == "doppler_single_path"
         assert suite == replace(ValidationSuite(), scenario=suite.scenario)
         assert suite_from_dict({}) == ValidationSuite()
+
+    def test_report_path_resolves_against_the_suite_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "sub").mkdir()
+        suite = {"toy_dx": 0.05, "toy_gradient_dx": 0.025, "report": "r.json"}
+        (tmp_path / "sub" / "suite.json").write_text(json.dumps(suite))
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", "--suite", "sub/suite.json"]) == 0
+        assert json.loads((tmp_path / "sub" / "r.json").read_text())["passed"]
+        assert not (tmp_path / "r.json").exists()
 
     def test_missing_suite_exits_2_naming_it(self, tmp_path, capsys):
         missing = tmp_path / "no_such_suite.json"

@@ -10,7 +10,7 @@ import pytest
 from infotraj import hjsolver
 from infotraj.cli import load_scenario
 from infotraj.dynamics import DubinsCar, ToyCascade
-from infotraj.grid import Axis, GridSpec
+from infotraj.grid import Axis, GridSpec, load_array
 from infotraj.hjsolver import (
     InstabilityError,
     SolverConfig,
@@ -501,8 +501,8 @@ class TestKernelAgainstReference:
         grid, z0 = scenario.grid(), scenario.initial_information()
         sol = hybrid_solve(system, metric, grid, z0, scenario.solver)
         ref_phi, ref_phi_z = reference_march(system, metric, grid, z0, scenario.solver)
-        assert max_rel(sol.phi_final(), ref_phi) <= 1e-12
-        assert max_rel(sol.phi_z_final(), ref_phi_z) <= 1e-12
+        assert max_rel(sol.phi, ref_phi) <= 1e-12
+        assert max_rel(sol.phi_z, ref_phi_z) <= 1e-12
 
     def test_asymmetric_probe_drift_is_pinned(self):
         # gradient_consistency_check perturbs z0[1] and z0[2] one at a time.
@@ -516,12 +516,12 @@ class TestKernelAgainstReference:
         z0[1] += 1e-5
         config = SolverConfig(horizon=5.0)
         sol = hybrid_solve(system, metric, SURVEY_GRID, z0, config)
-        phi_z = sol.phi_z_final()
+        phi_z = sol.phi_z
         assert np.array_equal(phi_z[..., 1], phi_z[..., 2])
         ref_phi, ref_phi_z = vec_march(system, metric, SURVEY_GRID, z0, config)
         assert np.all(ref_phi_z[..., 1] != ref_phi_z[..., 2])
         ref_sym = sym_unpack(sym_pack(unvec(ref_phi_z))).reshape(ref_phi_z.shape)
-        assert max_rel(sol.phi_final(), ref_phi) <= 1e-10
+        assert max_rel(sol.phi, ref_phi) <= 1e-10
         assert max_rel(phi_z, ref_sym) <= 1e-7
         assert max_rel(phi_z, ref_phi_z) <= 1e-3
 
@@ -538,21 +538,21 @@ class TestPackedMarch:
         config = replace(scenario.solver, horizon=10.0)
         sol = hybrid_solve(system, metric, grid, z0, config)
         ref_phi, ref_phi_z = vec_march(system, metric, grid, z0, config)
-        assert np.array_equal(sol.phi_final(), ref_phi)
-        assert np.array_equal(sol.phi_z_final(), ref_phi_z)
+        assert np.array_equal(sol.phi, ref_phi)
+        assert np.array_equal(sol.phi_z, ref_phi_z)
 
     def test_toy_gives_the_bits_of_the_vec_march(self):
         toy, metric, grid = ToyCascade(), LogDetMetric(1), toy_grid(0.05)
         config = SolverConfig(horizon=1.0)
         sol = hybrid_solve(toy, metric, grid, np.array([1.0]), config)
         ref_phi, ref_phi_z = vec_march(toy, metric, grid, np.array([1.0]), config)
-        assert np.array_equal(sol.phi_final(), ref_phi)
-        assert np.array_equal(sol.phi_z_final(), ref_phi_z)
+        assert np.array_equal(sol.phi, ref_phi)
+        assert np.array_equal(sol.phi_z, ref_phi_z)
 
     def test_snapshots_keep_the_vec_layout(self, snapshots):
         # the observer and the solution get (..., p**2) arrays with equal
-        # off-diagonal entries; the solution holds the final snapshot alone,
-        # with the bits of the observed one and of a solve without observer
+        # off-diagonal entries; the solution's final fields have the bits of
+        # the last observed snapshot and of a solve without observer
         scenario = load_scenario(SHIPPED)
         system, metric = scenario.build_system(), LogDetMetric(2)
         z0 = scenario.initial_information()
@@ -560,16 +560,14 @@ class TestPackedMarch:
         sol = hybrid_solve(system, metric, SURVEY_GRID, z0, config, on_snapshot=snapshots)
         assert len(snapshots.times) > 2
         assert snapshots.times[0] == 0.0 and snapshots.times[-1] == config.horizon
-        assert sol.times.tolist() == [config.horizon]
-        assert len(sol.phis) == len(sol.phi_zs) == 1
-        for phi_z in snapshots.phi_zs + sol.phi_zs:
+        for phi_z in snapshots.phi_zs + [sol.phi_z]:
             assert phi_z.shape == SURVEY_GRID.shape + (4,) and phi_z.flags.c_contiguous
             assert np.array_equal(phi_z[..., 1], phi_z[..., 2])
-        assert np.array_equal(sol.phi_final(), snapshots.phis[-1])
-        assert np.array_equal(sol.phi_z_final(), snapshots.phi_zs[-1])
+        assert np.array_equal(sol.phi, snapshots.phis[-1])
+        assert np.array_equal(sol.phi_z, snapshots.phi_zs[-1])
         plain = hybrid_solve(system, metric, SURVEY_GRID, z0, config)
-        assert np.array_equal(plain.phi_final(), sol.phi_final())
-        assert np.array_equal(plain.phi_z_final(), sol.phi_z_final())
+        assert np.array_equal(plain.phi, sol.phi)
+        assert np.array_equal(plain.phi_z, sol.phi_z)
         assert plain.timings["steps"] == sol.timings["steps"] > 0
 
     def test_packed_flow_gives_the_bits_of_the_vec_flow(self):
@@ -615,8 +613,8 @@ class TestHybridSolve:
         grid = GridSpec.vehicle_plane((-100.0, 100.0), (-100.0, 100.0), 5, 5, 8)
         z0 = vec(np.eye(2))
         sol = hybrid_solve(car, metric, grid, z0, SolverConfig(horizon=2.0))
-        assert np.allclose(sol.phi_final(), metric.value(z0), atol=1e-12)
-        assert np.allclose(sol.phi_z_final(), metric.gradient(z0), atol=1e-12)
+        assert np.allclose(sol.phi, metric.value(z0), atol=1e-12)
+        assert np.allclose(sol.phi_z, metric.gradient(z0), atol=1e-12)
 
     def test_toy_matches_closed_form(self):
         toy = ToyCascade()
@@ -625,7 +623,7 @@ class TestHybridSolve:
         sol = hybrid_solve(toy, metric, grid, np.array([1.0]), SolverConfig(horizon=1.0))
         x = grid.axes[0].nodes
         inner = np.abs(x) <= 1.0
-        err = np.abs(sol.phi_final() - toy_truth(1.0, x, 1.0))
+        err = np.abs(sol.phi - toy_truth(1.0, x, 1.0))
         assert np.max(err[inner]) < 0.05
 
     def test_toy_matches_classic_and_halves_under_refinement(self):
@@ -642,10 +640,10 @@ class TestHybridSolve:
         d = 1e-5
         plus = hybrid_solve(toy, metric, grid, np.array([1.0 + d]), cfg)
         minus = hybrid_solve(toy, metric, grid, np.array([1.0 - d]), cfg)
-        fd = (plus.phi_final() - minus.phi_final()) / (2.0 * d)
+        fd = (plus.phi - minus.phi) / (2.0 * d)
         x = grid.axes[0].nodes
         inner = np.abs(x) <= 1.0
-        rel = np.abs(sol.phi_z_final()[:, 0] - fd) / np.maximum(np.abs(fd), 1e-300)
+        rel = np.abs(sol.phi_z[:, 0] - fd) / np.maximum(np.abs(fd), 1e-300)
         assert np.mean(rel[inner] <= 1e-2) >= 0.9
 
     def test_value_monotone_in_horizon(self, snapshots):
@@ -681,7 +679,7 @@ class TestHybridSolve:
         for snap in snapshots.phi_zs:
             mats = unvec(snap)
             assert np.allclose(mats, np.swapaxes(mats, -1, -2), atol=1e-10)
-        final = -unvec(sol.phi_z_final())
+        final = -unvec(sol.phi_z)
         assert np.min(np.linalg.eigvalsh(final)) > 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -715,11 +713,11 @@ class TestClassicSolve:
         metric = LogDetMetric(1)
         joint = GridSpec((Axis(-1.0, 1.0, 11), Axis(0.5, 2.5, 21)))
         sys = Null(control_bound=1e-12)
-        sol = classic_solve(sys, metric, joint, SolverConfig(horizon=1.0))
-        assert sol.times.tolist() == [1.0] and len(sol.phis) == 1
+        phi = classic_solve(sys, metric, joint, SolverConfig(horizon=1.0))
+        assert phi.shape == joint.shape
         z = joint.axes[1].nodes
         expected = -np.log(z)[None, :]
-        assert np.allclose(sol.phi_final(), np.broadcast_to(expected, joint.shape), atol=1e-6)
+        assert np.allclose(phi, np.broadcast_to(expected, joint.shape), atol=1e-6)
 
     def test_constant_rate_transport(self):
         # with zero vehicle dynamics and a constant information rate the value
@@ -731,10 +729,10 @@ class TestClassicSolve:
         metric = LogDetMetric(1)
         joint = GridSpec((Axis(-1.0, 1.0, 11), Axis(0.5, 4.0, 71)))
         sys = Drifting(control_bound=1e-12)
-        sol = classic_solve(sys, metric, joint, SolverConfig(horizon=1.0))
+        phi = classic_solve(sys, metric, joint, SolverConfig(horizon=1.0))
         z = joint.axes[1].nodes
         expected = -np.log(z + 0.5)
-        mid = sol.phi_final()[5]
+        mid = phi[5]
         interior = (z > 0.8) & (z < 3.0)
         assert np.max(np.abs(mid - expected)[interior]) < 2e-2
 
@@ -747,33 +745,38 @@ class TestFinalHorizon:
         metric = LogDetMetric(1)
         grid = GridSpec((Axis(-2.0, 2.0, 241),))
         cfg = SolverConfig(horizon=1.0)
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg, on_snapshot=snapshots)
-        assert snapshots.times[-1] == sol.horizon == cfg.horizon
+        hybrid_solve(toy, metric, grid, np.array([1.0]), cfg, on_snapshot=snapshots)
+        assert snapshots.times[-1] == cfg.horizon
         solve_to_disk(tmp_path, toy, metric, grid, np.array([1.0]), cfg)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["snapshots"][-1]["s"] == cfg.horizon
-        assert load_solution(tmp_path).horizon == cfg.horizon
+        # load_solution refuses a final snapshot not labelled config.horizon
+        assert load_solution(tmp_path).config == cfg
 
 
 class TestSolutionIO:
     def test_round_trip(self, tmp_path, snapshots):
         toy = ToyCascade()
         metric = LogDetMetric(1)
-        grid = toy_grid(0.1)
+        # integer extents: the manifest's grid reads back as floats and must
+        # still give its config_hash
+        grid = GridSpec((Axis(-2, 2, 41),))
         cfg = SolverConfig(horizon=0.5)
         sol = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg, on_snapshot=snapshots)
         assert len(snapshots.times) > 2
         out = tmp_path / "sol"
         streamed = solve_to_disk(out, toy, metric, grid, np.array([1.0]), cfg)
-        assert streamed.times.tolist() == [sol.horizon]
-        assert np.array_equal(streamed.phi_final(), sol.phi_final())
+        assert np.array_equal(streamed.phi, sol.phi)
+        assert np.array_equal(streamed.phi_z, sol.phi_z)
+        snaps = json.loads((out / "manifest.json").read_text())["snapshots"]
+        assert [snap["s"] for snap in snaps] == snapshots.times
+        for snap, phi, phi_z in zip(snaps, snapshots.phis, snapshots.phi_zs):
+            assert np.array_equal(load_array(out / snap["phi"], grid.shape), phi)
+            assert np.array_equal(load_array(out / snap["phi_z"], grid.shape + (1,)), phi_z)
         back = load_solution(out)
-        assert back.times.tolist() == snapshots.times
-        assert len(back.phis) == len(back.phi_zs) == len(snapshots.times)
-        assert all(np.array_equal(a, b) for a, b in zip(back.phis, snapshots.phis))
-        assert all(np.array_equal(a, b) for a, b in zip(back.phi_zs, snapshots.phi_zs))
-        assert back.grid == sol.grid
-        assert back.config_hash == sol.config_hash
+        assert np.array_equal(back.phi, sol.phi) and np.array_equal(back.phi_z, sol.phi_z)
+        assert back.grid == sol.grid and back.config == sol.config
+        assert np.array_equal(back.z0, sol.z0)
 
     def test_reruns_byte_identical(self, tmp_path):
         toy = ToyCascade()
@@ -793,7 +796,7 @@ class TestSolutionIO:
         out = tmp_path / "sol"
         solve_to_disk(out, toy, metric, toy_grid(0.1), np.array([1.0]), SolverConfig(horizon=0.5))
         back = load_solution(out)
-        for arr in back.phis + back.phi_zs:
+        for arr in (back.phi, back.phi_z):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 0.0

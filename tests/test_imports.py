@@ -1,8 +1,10 @@
 """Every top-level import of a library or test module is used by it, each
-module is named by one `from X import` statement per file, and the package
-exports exactly what its __init__ imports."""
+module is named by one `from X import` statement per file, the package
+exports exactly what its __init__ imports, and every private helper of the
+package serves the package itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import infotraj
 
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE_INIT = REPO / "src" / "infotraj" / "__init__.py"
+LIBRARY = sorted((REPO / "src" / "infotraj").glob("*.py"))
 MODULES = sorted(
     p for p in (REPO / "src" / "infotraj").glob("*.py") if p.name != "__init__.py"
 ) + sorted((REPO / "tests").glob("*.py"))
@@ -93,3 +96,45 @@ def test_all_is_what_the_package_imports():
         for alias in stmt.names
     ]
     assert sorted(infotraj.__all__) == sorted(imported)
+
+
+def _reads(root) -> Counter:
+    """How often each name is read under root, as a name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(root)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def unreferenced_private_helpers(sources: list) -> list:
+    """Single-underscore functions and classes defined in the sources that no
+    source reads outside their own definition."""
+    trees = [ast.parse(source) for source in sources]
+    everywhere = sum((_reads(tree) for tree in trees), Counter())
+    return [
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and everywhere[node.name] == _reads(node)[node.name]
+    ]
+
+
+def test_private_helpers_are_used_in_src():
+    sources = [path.read_text(encoding="utf-8") for path in LIBRARY]
+    assert unreferenced_private_helpers(sources) == []
+
+
+def test_scan_flags_helpers_only_tests_call():
+    library = (
+        "def _used(n):\n    return _used(n - 1) if n else 0\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
+        "class _Stencil:\n    def _check(self):\n        return 1\n"
+        "def public():\n    return _used(2), _Stencil()\n"
+    )
+    tests = "from lib import _recursive, _Stencil\nprint(_recursive(3), _Stencil()._check())\n"
+    assert unreferenced_private_helpers([library]) == ["_recursive", "_check"]
+    assert unreferenced_private_helpers([library, tests]) == []

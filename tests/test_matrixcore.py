@@ -316,47 +316,6 @@ class TestMetricFlow:
         assert value == pytest.approx(metric.value(vec(z + h * q)), abs=1e-12)
         assert np.allclose(grad, packed_gradient(metric, vec(z + h * q)), atol=1e-12)
 
-    def test_generic_euler_fallback_converges_to_exact(self):
-        class EulerOnly(LogDetMetric):
-            flow = LogDetMetric.__mro__[1].flow  # use the TerminalMetric default
-
-        rng = np.random.default_rng(18)
-        exact = LogDetMetric(2)
-        euler = EulerOnly(2)
-        z = random_spd(rng, 2, jitter=0.5)
-        q = sym_pack(random_psd(rng, 2))
-        target_value, target_grad = exact.flow(
-            np.array(exact.value(vec(z))), packed_gradient(exact, vec(z)), q, 1.0
-        )
-
-        def euler_endpoint(n):
-            value, grad = np.array(euler.value(vec(z))), packed_gradient(euler, vec(z))
-            for _ in range(n):
-                euler.flow(value, grad, q, 1.0 / n)
-            return value, grad
-
-        errs = []
-        for n in (50, 100):
-            value, grad = euler_endpoint(n)
-            errs.append(abs(value - target_value) + np.linalg.norm(grad - target_grad))
-        assert errs[1] < 0.6 * errs[0]  # first-order convergence
-
-    def test_generic_euler_step_matches_vec_form(self):
-        # one packed Euler step against d(value) = <vec(Q), vec(L)>, d(L) = L Q L
-        class EulerOnly(LogDetMetric):
-            flow = LogDetMetric.__mro__[1].flow
-
-        rng = np.random.default_rng(20)
-        metric = EulerOnly(3)
-        z = vec(random_spd(rng, 3))
-        q = random_psd(rng, 3)
-        grad = metric.gradient(z)
-        value, packed = np.array(1.5), sym_pack(unvec(grad))
-        metric.flow(value, packed, sym_pack(q), 0.1)
-        assert value == pytest.approx(1.5 + 0.1 * vec(q) @ grad, rel=1e-14)
-        want = sym_pack(unvec(grad + 0.1 * curvature_contraction(q, grad)))
-        assert np.allclose(packed, want, rtol=1e-13, atol=0.0)
-
     def test_flow_batched(self):
         rng = np.random.default_rng(19)
         metric = LogDetMetric(2)
@@ -452,8 +411,8 @@ class TestClosedFormFlow:
         closed = hybrid_solve(system, LogDetMetric(2), grid, z0, config, info_rate_field=ell)
         lapack = hybrid_solve(system, LapackLogDet(2), grid, z0, config, info_rate_field=ell)
         assert closed.timings["steps"] == lapack.timings["steps"]
-        d_phi = np.abs(closed.phi_final() - lapack.phi_final())
-        d_phi_z = np.linalg.norm(closed.phi_z_final() - lapack.phi_z_final(), axis=-1)
-        rel_phi_z = d_phi_z / np.linalg.norm(lapack.phi_z_final(), axis=-1)
+        d_phi = np.abs(closed.phi - lapack.phi)
+        d_phi_z = np.linalg.norm(closed.phi_z - lapack.phi_z, axis=-1)
+        rel_phi_z = d_phi_z / np.linalg.norm(lapack.phi_z, axis=-1)
         assert np.max(d_phi) <= 1e-9
         assert np.max(rel_phi_z) <= 1e-7

@@ -81,11 +81,11 @@ def reference_extract(solution, system, metric, x0, dt):
     stage-batched one: every RK4 stage makes its own 7-point info-rate call
     and its own drift_jacobian call."""
     grid = solution.grid
-    horizon = solution.horizon
+    horizon = solution.config.horizon
     x = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
-    p = interpolate(solution.value_gradient_final(), grid, x)
-    lam_row = np.asarray(interpolate(solution.phi_z_final(), grid, x), dtype=float)
-    phi_at_start = float(interpolate(solution.phi_final(), grid, x))
+    p = interpolate(solution.value_gradient(), grid, x)
+    lam_row = np.asarray(interpolate(solution.phi_z, grid, x), dtype=float)
+    phi_at_start = float(interpolate(solution.phi, grid, x))
     d, m = system.state_dim, system.info_len
     g = system.control_column()
     fd_steps = 0.5 * grid.spacings
@@ -658,7 +658,7 @@ class TestSandwich:
         bf_cost, _ = brute_force_value(
             toy, metric, x0, np.array([1.0]), 1.0, segments=6, dt=0.01
         )
-        phi0 = float(interpolate(sol.phi_final(), grid, x0))
+        phi0 = float(interpolate(sol.phi, grid, x0))
         band = 0.05
         assert bf_cost >= traj.terminal_cost - 0.02 * abs(bf_cost)
         assert traj.terminal_cost >= phi0 - band
