@@ -1,5 +1,6 @@
 """Vehicle models in cascade form (controlled state + integrated information
-state), open-loop simulation, and trajectory records."""
+state), the cascade's RK4 step (cascade_step) and step rule (rk4_steps),
+open-loop simulation, and trajectory records."""
 
 from __future__ import annotations
 
@@ -36,6 +37,11 @@ class State:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.psi], dtype=float)
+
+
+def state_array(x) -> np.ndarray:
+    """A vehicle state as a float array: a State's (X, Y, psi), or x as given."""
+    return x.as_array() if isinstance(x, State) else np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -248,6 +254,18 @@ class Trajectory:
         return float(self.s[-1])
 
 
+def rk4_steps(span: float, dt: float, name: str) -> tuple:
+    """(n, h): the n = ceil(span / dt) equal steps of size h = span / n that
+    every integrator in the package cuts a span into; a zero span is one step
+    of size 0. A dt or a span (named `name`) out of range raises ValueError."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"dt must be a finite positive number, got {dt}")
+    if not (math.isfinite(span) and span >= 0.0):
+        raise ValueError(f"{name} must be a finite nonnegative number, got {span}")
+    n = max(1, int(math.ceil(span / dt - 1e-12)))
+    return n, span / n
+
+
 def _segment_nodes(control: ControlSignal, horizon: float, dt: float) -> np.ndarray:
     """Sample times on [0, horizon]: uniform substeps of at most dt within each
     control segment, so integration never straddles a control switch."""
@@ -258,7 +276,8 @@ def _segment_nodes(control: ControlSignal, horizon: float, dt: float) -> np.ndar
     edges.append(horizon)
     nodes = [0.0]
     for a, b in zip(edges[:-1], edges[1:]):
-        n_sub = max(1, int(math.ceil((b - a) / dt - 1e-12)))
+        # a bad horizon is the only way a segment's span can be bad
+        n_sub, _ = rk4_steps(b - a, dt, "horizon")
         nodes.extend(np.linspace(a, b, n_sub + 1)[1:].tolist())
     return np.asarray(nodes, dtype=float)
 
@@ -268,73 +287,39 @@ def _segment_nodes(control: ControlSignal, horizon: float, dt: float) -> np.ndar
 RK4_NODES = (0.0, 0.5, 0.5, 1.0)
 
 
-def _rk4_slopes(deriv, y: np.ndarray, h: float) -> list:
-    """The four stage slopes k_i = deriv(y_i, i) of one RK4 step from y."""
-    k = []
+def rk4_stages(slope, y: np.ndarray, h: float):
+    """The four stage states y_i of an RK4 step of size h from y and their
+    slopes k_i = slope(y_i, i), as lists."""
+    ys, ks = [], []
     for i, c in enumerate(RK4_NODES):
-        k.append(deriv(y if i == 0 else y + (c * h) * k[-1], i))
-    return k
+        ys.append(y if i == 0 else y + (c * h) * ks[-1])
+        ks.append(slope(ys[-1], i))
+    return ys, ks
 
 
-def rk4_step(system: CascadeSystem, deriv, y: np.ndarray, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step of size h from the rows y.
-
-    deriv(y_i, i) returns the slope k_i at stage i = 0..3, whose state is
-    y_0 = y and y_i = y + (RK4_NODES[i] * h) * k_{i-1}; the step returns
-    y + h / 6 * (k_0 + 2 k_1 + 2 k_2 + k_3). y has shape (batch, n) and its
-    first system.state_dim columns are the vehicle state, whose heading is
-    wrapped after the step (never between stages). Every integrator in the
-    package steps through this function, and vehicle_stages forms the
-    vehicle part's stages with the same formula.
-    """
-    k = _rk4_slopes(deriv, y, h)
-    y_new = y + h / 6.0 * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
-    d = system.state_dim
-    y_new[:, :d] = system.wrap(y_new[:, :d])
-    return y_new
+def rk4_combine(y: np.ndarray, k, h: float) -> np.ndarray:
+    """The end of an RK4 step of size h from y with the stage slopes k."""
+    return y + h / 6.0 * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
 
 
 def vehicle_stages(system: CascadeSystem, x: np.ndarray, u, h: float):
     """The four RK4 stage states of the vehicle part dx/ds = f(x) + g u of a
-    step of size h from the rows x, shape (4, batch, d), and their slopes,
-    shape (4, batch, d).
-
-    The vehicle rate never reads the information state or the costates, so
-    at a fixed u these are the vehicle parts of the stages rk4_step forms
-    for the whole cascade row, bit for bit, and every stage's information
-    rate can come from one call before the later stages are formed.
-    """
+    step of size h from x, shape (4, *x.shape), and their slopes. The vehicle
+    rate never reads z or the costates, so the rates at every stage can come
+    from one call."""
     g = system.control_column()
-    states = []
-
-    def vehicle(x_i, i):
-        states.append(x_i)
-        return system.drift(x_i) + g * u
-
-    slopes = _rk4_slopes(vehicle, x, h)
-    return np.stack(states), np.stack(slopes)
+    xs, ks = rk4_stages(lambda x_i, i: system.drift(x_i) + g * u, x, h)
+    return np.stack(xs), np.stack(ks)
 
 
-def cascade_deriv(system: CascadeSystem, u, h: float):
-    """rk4_step's deriv for the cascade dynamics d[x, z]/ds = [f(x) + g u,
-    vec(Q(x))] on rows y = [x, z] at step size h; u is a scalar or a
-    (batch, 1) column of turn rates.
-
-    At stage 0 it forms the vehicle stages (vehicle_stages) and evaluates
-    vec(Q) at all four in one (4 * batch)-row info_rate call; every stage
-    then returns its slice.
-    """
-    d = system.state_dim
-    slopes = []
-
-    def deriv(y, i):
-        if i == 0:
-            xs, kx = vehicle_stages(system, y[:, :d], u, h)
-            rates = system.info_rate(xs.reshape(-1, d)).reshape(xs.shape[:2] + (-1,))
-            slopes[:] = np.concatenate([kx, rates], axis=2)  # one row per stage
-        return slopes[i]
-
-    return deriv
+def cascade_step(system: CascadeSystem, x: np.ndarray, z: np.ndarray, u, h: float):
+    """One RK4 step of size h of d[x, z]/ds = [f(x) + g u, vec(Q(x))] from
+    the rows x (batch, d) and z (batch, m) at a scalar u or a (batch, 1)
+    column; vec(Q) at all four vehicle stages comes from one info_rate call.
+    Returns (x', z'), the heading wrapped after the step only."""
+    xs, kx = vehicle_stages(system, x, u, h)
+    kz = system.info_rate(xs.reshape(-1, x.shape[-1])).reshape(xs.shape[:2] + (-1,))
+    return system.wrap(rk4_combine(x, kx, h)), rk4_combine(z, kz, h)
 
 
 def simulate_open_loop(
@@ -349,10 +334,6 @@ def simulate_open_loop(
     Fixed-step RK4 within each control segment; the information state is
     integrated jointly so the whole record is 4th-order accurate.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if horizon < 0.0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     if control.duration < horizon - 1e-12:
         raise ValueError("control signal does not cover the horizon")
     bound = system.control_bound + 1e-12
@@ -362,24 +343,21 @@ def simulate_open_loop(
             f"{system.control_bound}]"
         )
 
-    x = initial.x.as_array() if isinstance(initial.x, State) else np.asarray(initial.x, float)
+    x = state_array(initial.x)
     z = np.asarray(initial.z, dtype=float)
-    d = system.state_dim
     nodes = _segment_nodes(control, horizon, dt)
     n = nodes.size
-    states = np.empty((n, d))
+    states = np.empty((n, system.state_dim))
     infos = np.empty((n, z.size))
     controls = np.empty(n)
-    states[0] = x
-    infos[0] = z
+    states[0], infos[0] = x, z
     controls[0] = control.value_at(0.0) if horizon > 0.0 else 0.0
-    y = np.concatenate([x, z])[None, :]
+    x, z = x[None, :], z[None, :]
     for k in range(n - 1):
         u = control.value_at(nodes[k])
-        h = nodes[k + 1] - nodes[k]
-        y = rk4_step(system, cascade_deriv(system, u, h), y, h)
-        states[k + 1] = y[0, :d]
-        infos[k + 1] = y[0, d:]
+        x, z = cascade_step(system, x, z, u, nodes[k + 1] - nodes[k])
+        states[k + 1] = x[0]
+        infos[k + 1] = z[0]
         controls[k + 1] = u
     return Trajectory(s=nodes, states=states, controls=controls, infos=infos)
 

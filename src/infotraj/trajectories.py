@@ -22,8 +22,11 @@ from infotraj.dynamics import (
     State,
     ToyCascade,
     Trajectory,
-    cascade_deriv,
-    rk4_step,
+    cascade_step,
+    rk4_combine,
+    rk4_stages,
+    rk4_steps,
+    state_array,
     vehicle_stages,
 )
 from infotraj.grid import Axis, GridSpec, interpolate
@@ -92,36 +95,26 @@ def extract_characteristic(
     spatial information-rate Jacobian by central differences at half the grid
     spacing. Each step forms its four vehicle stages first (vehicle_stages)
     and takes the rate and its Jacobian at all of them from one 28-point
-    info_rate call (for d = 3). Reports the terminal costate residual (the transversality
-    condition sends it to zero), the gradient-consistency residual, and the
-    value-vs-rollout gap.
+    info_rate call (for d = 3); the costate p, whose slope reads only its
+    own stage, steps through rk4_stages. Reports the terminal costate
+    residual (the transversality condition sends it to zero), the
+    gradient-consistency residual, and the value-vs-rollout gap.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     grid = solution.grid
     horizon = solution.config.horizon if duration is None else float(duration)
     if duration is not None and duration > solution.config.horizon + 1e-9:
         raise ValueError("requested duration exceeds the solved horizon")
+    n_steps, h = rk4_steps(horizon, dt, "duration")
 
-    x = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
+    x = state_array(x0)
     p = interpolate(solution.value_gradient(), grid, x)
-    lam = interpolate(solution.phi_z, grid, x)
+    lam = np.asarray(interpolate(solution.phi_z, grid, x), dtype=float)
     phi_at_start = float(interpolate(solution.phi, grid, x))
+    z = solution.z0
 
     d = system.state_dim
-    m = system.info_len
     g = system.control_column()
     fd_steps = 0.5 * grid.spacings
-    n_steps = max(1, int(math.ceil(horizon / dt - 1e-12)))
-    h = horizon / n_steps
-
-    ns = n_steps + 1
-    # one row per sample: [x, z, p]
-    path = np.empty((ns, 2 * d + m))
-    controls = np.empty(ns)
-    lam_row = np.asarray(lam, dtype=float)
-    s_axis = h * np.arange(ns)
-
     u_prev = 0.0
 
     def control_from(p_now: np.ndarray) -> float:
@@ -132,44 +125,37 @@ def extract_characteristic(
             return u_prev
         return float(_hjsolver.bang_bang(sw, system.control_bound))
 
-    y = np.concatenate([x, solution.z0, p])[None, :]
-    path[0] = y[0]
+    ns = n_steps + 1
+    states, costates = np.empty((ns, d)), np.empty((ns, d))
+    infos, controls = np.empty((ns, system.info_len)), np.empty(ns)
+    states[0], infos[0], costates[0] = x, z, p
     controls[0] = control_from(p)
-    partial = None
     for k in range(n_steps):
-        u = control_from(y[0, d + m :])
-        u_prev = u
-        controls[k] = u
-        # the vehicle stages first, then the rates at all four in one call;
-        # each costate stage reads its own stage's p
-        xs, dx = vehicle_stages(system, y[:, :d], u, h)
-        dz, ell_jac = _info_rate_and_jacobian(system, xs[:, 0], fd_steps)
-        f_jac = system.drift_jacobian(xs[:, 0])
-
-        def deriv(y_i, i):
-            dp = -f_jac[i].T @ y_i[0, d + m :] - ell_jac[i].T @ lam_row
-            return np.concatenate([dx[i, 0], dz[i], dp])[None, :]
-
-        y = rk4_step(system, deriv, y, h)
-        path[k + 1] = y[0]
-        controls[k + 1] = u
-        if not _inside(grid, y[0, :d]):
-            partial = k + 2
+        u = control_from(p)
+        u_prev = controls[k] = u
+        # the vehicle stages first, then the rates at all four in one call
+        xs, kx = vehicle_stages(system, x, u, h)
+        kz, ell_jac = _info_rate_and_jacobian(system, xs, fd_steps)
+        f_jac = system.drift_jacobian(xs)
+        _, kp = rk4_stages(lambda p_i, i: -f_jac[i].T @ p_i - ell_jac[i].T @ lam, p, h)
+        x = system.wrap(rk4_combine(x, kx, h))
+        z = rk4_combine(z, kz, h)
+        p = rk4_combine(p, kp, h)
+        states[k + 1], infos[k + 1], costates[k + 1], controls[k + 1] = x, z, p, u
+        if not _inside(grid, x):
+            ns = k + 2
             break
 
-    n_kept = partial or ns
     traj = Trajectory(
-        s=s_axis[:n_kept],
-        states=path[:n_kept, :d],
-        infos=path[:n_kept, d : d + m],
-        controls=controls[:n_kept],
-        costates=path[:n_kept, d + m :],
-        info_costates=np.repeat(lam_row[None, :], n_kept, axis=0),
+        s=h * np.arange(ns),
+        states=states[:ns],
+        infos=infos[:ns],
+        controls=controls[:ns],
+        costates=costates[:ns],
+        info_costates=np.repeat(lam[None, :], ns, axis=0),
     )
-    if partial is not None:
-        raise BoundaryExitError(
-            f"trajectory left the grid at s = {s_axis[n_kept - 1]:.6g}", traj
-        )
+    if not _inside(grid, x):
+        raise BoundaryExitError(f"trajectory left the grid at s = {traj.s[-1]:.6g}", traj)
 
     z_final = traj.final_info()
     grad_final = metric.gradient(z_final)
@@ -177,9 +163,9 @@ def extract_characteristic(
     traj.residuals = {
         "costate_terminal_norm": float(np.linalg.norm(traj.costates[-1])),
         "costate_initial_norm": float(np.linalg.norm(traj.costates[0])),
-        "info_costate_gap": float(np.linalg.norm(lam_row - grad_final)),
+        "info_costate_gap": float(np.linalg.norm(lam - grad_final)),
         "info_costate_gap_rel": float(
-            np.linalg.norm(lam_row - grad_final) / max(np.linalg.norm(grad_final), 1e-300)
+            np.linalg.norm(lam - grad_final) / max(np.linalg.norm(grad_final), 1e-300)
         ),
         "value_consistency": float(abs(phi_at_start - traj.terminal_cost)),
     }
@@ -286,18 +272,17 @@ def _leading_steps(
     no trajectory or its steps do not line up (a different step size, no
     more rows than that extraction's, or another start).
 
-    extract_characteristic takes n = ceil(duration / dt) steps of size
-    duration / n and records the last applied control in its final row, so
-    the prefix is that run's record once its last control is set to the one
-    before it. Residuals and the terminal cost are not carried over.
+    extract_characteristic cuts duration into steps with rk4_steps and
+    records the last applied control in its final row, so the prefix is that
+    run's record once its last control is set to the one before it.
+    Residuals and the terminal cost are not carried over.
     """
-    n = max(1, int(math.ceil(duration / dt - 1e-12)))
-    x = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
+    n, h = rk4_steps(duration, dt, "duration")
     if (
         traj is None
         or traj.s.size <= n + 1
-        or traj.s[1] != duration / n
-        or not np.array_equal(traj.states[0], x)
+        or traj.s[1] != h
+        or not np.array_equal(traj.states[0], state_array(x0))
     ):
         return None
     controls = traj.controls[: n + 1].copy()
@@ -334,29 +319,27 @@ def _simulate_control_batch(
     """Final information states for a batch of equal-segment control sequences.
 
     control_values has shape (batch, segments); all rollouts share the time
-    discretization, so they advance together through vectorized RK4. Rows
+    discretization, so they advance together through cascade_step. Rows
     that share their first k + 1 controls share their state after segment
     k, so segment k advances one row per distinct prefix (3^(k+1) for the
     full bang-bang search, not 3^segments) and each row reads its own
     prefix's state at the end.
     """
     segments = control_values.shape[1]
-    seg_span = horizon / segments
-    n_sub = max(1, int(math.ceil(seg_span / dt - 1e-12)))
-    h = seg_span / n_sub
-    y = np.concatenate([x0, z0])[None, :]
+    n_sub, h = rk4_steps(horizon / segments, dt, "horizon / segments")
+    x, z = x0[None, :], z0[None, :]
     # state row of each batch row's prefix so far (all share the empty one)
     row = np.zeros(control_values.shape[0], dtype=int)
     for k in range(segments):
         _, first, inverse = np.unique(
             control_values[:, : k + 1], axis=0, return_index=True, return_inverse=True
         )
-        y = y[row[first]]
-        deriv = cascade_deriv(system, control_values[first, k][:, None], h)
+        x, z = x[row[first]], z[row[first]]
+        u = control_values[first, k][:, None]
         for _ in range(n_sub):
-            y = rk4_step(system, deriv, y, h)
+            x, z = cascade_step(system, x, z, u, h)
         row = inverse.reshape(-1)
-    return y[row, system.state_dim :]
+    return z[row]
 
 
 def brute_force_value(
@@ -377,7 +360,6 @@ def brute_force_value(
         raise ValueError("need at least one segment")
     if segments > 8:
         raise ValueError("refusing exhaustive search beyond 8 segments (3^8 rollouts)")
-    x0_arr = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
     z0 = np.asarray(z0, dtype=float)
     if horizon == 0.0:
         return metric.value(z0), ControlSignal.constant(0.0, 1.0)
@@ -385,7 +367,7 @@ def brute_force_value(
     # coasting listed first so exact cost ties resolve to the null control
     levels = (0.0, -b, b)
     combos = np.array(list(itertools.product(levels, repeat=segments)))
-    finals = _simulate_control_batch(system, x0_arr, z0, combos, horizon, dt)
+    finals = _simulate_control_batch(system, state_array(x0), z0, combos, horizon, dt)
     costs = metric.value(finals)
     best = int(np.argmin(costs))
     best_cost = float(costs[best])

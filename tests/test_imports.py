@@ -1,7 +1,7 @@
 """Every top-level import of a library or test module is used by it, each
 module is named by one `from X import` statement per file, the package
-exports exactly what its __init__ imports, and every private helper of the
-package serves the package itself."""
+exports exactly what its __init__ imports, and every helper of the package
+(private, or public and not exported) serves the package itself."""
 
 import ast
 from collections import Counter
@@ -107,25 +107,39 @@ def _reads(root) -> Counter:
     )
 
 
-def unreferenced_private_helpers(sources: list) -> list:
-    """Single-underscore functions and classes defined in the sources that no
-    source reads outside their own definition."""
+def unreferenced_helpers(sources: list, exported=()) -> list:
+    """Functions and classes defined in the sources that no source reads
+    outside their own definition: single-underscore ones at any depth, and
+    public module-level ones whose names are not in exported."""
     trees = [ast.parse(source) for source in sources]
     everywhere = sum((_reads(tree) for tree in trees), Counter())
-    return [
-        node.name
+    definitions = (ast.FunctionDef, ast.ClassDef)
+    private = [
+        node
         for tree in trees
         for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        if isinstance(node, definitions)
         and node.name.startswith("_")
         and not node.name.startswith("__")
-        and everywhere[node.name] == _reads(node)[node.name]
+    ]
+    public = [
+        node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, definitions)
+        and not node.name.startswith("_")
+        and node.name not in exported
+    ]
+    return [
+        node.name
+        for node in private + public
+        if everywhere[node.name] == _reads(node)[node.name]
     ]
 
 
 def test_private_helpers_are_used_in_src():
     sources = [path.read_text(encoding="utf-8") for path in LIBRARY]
-    assert unreferenced_private_helpers(sources) == []
+    assert unreferenced_helpers(sources, infotraj.__all__) == []
 
 
 def test_scan_flags_helpers_only_tests_call():
@@ -133,8 +147,15 @@ def test_scan_flags_helpers_only_tests_call():
         "def _used(n):\n    return _used(n - 1) if n else 0\n"
         "def _recursive(n):\n    return _recursive(n - 1) if n else 0\n"
         "class _Stencil:\n    def _check(self):\n        return 1\n"
+        "def leftover_step(y):\n    return leftover_step(y) if y else 0\n"
         "def public():\n    return _used(2), _Stencil()\n"
     )
-    tests = "from lib import _recursive, _Stencil\nprint(_recursive(3), _Stencil()._check())\n"
-    assert unreferenced_private_helpers([library]) == ["_recursive", "_check"]
-    assert unreferenced_private_helpers([library, tests]) == []
+    tests = (
+        "from lib import _recursive, _Stencil, leftover_step\n"
+        "print(_recursive(3), _Stencil()._check(), leftover_step(0))\n"
+    )
+    exported = ["public"]
+    assert unreferenced_helpers([library], exported) == ["_recursive", "_check", "leftover_step"]
+    assert unreferenced_helpers([library, tests], exported) == []
+    # a public function that is neither exported nor read anywhere
+    assert unreferenced_helpers([library, tests]) == ["public"]

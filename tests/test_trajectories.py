@@ -621,10 +621,17 @@ class TestStageBatchedRK4:
         assert got.trajectory.s.size > 2
         assert_same_trajectory(got.trajectory, want.trajectory)
 
-    def test_brute_force_batch_with_one_call_per_step(self, scenario, monkeypatch):
-        system = scenario.build_system()
-        x0 = scenario.initial_states[0].as_array()
-        z0 = scenario.initial_information()
+    @pytest.mark.parametrize(
+        "cascade",
+        [
+            lambda sc: (sc.build_system(), sc.initial_states[0].as_array(), sc.initial_information()),
+            # d = 1 and no heading to wrap
+            lambda sc: (ToyCascade(), np.array([0.5]), np.array([1.0])),
+        ],
+        ids=["dubins", "toy"],
+    )
+    def test_brute_force_batch_with_one_call_per_step(self, scenario, monkeypatch, cascade):
+        system, x0, z0 = cascade(scenario)
         b = system.control_bound
         combos = np.array(list(itertools.product((0.0, -b, b), repeat=3)))
         calls = count_info_rate_calls(system, monkeypatch)
@@ -648,6 +655,58 @@ class TestStageBatchedRK4:
             y = reference_rk4_step(system, deriv, y, nodes[k + 1] - nodes[k])
             assert np.array_equal(got.states[k + 1], y[0, :3])
             assert np.array_equal(got.infos[k + 1], y[0, 3:])
+
+
+def run_with_bad_step(name, overrides, toy_setup):
+    """Call one integrating entry point on the toy cascade with valid
+    arguments except the overridden dt, horizon or duration."""
+    toy, metric, grid, sol = toy_setup
+    x0, z0 = np.array([0.5]), np.array([1.0])
+    kw = {"dt": 0.01, "horizon": 1.0, "duration": 0.5} | overrides
+    calls = {
+        "brute_force_value": lambda: brute_force_value(
+            toy, metric, x0, z0, kw["horizon"], segments=3, dt=kw["dt"]
+        ),
+        "extract_characteristic": lambda: extract_characteristic(
+            sol, toy, metric, x0, kw["dt"], duration=kw["duration"]
+        ),
+        "extract_receding": lambda: extract_receding(sol, toy, metric, x0, 1, kw["dt"]),
+        "simulate_open_loop": lambda: simulate_open_loop(
+            toy, AugmentedState(x0, z0), ControlSignal.constant(0.5, 1.0), kw["horizon"], kw["dt"]
+        ),
+    }
+    calls[name]()
+
+
+class TestStepRule:
+    """Every integrator cuts its spans with rk4_steps, which refuses a dt
+    that is not a finite positive number and a negative or non-finite span,
+    naming the argument."""
+
+    @pytest.mark.parametrize(
+        "name, overrides, named",
+        [
+            ("brute_force_value", {"dt": -0.1}, "dt"),
+            ("brute_force_value", {"dt": 0.0}, "dt"),
+            ("brute_force_value", {"dt": math.nan}, "dt"),
+            ("brute_force_value", {"horizon": -1.0}, "horizon / segments"),
+            ("brute_force_value", {"horizon": math.inf}, "horizon / segments"),
+            ("extract_characteristic", {"duration": -0.5}, "duration"),
+            ("extract_characteristic", {"duration": math.nan}, "duration"),
+            ("extract_characteristic", {"dt": math.nan}, "dt"),
+            ("extract_characteristic", {"dt": math.inf}, "dt"),
+            ("extract_characteristic", {"dt": 0.0}, "dt"),
+            ("extract_receding", {"dt": -0.1}, "dt"),
+            ("simulate_open_loop", {"dt": 0.0}, "dt"),
+            ("simulate_open_loop", {"dt": -0.1}, "dt"),
+            ("simulate_open_loop", {"horizon": -1.0}, "horizon"),
+            ("simulate_open_loop", {"horizon": math.nan}, "horizon"),
+        ],
+    )
+    def test_refuses_bad_steps_and_spans(self, toy_setup, name, overrides, named):
+        with pytest.raises(ValueError) as err:
+            run_with_bad_step(name, overrides, toy_setup)
+        assert str(err.value).split(" must be a finite ")[0] == named
 
 
 class TestSandwich:
