@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from infotraj.dynamics import DubinsCar, State, ToyCascade, trajectory_from_csv, trajectory_to_csv
-from infotraj.grid import Axis, GridSpec, interpolate, read_manifest, write_manifest
+from infotraj.grid import Axis, GridSpec, interpolate, write_manifest
 from infotraj.hjsolver import (
     InstabilityError,
     SolverConfig,
@@ -146,7 +146,6 @@ class Scenario:
     extraction_mode: str
     extraction_legs: int
     initial_states: list
-    seed: int = 0
     provenance: dict = field(default_factory=dict)
 
     def grid(self) -> GridSpec:
@@ -201,7 +200,6 @@ class Scenario:
             "solver": {
                 "horizon_s": self.solver.horizon,
                 "cfl_number": self.solver.cfl_number,
-                "snapshot_stride": self.solver.snapshot_stride,
             },
             "extraction": {
                 "dt_s": self.extraction_dt,
@@ -209,7 +207,6 @@ class Scenario:
                 "legs": self.extraction_legs,
             },
             "initial_states": [[s.x, s.y, s.psi] for s in self.initial_states],
-            "seed": self.seed,
             "provenance": dict(self.provenance),
         }
 
@@ -228,7 +225,6 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
             "solver": None,
             "extraction": {},
             "initial_states": None,
-            "seed": 0,
             "provenance": {},
         },
     )
@@ -289,17 +285,11 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         counts[key] = _number(gr[key], f"{where}.grid.{key}", integer=True)
         _require(counts[key] >= 3, f"{where}.grid.{key}", "needs at least 3 points")
 
-    sv = _take(
-        top["solver"],
-        f"{where}.solver",
-        {"horizon_s": None, "cfl_number": 0.5, "snapshot_stride": 0},
-    )
+    sv = _take(top["solver"], f"{where}.solver", {"horizon_s": None, "cfl_number": 0.5})
     horizon = _positive(sv["horizon_s"], f"{where}.solver.horizon_s")
     cfl_number = _positive(sv["cfl_number"], f"{where}.solver.cfl_number")
     _require(cfl_number <= 1.0, f"{where}.solver.cfl_number", "must lie in (0, 1]")
-    stride = _number(sv["snapshot_stride"], f"{where}.solver.snapshot_stride", integer=True)
-    _require(stride >= 0, f"{where}.solver.snapshot_stride", "must be nonnegative")
-    solver = SolverConfig(horizon=horizon, cfl_number=cfl_number, snapshot_stride=stride)
+    solver = SolverConfig(horizon=horizon, cfl_number=cfl_number)
 
     ex = _take(
         top["extraction"],
@@ -307,6 +297,11 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         {"dt_s": 0.05, "mode": "characteristic", "legs": 1},
     )
     dt = _positive(ex["dt_s"], f"{where}.extraction.dt_s")
+    # extraction cuts spans of up to horizon_s into steps of at most dt_s
+    _require(
+        math.isfinite(horizon / dt), f"{where}.extraction.dt_s",
+        f"horizon_s / dt_s = {horizon / dt} is not finite",
+    )
     _require(
         ex["mode"] in ("characteristic", "receding"),
         f"{where}.extraction.mode",
@@ -342,7 +337,6 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         extraction_mode=ex["mode"],
         extraction_legs=legs,
         initial_states=states,
-        seed=_number(top["seed"], f"{where}.seed", integer=True),
         provenance=dict(top["provenance"]),
     )
 
@@ -416,16 +410,9 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
         return {"trajectories": []}
 
     try:
-        manifest = read_manifest(os.path.join(solution_dir, "manifest.json"))
-        solution = load_solution(solution_dir)
+        solution = load_solution(solution_dir, extras=solution_fingerprints(scenario))
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ScenarioError(f"{solution_dir}: cannot load the solution: {exc}") from exc
-    for key, value in solution_fingerprints(scenario).items():
-        _require(
-            manifest.get(key) == value,
-            f"{solution_dir}: manifest {key}",
-            "does not match the scenario; extract with the scenario that was solved",
-        )
     for row in x0_list or ():
         _require_inside(
             State(*row), scenario.x_extent, scenario.y_extent,

@@ -257,11 +257,14 @@ class Trajectory:
 def rk4_steps(span: float, dt: float, name: str) -> tuple:
     """(n, h): the n = ceil(span / dt) equal steps of size h = span / n that
     every integrator in the package cuts a span into; a zero span is one step
-    of size 0. A dt or a span (named `name`) out of range raises ValueError."""
+    of size 0. A dt or a span (named `name`) out of range, or a dt so small
+    that span / dt overflows, raises ValueError."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be a finite positive number, got {dt}")
     if not (math.isfinite(span) and span >= 0.0):
         raise ValueError(f"{name} must be a finite nonnegative number, got {span}")
+    if not math.isfinite(span / dt):
+        raise ValueError(f"dt must be a finite positive number with {name} / dt finite, got {dt}")
     n = max(1, int(math.ceil(span / dt - 1e-12)))
     return n, span / n
 

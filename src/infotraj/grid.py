@@ -1,5 +1,5 @@
 """Cartesian grid over the vehicle state (periodic heading axis), multilinear
-interpolation, and flat-binary field snapshots (written whole, mapped on read)."""
+interpolation, and flat-binary fields (written whole, mapped on read)."""
 
 from __future__ import annotations
 

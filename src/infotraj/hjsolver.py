@@ -26,10 +26,10 @@ one kernel, lf_rate, and takes forward Euler steps under the CFL limit:
   one set of ghost-row differences per axis. Its dissipation is one
   constant per axis, the system's rate bound, and the sensitivity
   coefficients of the control-free axes are built once per solve.
-  Snapshots carry Phi in the (..., p**2) vec layout.
+  The solution carries Phi in the (..., p**2) vec layout.
 
-A solve returns its final fields alone; an optional on_snapshot observer
-sees every snapshot as the march takes it (solve_to_disk writes each one).
+A solve returns its final fields alone, and solve_to_disk stores just that
+pair.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import time as _time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -58,8 +57,9 @@ from infotraj.matrixcore import FLOW_WORK, TerminalMetric, sym_pack, sym_unpack,
 POLICY_TIE_EPS = 1e-12
 # nodes per info_rate call when info_rate_on_grid evaluates a field
 FIELD_CHUNK_ROWS = 4096
-# the names solve_to_disk gives snapshot files ({k:04d}: five digits past 9,999)
-SNAPSHOT_FILE = re.compile(r"phiz?_([0-9]{4}|[1-9][0-9]{4,})\.bin")
+# the files of a stored solution's final fields, the one entry of its
+# manifest's "snapshots" list
+FINAL_FILES = {"phi": "phi.bin", "phi_z": "phiz.bin"}
 
 
 class InstabilityError(RuntimeError):
@@ -75,15 +75,12 @@ class InstabilityError(RuntimeError):
 class SolverConfig:
     horizon: float
     cfl_number: float = 0.5
-    snapshot_stride: int = 0  # 0: choose automatically (~24 snapshots)
 
     def __post_init__(self):
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if not 0.0 < self.cfl_number <= 1.0:
             raise ValueError(f"CFL number must lie in (0, 1], got {self.cfl_number}")
-        if self.snapshot_stride < 0:
-            raise ValueError("snapshot stride must be nonnegative")
 
 
 def bang_bang(switching, bound: float):
@@ -227,13 +224,13 @@ class HybridSolution:
     grid, shape grid.shape, and the information-gradient approximation Phi,
     phi_z, in the vec layout, shape grid.shape + (p**2,), with equal
     off-diagonal pairs (the march carries the distinct entries). A stored
-    solution (load_solution) holds read-only memory maps of the final pair.
+    solution (load_solution) holds read-only memory maps of the pair.
 
     timings (solves only; saved to timings.json, not the manifest):
     wall_time_s, then the seconds spent in the info-rate field (0 when it
-    was passed in), the pointwise flow, the spatial transport, the finite
-    checks and the on_snapshot calls (field_s, flow_s, transport_s, check_s,
-    snapshot_s), and the number of march steps (steps)."""
+    was passed in), the pointwise flow, the spatial transport and the finite
+    checks (field_s, flow_s, transport_s, check_s), and the number of march
+    steps (steps)."""
 
     grid: GridSpec
     phi: np.ndarray
@@ -274,40 +271,27 @@ def solve_to_disk(
     config: SolverConfig,
     extras: Optional[dict] = None,
 ) -> HybridSolution:
-    """Solve and persist the solution, one snapshot at a time.
+    """Solve and persist the solution's final fields.
 
-    Each snapshot pair is written to phi_####.bin / phiz_####.bin as soon
-    as the march takes it, and none is kept in memory. Binary layout:
-    float64 little-endian, row-major in (iX, iY, ipsi[, j]) order. Any
-    manifest.json already in out_dir is removed before the first snapshot
-    is written and the new one is written last, so a failed or
-    half-overwritten directory never loads as a solution; the snapshot
-    files of an earlier solve go with the old manifest, so the directory's
-    snapshot files are exactly the ones its manifest names. Wall-clock
+    The pair goes to phi.bin / phiz.bin (FINAL_FILES, the one entry of the
+    manifest's "snapshots" list). Binary layout: float64 little-endian,
+    row-major in (iX, iY, ipsi[, j]) order. Any manifest.json already in
+    out_dir is removed before the solve and the new one is written last, so
+    a failed or half-overwritten directory never loads as a solution. Wall-clock
     timings (total and per-phase seconds) and the step count go to a
     separate timings.json so that repeated runs with the same configuration
     produce byte-identical manifests and fields. The manifest's config_hash
     is config_fingerprint(grid, z0, config), which load_solution checks.
     extras (e.g. a sensor-suite hash) are merged into the manifest. Returns
-    the solution's final fields.
+    the solution.
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
     if os.path.lexists(manifest_path):
         os.remove(manifest_path)
-    for name in os.listdir(out_dir):
-        if SNAPSHOT_FILE.fullmatch(name):
-            os.remove(os.path.join(out_dir, name))
-    snapshots = []
-
-    def write(s, phi, phi_z):
-        k = len(snapshots)
-        entry = {"s": float(s), "phi": f"phi_{k:04d}.bin", "phi_z": f"phiz_{k:04d}.bin"}
-        save_array(os.path.join(out_dir, entry["phi"]), phi)
-        save_array(os.path.join(out_dir, entry["phi_z"]), phi_z)
-        snapshots.append(entry)
-
-    solution = hybrid_solve(system, metric, grid, z0, config, on_snapshot=write)
+    solution = hybrid_solve(system, metric, grid, z0, config)
+    save_array(os.path.join(out_dir, FINAL_FILES["phi"]), solution.phi)
+    save_array(os.path.join(out_dir, FINAL_FILES["phi_z"]), solution.phi_z)
     write_manifest(os.path.join(out_dir, "timings.json"), solution.timings)
     manifest = {
         "schema": 1,
@@ -318,26 +302,26 @@ def solve_to_disk(
         "z0": [float(v) for v in solution.z0],
         "config": asdict(config),
         "config_hash": config_fingerprint(grid, solution.z0, config),
-        "snapshots": snapshots,
+        "snapshots": [FINAL_FILES],
     }
     manifest.update(extras or {})
     write_manifest(manifest_path, manifest)
     return solution
 
 
-def load_solution(in_dir) -> HybridSolution:
-    """Open a solution written by solve_to_disk: its final pair of fields.
+def load_solution(in_dir, extras: Optional[dict] = None) -> HybridSolution:
+    """Open a solution written by solve_to_disk: its final pair of fields,
+    mapped read-only (grid.load_array).
 
-    Every snapshot file is mapped read-only (grid.load_array), and only the
-    final pair is kept and read. ValueError, naming the file and field, for:
-    an m that is not a square p**2 >= 1, a z0 without m entries, a config
-    SolverConfig refuses, no snapshots, snapshot times that are not finite
-    numbers rising strictly from 0 to config.horizon, a snapshot file name
-    that SNAPSHOT_FILE does not match (so every file lies in in_dir), a file
-    of the wrong size, a config_hash other than config_fingerprint of the
-    manifest's grid, z0 and config, and a final field with a NaN or an
-    infinity (the march never writes one). A directory without manifest.json
-    is not a solution.
+    ValueError, naming the file and field, for: an m that is not a square
+    p**2 >= 1, a z0 without m entries, a config SolverConfig refuses, a
+    snapshots list other than [FINAL_FILES] (so both files lie in in_dir),
+    a file of the wrong size, a config_hash other than config_fingerprint
+    of the manifest's grid, z0 and config, a manifest entry other than the
+    value extras gives for it (the sensor_suite_hash and config_hash that
+    solve_to_disk's extras wrote), and a field with a NaN or an infinity
+    (the march never writes one). A directory without manifest.json is not
+    a solution.
     """
     manifest_path = os.path.join(in_dir, "manifest.json")
     manifest = read_manifest(manifest_path)
@@ -352,36 +336,23 @@ def load_solution(in_dir) -> HybridSolution:
         cfg = SolverConfig(**manifest["config"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path}: config: {exc}") from exc
-    snapshots = manifest["snapshots"]
-    if not snapshots:
-        raise ValueError(f"{manifest_path}: snapshots is empty")
-    shapes, final = {"phi": grid.shape, "phi_z": grid.shape + (m,)}, {}
-    for k, snap in enumerate(snapshots):
-        s = snap["s"]
-        where = f"{manifest_path}: snapshots[{k}].s = {s!r}"
-        if isinstance(s, bool) or not isinstance(s, (int, float)) or not math.isfinite(s):
-            raise ValueError(f"{where} is not a finite number")
-        if (s != 0.0) if k == 0 else (s <= last):
-            raise ValueError(f"{where}: snapshot times must rise strictly from 0")
-        last = s
-        for key, shape in shapes.items():
-            name = snap[key]
-            if not (isinstance(name, str) and SNAPSHOT_FILE.fullmatch(name)):
-                raise ValueError(
-                    f"{manifest_path}: snapshots[{k}].{key} = {name!r} is not a snapshot file name"
-                )
-            final[key] = load_array(os.path.join(in_dir, name), shape)
-    if last != cfg.horizon:
-        raise ValueError(
-            f"{manifest_path}: snapshots[{len(snapshots) - 1}].s = {last!r} is not "
-            f"config.horizon = {cfg.horizon!r}"
-        )
+    if manifest["snapshots"] != [FINAL_FILES]:
+        raise ValueError(f"{manifest_path}: snapshots is not {[FINAL_FILES]}")
+    paths = {key: os.path.join(in_dir, name) for key, name in FINAL_FILES.items()}
+    phi = load_array(paths["phi"], grid.shape)
+    phi_z = load_array(paths["phi_z"], grid.shape + (m,))
     if manifest.get("config_hash") != config_fingerprint(grid, z0, cfg):
         raise ValueError(f"{manifest_path}: config_hash does not match its grid, z0 and config")
-    for key, values in final.items():
+    for key, value in (extras or {}).items():
+        if manifest.get(key) != value:
+            raise ValueError(
+                f"{manifest_path}: manifest {key} does not match the scenario; extract "
+                "with the scenario that was solved"
+            )
+    for key, values in (("phi", phi), ("phi_z", phi_z)):
         if not np.all(np.isfinite(values)):
-            raise ValueError(f"{os.path.join(in_dir, snapshots[-1][key])}: holds non-finite values")
-    return HybridSolution(grid, final["phi"], final["phi_z"], z0, cfg)
+            raise ValueError(f"{paths[key]}: holds non-finite values")
+    return HybridSolution(grid, phi, phi_z, z0, cfg)
 
 
 def _check_finite(step: int, s: float, *arrays) -> None:
@@ -449,7 +420,7 @@ def _ghost_differences(stack: np.ndarray, grid: GridSpec, bufs) -> None:
 
 def _march(
     stack: np.ndarray, grid: GridSpec, drift, g, bound: float, alpha, dt: float,
-    config: SolverConfig, flow=None, on_snapshot=None, timers: Optional[dict] = None,
+    config: SolverConfig, flow=None, timers: Optional[dict] = None,
 ) -> int:
     """March a component-major stack (lf_rate's layout) in place from s = 0
     to config.horizon in forward Euler steps of at most dt; returns the step
@@ -463,25 +434,15 @@ def _march(
     per step lets the allocator hand memory back to the OS and fault it in
     again). A non-finite entry raises InstabilityError.
 
-    on_snapshot(s, stack), when given, receives the live stack (valid until
-    the call returns) at s = 0, every config.snapshot_stride steps (0: about
-    24 in all) and at the horizon. The march ends once s is within 1e-12 of
-    config.horizon, and the final snapshot is labelled config.horizon
-    itself. Seconds spent in the flow, the transport, the finite checks and
-    the on_snapshot calls are added to timers["flow_s"], ["transport_s"],
-    ["check_s"] and ["snapshot_s"] when timers is given.
+    The march ends once s is within 1e-12 of config.horizon. Seconds spent
+    in the flow, the transport and the finite checks are added to
+    timers["flow_s"], ["transport_s"] and ["check_s"] when timers is given.
     """
     if timers is None:
-        timers = dict.fromkeys(("flow_s", "transport_s", "check_s", "snapshot_s"), 0.0)
+        timers = dict.fromkeys(("flow_s", "transport_s", "check_s"), 0.0)
     clock = _time.perf_counter
     bufs, minus, plus = _ghost_difference_buffers(stack, grid)
     plan = lf_plan(drift, g, alpha, stack.shape)
-    n_steps = int(math.ceil(config.horizon / dt - 1e-12))
-    stride = config.snapshot_stride or max(1, int(math.ceil(n_steps / 24)))
-    if on_snapshot is not None:
-        t0 = clock()
-        on_snapshot(0.0, stack)
-        timers["snapshot_s"] += clock() - t0
     s = 0.0
     count = 0
     while s < config.horizon - 1e-12:
@@ -499,15 +460,8 @@ def _march(
         timers["transport_s"] += t2 - t1
         s += h
         count += 1
-        last = s >= config.horizon - 1e-12
-        if last:
-            s = config.horizon
         _check_finite(count, s, stack)
-        t3 = clock()
-        timers["check_s"] += t3 - t2
-        if on_snapshot is not None and (count % stride == 0 or last):
-            on_snapshot(s, stack)
-            timers["snapshot_s"] += clock() - t3
+        timers["check_s"] += clock() - t2
     return count
 
 
@@ -518,7 +472,6 @@ def hybrid_solve(
     z0: np.ndarray,
     config: SolverConfig,
     info_rate_field: Optional[np.ndarray] = None,
-    on_snapshot=None,
 ) -> HybridSolution:
     """Co-evolve phi (value) and Phi (value gradient in z) on the x grid.
 
@@ -547,14 +500,13 @@ def hybrid_solve(
         z0 (slightly asymmetric) starts from the symmetric part of its
         gradient.
 
-    The solution holds the final fields: phi uncopied, and Phi in
-    the (..., p**2) vec layout, row-major (iX, iY, ipsi, j), expanded from
-    the packed entries. on_snapshot(s, phi, phi_z), when given, observes
-    every snapshot in that layout as the march takes it (phi is the live
-    field, valid until the call returns); solve_to_disk streams each one to
-    disk. The information-rate field vec(Q) is precomputed once (or passed
-    in) and reused every step. Every output point of a step depends only on
-    the previous snapshot, so per-point updates are schedule independent.
+    The solution holds the final fields at config.horizon, and nothing of
+    the march before it: phi uncopied, and Phi in the (..., p**2) vec
+    layout, row-major (iX, iY, ipsi, j), expanded once from the packed
+    entries. The information-rate field vec(Q) is precomputed once (or
+    passed in) and reused every step. Every output point of a step depends
+    only on the fields of the step before, so per-point updates are
+    schedule independent.
     """
     if grid.ndim != system.state_dim:
         raise ValueError(
@@ -569,9 +521,7 @@ def hybrid_solve(
     metric.value(z0)
 
     t_start = _time.perf_counter()
-    timings = dict.fromkeys(
-        ("wall_time_s", "field_s", "flow_s", "transport_s", "check_s", "snapshot_s"), 0.0
-    )
+    timings = dict.fromkeys(("wall_time_s", "field_s", "flow_s", "transport_s", "check_s"), 0.0)
     if info_rate_field is None:
         info_rate_field = info_rate_on_grid(system, grid)
         timings["field_s"] = _time.perf_counter() - t_start
@@ -583,11 +533,6 @@ def hybrid_solve(
     def packed_view(components):
         """(..., k) view of k component-major fields."""
         return np.moveaxis(components, 0, -1)
-
-    def vec_layout(packed):
-        """Phi in the vec layout (sym_unpack gives new C-contiguous
-        symmetric matrices, whose row-major entries are their vec)."""
-        return sym_unpack(packed).reshape(grid.shape + (system.info_len,))
 
     q_packed = sym_pack(unvec(ell), out=packed_view(np.empty((k,) + grid.shape)))
     del ell, info_rate_field  # the march reads the packed copy
@@ -611,15 +556,15 @@ def hybrid_solve(
         # information is small
         metric.flow(phi, phi_z, q_packed, h, work)
 
-    def observe(s, _):
-        on_snapshot(s, phi, vec_layout(phi_z))
-
     timings["steps"] = _march(
         stack, grid, drift, system.control_column(), system.control_bound, alpha, dt, config,
-        flow, None if on_snapshot is None else observe, timings,
+        flow, timings,
     )
     timings["wall_time_s"] = _time.perf_counter() - t_start
-    return HybridSolution(grid, phi, vec_layout(phi_z), z0, config, timings)
+    # sym_unpack gives new C-contiguous symmetric matrices, whose row-major
+    # entries are their vec
+    phi_z_vec = sym_unpack(phi_z).reshape(grid.shape + (system.info_len,))
+    return HybridSolution(grid, phi, phi_z_vec, z0, config, timings)
 
 
 def classic_solve(

@@ -88,7 +88,7 @@ def extract_characteristic(
     """Integrate the characteristic system forward from x0.
 
     Seeds: the x-costate from the interpolated central gradient of the final
-    value snapshot, the information costate from the interpolated gradient
+    value field, the information costate from the interpolated gradient
     field (constant afterwards: the Hamiltonian does not depend on the
     information state). Marches with fixed-step RK4, bang-bang control from
     the switching function with a hysteresis band against chattering, and the
@@ -361,6 +361,8 @@ def brute_force_value(
     if segments > 8:
         raise ValueError("refusing exhaustive search beyond 8 segments (3^8 rollouts)")
     z0 = np.asarray(z0, dtype=float)
+    # the step rule's checks hold even where no step is taken
+    rk4_steps(horizon / segments, dt, "horizon / segments")
     if horizon == 0.0:
         return metric.value(z0), ControlSignal.constant(0.0, 1.0)
     b = system.control_bound

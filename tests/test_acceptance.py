@@ -324,7 +324,7 @@ def test_criterion_9_stability_and_worker_determinism(scenario, tmp_path):
         for other in outs[1:]
         for n in names
     )
-    # every stored snapshot, read by the manifest's names
+    # the stored final fields, read by the manifest's names
     manifest = read_manifest(outs[0] / "manifest.json")
     shape = scenario.grid().shape
     shapes = {"phi": shape, "phi_z": shape + (manifest["m"],)}

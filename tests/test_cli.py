@@ -126,15 +126,20 @@ def numeric_fields(node, path=()):
 
 FIG2_NUMERIC_FIELDS = list(numeric_fields(json.loads(FIG2.read_text())))
 BAD_NUMBERS = [-1, 0, math.nan, math.inf, "x", None]
+# fields an older scenario may still carry; whatever their value, they are
+# refused by name
+REMOVED_FIELDS = [("seed",), ("solver", "snapshot_stride")]
 
 
 class TestScenarioFieldMutations:
     def test_every_numeric_field_is_swept(self):
-        assert len(FIG2_NUMERIC_FIELDS) * len(BAD_NUMBERS) == 174
+        assert len(FIG2_NUMERIC_FIELDS) * len(BAD_NUMBERS) == 162
 
     @pytest.mark.parametrize("value", BAD_NUMBERS, ids=repr)
     @pytest.mark.parametrize(
-        "path", FIG2_NUMERIC_FIELDS, ids=lambda p: ".".join(str(k) for k in p)
+        "path",
+        FIG2_NUMERIC_FIELDS + REMOVED_FIELDS,
+        ids=lambda p: ".".join(str(k) for k in p),
     )
     def test_loads_or_names_the_field(self, path, value):
         data = json.loads(FIG2.read_text())
@@ -149,6 +154,8 @@ class TestScenarioFieldMutations:
         except ScenarioError as exc:
             field = [key for key in path if isinstance(key, str)][-1]
             assert field in str(exc)
+        else:
+            assert path not in REMOVED_FIELDS, f"{path} was accepted"
 
     @pytest.mark.parametrize(
         "section,key,value",
@@ -157,6 +164,8 @@ class TestScenarioFieldMutations:
             ("grid", "nx", "x"),
             ("vehicle", "speed_mps", math.nan),
             ("extraction", "legs", 2.5),
+            # horizon_s / dt_s overflows to inf
+            ("extraction", "dt_s", 1e-320),
         ],
     )
     def test_solve_exits_2_naming_the_field(self, tmp_path, capsys, section, key, value):
@@ -185,9 +194,9 @@ class TestSolveExtractPlot:
         _, _, sol_dir = pipeline
         manifest = json.loads((sol_dir / "manifest.json").read_text())
         assert manifest["kind"] == "hybrid_solution"
-        assert (sol_dir / manifest["snapshots"][0]["phi"]).exists()
+        assert manifest["snapshots"] == [{"phi": "phi.bin", "phi_z": "phiz.bin"}]
         timings = json.loads((sol_dir / "timings.json").read_text())
-        phases = ["field_s", "flow_s", "transport_s", "check_s", "snapshot_s"]
+        phases = ["field_s", "flow_s", "transport_s", "check_s"]
         assert set(timings) == {"wall_time_s", "steps", *phases}
         assert timings["steps"] > 0
         # cmd_solve leaves the info-rate field to hybrid_solve, which times it
@@ -330,17 +339,16 @@ class TestSolveExtractPlot:
         _, _, sol_dir = pipeline
         broken = tmp_path / "broken"
         shutil.copytree(sol_dir, broken)
-        phi = broken / "phi_0001.bin"
+        phi = broken / "phi.bin"
         phi.write_bytes(phi.read_bytes()[:-3])
         assert main(["extract", "--solution", str(broken), "--out", str(tmp_path / "o")]) == 2
-        assert "phi_0001.bin" in capsys.readouterr().err
+        assert "phi.bin" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "case",
         [
-            "empty_snapshots", "short_z0", "m_not_square", "nan_final_phi",
-            "nan_final_s", "text_final_s", "negative_final_s", "late_final_s",
-            "unsorted_s", "nan_horizon", "absolute_name", "parent_name", "number_name",
+            "empty_snapshots", "two_snapshots", "old_snapshots", "short_z0", "m_not_square",
+            "nan_final_phi", "nan_horizon", "absolute_name", "parent_name", "number_name",
             "doubled_z0", "shifted_x_extent", "non_spd_z0",
         ],
     )
@@ -350,37 +358,32 @@ class TestSolveExtractPlot:
         shutil.copytree(sol_dir, broken)
         manifest = json.loads((broken / "manifest.json").read_text())
         snaps = manifest["snapshots"]
-        final_phi = snaps[-1]["phi"]
-        final_s = f"snapshots[{len(snaps) - 1}].s"
         hash_named = "manifest.json: config_hash"
         named = {
-            "empty_snapshots": "snapshots",
             "short_z0": "z0",
             "m_not_square": "m = 5",
-            "nan_final_phi": final_phi,
-            "nan_final_s": final_s,
-            "text_final_s": final_s,
-            "negative_final_s": final_s,
-            "late_final_s": final_s,
-            "unsorted_s": "snapshots[2].s",
+            "nan_final_phi": "phi.bin",
             "nan_horizon": "horizon",
-            "absolute_name": final_s[:-1] + "phi",
-            "parent_name": final_s[:-1] + "phi_z",
-            "number_name": final_s[:-1] + "phi",
             "doubled_z0": hash_named,
             "shifted_x_extent": hash_named,
             "non_spd_z0": hash_named,
-        }[case]
+        }.get(case, "manifest.json: snapshots")
         if case == "empty_snapshots":
             manifest["snapshots"] = []
+        elif case == "two_snapshots":
+            manifest["snapshots"] = snaps + snaps
+        elif case == "old_snapshots":
+            # a manifest of the numbered snapshot files solve once wrote
+            manifest["snapshots"] = [
+                {"s": s, "phi": f"phi_{k:04d}.bin", "phi_z": f"phiz_{k:04d}.bin"}
+                for k, s in enumerate((0.0, manifest["config"]["horizon"]))
+            ]
         elif case == "short_z0":
             manifest["z0"] = manifest["z0"][:3]
         elif case == "m_not_square":
             manifest["m"] = 5
         elif case == "nan_final_phi":
-            np.full(9 * 9 * 8, np.nan).astype("<f8").tofile(broken / final_phi)
-        elif case == "unsorted_s":
-            snaps[2]["s"] = snaps[1]["s"]
+            np.full(9 * 9 * 8, np.nan).astype("<f8").tofile(broken / "phi.bin")
         elif case == "nan_horizon":
             manifest["config"]["horizon"] = math.nan
         elif case in ("absolute_name", "parent_name"):
@@ -395,14 +398,9 @@ class TestSolveExtractPlot:
         elif case in ("doubled_z0", "non_spd_z0"):
             doubled = [2.0 * v for v in manifest["z0"]]
             manifest["z0"] = doubled if case == "doubled_z0" else [1.0, 0.0, 0.0, -1.0]
-        elif case == "shifted_x_extent":
+        else:
             axis = manifest["grid"]["axes"][0]
             axis["lo"], axis["hi"] = axis["lo"] + 100.0, axis["hi"] + 100.0
-        else:
-            snaps[-1]["s"] = {
-                "nan_final_s": math.nan, "text_final_s": "abc",
-                "negative_final_s": -5.0, "late_final_s": 20.0,
-            }[case]
         (broken / "manifest.json").write_text(json.dumps(manifest))
         argv = ["extract", "--solution", str(broken), "--out", str(tmp_path / "o")]
         assert main(argv) == 2
@@ -498,43 +496,23 @@ class TestOutputPaths:
 
 
 class TestStreamedSolve:
-    def test_files_equal_the_in_memory_snapshots(self, pipeline, snapshots):
+    def test_files_equal_the_in_memory_final_fields(self, pipeline):
         _, scenario, sol_dir = pipeline
-        hybrid_solve(
+        sol = hybrid_solve(
             scenario.build_system(), LogDetMetric(2), scenario.grid(),
-            scenario.initial_information(), scenario.solver, on_snapshot=snapshots,
+            scenario.initial_information(), scenario.solver,
         )
-        assert len(snapshots.times) > 2
-        snaps = json.loads((sol_dir / "manifest.json").read_text())["snapshots"]
-        assert [snap["s"] for snap in snaps] == snapshots.times
-        for snap, phi, phi_z in zip(snaps, snapshots.phis, snapshots.phi_zs):
-            assert (sol_dir / snap["phi"]).read_bytes() == phi.astype("<f8").tobytes()
-            assert (sol_dir / snap["phi_z"]).read_bytes() == phi_z.astype("<f8").tobytes()
-        written = sorted(f for f in os.listdir(sol_dir) if f.endswith(".bin"))
-        assert written == sorted(snap[key] for snap in snaps for key in ("phi", "phi_z"))
+        assert (sol_dir / "phi.bin").read_bytes() == sol.phi.astype("<f8").tobytes()
+        assert (sol_dir / "phiz.bin").read_bytes() == sol.phi_z.astype("<f8").tobytes()
 
-    def test_resolve_with_fewer_snapshots_leaves_no_stale_files(self, tmp_path):
+    def test_solve_directory_holds_only_the_solution(self, pipeline, tmp_path):
+        _, scenario, sol_dir = pipeline
+        files = ["manifest.json", "phi.bin", "phiz.bin", "scenario.json", "timings.json"]
+        assert sorted(os.listdir(sol_dir)) == files
         out = tmp_path / "solution"
-
-        def solve(stride):
-            data = small_scenario_dict()
-            data["solver"]["snapshot_stride"] = stride
-            cmd_solve(scenario_from_dict(data), out)
-            snaps = json.loads((out / "manifest.json").read_text())["snapshots"]
-            return sorted(snap[key] for snap in snaps for key in ("phi", "phi_z"))
-
-        every_step = solve(1)
-        named = solve(5)
-        assert len(named) < len(every_step)
-        assert sorted(f for f in os.listdir(out) if f.endswith(".bin")) == named
-        # only exact snapshot names are the solver's to remove; past 9,999
-        # snapshots the names it writes have five digits
-        decoys = ("phi_00001.bin", "phiz_12.bin", "phi_0000.bin.orig")
-        for name in decoys + ("phiz_10000.bin",):
-            (out / name).write_bytes(b"keep")
-        solve(5)
-        assert all((out / name).read_bytes() == b"keep" for name in decoys)
-        assert not (out / "phiz_10000.bin").exists()
+        shutil.copytree(sol_dir, out)
+        cmd_solve(scenario, out)
+        assert sorted(os.listdir(out)) == files
 
     def test_resolve_removes_the_manifest_first_and_writes_it_last(
         self, pipeline, tmp_path, monkeypatch
@@ -562,7 +540,7 @@ class TestStreamedSolve:
         cmd_solve(scenario, out)
         assert manifest_seen and not any(manifest_seen)
         assert order[-1] == "manifest.json" and order.count("manifest.json") == 1
-        assert order.index("phi_0000.bin") < order.index("manifest.json")
+        assert order.index("phi.bin") < order.index("manifest.json")
         for name in os.listdir(sol_dir):
             if name != "timings.json":
                 assert (out / name).read_bytes() == (sol_dir / name).read_bytes()

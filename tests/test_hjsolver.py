@@ -549,26 +549,15 @@ class TestPackedMarch:
         assert np.array_equal(sol.phi, ref_phi)
         assert np.array_equal(sol.phi_z, ref_phi_z)
 
-    def test_snapshots_keep_the_vec_layout(self, snapshots):
-        # the observer and the solution get (..., p**2) arrays with equal
-        # off-diagonal entries; the solution's final fields have the bits of
-        # the last observed snapshot and of a solve without observer
+    def test_final_fields_keep_the_vec_layout(self):
+        # the solution's Phi is a C-contiguous (..., p**2) array with equal
+        # off-diagonal entries
         scenario = load_scenario(SHIPPED)
         system, metric = scenario.build_system(), LogDetMetric(2)
         z0 = scenario.initial_information()
-        config = SolverConfig(horizon=5.0, snapshot_stride=1)
-        sol = hybrid_solve(system, metric, SURVEY_GRID, z0, config, on_snapshot=snapshots)
-        assert len(snapshots.times) > 2
-        assert snapshots.times[0] == 0.0 and snapshots.times[-1] == config.horizon
-        for phi_z in snapshots.phi_zs + [sol.phi_z]:
-            assert phi_z.shape == SURVEY_GRID.shape + (4,) and phi_z.flags.c_contiguous
-            assert np.array_equal(phi_z[..., 1], phi_z[..., 2])
-        assert np.array_equal(sol.phi, snapshots.phis[-1])
-        assert np.array_equal(sol.phi_z, snapshots.phi_zs[-1])
-        plain = hybrid_solve(system, metric, SURVEY_GRID, z0, config)
-        assert np.array_equal(plain.phi, sol.phi)
-        assert np.array_equal(plain.phi_z, sol.phi_z)
-        assert plain.timings["steps"] == sol.timings["steps"] > 0
+        sol = hybrid_solve(system, metric, SURVEY_GRID, z0, SolverConfig(horizon=5.0))
+        assert sol.phi_z.shape == SURVEY_GRID.shape + (4,) and sol.phi_z.flags.c_contiguous
+        assert np.array_equal(sol.phi_z[..., 1], sol.phi_z[..., 2])
 
     def test_packed_flow_gives_the_bits_of_the_vec_flow(self):
         rng = np.random.default_rng(34)
@@ -646,23 +635,22 @@ class TestHybridSolve:
         rel = np.abs(sol.phi_z[:, 0] - fd) / np.maximum(np.abs(fd), 1e-300)
         assert np.mean(rel[inner] <= 1e-2) >= 0.9
 
-    def test_value_monotone_in_horizon(self, snapshots):
+    def test_value_monotone_in_horizon(self):
+        # the terminal cost, then solves to growing horizons
         toy = ToyCascade()
         metric = LogDetMetric(1)
         grid = toy_grid(0.05)
-        hybrid_solve(
-            toy, metric, grid, np.array([1.0]), SolverConfig(horizon=1.0, snapshot_stride=2),
-            on_snapshot=snapshots,
-        )
+        z0 = np.array([1.0])
+        phis = [np.full(grid.shape, metric.value(z0))] + [
+            hybrid_solve(toy, metric, grid, z0, SolverConfig(horizon=horizon)).phi
+            for horizon in (0.25, 0.5, 0.75, 1.0)
+        ]
         x = grid.axes[0].nodes
         inner = np.abs(x) <= 1.0
-        assert len(snapshots.phis) > 2
-        for k in range(1, len(snapshots.phis)):
-            assert np.all(snapshots.phis[k][inner] <= snapshots.phis[k - 1][inner] + 1e-9)
+        for shorter, longer in zip(phis, phis[1:]):
+            assert np.all(longer[inner] <= shorter[inner] + 1e-9)
 
-    def test_gradient_matrices_stay_symmetric_and_definite(self, snapshots):
-        rng = np.random.default_rng(35)
-
+    def test_gradient_matrices_stay_symmetric_and_definite(self):
         def rate(x):
             j = np.stack([0.01 + 0.0 * x[..., 0], 0.02 * np.sin(x[..., 2])], axis=-1)
             outer = j[..., :, None] * j[..., None, :]
@@ -671,16 +659,11 @@ class TestHybridSolve:
         car = dubins(rate_fn=rate)
         metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-100.0, 100.0), (-100.0, 100.0), 7, 7, 8)
-        sol = hybrid_solve(
-            car, metric, grid, vec(np.eye(2)), SolverConfig(horizon=3.0, snapshot_stride=3),
-            on_snapshot=snapshots,
-        )
-        assert len(snapshots.phi_zs) > 2
-        for snap in snapshots.phi_zs:
-            mats = unvec(snap)
+        for horizon in (1.0, 2.0, 3.0):
+            sol = hybrid_solve(car, metric, grid, vec(np.eye(2)), SolverConfig(horizon=horizon))
+            mats = unvec(sol.phi_z)
             assert np.allclose(mats, np.swapaxes(mats, -1, -2), atol=1e-10)
-        final = -unvec(sol.phi_z)
-        assert np.min(np.linalg.eigvalsh(final)) > 0.0
+            assert np.min(np.linalg.eigvalsh(-mats)) > 0.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_instability_detected(self):
@@ -738,41 +721,35 @@ class TestClassicSolve:
 
 
 class TestFinalHorizon:
-    def test_toy_and_streamed_solves_end_at_the_configured_horizon(self, tmp_path, snapshots):
-        # 241 nodes: the summed steps fall an ulp short of 1.0, which the
-        # final snapshot must not inherit
+    def test_toy_and_streamed_solves_end_at_the_configured_horizon(self, tmp_path):
+        # 241 nodes: the 120 summed steps fall an ulp short of 1.0, which
+        # must not cost a 121st step
         toy = ToyCascade()
         metric = LogDetMetric(1)
         grid = GridSpec((Axis(-2.0, 2.0, 241),))
         cfg = SolverConfig(horizon=1.0)
-        hybrid_solve(toy, metric, grid, np.array([1.0]), cfg, on_snapshot=snapshots)
-        assert snapshots.times[-1] == cfg.horizon
-        solve_to_disk(tmp_path, toy, metric, grid, np.array([1.0]), cfg)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["snapshots"][-1]["s"] == cfg.horizon
-        # load_solution refuses a final snapshot not labelled config.horizon
+        sol = solve_to_disk(tmp_path, toy, metric, grid, np.array([1.0]), cfg)
+        assert sol.timings["steps"] == 120
         assert load_solution(tmp_path).config == cfg
 
 
 class TestSolutionIO:
-    def test_round_trip(self, tmp_path, snapshots):
+    def test_round_trip(self, tmp_path):
         toy = ToyCascade()
         metric = LogDetMetric(1)
         # integer extents: the manifest's grid reads back as floats and must
         # still give its config_hash
         grid = GridSpec((Axis(-2, 2, 41),))
         cfg = SolverConfig(horizon=0.5)
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg, on_snapshot=snapshots)
-        assert len(snapshots.times) > 2
+        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg)
         out = tmp_path / "sol"
         streamed = solve_to_disk(out, toy, metric, grid, np.array([1.0]), cfg)
         assert np.array_equal(streamed.phi, sol.phi)
         assert np.array_equal(streamed.phi_z, sol.phi_z)
         snaps = json.loads((out / "manifest.json").read_text())["snapshots"]
-        assert [snap["s"] for snap in snaps] == snapshots.times
-        for snap, phi, phi_z in zip(snaps, snapshots.phis, snapshots.phi_zs):
-            assert np.array_equal(load_array(out / snap["phi"], grid.shape), phi)
-            assert np.array_equal(load_array(out / snap["phi_z"], grid.shape + (1,)), phi_z)
+        assert snaps == [{"phi": "phi.bin", "phi_z": "phiz.bin"}]
+        assert np.array_equal(load_array(out / "phi.bin", grid.shape), sol.phi)
+        assert np.array_equal(load_array(out / "phiz.bin", grid.shape + (1,)), sol.phi_z)
         back = load_solution(out)
         assert np.array_equal(back.phi, sol.phi) and np.array_equal(back.phi_z, sol.phi_z)
         assert back.grid == sol.grid and back.config == sol.config
@@ -787,7 +764,7 @@ class TestSolutionIO:
             out = tmp_path / name
             solve_to_disk(out, toy, metric, grid, np.array([1.0]), SolverConfig(horizon=0.5))
             outs.append(out)
-        for fname in ("manifest.json", "phi_0000.bin"):
+        for fname in ("manifest.json", "phi.bin", "phiz.bin"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_load_maps_read_only_and_names_a_wrong_size_file(self, tmp_path):
@@ -801,7 +778,7 @@ class TestSolutionIO:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
         del back
-        longer = out / "phiz_0002.bin"
+        longer = out / "phiz.bin"
         longer.write_bytes(longer.read_bytes() + b"\0" * 8)
-        with pytest.raises(ValueError, match="phiz_0002.bin"):
+        with pytest.raises(ValueError, match="phiz.bin"):
             load_solution(out)

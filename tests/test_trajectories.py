@@ -680,8 +680,9 @@ def run_with_bad_step(name, overrides, toy_setup):
 
 class TestStepRule:
     """Every integrator cuts its spans with rk4_steps, which refuses a dt
-    that is not a finite positive number and a negative or non-finite span,
-    naming the argument."""
+    that is not a finite positive number or that overflows span / dt, and a
+    negative or non-finite span, naming the argument; brute force checks dt
+    at zero horizon too."""
 
     @pytest.mark.parametrize(
         "name, overrides, named",
@@ -701,6 +702,11 @@ class TestStepRule:
             ("simulate_open_loop", {"dt": -0.1}, "dt"),
             ("simulate_open_loop", {"horizon": -1.0}, "horizon"),
             ("simulate_open_loop", {"horizon": math.nan}, "horizon"),
+            # span / dt overflows
+            ("brute_force_value", {"dt": 1e-320}, "dt"),
+            ("extract_characteristic", {"dt": 1e-320}, "dt"),
+            # no step is taken at zero horizon, but dt is still checked
+            ("brute_force_value", {"horizon": 0.0, "dt": -1.0}, "dt"),
         ],
     )
     def test_refuses_bad_steps_and_spans(self, toy_setup, name, overrides, named):
