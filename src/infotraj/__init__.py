@@ -37,7 +37,6 @@ from infotraj.matrixcore import (
     DimensionError,
     LogDetMetric,
     NotPositiveDefiniteError,
-    TerminalMetric,
     curvature_contraction,
     logdet_spd,
     sym_pack,
@@ -87,7 +86,6 @@ __all__ = [
     "Sensor",
     "SolverConfig",
     "State",
-    "TerminalMetric",
     "ToyCascade",
     "Trajectory",
     "ValidationReport",

@@ -19,7 +19,14 @@ from typing import Optional
 
 import numpy as np
 
-from infotraj.dynamics import DubinsCar, State, ToyCascade, trajectory_from_csv, trajectory_to_csv
+from infotraj.dynamics import (
+    DubinsCar,
+    State,
+    ToyCascade,
+    rk4_steps,
+    trajectory_from_csv,
+    trajectory_to_csv,
+)
 from infotraj.grid import Axis, GridSpec, interpolate, write_manifest
 from infotraj.hjsolver import (
     InstabilityError,
@@ -51,6 +58,22 @@ EXIT_INSTABILITY = 3
 # 95% quantile of the chi-square distribution with 2 degrees of freedom:
 # the CDF is 1 - exp(-x/2), so the quantile is -2 ln(0.05).
 CHI2_2DOF_95 = -2.0 * math.log(0.05)
+
+# side of the square SVG figure, pixels
+SVG_WIDTH = 640
+
+# how the validate suite runs its checks: the toy cascade's grid step for the
+# hybrid-vs-classic cross-check and for its gradient check; the survey
+# gradient check's grid and horizon; and the optimality sandwich, which runs
+# whenever the suite names a scenario: its receding legs, brute-force
+# segments (3^segments rollouts) and brute-force step
+TOY_DX = 0.05
+TOY_GRADIENT_DX = 0.0125
+SURVEY_GRID = (21, 21, 16)
+SURVEY_GRADIENT_HORIZON_S = 5.0
+SANDWICH_LEGS = 6
+SANDWICH_SEGMENTS = 6
+SANDWICH_SIM_DT = 0.2
 
 
 class ScenarioError(ValueError):
@@ -143,7 +166,6 @@ class Scenario:
     npsi: int
     solver: SolverConfig
     extraction_dt: float
-    extraction_mode: str
     extraction_legs: int
     initial_states: list
     provenance: dict = field(default_factory=dict)
@@ -203,7 +225,6 @@ class Scenario:
             },
             "extraction": {
                 "dt_s": self.extraction_dt,
-                "mode": self.extraction_mode,
                 "legs": self.extraction_legs,
             },
             "initial_states": [[s.x, s.y, s.psi] for s in self.initial_states],
@@ -263,11 +284,10 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
             },
         )
         _require(spec["type"] == "doppler", f"{where}.sensors[{i}].type", "only 'doppler' is available")
-        # checked only: the spec is kept as written, it feeds the suite hash
-        for key in ("frequency_scale_hz_per_mps", "noise_std_hz", "rate_hz"):
+        # checked only: the spec is kept as written, it feeds the suite hash;
+        # at altitude 0 the sensor can meet the target's stencil points
+        for key in ("altitude_m", "frequency_scale_hz_per_mps", "noise_std_hz", "rate_hz"):
             _positive(spec[key], f"{where}.sensors[{i}].{key}")
-        altitude = _number(spec["altitude_m"], f"{where}.sensors[{i}].altitude_m")
-        _require(altitude >= 0, f"{where}.sensors[{i}].altitude_m", "must be nonnegative")
         sensors.append(spec)
 
     gr = _take(
@@ -291,22 +311,13 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     _require(cfl_number <= 1.0, f"{where}.solver.cfl_number", "must lie in (0, 1]")
     solver = SolverConfig(horizon=horizon, cfl_number=cfl_number)
 
-    ex = _take(
-        top["extraction"],
-        f"{where}.extraction",
-        {"dt_s": 0.05, "mode": "characteristic", "legs": 1},
-    )
+    ex = _take(top["extraction"], f"{where}.extraction", {"dt_s": 0.05, "legs": 1})
     dt = _positive(ex["dt_s"], f"{where}.extraction.dt_s")
-    # extraction cuts spans of up to horizon_s into steps of at most dt_s
-    _require(
-        math.isfinite(horizon / dt), f"{where}.extraction.dt_s",
-        f"horizon_s / dt_s = {horizon / dt} is not finite",
-    )
-    _require(
-        ex["mode"] in ("characteristic", "receding"),
-        f"{where}.extraction.mode",
-        "must be 'characteristic' or 'receding'",
-    )
+    try:
+        # extraction cuts spans of up to horizon_s into steps of at most dt_s
+        rk4_steps(horizon, dt, "solver.horizon_s")
+    except ValueError as exc:
+        raise ScenarioError(f"{where}.extraction.dt_s: {exc}") from exc
     legs = _positive(ex["legs"], f"{where}.extraction.legs", integer=True)
 
     _require(isinstance(top["initial_states"], list), f"{where}.initial_states", "expected a list")
@@ -334,7 +345,6 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         npsi=counts["npsi"],
         solver=solver,
         extraction_dt=dt,
-        extraction_mode=ex["mode"],
         extraction_legs=legs,
         initial_states=states,
         provenance=dict(top["provenance"]),
@@ -399,7 +409,9 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
     """Extract trajectories from a stored solution; one CSV per initial state.
 
     The scenario (by default the solution's own scenario.json) must carry the
-    sensor-suite and config hashes of the solution's manifest.
+    sensor-suite and config hashes of the solution's manifest. Each start is
+    extracted in the scenario's extraction_legs receding legs; one leg is the
+    characteristic extraction from the stored solution.
     """
     if scenario is None:
         path = os.path.join(str(solution_dir), "scenario.json")
@@ -422,26 +434,16 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
     metric = LogDetMetric(scenario.prior().dim)
     _make_output_dir(out_dir)
 
-    ell = None
-    if scenario.extraction_mode == "receding":
-        ell = info_rate_on_grid(system, solution.grid)
+    legs = scenario.extraction_legs
+    # the re-solves of every start share one information-rate field
+    ell = info_rate_on_grid(system, solution.grid) if legs > 1 else None
 
     summary = {"trajectories": []}
     for idx, start in enumerate(starts):
-        if scenario.extraction_mode == "receding":
-            traj = extract_receding(
-                solution,
-                system,
-                metric,
-                start,
-                legs=scenario.extraction_legs,
-                dt=scenario.extraction_dt,
-                info_rate_field=ell,
-            )
-        else:
-            traj = extract_characteristic(
-                solution, system, metric, start, dt=scenario.extraction_dt
-            )
+        traj = extract_receding(
+            solution, system, metric, start, legs=legs, dt=scenario.extraction_dt,
+            info_rate_field=ell,
+        )
         name = f"trajectory_{idx:03d}.csv"
         trajectory_to_csv(traj, os.path.join(out_dir, name), metric)
         entry = {
@@ -464,7 +466,7 @@ def _svg_path(points, scale, offset) -> str:
     return coords
 
 
-def render_svg(trajectories, prior_mean, prior_covariance, width=640) -> str:
+def render_svg(trajectories, prior_mean, prior_covariance) -> str:
     """Figure-style SVG: trajectories in red, the 95% prior error ellipse dashed
     in blue, square axes in meters."""
     pts = np.concatenate([t.states[:, :2] for t in trajectories]) if trajectories else np.zeros((1, 2))
@@ -475,13 +477,14 @@ def render_svg(trajectories, prior_mean, prior_covariance, width=640) -> str:
     span = float(max(hi[0] - lo[0], hi[1] - lo[1])) * 1.1 + 1e-9
     center = 0.5 * (lo + hi)
     lo = center - span / 2.0
-    scale = width / span
+    scale = SVG_WIDTH / span
     offset = (lo[0], lo[1] + span)  # svg y grows downward
 
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{width}" '
-        f'viewBox="0 0 {width} {width}">',
-        f'<rect x="0" y="0" width="{width}" height="{width}" fill="white" stroke="black"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{SVG_WIDTH}" '
+        f'viewBox="0 0 {SVG_WIDTH} {SVG_WIDTH}">',
+        f'<rect x="0" y="0" width="{SVG_WIDTH}" height="{SVG_WIDTH}" fill="white" '
+        'stroke="black"/>',
     ]
     angle = math.degrees(math.atan2(eigvecs[1, 1], eigvecs[0, 1]))
     cx = (prior_mean[0] - offset[0]) * scale
@@ -500,13 +503,13 @@ def render_svg(trajectories, prior_mean, prior_covariance, width=640) -> str:
     for k in range(n_ticks):
         frac = k / (n_ticks - 1)
         value = lo[0] + frac * span
-        pos = frac * width
+        pos = frac * SVG_WIDTH
         lines.append(
-            f'<text x="{pos:.1f}" y="{width - 4}" font-size="11" fill="black">'
+            f'<text x="{pos:.1f}" y="{SVG_WIDTH - 4}" font-size="11" fill="black">'
             f"{value:.0f}</text>"
         )
         value_y = lo[1] + frac * span
-        pos_y = width - frac * width
+        pos_y = SVG_WIDTH - frac * SVG_WIDTH
         lines.append(
             f'<text x="4" y="{pos_y:.1f}" font-size="11" fill="black">{value_y:.0f}</text>'
         )
@@ -543,19 +546,12 @@ def cmd_plot(in_dir, out_file, scenario: Optional[Scenario] = None) -> None:
 
 @dataclass(frozen=True)
 class ValidationSuite:
-    """Settings of the oracle suite (suite_from_dict reads them from a suite
-    file). scenario, when given, adds the survey gradient check and the
-    sandwich."""
+    """What the oracle suite checks and against which thresholds
+    (suite_from_dict reads them from a suite file). scenario, when given,
+    adds the survey gradient check and the sandwich."""
 
     scenario: Optional[Scenario] = None
     report: str = ""  # path the report is written to; empty: not written
-    toy_dx: float = 0.05
-    toy_gradient_dx: float = 0.0125
-    survey_gradient_horizon_s: float = 5.0
-    sandwich: bool = True
-    sandwich_legs: int = 6
-    sandwich_segments: int = 6
-    sandwich_sim_dt: float = 0.2
     toy_max_diff: float = 5e-2
     toy_ratio_band: tuple = (0.4, 0.6)
     gradient_fraction: float = 0.9
@@ -573,28 +569,20 @@ _THRESHOLDS = (
 
 
 def suite_from_dict(data: dict, where: str = "suite", base_dir: str = ".") -> ValidationSuite:
-    """Parse a validate suite; every field is optional, with the defaults of
-    ValidationSuite. scenario and report are paths relative to base_dir (the
-    suite file's directory); scenario is loaded here. An unknown field or a
-    bad value raises ScenarioError naming it. The toy grid steps are at most
-    1, so that every toy grid has at least 5 nodes, and brute force takes at
-    most 8 segments."""
+    """Parse a validate suite: scenario, report and thresholds, each optional,
+    with the defaults of ValidationSuite. scenario and report are paths
+    relative to base_dir (the suite file's directory); scenario is loaded
+    here. An unknown field (the run settings are constants of this module)
+    or a bad value raises ScenarioError naming it."""
     defaults = asdict(ValidationSuite())
-    defaults.update(scenario="", toy_ratio_band=list(defaults["toy_ratio_band"]))
-    known = {key: value for key, value in defaults.items() if key not in _THRESHOLDS}
-    top = _take(data, where, dict(known, thresholds={}))
+    defaults["toy_ratio_band"] = list(defaults["toy_ratio_band"])
+    top = _take(data, where, {"scenario": "", "report": "", "thresholds": {}})
     limits = _take(
         top.pop("thresholds"), f"{where}.thresholds", {key: defaults[key] for key in _THRESHOLDS}
     )
     values = dict(top, **limits)
     for key in ("scenario", "report"):
         _require(isinstance(values[key], str), f"{where}.{key}", "expected a file path")
-    _require(isinstance(values["sandwich"], bool), f"{where}.sandwich", "expected true or false")
-    for key, value in top.items():
-        if key in ("toy_dx", "toy_gradient_dx", "survey_gradient_horizon_s", "sandwich_sim_dt"):
-            values[key] = _positive(value, f"{where}.{key}")
-        elif key in ("sandwich_legs", "sandwich_segments"):
-            values[key] = _positive(value, f"{where}.{key}", integer=True)
     for key, value in limits.items():
         where_key = f"{where}.thresholds.{key}"
         if key == "toy_ratio_band":
@@ -604,9 +592,6 @@ def suite_from_dict(data: dict, where: str = "suite", base_dir: str = ".") -> Va
         else:
             values[key] = _number(value, where_key)
             _require(values[key] >= 0, where_key, "must be nonnegative")
-    for key in ("toy_dx", "toy_gradient_dx"):
-        _require(values[key] <= 1.0, f"{where}.{key}", "must be at most 1")
-    _require(values["sandwich_segments"] <= 8, f"{where}.sandwich_segments", "must be at most 8")
     path = values["scenario"]
     values["scenario"] = load_scenario(os.path.join(base_dir, path)) if path else None
     if values["report"]:
@@ -619,7 +604,7 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
     characteristic residuals, and the brute-force optimality sandwich."""
     report = ValidationReport()
 
-    cross = toy_hybrid_vs_classic(suite.toy_dx)
+    cross = toy_hybrid_vs_classic(TOY_DX)
     report.add(
         "toy_hybrid_vs_classic",
         cross["max_diff"] <= suite.toy_max_diff,
@@ -631,7 +616,7 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
 
     toy = ToyCascade()
     metric1 = LogDetMetric(1)
-    toy_grid = GridSpec((Axis(-2.0, 2.0, int(round(4.0 / suite.toy_gradient_dx)) + 1),))
+    toy_grid = GridSpec((Axis(-2.0, 2.0, int(round(4.0 / TOY_GRADIENT_DX)) + 1),))
     out = gradient_consistency_check(
         toy, metric1, toy_grid, np.array([1.0]), SolverConfig(horizon=1.0),
         interior_margin=int(0.25 * toy_grid.axes[0].n),
@@ -647,70 +632,66 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
     if scenario is not None:
         system = scenario.build_system()
         metric = LogDetMetric(scenario.prior().dim)
-        coarse_grid = GridSpec.vehicle_plane(
-            scenario.x_extent, scenario.y_extent, 21, 21, 16
-        )
-        horizon = suite.survey_gradient_horizon_s
+        coarse_grid = GridSpec.vehicle_plane(scenario.x_extent, scenario.y_extent, *SURVEY_GRID)
         out = gradient_consistency_check(
             system,
             metric,
             coarse_grid,
             scenario.initial_information(),
-            SolverConfig(horizon=horizon, cfl_number=scenario.solver.cfl_number),
+            SolverConfig(
+                horizon=SURVEY_GRADIENT_HORIZON_S, cfl_number=scenario.solver.cfl_number
+            ),
         )
         report.add(
             "survey_gradient_consistency",
             out["fraction_within_1e2"] >= suite.gradient_fraction,
             **out,
-            horizon_s=horizon,
+            horizon_s=SURVEY_GRADIENT_HORIZON_S,
             limit=suite.gradient_fraction,
         )
 
-        if suite.sandwich:
-            grid = scenario.grid()
-            z0 = scenario.initial_information()
-            ell = info_rate_on_grid(system, grid)
-            solution = hybrid_solve(
-                system, metric, grid, z0, scenario.solver, info_rate_field=ell
-            )
-            x0 = scenario.initial_states[0]
-            char = extract_characteristic(solution, system, metric, x0, scenario.extraction_dt)
-            best = extract_receding(
-                solution, system, metric, x0, legs=suite.sandwich_legs,
-                dt=scenario.extraction_dt, info_rate_field=ell, characteristic=char,
-            )
-            bf_cost, _ = brute_force_value(
-                system, metric, x0, z0, scenario.solver.horizon,
-                segments=suite.sandwich_segments, dt=suite.sandwich_sim_dt,
-            )
-            tol = suite.sandwich_rel * abs(bf_cost)
-            report.add(
-                "optimality_sandwich",
-                best.terminal_cost <= bf_cost + tol,
-                extracted_cost=best.terminal_cost,
-                brute_force_cost=bf_cost,
-                tolerance=tol,
-            )
-            phi_x0 = float(interpolate(solution.phi, grid, x0.as_array()))
-            band = suite.value_band
-            report.add(
-                "value_consistency_band",
-                abs(best.terminal_cost - phi_x0) <= band and bf_cost >= phi_x0 - band,
-                value_at_start=phi_x0,
-                extracted_cost=best.terminal_cost,
-                brute_force_cost=bf_cost,
-                band=band,
-            )
-            ratio = char.residuals["costate_terminal_norm"] / max(
-                char.residuals["costate_initial_norm"], 1e-300
-            )
-            report.add(
-                "characteristic_residuals",
-                ratio <= suite.costate_terminal_ratio
-                and char.residuals["info_costate_gap_rel"] <= suite.info_costate_gap_rel,
-                costate_ratio=ratio,
-                info_costate_gap_rel=char.residuals["info_costate_gap_rel"],
-            )
+        grid = scenario.grid()
+        z0 = scenario.initial_information()
+        ell = info_rate_on_grid(system, grid)
+        solution = hybrid_solve(system, metric, grid, z0, scenario.solver, info_rate_field=ell)
+        x0 = scenario.initial_states[0]
+        char = extract_characteristic(solution, system, metric, x0, scenario.extraction_dt)
+        best = extract_receding(
+            solution, system, metric, x0, legs=SANDWICH_LEGS,
+            dt=scenario.extraction_dt, info_rate_field=ell, characteristic=char,
+        )
+        bf_cost, _ = brute_force_value(
+            system, metric, x0, z0, scenario.solver.horizon,
+            segments=SANDWICH_SEGMENTS, dt=SANDWICH_SIM_DT,
+        )
+        tol = suite.sandwich_rel * abs(bf_cost)
+        report.add(
+            "optimality_sandwich",
+            best.terminal_cost <= bf_cost + tol,
+            extracted_cost=best.terminal_cost,
+            brute_force_cost=bf_cost,
+            tolerance=tol,
+        )
+        phi_x0 = float(interpolate(solution.phi, grid, x0.as_array()))
+        band = suite.value_band
+        report.add(
+            "value_consistency_band",
+            abs(best.terminal_cost - phi_x0) <= band and bf_cost >= phi_x0 - band,
+            value_at_start=phi_x0,
+            extracted_cost=best.terminal_cost,
+            brute_force_cost=bf_cost,
+            band=band,
+        )
+        ratio = char.residuals["costate_terminal_norm"] / max(
+            char.residuals["costate_initial_norm"], 1e-300
+        )
+        report.add(
+            "characteristic_residuals",
+            ratio <= suite.costate_terminal_ratio
+            and char.residuals["info_costate_gap_rel"] <= suite.info_costate_gap_rel,
+            costate_ratio=ratio,
+            info_costate_gap_rel=char.residuals["info_costate_gap_rel"],
+        )
     return report
 
 

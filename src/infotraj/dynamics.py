@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from infotraj.matrixcore import TerminalMetric
+from infotraj.matrixcore import LogDetMetric
 
 TWO_PI = 2.0 * math.pi
 
@@ -254,17 +254,25 @@ class Trajectory:
         return float(self.s[-1])
 
 
+# the most steps rk4_steps cuts one span into (the shipped extraction takes
+# 1,200); a smaller dt would allocate or run for hours
+MAX_RK4_STEPS = 10**6
+
+
 def rk4_steps(span: float, dt: float, name: str) -> tuple:
     """(n, h): the n = ceil(span / dt) equal steps of size h = span / n that
     every integrator in the package cuts a span into; a zero span is one step
     of size 0. A dt or a span (named `name`) out of range, or a dt so small
-    that span / dt overflows, raises ValueError."""
+    that span / dt exceeds MAX_RK4_STEPS (or overflows), raises ValueError."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"dt must be a finite positive number, got {dt}")
     if not (math.isfinite(span) and span >= 0.0):
         raise ValueError(f"{name} must be a finite nonnegative number, got {span}")
-    if not math.isfinite(span / dt):
-        raise ValueError(f"dt must be a finite positive number with {name} / dt finite, got {dt}")
+    if not span / dt <= MAX_RK4_STEPS:
+        raise ValueError(
+            f"dt must be a finite positive number with {name} / dt at most "
+            f"{MAX_RK4_STEPS}, got {dt}"
+        )
     n = max(1, int(math.ceil(span / dt - 1e-12)))
     return n, span / n
 
@@ -369,7 +377,7 @@ _STATE_HEADERS = {3: ("X", "Y", "psi"), 1: ("x",)}
 _STATE_UNITS = {3: ("m", "m", "rad"), 1: ("m",)}
 
 
-def trajectory_to_csv(trajectory: Trajectory, path, metric: TerminalMetric) -> None:
+def trajectory_to_csv(trajectory: Trajectory, path, metric: LogDetMetric) -> None:
     """Write a trajectory as CSV: s, state, u, z components, running cost, and
     (when present) the adjoint samples. Units are given on comment lines."""
     d = trajectory.states.shape[1]

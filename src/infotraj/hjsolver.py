@@ -52,7 +52,7 @@ from infotraj.grid import (
     save_array,
     write_manifest,
 )
-from infotraj.matrixcore import FLOW_WORK, TerminalMetric, sym_pack, sym_unpack, unvec
+from infotraj.matrixcore import FLOW_WORK, LogDetMetric, sym_pack, sym_unpack, unvec
 
 POLICY_TIE_EPS = 1e-12
 # nodes per info_rate call when info_rate_on_grid evaluates a field
@@ -265,7 +265,7 @@ def config_fingerprint(grid: GridSpec, z0, config: SolverConfig) -> str:
 def solve_to_disk(
     out_dir,
     system: CascadeSystem,
-    metric: TerminalMetric,
+    metric: LogDetMetric,
     grid: GridSpec,
     z0: np.ndarray,
     config: SolverConfig,
@@ -467,7 +467,7 @@ def _march(
 
 def hybrid_solve(
     system: CascadeSystem,
-    metric: TerminalMetric,
+    metric: LogDetMetric,
     grid: GridSpec,
     z0: np.ndarray,
     config: SolverConfig,
@@ -569,7 +569,7 @@ def hybrid_solve(
 
 def classic_solve(
     system: CascadeSystem,
-    metric: TerminalMetric,
+    metric: LogDetMetric,
     joint_grid: GridSpec,
     config: SolverConfig,
 ) -> np.ndarray:

@@ -5,12 +5,11 @@ terminal metric with its gradient, curvature contraction and flow."""
 from __future__ import annotations
 
 import math
-from abc import ABC, abstractmethod
 
 import numpy as np
 
 
-# scratch arrays a flow kernel may use (TerminalMetric.flow's work)
+# scratch arrays a flow kernel may use (LogDetMetric.flow's work)
 FLOW_WORK = 6
 
 
@@ -92,9 +91,9 @@ def sym_unpack(packed) -> np.ndarray:
     return mat
 
 
-def require_symmetric(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def require_symmetric(mat: np.ndarray) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(mat))))
-    if np.max(np.abs(mat - np.swapaxes(mat, -1, -2))) > tol * scale:
+    if np.max(np.abs(mat - np.swapaxes(mat, -1, -2))) > 1e-9 * scale:
         raise NotPositiveDefiniteError("matrix is not symmetric")
     return mat
 
@@ -136,9 +135,12 @@ def curvature_contraction(rate_matrix, grad) -> np.ndarray:
     return vec(lmat @ rate_matrix @ lmat)
 
 
-class TerminalMetric(ABC):
-    """Terminal cost on the vectorized information state.
+class LogDetMetric:
+    """D-optimal terminal metric G(z) = -log det(unvec(z)) on the vectorized
+    information state of a dim x dim information matrix.
 
+    Minimizing G maximizes the log-determinant of the accumulated information
+    matrix, i.e. shrinks the volume of the estimation error ellipsoid.
     Provides the value G(z), its gradient G_z(z), and the pointwise flow of
     (value, gradient) under a fixed information rate that the hybrid solver
     steps at every node.
@@ -148,43 +150,6 @@ class TerminalMetric(ABC):
         if dim < 1:
             raise DimensionError("metric dimension must be >= 1")
         self.dim = dim
-
-    @abstractmethod
-    def value(self, z):
-        """G(z) as a float; a (..., m) batch of states gives an array (...)."""
-
-    @abstractmethod
-    def gradient(self, z) -> np.ndarray:
-        ...
-
-    def normalized_gain(self, z, z_ref) -> float:
-        """Gain relative to a reference information state; zero at z = z_ref."""
-        return self.value(z) - self.value(z_ref)
-
-    @abstractmethod
-    def flow(self, value, grad, rate, h: float, work=None):
-        """Advance the pointwise accumulation (value, gradient) by h at a
-        fixed information rate Q, in place: the solution of
-        d(value)/ds = <vec(Q), grad>, d(grad)/ds = the z-derivative of that
-        gain rate, expressed through grad (curvature_contraction for the
-        logdet metric).
-
-        grad and rate hold the packed entries (sym_pack) of the symmetric
-        gradient matrix and of Q on their last axis; value has their leading
-        shape. Any strides will do, e.g. (..., k) views of a component-major
-        stack. The new value and gradient are written into value and grad,
-        which are returned. work is optional scratch of shape (r,) +
-        value.shape with r >= FLOW_WORK for a kernel to compute in: a march
-        that passes the same one every step allocates nothing per step.
-        """
-
-
-class LogDetMetric(TerminalMetric):
-    """D-optimal terminal metric G(z) = -log det(unvec(z)).
-
-    Minimizing G maximizes the log-determinant of the accumulated information
-    matrix, i.e. shrinks the volume of the estimation error ellipsoid.
-    """
 
     def value(self, z):
         """G(z); a (..., m) batch of states gives an array of shape (...)."""
@@ -216,9 +181,25 @@ class LogDetMetric(TerminalMetric):
             raise NotPositiveDefiniteError(f"information matrix is singular: {exc}") from exc
         return -vec(np.swapaxes(inv, -1, -2))
 
+    def normalized_gain(self, z, z_ref) -> float:
+        """Gain relative to a reference information state; zero at z = z_ref."""
+        return self.value(z) - self.value(z_ref)
+
     def flow(self, value, grad, rate, h: float, work=None):
-        """Closed-form flow, in place on packed entries as in
-        TerminalMetric.flow: the accumulated matrix advances linearly, the
+        """Advance the pointwise accumulation (value, gradient) by h at a
+        fixed information rate Q, in place: the solution of
+        d(value)/ds = <vec(Q), grad>, d(grad)/ds = the z-derivative of that
+        gain rate, expressed through grad (curvature_contraction).
+
+        grad and rate hold the packed entries (sym_pack) of the symmetric
+        gradient matrix and of Q on their last axis; value has their leading
+        shape. Any strides will do, e.g. (..., k) views of a component-major
+        stack. The new value and gradient are written into value and grad,
+        which are returned. work is optional scratch of shape (r,) +
+        value.shape with r >= FLOW_WORK for a kernel to compute in: a march
+        that passes the same one every step allocates nothing per step.
+
+        The flow is closed-form: the accumulated matrix advances linearly, the
         value picks up the exact logdet increment, and the gradient is the
         exact gradient of the advanced matrix.
 

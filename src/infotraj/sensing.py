@@ -91,23 +91,24 @@ def _doppler_geometry(sensor: "DopplerSensor", x, theta):
     return x, dx, dy, dist
 
 
-def doppler_mean(sensor: "DopplerSensor", x, speed: float, theta) -> np.ndarray:
-    """Doppler shift (Hz) seen at vehicle state x for a target at theta.
+def doppler_mean(sensor: "DopplerSensor", x, theta) -> np.ndarray:
+    """Doppler shift (Hz) seen at vehicle state x, flying at sensor.speed,
+    for a target at theta.
 
     Closing-rate convention: the shift is frequency_scale times the negative
     range rate, so an approaching target reads positive and the magnitude is
-    bounded by frequency_scale * speed.
+    bounded by frequency_scale * sensor.speed.
     """
     x, dx, dy, dist = _doppler_geometry(sensor, x, theta)
-    vel_along = speed * (np.cos(x[..., 2]) * dx + np.sin(x[..., 2]) * dy)
+    vel_along = sensor.speed * (np.cos(x[..., 2]) * dx + np.sin(x[..., 2]) * dy)
     return -sensor.frequency_scale * vel_along / dist
 
 
-def doppler_jacobian(sensor: "DopplerSensor", x, speed: float, theta) -> np.ndarray:
+def doppler_jacobian(sensor: "DopplerSensor", x, theta) -> np.ndarray:
     """Analytic d(doppler_mean)/d(theta), shape (..., 1, 2)."""
     x, dx, dy, dist = _doppler_geometry(sensor, x, theta)
-    vx = speed * np.cos(x[..., 2])
-    vy = speed * np.sin(x[..., 2])
+    vx = sensor.speed * np.cos(x[..., 2])
+    vy = sensor.speed * np.sin(x[..., 2])
     v_dot_r = vx * dx + vy * dy
     dist3 = dist**3
     scale = sensor.frequency_scale
@@ -153,14 +154,14 @@ class DopplerSensor(Sensor):
         return np.array([[self.noise_std**2]])
 
     def mean(self, x, theta):
-        return doppler_mean(self, x, self.speed, theta)[..., None]
+        return doppler_mean(self, x, theta)[..., None]
 
     def jacobian(self, x, theta):
-        return doppler_jacobian(self, x, self.speed, theta)
+        return doppler_jacobian(self, x, theta)
 
 
-# defaults of the Taylor expectation: the finite-difference step of the
-# elementwise Hessians (meters) and the clipping tolerance on eigenvalues
+# the Taylor expectation's finite-difference step of the elementwise
+# Hessians (meters) and its clipping tolerance on eigenvalues
 HESSIAN_STEP = 1e-2
 INDEFINITE_TOL = 1e-8
 # relative margin of the 2x2 definiteness screen: a row whose closed-form
@@ -171,22 +172,23 @@ _SCREEN_MARGIN = 1e-8
 
 class _Stencil(NamedTuple):
     """Target parameters at which the Taylor correction evaluates the
-    conditional information: the prior mean, +-step along each axis, then the
-    four corners (++, +-, -+, --) of each nonzero covariance cross term."""
+    conditional information: the prior mean, +-HESSIAN_STEP along each axis,
+    then the four corners (++, +-, -+, --) of each nonzero covariance cross
+    term."""
 
     thetas: np.ndarray  # (n, p)
     cross_pairs: tuple  # (k, l), k < l, with sigma[k, l] != 0
-    step: float
 
 
-def _taylor_stencil(prior: GaussianPrior, h: float) -> Optional[_Stencil]:
-    """The stencil of the prior for step h; None for a zero covariance, where
-    the expectation is the conditional value at the mean."""
+def _taylor_stencil(prior: GaussianPrior) -> Optional[_Stencil]:
+    """The stencil of the prior for step HESSIAN_STEP; None for a zero
+    covariance, where the expectation is the conditional value at the mean."""
     theta0 = prior.mean
     sigma = prior.covariance
     if not np.any(sigma):
         return None
     p = prior.dim
+    h = HESSIAN_STEP
     stencil = [theta0]
     for k in range(p):
         ek = np.zeros(p)
@@ -205,7 +207,7 @@ def _taylor_stencil(prior: GaussianPrior, h: float) -> Optional[_Stencil]:
         stencil.append(theta0 + ek - el)
         stencil.append(theta0 - ek + el)
         stencil.append(theta0 - ek - el)
-    return _Stencil(np.asarray(stencil), cross_pairs, h)
+    return _Stencil(np.asarray(stencil), cross_pairs)
 
 
 def _noise_information(sensor: Sensor) -> np.ndarray:
@@ -234,12 +236,12 @@ def conditional_fim(sensor: Sensor, x, theta) -> np.ndarray:
     return _conditional_fim(sensor, x, theta, _noise_information(sensor))
 
 
-def _clip_or_fall_back(out: np.ndarray, center: np.ndarray, indefinite_tol: float) -> np.ndarray:
+def _clip_or_fall_back(out: np.ndarray, center: np.ndarray) -> np.ndarray:
     """Repair Taylor-corrected matrices by eigh: eigenvalues in
-    [-indefinite_tol, 0) are clipped to zero; a more negative one warns and
+    [-INDEFINITE_TOL, 0) are clipped to zero; a more negative one warns and
     falls back to the conditional value at the mean (center)."""
     eigvals, eigvecs = np.linalg.eigh(out)
-    broken = eigvals[..., 0] < -indefinite_tol
+    broken = eigvals[..., 0] < -INDEFINITE_TOL
     if np.any(broken):
         count = int(np.count_nonzero(broken))
         warnings.warn(
@@ -267,7 +269,6 @@ def _expected_fim(
     prior: GaussianPrior,
     stencil: Optional[_Stencil],
     info: np.ndarray,
-    indefinite_tol: float,
 ) -> np.ndarray:
     """expected_fim with the stencil and the noise information given."""
     x = np.asarray(x, dtype=float)
@@ -275,7 +276,7 @@ def _expected_fim(
         return _conditional_fim(sensor, x, prior.mean, info)
     sigma = prior.covariance
     p = prior.dim
-    h2 = stencil.step**2
+    h2 = HESSIAN_STEP**2
     q_all = _conditional_fim(sensor, x[..., None, :], stencil.thetas, info)
     center = q_all[..., 0, :, :]
     correction = np.zeros_like(center)
@@ -294,7 +295,7 @@ def _expected_fim(
     out = center + correction
     out = 0.5 * (out + np.swapaxes(out, -1, -2))
     if p != 2:
-        return _clip_or_fall_back(out, center, indefinite_tol)
+        return _clip_or_fall_back(out, center)
 
     # 2x2 screen: only rows that are not clearly positive definite (and rows
     # with NaNs) go through the eigh repair, which leaves the others unchanged
@@ -304,39 +305,26 @@ def _expected_fim(
     lam_min = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
     suspect = ~(lam_min > _SCREEN_MARGIN * np.abs(a + c))
     if np.any(suspect):
-        out[suspect] = _clip_or_fall_back(out[suspect], center[suspect], indefinite_tol)
+        out[suspect] = _clip_or_fall_back(out[suspect], center[suspect])
     return out
 
 
-def expected_fim(
-    sensor: Sensor,
-    x,
-    prior: GaussianPrior,
-    hessian_step: float = HESSIAN_STEP,
-    indefinite_tol: float = INDEFINITE_TOL,
-) -> np.ndarray:
+def expected_fim(sensor: Sensor, x, prior: GaussianPrior) -> np.ndarray:
     """Expectation of the conditional information matrix over the target prior.
 
     Second-order Taylor correction around the prior mean:
         E[Q_ij] ~= Q_ij(mean) + 0.5 * tr(Sigma H_ij(mean)),
     with the elementwise Hessians H_ij formed by nested central differences of
-    step hessian_step (meters). Exact when Q is at most quadratic in theta.
+    step HESSIAN_STEP (meters). Exact when Q is at most quadratic in theta.
 
     The correction can leave the result slightly indefinite: eigenvalues in
-    [-indefinite_tol, 0) are clipped to zero; anything more negative triggers
+    [-INDEFINITE_TOL, 0) are clipped to zero; anything more negative triggers
     a breakdown warning and a fallback to the conditional value at the mean.
     For p = 2 a closed-form smallest eigenvalue screens the rows first, and
     only those that are not clearly positive definite are decomposed.
     """
     _check_theta_dim(sensor, prior)
-    return _expected_fim(
-        sensor,
-        x,
-        prior,
-        _taylor_stencil(prior, hessian_step),
-        _noise_information(sensor),
-        indefinite_tol,
-    )
+    return _expected_fim(sensor, x, prior, _taylor_stencil(prior), _noise_information(sensor))
 
 
 def prior_fim(prior: GaussianPrior) -> np.ndarray:
@@ -356,7 +344,7 @@ def suite_plan(sensors, prior: GaussianPrior) -> tuple:
     if len(dims) != 1:
         raise DimensionError(f"sensors disagree on target dimension: {sorted(dims)}")
     _check_theta_dim(sensors[0], prior)
-    stencil = _taylor_stencil(prior, HESSIAN_STEP)
+    stencil = _taylor_stencil(prior)
     return stencil, [_noise_information(s) for s in sensors]
 
 
@@ -368,7 +356,7 @@ def suite_fim(sensors, x, prior: GaussianPrior, plan: Optional[tuple] = None) ->
     stencil, infos = suite_plan(sensors, prior) if plan is None else plan
     total = None
     for sensor, info in zip(sensors, infos):
-        term = sensor.rate * _expected_fim(sensor, x, prior, stencil, info, INDEFINITE_TOL)
+        term = sensor.rate * _expected_fim(sensor, x, prior, stencil, info)
         total = term if total is None else total + term
     return total
 

@@ -38,9 +38,11 @@ from infotraj.hjsolver import (
     info_rate_on_grid,
 )
 from infotraj import hjsolver as _hjsolver
-from infotraj.matrixcore import LogDetMetric, TerminalMetric
+from infotraj.matrixcore import LogDetMetric
 
 HYSTERESIS_BAND = 1e-9
+# the z0 perturbation of gradient_consistency_check's central differences
+CONSISTENCY_DELTA = 1e-5
 
 
 class BoundaryExitError(RuntimeError):
@@ -80,7 +82,7 @@ def _info_rate_and_jacobian(system: CascadeSystem, x: np.ndarray, steps: np.ndar
 def extract_characteristic(
     solution: HybridSolution,
     system: CascadeSystem,
-    metric: TerminalMetric,
+    metric: LogDetMetric,
     x0: State,
     dt: float,
     duration: Optional[float] = None,
@@ -175,7 +177,7 @@ def extract_characteristic(
 def extract_receding(
     solution: HybridSolution,
     system: CascadeSystem,
-    metric: TerminalMetric,
+    metric: LogDetMetric,
     x0: State,
     legs: int,
     dt: float,
@@ -344,7 +346,7 @@ def _simulate_control_batch(
 
 def brute_force_value(
     system: CascadeSystem,
-    metric: TerminalMetric,
+    metric: LogDetMetric,
     x0: State,
     z0: np.ndarray,
     horizon: float,
@@ -405,22 +407,19 @@ class ValidationReport:
 
 def gradient_consistency_check(
     system: CascadeSystem,
-    metric: TerminalMetric,
+    metric: LogDetMetric,
     grid: GridSpec,
     z0: np.ndarray,
     config: SolverConfig,
-    delta: float = 1e-5,
     interior_margin: int = 2,
-    info_rate_field: Optional[np.ndarray] = None,
 ) -> dict:
     """Compare the gradient field against central differences of re-solves.
 
     This is the executable form of the grid-free gradient construction: the
     field co-evolved by the solver must match the sensitivity of the value
-    approximation to the initial information state.
+    approximation to the initial information state, at z0 +- CONSISTENCY_DELTA.
     """
-    if info_rate_field is None:
-        info_rate_field = info_rate_on_grid(system, grid)
+    info_rate_field = info_rate_on_grid(system, grid)
 
     def final_solve(z):
         return hybrid_solve(system, metric, grid, z, config, info_rate_field=info_rate_field)
@@ -431,9 +430,9 @@ def gradient_consistency_check(
     for j in range(m):
         zp = z0.copy()
         zm = z0.copy()
-        zp[j] += delta
-        zm[j] -= delta
-        fd[..., j] = (final_solve(zp).phi - final_solve(zm).phi) / (2.0 * delta)
+        zp[j] += CONSISTENCY_DELTA
+        zm[j] -= CONSISTENCY_DELTA
+        fd[..., j] = (final_solve(zp).phi - final_solve(zm).phi) / (2.0 * CONSISTENCY_DELTA)
     rel = np.linalg.norm(sol.phi_z - fd, axis=-1) / np.maximum(
         np.linalg.norm(fd, axis=-1), 1e-300
     )

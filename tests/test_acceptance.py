@@ -148,8 +148,8 @@ def test_criterion_4_gaussian_information_vs_monte_carlo():
     )
     x = np.array([120.0, -80.0, 0.9])
     theta = np.array([10.0, -5.0])
-    mu = doppler_mean(sensor, x, sensor.speed, theta)
-    jac = doppler_jacobian(sensor, x, sensor.speed, theta)[0]
+    mu = doppler_mean(sensor, x, theta)
+    jac = doppler_jacobian(sensor, x, theta)[0]
     draws = mu + sensor.noise_std * rng.standard_normal(100_000)
     scores = ((draws - mu) / sensor.noise_std**2)[:, None] * jac
     fim_mc = scores.T @ scores / draws.size

@@ -28,7 +28,7 @@ from infotraj.cli import (
 from infotraj.dynamics import Trajectory, trajectory_to_csv
 from infotraj.hjsolver import InstabilityError, hybrid_solve, load_solution
 from infotraj.matrixcore import LogDetMetric
-from infotraj.trajectories import extract_receding
+from infotraj.trajectories import extract_characteristic, extract_receding
 
 REPO = Path(__file__).resolve().parents[1]
 FIG2 = REPO / "scenarios" / "doppler_single_path.json"
@@ -128,7 +128,7 @@ FIG2_NUMERIC_FIELDS = list(numeric_fields(json.loads(FIG2.read_text())))
 BAD_NUMBERS = [-1, 0, math.nan, math.inf, "x", None]
 # fields an older scenario may still carry; whatever their value, they are
 # refused by name
-REMOVED_FIELDS = [("seed",), ("solver", "snapshot_stride")]
+REMOVED_FIELDS = [("seed",), ("solver", "snapshot_stride"), ("extraction", "mode")]
 
 
 class TestScenarioFieldMutations:
@@ -166,15 +166,22 @@ class TestScenarioFieldMutations:
             ("extraction", "legs", 2.5),
             # horizon_s / dt_s overflows to inf
             ("extraction", "dt_s", 1e-320),
+            # finite, but far more than MAX_RK4_STEPS steps
+            ("extraction", "dt_s", 1e-300),
+            ("extraction", "dt_s", 1e-6),
+            # the sensor in the target plane meets the prior mean at node (0, 0)
+            ("sensors[0]", "altitude_m", 0.0),
         ],
     )
     def test_solve_exits_2_naming_the_field(self, tmp_path, capsys, section, key, value):
         data = json.loads(FIG2.read_text())
-        data[section][key] = value
+        target = data["sensors"][0] if section == "sensors[0]" else data[section]
+        target[key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-        assert f"{section}.{key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{section}.{key}" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
 
@@ -465,7 +472,7 @@ class TestOutputPaths:
         def no_extract(*args, **kwargs):
             raise AssertionError("reached the extraction")
 
-        monkeypatch.setattr(infotraj.cli, "extract_characteristic", no_extract)
+        monkeypatch.setattr(infotraj.cli, "extract_receding", no_extract)
         _, _, sol_dir = pipeline
         taken = tmp_path / "taken"
         taken.write_text("keep")
@@ -482,7 +489,7 @@ class TestOutputPaths:
         monkeypatch.setattr(infotraj.cli, "run_validation_suite", no_run)
         report = tmp_path / "missing" / "report.json" if where == "missing_dir" else tmp_path
         suite = tmp_path / "suite.json"
-        suite.write_text(json.dumps({"toy_dx": 0.05, "report": str(report)}))
+        suite.write_text(json.dumps({"report": str(report)}))
         assert main(["validate", "--suite", str(suite)]) == 2
         err = capsys.readouterr().err
         assert str(report) in err and "report" in err and "Traceback" not in err
@@ -573,7 +580,7 @@ class TestRecedingExtract:
         data = small_scenario_dict()
         data["grid"].update({"nx": 17, "ny": 17, "x_extent_m": [-800.0, 800.0],
                              "y_extent_m": [-800.0, 800.0]})
-        data["extraction"].update({"mode": "receding", "legs": 2})
+        data["extraction"]["legs"] = 2
         data["initial_states"] = [[50.0, -36.6, -math.pi], [-200.0, 100.0, 0.5]]
         scenario = scenario_from_dict(data)
         sol_dir = tmp_path / "solution"
@@ -602,6 +609,31 @@ class TestRecedingExtract:
             direct = tmp_path / f"direct_{entry['file']}"
             trajectory_to_csv(traj, direct, metric)
             assert (tmp_path / "out" / entry["file"]).read_bytes() == direct.read_bytes()
+
+
+    def test_one_leg_csv_equals_the_characteristic_extraction(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        _, scenario, sol_dir = pipeline
+        assert scenario.extraction_legs == 1
+
+        def no_field(*args, **kwargs):
+            raise AssertionError("one leg re-solves nothing and needs no rate field")
+
+        monkeypatch.setattr(infotraj.cli, "info_rate_on_grid", no_field)
+        summary = cmd_extract(sol_dir, tmp_path / "out", scenario=scenario)
+        monkeypatch.undo()
+        metric = LogDetMetric(2)
+        start = scenario.initial_states[0]
+        traj = extract_characteristic(
+            load_solution(sol_dir), scenario.build_system(), metric, start, scenario.extraction_dt
+        )
+        direct = tmp_path / "direct.csv"
+        trajectory_to_csv(traj, direct, metric)
+        entry = summary["trajectories"][0]
+        assert (tmp_path / "out" / entry["file"]).read_bytes() == direct.read_bytes()
+        assert entry["cost"] == traj.terminal_cost
+        assert entry["residuals"] == traj.residuals
 
 
 class TestRenderSvg:
@@ -646,36 +678,20 @@ class TestRenderSvg:
 
 class TestValidationSuite:
     def test_toy_only_suite_passes(self):
-        report = run_validation_suite(suite_from_dict({"toy_dx": 0.05, "toy_gradient_dx": 0.025}))
+        report = run_validation_suite(suite_from_dict({}))
         assert report.passed
 
     def test_tightened_thresholds_flip_to_failure(self):
-        report = run_validation_suite(
-            suite_from_dict(
-                {
-                    "toy_dx": 0.05,
-                    "toy_gradient_dx": 0.025,
-                    "thresholds": {"toy_max_diff": 1e-6},
-                }
-            )
-        )
+        report = run_validation_suite(suite_from_dict({"thresholds": {"toy_max_diff": 1e-6}}))
         assert not report.passed
         assert "toy_hybrid_vs_classic" in report.violations
 
     def test_validate_exit_codes_via_main(self, tmp_path):
         good = tmp_path / "suite_ok.json"
-        good.write_text(json.dumps({"toy_dx": 0.05, "toy_gradient_dx": 0.025}))
+        good.write_text(json.dumps({}))
         assert main(["validate", "--suite", str(good)]) == 0
         tight = tmp_path / "suite_tight.json"
-        tight.write_text(
-            json.dumps(
-                {
-                    "toy_dx": 0.05,
-                    "toy_gradient_dx": 0.025,
-                    "thresholds": {"toy_max_diff": 1e-6},
-                }
-            )
-        )
+        tight.write_text(json.dumps({"thresholds": {"toy_max_diff": 1e-6}}))
         assert main(["validate", "--suite", str(tight)]) == 1
 
     @pytest.mark.parametrize(
@@ -707,6 +723,34 @@ class TestValidationSuite:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
+    # the run settings a suite once carried, with their shipped values: they
+    # are constants of infotraj.cli now
+    @pytest.mark.parametrize(
+        "key,shipped",
+        [
+            ("toy_dx", 0.05),
+            ("toy_gradient_dx", 0.0125),
+            ("survey_gradient_horizon_s", 5.0),
+            ("sandwich", True),
+            ("sandwich_legs", 6),
+            ("sandwich_segments", 6),
+            ("sandwich_sim_dt", 0.2),
+        ],
+    )
+    def test_removed_run_setting_exits_2_naming_it(
+        self, tmp_path, capsys, monkeypatch, key, shipped
+    ):
+        def no_run(suite):
+            raise AssertionError("a suite with a removed setting reached the checks")
+
+        monkeypatch.setattr(infotraj.cli, "run_validation_suite", no_run)
+        path = tmp_path / "suite.json"
+        for value in (shipped, 1, False, "x", None):
+            path.write_text(json.dumps({key: value}))
+            assert main(["validate", "--suite", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert f"unknown field(s) ['{key}']" in err and "Traceback" not in err
+
     def test_shipped_suite_parses_to_its_values(self):
         suite = suite_from_dict(
             json.loads((REPO / "scenarios" / "validate_suite.json").read_text()),
@@ -718,7 +762,7 @@ class TestValidationSuite:
 
     def test_report_path_resolves_against_the_suite_directory(self, tmp_path, monkeypatch):
         (tmp_path / "sub").mkdir()
-        suite = {"toy_dx": 0.05, "toy_gradient_dx": 0.025, "report": "r.json"}
+        suite = {"report": "r.json"}
         (tmp_path / "sub" / "suite.json").write_text(json.dumps(suite))
         monkeypatch.chdir(tmp_path)
         assert main(["validate", "--suite", "sub/suite.json"]) == 0
@@ -738,6 +782,8 @@ class TestValidationSuite:
         from infotraj.hjsolver import InstabilityError
         from infotraj.matrixcore import NotPositiveDefiniteError
         original = hj.lf_rate
+        # without the mutation the toy-only suite passes
+        assert run_validation_suite(ValidationSuite()).passed
 
         def swapped(minus, plus, *args):
             return original(plus, minus, *args)
@@ -745,9 +791,7 @@ class TestValidationSuite:
         # lf_rate serves the hybrid and the classic march alike
         monkeypatch.setattr(hj, "lf_rate", swapped)
         try:
-            report = run_validation_suite(
-                suite_from_dict({"toy_dx": 0.05, "toy_gradient_dx": 0.05})
-            )
+            report = run_validation_suite(ValidationSuite())
             detected = not report.passed
         except (InstabilityError, NotPositiveDefiniteError, FloatingPointError):
             detected = True

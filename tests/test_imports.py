@@ -1,7 +1,8 @@
 """Every top-level import of a library or test module is used by it, each
 module is named by one `from X import` statement per file, the package
-exports exactly what its __init__ imports, and every helper of the package
-(private, or public and not exported) serves the package itself."""
+exports exactly what its __init__ imports, every helper of the package
+(private, or public and not exported) serves the package itself, and every
+parameter default of a package function is overridden by some call."""
 
 import ast
 from collections import Counter
@@ -159,3 +160,68 @@ def test_scan_flags_helpers_only_tests_call():
     assert unreferenced_helpers([library, tests], exported) == []
     # a public function that is neither exported nor read anywhere
     assert unreferenced_helpers([library, tests]) == ["public"]
+
+
+def unoverridden_defaults(sources: list, library_count: int) -> list:
+    """'function(parameter)' for each defaulted parameter of a module-level
+    function of the first library_count sources that no call in any source
+    passes, by keyword or by position; a call with *args or **kwargs passes
+    every parameter."""
+    trees = [ast.parse(source) for source in sources]
+    defaulted = {}  # name -> (positional parameter names, defaulted names)
+    for tree in trees[:library_count]:
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            names = positional[len(positional) - len(args.defaults):] + [
+                a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+            ]
+            if names:
+                defaulted[node.name] = (positional, names)
+    passed = set()
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name not in defaulted:
+                continue
+            positional, names = defaulted[name]
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                k.arg is None for k in call.keywords
+            ):
+                passed.update((name, p) for p in names)
+            passed.update((name, p) for p in positional[: len(call.args)])
+            passed.update((name, k.arg) for k in call.keywords)
+    return [
+        f"{name}({p})"
+        for name, (_, names) in defaulted.items()
+        for p in names
+        if (name, p) not in passed
+    ]
+
+
+def test_every_default_is_overridden_somewhere():
+    sources = [path.read_text(encoding="utf-8") for path in LIBRARY]
+    tests = [path.read_text(encoding="utf-8") for path in sorted((REPO / "tests").glob("*.py"))]
+    assert unoverridden_defaults(sources + tests, len(sources)) == []
+
+
+def test_scan_flags_defaults_no_call_passes():
+    library = (
+        "def solve(grid, steps=10, tol=1e-9, *, width=640, legs=1):\n    return grid\n"
+        "def check(z, delta=1e-5):\n    return z\n"
+        "class Metric:\n    def flow(self, h=0.5):\n        return h\n"
+    )
+    tests = (
+        "from lib import solve, check\n"
+        "solve(1, 20)\nmake().solve(1, legs=2)\ncheck(*[1, 2])\nMetric().flow()\n"
+    )
+    # a method's defaults are not scanned, *args passes everything
+    assert unoverridden_defaults([library, tests], 1) == ["solve(tol)", "solve(width)"]
+    assert unoverridden_defaults([library], 1) == [
+        "solve(steps)", "solve(tol)", "solve(width)", "solve(legs)", "check(delta)",
+    ]

@@ -207,14 +207,14 @@ class TestDopplerMean:
         sen = make_sensor(altitude=1000.0)
         x = np.array([10.0, -5.0, 0.7])
         theta = np.array([10.0, -5.0])
-        assert doppler_mean(sen, x, SPEED, theta) == pytest.approx(0.0, abs=1e-12)
+        assert doppler_mean(sen, x, theta) == pytest.approx(0.0, abs=1e-12)
 
     def test_receding_target_reads_minus_kappa_v(self):
         # flying along +X with the target directly behind at ground level
         sen = make_sensor(altitude=0.0, scale=3.33)
         x = np.array([100.0, 20.0, 0.0])
         theta = np.array([100.0 - 40.0, 20.0])
-        assert doppler_mean(sen, x, SPEED, theta) == pytest.approx(-3.33 * SPEED, rel=1e-12)
+        assert doppler_mean(sen, x, theta) == pytest.approx(-3.33 * SPEED, rel=1e-12)
 
     def test_bounded_and_matches_range_rate(self):
         rng = np.random.default_rng(21)
@@ -222,7 +222,7 @@ class TestDopplerMean:
         for _ in range(50):
             x = np.array([rng.uniform(-500, 500), rng.uniform(-500, 500), rng.uniform(-3, 3)])
             theta = rng.uniform(-50, 50, size=2)
-            shift = doppler_mean(sen, x, SPEED, theta)
+            shift = doppler_mean(sen, x, theta)
             assert abs(shift) <= sen.frequency_scale * SPEED + 1e-9
             # central finite difference of the range along the motion
             dt = 1e-4
@@ -233,17 +233,26 @@ class TestDopplerMean:
             range_rate = (r_plus - r_minus) / (2.0 * dt)
             assert shift == pytest.approx(-sen.frequency_scale * range_rate, rel=1e-6)
 
+    def test_reads_the_sensor_speed(self):
+        x = np.array([120.0, -80.0, 0.9])
+        theta = np.array([10.0, -5.0])
+        fast = make_sensor(speed=2.0 * SPEED)
+        assert doppler_mean(fast, x, theta) == 2.0 * doppler_mean(make_sensor(), x, theta)
+        assert np.array_equal(
+            doppler_jacobian(fast, x, theta), 2.0 * doppler_jacobian(make_sensor(), x, theta)
+        )
+
     def test_coincident_geometry_raises(self):
         sen = make_sensor(altitude=0.0)
         with pytest.raises(GeometryError):
-            doppler_mean(sen, np.array([1.0, 2.0, 0.0]), SPEED, np.array([1.0, 2.0]))
+            doppler_mean(sen, np.array([1.0, 2.0, 0.0]), np.array([1.0, 2.0]))
 
 
 class TestDopplerJacobian:
     def test_cross_track_component_vanishes_above_target(self):
         sen = make_sensor(altitude=1000.0)
         x = np.array([3.0, 4.0, 0.0])  # velocity along +X
-        jac = doppler_jacobian(sen, x, SPEED, np.array([3.0, 4.0]))
+        jac = doppler_jacobian(sen, x, np.array([3.0, 4.0]))
         assert jac.shape == (1, 2)
         assert jac[0, 1] == pytest.approx(0.0, abs=1e-12)
 
@@ -254,21 +263,21 @@ class TestDopplerJacobian:
         for _ in range(50):
             x = np.array([rng.uniform(-500, 500), rng.uniform(-500, 500), rng.uniform(-3, 3)])
             theta = rng.uniform(-50, 50, size=2)
-            jac = doppler_jacobian(sen, x, SPEED, theta)
+            jac = doppler_jacobian(sen, x, theta)
             for j in range(2):
                 dt = np.zeros(2)
                 dt[j] = step
                 fd = (
-                    doppler_mean(sen, x, SPEED, theta + dt)
-                    - doppler_mean(sen, x, SPEED, theta - dt)
+                    doppler_mean(sen, x, theta + dt)
+                    - doppler_mean(sen, x, theta - dt)
                 ) / (2.0 * step)
                 assert jac[0, j] == pytest.approx(fd, rel=1e-6, abs=1e-12)
 
     def test_linear_in_frequency_scale(self):
         x = np.array([30.0, -20.0, 1.0])
         theta = np.array([5.0, 5.0])
-        j1 = doppler_jacobian(make_sensor(scale=3.33), x, SPEED, theta)
-        j2 = doppler_jacobian(make_sensor(scale=6.66), x, SPEED, theta)
+        j1 = doppler_jacobian(make_sensor(scale=3.33), x, theta)
+        j2 = doppler_jacobian(make_sensor(scale=6.66), x, theta)
         assert np.allclose(j2, 2.0 * j1, rtol=1e-15)
 
 
@@ -289,8 +298,8 @@ class TestConditionalFim:
         sen = make_sensor()
         x = np.array([120.0, -80.0, 0.9])
         theta = np.array([10.0, -5.0])
-        mu = doppler_mean(sen, x, SPEED, theta)
-        jac = doppler_jacobian(sen, x, SPEED, theta)[0]
+        mu = doppler_mean(sen, x, theta)
+        jac = doppler_jacobian(sen, x, theta)[0]
         n = 100_000
         y = mu + sen.noise_std * rng.standard_normal(n)
         scores = ((y - mu) / sen.noise_std**2)[:, None] * jac
@@ -425,8 +434,8 @@ class TestKernelAgainstReference:
         repaired = []
         repair = sensing._clip_or_fall_back
 
-        def spy(out, center, tol):
-            fixed = repair(out, center, tol)
+        def spy(out, center):
+            fixed = repair(out, center)
             repaired.append(int(np.count_nonzero(np.any(fixed != out, axis=(-2, -1)))))
             return fixed
 

@@ -680,7 +680,8 @@ def run_with_bad_step(name, overrides, toy_setup):
 
 class TestStepRule:
     """Every integrator cuts its spans with rk4_steps, which refuses a dt
-    that is not a finite positive number or that overflows span / dt, and a
+    that is not a finite positive number or that makes span / dt overflow or
+    exceed MAX_RK4_STEPS, and a
     negative or non-finite span, naming the argument; brute force checks dt
     at zero horizon too."""
 
@@ -705,6 +706,9 @@ class TestStepRule:
             # span / dt overflows
             ("brute_force_value", {"dt": 1e-320}, "dt"),
             ("extract_characteristic", {"dt": 1e-320}, "dt"),
+            # finite, but more than MAX_RK4_STEPS steps: refused before any
+            # record is allocated
+            ("extract_characteristic", {"dt": 1e-300}, "dt"),
             # no step is taken at zero horizon, but dt is still checked
             ("brute_force_value", {"horizon": 0.0, "dt": -1.0}, "dt"),
         ],
