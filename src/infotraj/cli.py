@@ -12,9 +12,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -74,6 +75,15 @@ SURVEY_GRADIENT_HORIZON_S = 5.0
 SANDWICH_LEGS = 6
 SANDWICH_SEGMENTS = 6
 SANDWICH_SIM_DT = 0.2
+
+# the validate suite's gates, in the order run_validation_suite checks them
+TOY_MAX_DIFF = 5e-2
+TOY_RATIO_BAND = (0.4, 0.6)
+GRADIENT_FRACTION = 0.9
+SANDWICH_REL = 0.02
+VALUE_BAND = 0.6
+COSTATE_TERMINAL_RATIO = 1.0
+INFO_COSTATE_GAP_REL = 1.0
 
 
 class ScenarioError(ValueError):
@@ -315,10 +325,12 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
     dt = _positive(ex["dt_s"], f"{where}.extraction.dt_s")
     try:
         # extraction cuts spans of up to horizon_s into steps of at most dt_s
-        rk4_steps(horizon, dt, "solver.horizon_s")
+        steps, _ = rk4_steps(horizon, dt, "solver.horizon_s")
     except ValueError as exc:
         raise ScenarioError(f"{where}.extraction.dt_s: {exc}") from exc
     legs = _positive(ex["legs"], f"{where}.extraction.legs", integer=True)
+    # a leg beyond the extraction's steps would only re-solve for a shorter step
+    _require(legs <= steps, f"{where}.extraction.legs", f"more than the {steps} extraction steps")
 
     _require(isinstance(top["initial_states"], list), f"{where}.initial_states", "expected a list")
     states = [
@@ -366,11 +378,12 @@ def load_scenario(path) -> Scenario:
 
 
 def solution_fingerprints(scenario: Scenario) -> dict:
-    """The sensor-suite hash and the solver config hash that a solution of
-    this scenario carries in its manifest."""
-    suite = json.dumps(scenario.to_dict()["sensors"], sort_keys=True)
+    """The hashes a solution of this scenario carries in its manifest: of the
+    sections the info rate depends on, and of the grid, z0 and solver."""
+    data = scenario.to_dict()
+    model = json.dumps({key: data[key] for key in ("vehicle", "prior", "sensors")}, sort_keys=True)
     return {
-        "sensor_suite_hash": hashlib.sha256(suite.encode()).hexdigest(),
+        "model_hash": hashlib.sha256(model.encode()).hexdigest(),
         "config_hash": config_fingerprint(
             scenario.grid(), scenario.initial_information(), scenario.solver
         ),
@@ -409,9 +422,13 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
     """Extract trajectories from a stored solution; one CSV per initial state.
 
     The scenario (by default the solution's own scenario.json) must carry the
-    sensor-suite and config hashes of the solution's manifest. Each start is
+    model and config hashes of the solution's manifest. Each start is
     extracted in the scenario's extraction_legs receding legs; one leg is the
     characteristic extraction from the stored solution.
+    The CSVs and summary of an earlier run are removed first, and the
+    summary is written last. A start that leaves the grid raises
+    BoundaryExitError naming its index and (X, Y, psi); the CSVs before it
+    stay, and no later start runs.
     """
     if scenario is None:
         path = os.path.join(str(solution_dir), "scenario.json")
@@ -433,6 +450,11 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
     system = scenario.build_system()
     metric = LogDetMetric(scenario.prior().dim)
     _make_output_dir(out_dir)
+    earlier = re.compile(r"trajectory_.*\.csv|extraction_summary\.json")
+    for name in os.listdir(out_dir):
+        path = os.path.join(out_dir, name)
+        if earlier.fullmatch(name) and os.path.isfile(path):
+            os.remove(path)
 
     legs = scenario.extraction_legs
     # the re-solves of every start share one information-rate field
@@ -440,10 +462,14 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
 
     summary = {"trajectories": []}
     for idx, start in enumerate(starts):
-        traj = extract_receding(
-            solution, system, metric, start, legs=legs, dt=scenario.extraction_dt,
-            info_rate_field=ell,
-        )
+        try:
+            traj = extract_receding(
+                solution, system, metric, start, legs=legs, dt=scenario.extraction_dt,
+                info_rate_field=ell,
+            )
+        except BoundaryExitError as exc:
+            where = f"start {idx} at (X, Y, psi) = ({start.x!r}, {start.y!r}, {start.psi!r})"
+            raise BoundaryExitError(f"{where}: {exc}", exc.trajectory) from exc
         name = f"trajectory_{idx:03d}.csv"
         trajectory_to_csv(traj, os.path.join(out_dir, name), metric)
         entry = {
@@ -546,52 +572,24 @@ def cmd_plot(in_dir, out_file, scenario: Optional[Scenario] = None) -> None:
 
 @dataclass(frozen=True)
 class ValidationSuite:
-    """What the oracle suite checks and against which thresholds
-    (suite_from_dict reads them from a suite file). scenario, when given,
-    adds the survey gradient check and the sandwich."""
+    """What the oracle suite checks (suite_from_dict reads it from a suite
+    file). scenario, when given, adds the survey gradient check and the
+    sandwich. How the checks run and their gates are constants of this
+    module."""
 
     scenario: Optional[Scenario] = None
     report: str = ""  # path the report is written to; empty: not written
-    toy_max_diff: float = 5e-2
-    toy_ratio_band: tuple = (0.4, 0.6)
-    gradient_fraction: float = 0.9
-    sandwich_rel: float = 0.02
-    value_band: float = 0.6
-    costate_terminal_ratio: float = 1.0
-    info_costate_gap_rel: float = 1.0
-
-
-# the suite file's "thresholds" object: the last fields of ValidationSuite
-_THRESHOLDS = (
-    "toy_max_diff", "toy_ratio_band", "gradient_fraction", "sandwich_rel", "value_band",
-    "costate_terminal_ratio", "info_costate_gap_rel",
-)
 
 
 def suite_from_dict(data: dict, where: str = "suite", base_dir: str = ".") -> ValidationSuite:
-    """Parse a validate suite: scenario, report and thresholds, each optional,
-    with the defaults of ValidationSuite. scenario and report are paths
+    """Parse a validate suite: scenario and report, each optional, paths
     relative to base_dir (the suite file's directory); scenario is loaded
-    here. An unknown field (the run settings are constants of this module)
-    or a bad value raises ScenarioError naming it."""
-    defaults = asdict(ValidationSuite())
-    defaults["toy_ratio_band"] = list(defaults["toy_ratio_band"])
-    top = _take(data, where, {"scenario": "", "report": "", "thresholds": {}})
-    limits = _take(
-        top.pop("thresholds"), f"{where}.thresholds", {key: defaults[key] for key in _THRESHOLDS}
-    )
-    values = dict(top, **limits)
+    here. An unknown field (the run settings and the gates, "thresholds",
+    are constants of this module) or a bad value raises ScenarioError
+    naming it."""
+    values = _take(data, where, {"scenario": "", "report": ""})
     for key in ("scenario", "report"):
         _require(isinstance(values[key], str), f"{where}.{key}", "expected a file path")
-    for key, value in limits.items():
-        where_key = f"{where}.thresholds.{key}"
-        if key == "toy_ratio_band":
-            lo, hi = _numbers(value, where_key, 2)
-            _require(lo <= hi, where_key, "expected [lo, hi] with lo <= hi")
-            values[key] = (lo, hi)
-        else:
-            values[key] = _number(value, where_key)
-            _require(values[key] >= 0, where_key, "must be nonnegative")
     path = values["scenario"]
     values["scenario"] = load_scenario(os.path.join(base_dir, path)) if path else None
     if values["report"]:
@@ -607,11 +605,11 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
     cross = toy_hybrid_vs_classic(TOY_DX)
     report.add(
         "toy_hybrid_vs_classic",
-        cross["max_diff"] <= suite.toy_max_diff,
+        cross["max_diff"] <= TOY_MAX_DIFF,
         **cross,
-        limit=suite.toy_max_diff,
+        limit=TOY_MAX_DIFF,
     )
-    lo, hi = suite.toy_ratio_band
+    lo, hi = TOY_RATIO_BAND
     report.add("toy_refinement_halves", lo <= cross["ratio"] <= hi, ratio=cross["ratio"], band=[lo, hi])
 
     toy = ToyCascade()
@@ -623,9 +621,9 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
     )
     report.add(
         "toy_gradient_consistency",
-        out["fraction_within_1e2"] >= suite.gradient_fraction,
+        out["fraction_within_1e2"] >= GRADIENT_FRACTION,
         **out,
-        limit=suite.gradient_fraction,
+        limit=GRADIENT_FRACTION,
     )
 
     scenario = suite.scenario
@@ -644,10 +642,10 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
         )
         report.add(
             "survey_gradient_consistency",
-            out["fraction_within_1e2"] >= suite.gradient_fraction,
+            out["fraction_within_1e2"] >= GRADIENT_FRACTION,
             **out,
             horizon_s=SURVEY_GRADIENT_HORIZON_S,
-            limit=suite.gradient_fraction,
+            limit=GRADIENT_FRACTION,
         )
 
         grid = scenario.grid()
@@ -664,7 +662,7 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
             system, metric, x0, z0, scenario.solver.horizon,
             segments=SANDWICH_SEGMENTS, dt=SANDWICH_SIM_DT,
         )
-        tol = suite.sandwich_rel * abs(bf_cost)
+        tol = SANDWICH_REL * abs(bf_cost)
         report.add(
             "optimality_sandwich",
             best.terminal_cost <= bf_cost + tol,
@@ -673,7 +671,7 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
             tolerance=tol,
         )
         phi_x0 = float(interpolate(solution.phi, grid, x0.as_array()))
-        band = suite.value_band
+        band = VALUE_BAND
         report.add(
             "value_consistency_band",
             abs(best.terminal_cost - phi_x0) <= band and bf_cost >= phi_x0 - band,
@@ -687,8 +685,8 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
         )
         report.add(
             "characteristic_residuals",
-            ratio <= suite.costate_terminal_ratio
-            and char.residuals["info_costate_gap_rel"] <= suite.info_costate_gap_rel,
+            ratio <= COSTATE_TERMINAL_RATIO
+            and char.residuals["info_costate_gap_rel"] <= INFO_COSTATE_GAP_REL,
             costate_ratio=ratio,
             info_costate_gap_rel=char.residuals["info_costate_gap_rel"],
         )

@@ -38,6 +38,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import time as _time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -60,6 +61,8 @@ FIELD_CHUNK_ROWS = 4096
 # the files of a stored solution's final fields, the one entry of its
 # manifest's "snapshots" list
 FINAL_FILES = {"phi": "phi.bin", "phi_z": "phiz.bin"}
+# the numbered snapshot files that older versions of solve_to_disk wrote
+OLD_SNAPSHOT_FILE = re.compile(r"phiz?_[0-9]{4,}\.bin")
 
 
 class InstabilityError(RuntimeError):
@@ -277,18 +280,23 @@ def solve_to_disk(
     manifest's "snapshots" list). Binary layout: float64 little-endian,
     row-major in (iX, iY, ipsi[, j]) order. Any manifest.json already in
     out_dir is removed before the solve and the new one is written last, so
-    a failed or half-overwritten directory never loads as a solution. Wall-clock
+    a failed or half-overwritten directory never loads as a solution; so are
+    the numbered snapshots (OLD_SNAPSHOT_FILE) an older version wrote. Wall-clock
     timings (total and per-phase seconds) and the step count go to a
     separate timings.json so that repeated runs with the same configuration
     produce byte-identical manifests and fields. The manifest's config_hash
     is config_fingerprint(grid, z0, config), which load_solution checks.
-    extras (e.g. a sensor-suite hash) are merged into the manifest. Returns
+    extras (e.g. a model hash) are merged into the manifest. Returns
     the solution.
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
     if os.path.lexists(manifest_path):
         os.remove(manifest_path)
+    for name in os.listdir(out_dir):
+        path = os.path.join(out_dir, name)
+        if OLD_SNAPSHOT_FILE.fullmatch(name) and os.path.isfile(path):
+            os.remove(path)
     solution = hybrid_solve(system, metric, grid, z0, config)
     save_array(os.path.join(out_dir, FINAL_FILES["phi"]), solution.phi)
     save_array(os.path.join(out_dir, FINAL_FILES["phi_z"]), solution.phi_z)
@@ -318,7 +326,7 @@ def load_solution(in_dir, extras: Optional[dict] = None) -> HybridSolution:
     snapshots list other than [FINAL_FILES] (so both files lie in in_dir),
     a file of the wrong size, a config_hash other than config_fingerprint
     of the manifest's grid, z0 and config, a manifest entry other than the
-    value extras gives for it (the sensor_suite_hash and config_hash that
+    value extras gives for it (the model_hash and config_hash that
     solve_to_disk's extras wrote), and a field with a NaN or an infinity
     (the march never writes one). A directory without manifest.json is not
     a solution.
@@ -496,9 +504,7 @@ def hybrid_solve(
       * initial data phi = G(z0) and the packed G_z(z0), uniformly over the
         grid. Each off-diagonal pair of G_z(z0) is averaged, which is exact
         when the pair is equal (a diagonal z0; the inverse of another
-        symmetric z0 may differ in its last bit), and a coordinate-probed
-        z0 (slightly asymmetric) starts from the symmetric part of its
-        gradient.
+        symmetric z0 may differ in its last bit).
 
     The solution holds the final fields at config.horizon, and nothing of
     the march before it: phi uncopied, and Phi in the (..., p**2) vec
@@ -516,8 +522,8 @@ def hybrid_solve(
     z0 = np.asarray(z0, dtype=float)
     if z0.shape != (system.info_len,):
         raise ValueError(f"z0 must have length {system.info_len}")
-    # the initial data G(z0), G_z(z0) must exist; the metric enforces
-    # positivity (coordinate-wise probes of z0 may be slightly asymmetric)
+    # the initial data G(z0), G_z(z0) must exist: the metric refuses a z0
+    # that is not symmetric positive definite
     metric.value(z0)
 
     t_start = _time.perf_counter()

@@ -38,7 +38,7 @@ from infotraj.hjsolver import (
     info_rate_on_grid,
 )
 from infotraj import hjsolver as _hjsolver
-from infotraj.matrixcore import LogDetMetric
+from infotraj.matrixcore import LogDetMetric, sym_pack, sym_unpack, unvec, vec
 
 HYSTERESIS_BAND = 1e-9
 # the z0 perturbation of gradient_consistency_check's central differences
@@ -417,23 +417,26 @@ def gradient_consistency_check(
 
     This is the executable form of the grid-free gradient construction: the
     field co-evolved by the solver must match the sensitivity of the value
-    approximation to the initial information state, at z0 +- CONSISTENCY_DELTA.
+    approximation to the initial information state. Every probe keeps Z
+    symmetric: one per packed entry (sym_pack order), Z_jj +- CONSISTENCY_DELTA
+    or Z_jk and Z_kj +- CONSISTENCY_DELTA / 2 each, so each central
+    difference estimates that packed entry of Phi (1 + p (p + 1) solves).
     """
     info_rate_field = info_rate_on_grid(system, grid)
 
     def final_solve(z):
         return hybrid_solve(system, metric, grid, z, config, info_rate_field=info_rate_field)
 
-    sol = final_solve(z0)
-    m = system.info_len
-    fd = np.empty(grid.shape + (m,))
-    for j in range(m):
-        zp = z0.copy()
-        zm = z0.copy()
-        zp[j] += CONSISTENCY_DELTA
-        zm[j] -= CONSISTENCY_DELTA
-        fd[..., j] = (final_solve(zp).phi - final_solve(zm).phi) / (2.0 * CONSISTENCY_DELTA)
-    rel = np.linalg.norm(sol.phi_z - fd, axis=-1) / np.maximum(
+    phi_z = sym_pack(unvec(final_solve(z0).phi_z))
+    fd = np.empty_like(phi_z)
+    for j, unit in enumerate(np.eye(phi_z.shape[-1])):
+        # 1 at the packed entry and at its mirror, scaled to sum to delta
+        step = vec(sym_unpack(unit))
+        step *= CONSISTENCY_DELTA / step.sum()
+        fd[..., j] = (final_solve(z0 + step).phi - final_solve(z0 - step).phi) / (
+            2.0 * CONSISTENCY_DELTA
+        )
+    rel = np.linalg.norm(phi_z - fd, axis=-1) / np.maximum(
         np.linalg.norm(fd, axis=-1), 1e-300
     )
     interior = np.ones(grid.shape, dtype=bool)

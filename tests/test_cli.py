@@ -171,6 +171,10 @@ class TestScenarioFieldMutations:
             ("extraction", "dt_s", 1e-6),
             # the sensor in the target plane meets the prior mean at node (0, 0)
             ("sensors[0]", "altitude_m", 0.0),
+            # more legs than the 1,200 extraction steps (60 s / 0.05 s),
+            # refused before any leg runs
+            ("extraction", "legs", 1201),
+            ("extraction", "legs", 10**6),
         ],
     )
     def test_solve_exits_2_naming_the_field(self, tmp_path, capsys, section, key, value):
@@ -183,6 +187,11 @@ class TestScenarioFieldMutations:
         err = capsys.readouterr().err
         assert f"{section}.{key}" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_one_leg_per_extraction_step_loads(self):
+        data = json.loads(FIG2.read_text())
+        data["extraction"]["legs"] = 1200
+        assert scenario_from_dict(data).extraction_legs == 1200
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +272,37 @@ class TestSolveExtractPlot:
         svg = tmp_path / "fan.svg"
         cmd_plot(out, svg, scenario=fan)
         assert svg.read_text().count("<polyline") == 3
+
+    def test_extract_removes_the_csvs_of_an_earlier_run(self, pipeline, tmp_path):
+        root, scenario, sol_dir = pipeline
+        fan = scenario_from_dict(
+            {**scenario.to_dict(), "initial_states": [[0.0, -30.0, 0.5], [0.0, 0.0, 0.5]] * 2}
+        )
+        out = tmp_path / "out"
+        assert len(cmd_extract(sol_dir, out, scenario=fan)["trajectories"]) == 4
+        summary = cmd_extract(sol_dir, out, scenario=scenario)
+        assert len(summary["trajectories"]) == 1
+        assert sorted(os.listdir(out)) == ["extraction_summary.json", "trajectory_000.csv"]
+        cmd_plot(out, tmp_path / "f.svg", scenario=scenario)
+        assert (tmp_path / "f.svg").read_text().count("<polyline") == 1
+        # a directory is no earlier run's CSV: it stays
+        (out / "trajectory_009.csv").mkdir()
+        cmd_extract(sol_dir, out, scenario=scenario)
+        assert (out / "trajectory_009.csv").is_dir()
+
+    def test_start_that_leaves_the_grid_is_named(self, pipeline, tmp_path, capsys):
+        # the second of three starts heads out of the 800 m grid; the run
+        # stops there: the first CSV stays, the third start never runs and
+        # no summary is written
+        _, _, sol_dir = pipeline
+        out = tmp_path / "o"
+        argv = ["extract", "--solution", str(sol_dir), "--out", str(out)]
+        starts = ["--x0", "0,0,0", "--x0", "390,0,0", "--x0", "0,10,0"]
+        assert main(argv + starts) == 2
+        err = capsys.readouterr().err
+        assert "start 1 at (X, Y, psi) = (390.0, 0.0, 0.0): trajectory left the grid" in err
+        assert "Traceback" not in err
+        assert sorted(os.listdir(out)) == ["trajectory_000.csv"]
 
     def test_cli_entrypoint_exit_codes(self, pipeline, tmp_path, capsys):
         root, scenario, sol_dir = pipeline
@@ -356,7 +396,7 @@ class TestSolveExtractPlot:
         [
             "empty_snapshots", "two_snapshots", "old_snapshots", "short_z0", "m_not_square",
             "nan_final_phi", "nan_horizon", "absolute_name", "parent_name", "number_name",
-            "doubled_z0", "shifted_x_extent", "non_spd_z0",
+            "doubled_z0", "shifted_x_extent", "non_spd_z0", "sensor_suite_hash",
         ],
     )
     def test_corrupt_solution_exits_2_naming_it(self, pipeline, tmp_path, capsys, case):
@@ -374,6 +414,7 @@ class TestSolveExtractPlot:
             "doubled_z0": hash_named,
             "shifted_x_extent": hash_named,
             "non_spd_z0": hash_named,
+            "sensor_suite_hash": "manifest model_hash",
         }.get(case, "manifest.json: snapshots")
         if case == "empty_snapshots":
             manifest["snapshots"] = []
@@ -405,6 +446,9 @@ class TestSolveExtractPlot:
         elif case in ("doubled_z0", "non_spd_z0"):
             doubled = [2.0 * v for v in manifest["z0"]]
             manifest["z0"] = doubled if case == "doubled_z0" else [1.0, 0.0, 0.0, -1.0]
+        elif case == "sensor_suite_hash":
+            # an older manifest hashed the sensors alone, under another key
+            manifest["sensor_suite_hash"] = manifest.pop("model_hash")
         else:
             axis = manifest["grid"]["axes"][0]
             axis["lo"], axis["hi"] = axis["lo"] + 100.0, axis["hi"] + 100.0
@@ -415,13 +459,17 @@ class TestSolveExtractPlot:
         assert named in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    # each changes the info rate or the solve, so none may reuse the solution
     @pytest.mark.parametrize(
         "section,key,value,hash_name",
         [
-            ("sensors", "noise_std_hz", 5.0, "sensor_suite_hash"),
+            ("sensors", "noise_std_hz", 5.0, "model_hash"),
             ("solver", "horizon_s", 3.0, "config_hash"),
+            ("vehicle", "speed_mps", 40.0, "model_hash"),
+            ("vehicle", "turn_rate_limit_radps", 0.5, "model_hash"),
+            ("prior", "mean_m", [300.0, -200.0], "model_hash"),
         ],
-        ids=["sensor_suite_hash", "config_hash"],
+        ids=["sensors", "config_hash", "speed", "turn_rate_limit", "prior_mean"],
     )
     def test_extract_refuses_another_scenario(
         self, pipeline, tmp_path, capsys, section, key, value, hash_name
@@ -429,6 +477,7 @@ class TestSolveExtractPlot:
         _, scenario, sol_dir = pipeline
         data = scenario.to_dict()
         target = data["sensors"][0] if section == "sensors" else data[section]
+        assert target[key] != value
         target[key] = value
         other = tmp_path / "other.json"
         other.write_text(json.dumps(data))
@@ -520,6 +569,19 @@ class TestStreamedSolve:
         shutil.copytree(sol_dir, out)
         cmd_solve(scenario, out)
         assert sorted(os.listdir(out)) == files
+
+    def test_resolve_removes_older_numbered_snapshots(self, pipeline, tmp_path):
+        # an older version wrote phi_####.bin / phiz_####.bin snapshots
+        _, scenario, sol_dir = pipeline
+        out = tmp_path / "solution"
+        shutil.copytree(sol_dir, out)
+        for name in ("phi_0000.bin", "phiz_0000.bin", "phi_0043.bin", "phiz_12345.bin"):
+            (out / name).write_bytes(b"\0" * 8)
+        (out / "phi_notes.bin").write_bytes(b"keep")
+        (out / "phi_0001.bin").mkdir()  # no snapshot file: it stays
+        cmd_solve(scenario, out)
+        files = ["manifest.json", "phi.bin", "phi_0001.bin", "phi_notes.bin", "phiz.bin"]
+        assert sorted(os.listdir(out)) == files + ["scenario.json", "timings.json"]
 
     def test_resolve_removes_the_manifest_first_and_writes_it_last(
         self, pipeline, tmp_path, monkeypatch
@@ -681,18 +743,18 @@ class TestValidationSuite:
         report = run_validation_suite(suite_from_dict({}))
         assert report.passed
 
-    def test_tightened_thresholds_flip_to_failure(self):
-        report = run_validation_suite(suite_from_dict({"thresholds": {"toy_max_diff": 1e-6}}))
+    def test_tightened_thresholds_flip_to_failure(self, monkeypatch):
+        monkeypatch.setattr(infotraj.cli, "TOY_MAX_DIFF", 1e-6)
+        report = run_validation_suite(suite_from_dict({}))
         assert not report.passed
         assert "toy_hybrid_vs_classic" in report.violations
 
-    def test_validate_exit_codes_via_main(self, tmp_path):
+    def test_validate_exit_codes_via_main(self, tmp_path, monkeypatch):
         good = tmp_path / "suite_ok.json"
         good.write_text(json.dumps({}))
         assert main(["validate", "--suite", str(good)]) == 0
-        tight = tmp_path / "suite_tight.json"
-        tight.write_text(json.dumps({"thresholds": {"toy_max_diff": 1e-6}}))
-        assert main(["validate", "--suite", str(tight)]) == 1
+        monkeypatch.setattr(infotraj.cli, "TOY_MAX_DIFF", 1e-6)
+        assert main(["validate", "--suite", str(good)]) == 1
 
     @pytest.mark.parametrize(
         "content,field",
@@ -702,7 +764,7 @@ class TestValidationSuite:
             ([1, 2], "suite.json: expected an object"),
             ({"thresholds": [1, 2]}, "thresholds"),
             ({"sandwhich": False}, "sandwhich"),
-            ({"thresholds": {"toy_ratio_band": 3}}, "toy_ratio_band"),
+            ({"thresholds": {"toy_ratio_band": 3}}, "unknown field(s) ['thresholds']"),
             ({"scenario": 5}, "scenario"),
             ({"sandwich_segments": 9}, "sandwich_segments"),
             ({"toy_dx": 0}, "toy_dx"),
@@ -723,8 +785,8 @@ class TestValidationSuite:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
-    # the run settings a suite once carried, with their shipped values: they
-    # are constants of infotraj.cli now
+    # the run settings and the gates ("thresholds") a suite once carried,
+    # with their shipped values: they are constants of infotraj.cli now
     @pytest.mark.parametrize(
         "key,shipped",
         [
@@ -735,6 +797,14 @@ class TestValidationSuite:
             ("sandwich_legs", 6),
             ("sandwich_segments", 6),
             ("sandwich_sim_dt", 0.2),
+            (
+                "thresholds",
+                {
+                    "toy_max_diff": 0.05, "toy_ratio_band": [0.4, 0.6], "gradient_fraction": 0.9,
+                    "sandwich_rel": 0.02, "value_band": 0.6, "costate_terminal_ratio": 1.0,
+                    "info_costate_gap_rel": 1.0,
+                },
+            ),
         ],
     )
     def test_removed_run_setting_exits_2_naming_it(

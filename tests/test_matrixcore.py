@@ -156,13 +156,14 @@ class TestLogDetMetric:
         step = 1e-6
         for _ in range(100):
             z = vec(random_spd(rng, p))
-            grad = metric.gradient(z)
-            for j in range(p * p):
-                zp, zm = z.copy(), z.copy()
-                zp[j] += step
-                zm[j] -= step
+            grad = unvec(metric.gradient(z))
+            # symmetric probes: Z_jj + step, or Z_jk and Z_kj + step / 2
+            for j, k in zip(*np.triu_indices(p)):
+                probe = np.zeros((p, p))
+                probe[j, k] = probe[k, j] = step if j == k else 0.5 * step
+                zp, zm = z + vec(probe), z - vec(probe)
                 fd = (metric.value(zp) - metric.value(zm)) / (2.0 * step)
-                assert fd == pytest.approx(grad[j], rel=1e-5, abs=1e-8)
+                assert fd == pytest.approx(grad[j, k], rel=1e-5, abs=1e-8)
 
     def test_gradient_is_symmetric_matrix(self):
         rng = np.random.default_rng(13)
@@ -171,12 +172,13 @@ class TestLogDetMetric:
         gmat = unvec(metric.gradient(z))
         assert np.allclose(gmat, gmat.T, atol=1e-12)
 
-    def test_value_accepts_slightly_asymmetric_probe(self):
-        # coordinate-wise finite-difference probes break exact symmetry
+    def test_value_refuses_asymmetric_state(self):
+        # an information state is symmetric: Z_10 + 1e-3 alone is refused
         metric = LogDetMetric(2)
         z = vec(np.diag([1.0, 1.0]))
         z[1] += 1e-3
-        assert metric.value(z) == pytest.approx(-np.log(1.0 - 0.0), abs=1e-5)
+        with pytest.raises(NotPositiveDefiniteError, match="not symmetric"):
+            metric.value(z)
 
     def test_value_rejects_nonpositive_state(self):
         metric = LogDetMetric(2)
@@ -187,7 +189,6 @@ class TestLogDetMetric:
         rng = np.random.default_rng(14)
         metric = LogDetMetric(2)
         zs = np.stack([vec(random_spd(rng, 2)) for _ in range(6)]).reshape(2, 3, 4)
-        zs[0, 1, 1] += 1e-3  # an asymmetric probe takes the slogdet fallback
         batch = metric.value(zs)
         assert batch.shape == (2, 3)
         loop = np.array([[metric.value(z) for z in row] for row in zs])
