@@ -23,7 +23,6 @@ from infotraj.grid import Axis, ExtrapolationError, GridSpec
 from infotraj.hjsolver import (
     HybridSolution,
     InstabilityError,
-    SolverConfig,
     bang_bang,
     cfl_dt,
     classic_solve,
@@ -84,7 +83,6 @@ __all__ = [
     "LogDetMetric",
     "NotPositiveDefiniteError",
     "Sensor",
-    "SolverConfig",
     "State",
     "ToyCascade",
     "Trajectory",

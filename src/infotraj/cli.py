@@ -31,7 +31,7 @@ from infotraj.dynamics import (
 from infotraj.grid import Axis, GridSpec, interpolate, write_manifest
 from infotraj.hjsolver import (
     InstabilityError,
-    SolverConfig,
+    cfl_dt,
     config_fingerprint,
     hybrid_solve,
     info_rate_on_grid,
@@ -59,6 +59,11 @@ EXIT_INSTABILITY = 3
 # 95% quantile of the chi-square distribution with 2 degrees of freedom:
 # the CDF is 1 - exp(-x/2), so the quantile is -2 ln(0.05).
 CHI2_2DOF_95 = -2.0 * math.log(0.05)
+
+# the most nodes a scenario's grid holds and the most steps its march takes:
+# the shipped solve marches 53,792 nodes of about 350 B each in 102 steps
+MAX_GRID_NODES = 10**6
+MAX_MARCH_STEPS = 10**5
 
 # side of the square SVG figure, pixels
 SVG_WIDTH = 640
@@ -161,7 +166,7 @@ def _require_inside(state: State, x_extent, y_extent, where: str) -> None:
 @dataclass
 class Scenario:
     """Everything needed to reproduce a run: vehicle, prior, sensor suite,
-    grid, solver settings, extraction settings, and initial states."""
+    grid, horizon, extraction settings, and initial states."""
 
     name: str
     speed: float
@@ -174,7 +179,7 @@ class Scenario:
     nx: int
     ny: int
     npsi: int
-    solver: SolverConfig
+    horizon: float
     extraction_dt: float
     extraction_legs: int
     initial_states: list
@@ -229,10 +234,7 @@ class Scenario:
                 "ny": self.ny,
                 "npsi": self.npsi,
             },
-            "solver": {
-                "horizon_s": self.solver.horizon,
-                "cfl_number": self.solver.cfl_number,
-            },
+            "solver": {"horizon_s": self.horizon},
             "extraction": {
                 "dt_s": self.extraction_dt,
                 "legs": self.extraction_legs,
@@ -311,15 +313,28 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         _require(lo < hi, f"{where}.grid.{key}", "expected [lo, hi] with lo < hi")
         extents[key] = (lo, hi)
     counts = {}
+    nodes = 1
     for key in ("nx", "ny", "npsi"):
         counts[key] = _number(gr[key], f"{where}.grid.{key}", integer=True)
         _require(counts[key] >= 3, f"{where}.grid.{key}", "needs at least 3 points")
+        nodes *= counts[key]
+        _require(
+            nodes <= MAX_GRID_NODES, f"{where}.grid.{key}",
+            f"the grid would hold {nodes} nodes, more than MAX_GRID_NODES = {MAX_GRID_NODES}",
+        )
 
-    sv = _take(top["solver"], f"{where}.solver", {"horizon_s": None, "cfl_number": 0.5})
+    sv = _take(top["solver"], f"{where}.solver", {"horizon_s": None})
     horizon = _positive(sv["horizon_s"], f"{where}.solver.horizon_s")
-    cfl_number = _positive(sv["cfl_number"], f"{where}.solver.cfl_number")
-    _require(cfl_number <= 1.0, f"{where}.solver.cfl_number", "must lie in (0, 1]")
-    solver = SolverConfig(horizon=horizon, cfl_number=cfl_number)
+    grid = GridSpec.vehicle_plane(
+        extents["x_extent_m"], extents["y_extent_m"], counts["nx"], counts["ny"], counts["npsi"]
+    )
+    # the march takes ceil(horizon / step) steps, at most MAX_MARCH_STEPS
+    # exactly when horizon / step is
+    step = cfl_dt(grid, DubinsCar(speed, turn_rate_limit).rate_bounds())
+    _require(
+        horizon / step <= MAX_MARCH_STEPS, f"{where}.solver.horizon_s",
+        f"the march would take more than MAX_MARCH_STEPS = {MAX_MARCH_STEPS} steps of {step:.6g} s",
+    )
 
     ex = _take(top["extraction"], f"{where}.extraction", {"dt_s": 0.05, "legs": 1})
     dt = _positive(ex["dt_s"], f"{where}.extraction.dt_s")
@@ -355,7 +370,7 @@ def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
         nx=counts["nx"],
         ny=counts["ny"],
         npsi=counts["npsi"],
-        solver=solver,
+        horizon=horizon,
         extraction_dt=dt,
         extraction_legs=legs,
         initial_states=states,
@@ -379,13 +394,13 @@ def load_scenario(path) -> Scenario:
 
 def solution_fingerprints(scenario: Scenario) -> dict:
     """The hashes a solution of this scenario carries in its manifest: of the
-    sections the info rate depends on, and of the grid, z0 and solver."""
+    sections the info rate depends on, and of the grid, z0 and horizon."""
     data = scenario.to_dict()
     model = json.dumps({key: data[key] for key in ("vehicle", "prior", "sensors")}, sort_keys=True)
     return {
         "model_hash": hashlib.sha256(model.encode()).hexdigest(),
         "config_hash": config_fingerprint(
-            scenario.grid(), scenario.initial_information(), scenario.solver
+            scenario.grid(), scenario.initial_information(), scenario.horizon
         ),
     }
 
@@ -399,7 +414,7 @@ def cmd_solve(scenario: Scenario, out_dir) -> None:
     write_manifest(os.path.join(out_dir, "scenario.json"), scenario.to_dict())
     solve_to_disk(
         out_dir, system, metric, scenario.grid(), scenario.initial_information(),
-        scenario.solver, extras=solution_fingerprints(scenario),
+        scenario.horizon, extras=solution_fingerprints(scenario),
     )
 
 
@@ -616,7 +631,7 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
     metric1 = LogDetMetric(1)
     toy_grid = GridSpec((Axis(-2.0, 2.0, int(round(4.0 / TOY_GRADIENT_DX)) + 1),))
     out = gradient_consistency_check(
-        toy, metric1, toy_grid, np.array([1.0]), SolverConfig(horizon=1.0),
+        toy, metric1, toy_grid, np.array([1.0]), 1.0,
         interior_margin=int(0.25 * toy_grid.axes[0].n),
     )
     report.add(
@@ -632,13 +647,7 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
         metric = LogDetMetric(scenario.prior().dim)
         coarse_grid = GridSpec.vehicle_plane(scenario.x_extent, scenario.y_extent, *SURVEY_GRID)
         out = gradient_consistency_check(
-            system,
-            metric,
-            coarse_grid,
-            scenario.initial_information(),
-            SolverConfig(
-                horizon=SURVEY_GRADIENT_HORIZON_S, cfl_number=scenario.solver.cfl_number
-            ),
+            system, metric, coarse_grid, scenario.initial_information(), SURVEY_GRADIENT_HORIZON_S
         )
         report.add(
             "survey_gradient_consistency",
@@ -651,15 +660,15 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
         grid = scenario.grid()
         z0 = scenario.initial_information()
         ell = info_rate_on_grid(system, grid)
-        solution = hybrid_solve(system, metric, grid, z0, scenario.solver, info_rate_field=ell)
+        solution = hybrid_solve(system, metric, grid, z0, scenario.horizon, info_rate_field=ell)
         x0 = scenario.initial_states[0]
         char = extract_characteristic(solution, system, metric, x0, scenario.extraction_dt)
         best = extract_receding(
             solution, system, metric, x0, legs=SANDWICH_LEGS,
-            dt=scenario.extraction_dt, info_rate_field=ell, characteristic=char,
+            dt=scenario.extraction_dt, info_rate_field=ell,
         )
         bf_cost, _ = brute_force_value(
-            system, metric, x0, z0, scenario.solver.horizon,
+            system, metric, x0, z0, scenario.horizon,
             segments=SANDWICH_SEGMENTS, dt=SANDWICH_SIM_DT,
         )
         tol = SANDWICH_REL * abs(bf_cost)

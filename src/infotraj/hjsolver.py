@@ -40,7 +40,7 @@ import math
 import os
 import re
 import time as _time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -56,6 +56,10 @@ from infotraj.grid import (
 from infotraj.matrixcore import FLOW_WORK, LogDetMetric, sym_pack, sym_unpack, unvec
 
 POLICY_TIE_EPS = 1e-12
+# the Courant number of every march: the monotone Lax-Friedrichs scheme is
+# stable for any value in (0, 1], which is a property of the scheme, not of
+# the problem (Crandall and Lions, Math. Comp. 1984)
+CFL_NUMBER = 0.5
 # nodes per info_rate call when info_rate_on_grid evaluates a field
 FIELD_CHUNK_ROWS = 4096
 # the files of a stored solution's final fields, the one entry of its
@@ -74,16 +78,11 @@ class InstabilityError(RuntimeError):
         self.s = s
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    horizon: float
-    cfl_number: float = 0.5
-
-    def __post_init__(self):
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
-        if not 0.0 < self.cfl_number <= 1.0:
-            raise ValueError(f"CFL number must lie in (0, 1], got {self.cfl_number}")
+def check_horizon(horizon) -> float:
+    """horizon as a float; ValueError unless it is positive and finite."""
+    if not (math.isfinite(horizon) and horizon > 0.0):
+        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    return float(horizon)
 
 
 def bang_bang(switching, bound: float):
@@ -196,13 +195,13 @@ def lf_rate(minus, plus, drift, g, bound: float, alpha, plan=None):
     return out, u_star
 
 
-def cfl_dt(grid: GridSpec, alpha, cfl_number: float) -> float:
-    """Stable explicit step c / sum_i(alpha_i / dx_i)."""
+def cfl_dt(grid: GridSpec, alpha) -> float:
+    """Stable explicit step CFL_NUMBER / sum_i(alpha_i / dx_i)."""
     alpha = np.asarray(alpha, dtype=float)
     if np.any(alpha < 0.0) or not np.any(alpha > 0.0):
         raise ValueError("dissipation bounds must be nonnegative with at least one positive")
     denom = float(np.sum(alpha / grid.spacings))
-    return cfl_number / denom
+    return CFL_NUMBER / denom
 
 
 def info_rate_on_grid(system: CascadeSystem, grid: GridSpec) -> np.ndarray:
@@ -223,8 +222,8 @@ def info_rate_on_grid(system: CascadeSystem, grid: GridSpec) -> np.ndarray:
 @dataclass
 class HybridSolution:
     """The final fields of a solve for the fixed initial information state
-    z0, at the horizon config.horizon: the value approximation phi on the x
-    grid, shape grid.shape, and the information-gradient approximation Phi,
+    z0 at the given horizon: the value approximation phi on the x grid,
+    shape grid.shape, and the information-gradient approximation Phi,
     phi_z, in the vec layout, shape grid.shape + (p**2,), with equal
     off-diagonal pairs (the march carries the distinct entries). A stored
     solution (load_solution) holds read-only memory maps of the pair.
@@ -239,7 +238,7 @@ class HybridSolution:
     phi: np.ndarray
     phi_z: np.ndarray
     z0: np.ndarray
-    config: SolverConfig
+    horizon: float
     timings: dict = field(default_factory=dict)
 
     def value_gradient(self) -> np.ndarray:
@@ -252,14 +251,10 @@ class HybridSolution:
         return np.stack([0.5 * (m[0] + p[0]) for m, p in zip(minus, plus)], axis=-1)
 
 
-def config_fingerprint(grid: GridSpec, z0, config: SolverConfig) -> str:
-    """SHA-256 of the grid, the initial information state and the solver
-    config: the config_hash a solution carries in its manifest."""
-    payload = {
-        "grid": grid.to_dict(),
-        "z0": [float(v) for v in z0],
-        "config": asdict(config),
-    }
+def config_fingerprint(grid: GridSpec, z0, horizon: float) -> str:
+    """SHA-256 of the grid, the initial information state and the horizon:
+    the config_hash a solution carries in its manifest."""
+    payload = {"grid": grid.to_dict(), "z0": [float(v) for v in z0], "horizon": float(horizon)}
     return hashlib.sha256(
         json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -271,7 +266,7 @@ def solve_to_disk(
     metric: LogDetMetric,
     grid: GridSpec,
     z0: np.ndarray,
-    config: SolverConfig,
+    horizon: float,
     extras: Optional[dict] = None,
 ) -> HybridSolution:
     """Solve and persist the solution's final fields.
@@ -285,7 +280,7 @@ def solve_to_disk(
     timings (total and per-phase seconds) and the step count go to a
     separate timings.json so that repeated runs with the same configuration
     produce byte-identical manifests and fields. The manifest's config_hash
-    is config_fingerprint(grid, z0, config), which load_solution checks.
+    is config_fingerprint(grid, z0, horizon), which load_solution checks.
     extras (e.g. a model hash) are merged into the manifest. Returns
     the solution.
     """
@@ -297,7 +292,7 @@ def solve_to_disk(
         path = os.path.join(out_dir, name)
         if OLD_SNAPSHOT_FILE.fullmatch(name) and os.path.isfile(path):
             os.remove(path)
-    solution = hybrid_solve(system, metric, grid, z0, config)
+    solution = hybrid_solve(system, metric, grid, z0, horizon)
     save_array(os.path.join(out_dir, FINAL_FILES["phi"]), solution.phi)
     save_array(os.path.join(out_dir, FINAL_FILES["phi_z"]), solution.phi_z)
     write_manifest(os.path.join(out_dir, "timings.json"), solution.timings)
@@ -308,8 +303,8 @@ def solve_to_disk(
         "grid": grid.to_dict(),
         "m": int(system.info_len),
         "z0": [float(v) for v in solution.z0],
-        "config": asdict(config),
-        "config_hash": config_fingerprint(grid, solution.z0, config),
+        "horizon": solution.horizon,
+        "config_hash": config_fingerprint(grid, solution.z0, solution.horizon),
         "snapshots": [FINAL_FILES],
     }
     manifest.update(extras or {})
@@ -322,10 +317,10 @@ def load_solution(in_dir, extras: Optional[dict] = None) -> HybridSolution:
     mapped read-only (grid.load_array).
 
     ValueError, naming the file and field, for: an m that is not a square
-    p**2 >= 1, a z0 without m entries, a config SolverConfig refuses, a
+    p**2 >= 1, a z0 without m entries, a horizon check_horizon refuses, a
     snapshots list other than [FINAL_FILES] (so both files lie in in_dir),
     a file of the wrong size, a config_hash other than config_fingerprint
-    of the manifest's grid, z0 and config, a manifest entry other than the
+    of the manifest's grid, z0 and horizon, a manifest entry other than the
     value extras gives for it (the model_hash and config_hash that
     solve_to_disk's extras wrote), and a field with a NaN or an infinity
     (the march never writes one). A directory without manifest.json is not
@@ -341,16 +336,16 @@ def load_solution(in_dir, extras: Optional[dict] = None) -> HybridSolution:
     if z0.shape != (m,):
         raise ValueError(f"{manifest_path}: z0 has shape {z0.shape}, expected ({m},)")
     try:
-        cfg = SolverConfig(**manifest["config"])
+        horizon = check_horizon(manifest["horizon"])
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{manifest_path}: config: {exc}") from exc
+        raise ValueError(f"{manifest_path}: {exc}") from exc
     if manifest["snapshots"] != [FINAL_FILES]:
         raise ValueError(f"{manifest_path}: snapshots is not {[FINAL_FILES]}")
     paths = {key: os.path.join(in_dir, name) for key, name in FINAL_FILES.items()}
     phi = load_array(paths["phi"], grid.shape)
     phi_z = load_array(paths["phi_z"], grid.shape + (m,))
-    if manifest.get("config_hash") != config_fingerprint(grid, z0, cfg):
-        raise ValueError(f"{manifest_path}: config_hash does not match its grid, z0 and config")
+    if manifest.get("config_hash") != config_fingerprint(grid, z0, horizon):
+        raise ValueError(f"{manifest_path}: config_hash does not match its grid, z0 and horizon")
     for key, value in (extras or {}).items():
         if manifest.get(key) != value:
             raise ValueError(
@@ -360,7 +355,7 @@ def load_solution(in_dir, extras: Optional[dict] = None) -> HybridSolution:
     for key, values in (("phi", phi), ("phi_z", phi_z)):
         if not np.all(np.isfinite(values)):
             raise ValueError(f"{paths[key]}: holds non-finite values")
-    return HybridSolution(grid, phi, phi_z, z0, cfg)
+    return HybridSolution(grid, phi, phi_z, z0, horizon)
 
 
 def _check_finite(step: int, s: float, *arrays) -> None:
@@ -428,11 +423,10 @@ def _ghost_differences(stack: np.ndarray, grid: GridSpec, bufs) -> None:
 
 def _march(
     stack: np.ndarray, grid: GridSpec, drift, g, bound: float, alpha, dt: float,
-    config: SolverConfig, flow=None, timers: Optional[dict] = None,
+    horizon: float, flow=None, timers: Optional[dict] = None,
 ) -> int:
     """March a component-major stack (lf_rate's layout) in place from s = 0
-    to config.horizon in forward Euler steps of at most dt; returns the step
-    count.
+    to horizon in forward Euler steps of at most dt; returns the step count.
 
     Each step applies the pointwise flow(h, work) first, when given (it
     updates the stack in place and may compute in work, the scratch of
@@ -442,7 +436,7 @@ def _march(
     per step lets the allocator hand memory back to the OS and fault it in
     again). A non-finite entry raises InstabilityError.
 
-    The march ends once s is within 1e-12 of config.horizon. Seconds spent
+    The march ends once s is within 1e-12 of horizon. Seconds spent
     in the flow, the transport and the finite checks are added to
     timers["flow_s"], ["transport_s"] and ["check_s"] when timers is given.
     """
@@ -453,8 +447,8 @@ def _march(
     plan = lf_plan(drift, g, alpha, stack.shape)
     s = 0.0
     count = 0
-    while s < config.horizon - 1e-12:
-        h = min(dt, config.horizon - s)
+    while s < horizon - 1e-12:
+        h = min(dt, horizon - s)
         t0 = clock()
         if flow is not None:
             flow(h, plan.work)
@@ -478,7 +472,7 @@ def hybrid_solve(
     metric: LogDetMetric,
     grid: GridSpec,
     z0: np.ndarray,
-    config: SolverConfig,
+    horizon: float,
     info_rate_field: Optional[np.ndarray] = None,
 ) -> HybridSolution:
     """Co-evolve phi (value) and Phi (value gradient in z) on the x grid.
@@ -506,14 +500,16 @@ def hybrid_solve(
         when the pair is equal (a diagonal z0; the inverse of another
         symmetric z0 may differ in its last bit).
 
-    The solution holds the final fields at config.horizon, and nothing of
+    The solution holds the final fields at the horizon, and nothing of
     the march before it: phi uncopied, and Phi in the (..., p**2) vec
     layout, row-major (iX, iY, ipsi, j), expanded once from the packed
     entries. The information-rate field vec(Q) is precomputed once (or
     passed in) and reused every step. Every output point of a step depends
     only on the fields of the step before, so per-point updates are
-    schedule independent.
+    schedule independent. A horizon that is not positive and finite raises
+    ValueError.
     """
+    horizon = check_horizon(horizon)
     if grid.ndim != system.state_dim:
         raise ValueError(
             f"grid dimension {grid.ndim} does not match system state dimension "
@@ -548,7 +544,7 @@ def hybrid_solve(
     )
     drift = [f_nodes[..., i] for i in range(grid.ndim)]
     alpha = list(system.rate_bounds())
-    dt = cfl_dt(grid, alpha, config.cfl_number)
+    dt = cfl_dt(grid, alpha)
 
     # component-major march state: stack[0] is phi, stack[1:] the packed
     # Phi; phi_z is the (..., k) view that the flow reads and writes
@@ -563,21 +559,21 @@ def hybrid_solve(
         metric.flow(phi, phi_z, q_packed, h, work)
 
     timings["steps"] = _march(
-        stack, grid, drift, system.control_column(), system.control_bound, alpha, dt, config,
+        stack, grid, drift, system.control_column(), system.control_bound, alpha, dt, horizon,
         flow, timings,
     )
     timings["wall_time_s"] = _time.perf_counter() - t_start
     # sym_unpack gives new C-contiguous symmetric matrices, whose row-major
     # entries are their vec
     phi_z_vec = sym_unpack(phi_z).reshape(grid.shape + (system.info_len,))
-    return HybridSolution(grid, phi, phi_z_vec, z0, config, timings)
+    return HybridSolution(grid, phi, phi_z_vec, z0, horizon, timings)
 
 
 def classic_solve(
     system: CascadeSystem,
     metric: LogDetMetric,
     joint_grid: GridSpec,
-    config: SolverConfig,
+    horizon: float,
 ) -> np.ndarray:
     """Full-grid Lax-Friedrichs method of lines over the joint state (x, z);
     returns the final value approximation, shape joint_grid.shape.
@@ -586,8 +582,10 @@ def classic_solve(
     control). Tractable only in very low dimension; refuses more than 3 total
     axes. Serves as the independent reference for the hybrid solver on toy
     systems. The value marches as a one-component stack through hybrid_solve's
-    march, with no pointwise flow.
+    march, with no pointwise flow. A horizon that is not positive and finite
+    raises ValueError.
     """
+    horizon = check_horizon(horizon)
     d = system.state_dim
     m = system.info_len
     if joint_grid.ndim != d + m:
@@ -611,8 +609,8 @@ def classic_solve(
     # the z-axis Hamiltonian slope is exactly |ell_j(x)|: dissipate with the
     # pointwise value (the global bound over-smooths wherever the rate is small)
     alpha = [alpha_global[i] for i in range(d)] + [np.abs(ell[..., j]) for j in range(m)]
-    dt = cfl_dt(joint_grid, alpha_global, config.cfl_number)
+    dt = cfl_dt(joint_grid, alpha_global)
 
     stack = metric.value(z_nodes)[None]
-    _march(stack, joint_grid, drift, g, system.control_bound, alpha, dt, config)
+    _march(stack, joint_grid, drift, g, system.control_bound, alpha, dt, horizon)
     return stack[0]

@@ -180,13 +180,10 @@ class _Stencil(NamedTuple):
     cross_pairs: tuple  # (k, l), k < l, with sigma[k, l] != 0
 
 
-def _taylor_stencil(prior: GaussianPrior) -> Optional[_Stencil]:
-    """The stencil of the prior for step HESSIAN_STEP; None for a zero
-    covariance, where the expectation is the conditional value at the mean."""
+def _taylor_stencil(prior: GaussianPrior) -> _Stencil:
+    """The stencil of the prior for step HESSIAN_STEP."""
     theta0 = prior.mean
     sigma = prior.covariance
-    if not np.any(sigma):
-        return None
     p = prior.dim
     h = HESSIAN_STEP
     stencil = [theta0]
@@ -267,13 +264,11 @@ def _expected_fim(
     sensor: Sensor,
     x,
     prior: GaussianPrior,
-    stencil: Optional[_Stencil],
+    stencil: _Stencil,
     info: np.ndarray,
 ) -> np.ndarray:
     """expected_fim with the stencil and the noise information given."""
     x = np.asarray(x, dtype=float)
-    if stencil is None:
-        return _conditional_fim(sensor, x, prior.mean, info)
     sigma = prior.covariance
     p = prior.dim
     h2 = HESSIAN_STEP**2

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -32,7 +32,6 @@ from infotraj.dynamics import (
 from infotraj.grid import Axis, GridSpec, interpolate
 from infotraj.hjsolver import (
     HybridSolution,
-    SolverConfig,
     classic_solve,
     hybrid_solve,
     info_rate_on_grid,
@@ -103,8 +102,8 @@ def extract_characteristic(
     gradient-consistency residual, and the value-vs-rollout gap.
     """
     grid = solution.grid
-    horizon = solution.config.horizon if duration is None else float(duration)
-    if duration is not None and duration > solution.config.horizon + 1e-9:
+    horizon = solution.horizon if duration is None else float(duration)
+    if duration is not None and duration > solution.horizon + 1e-9:
         raise ValueError("requested duration exceeds the solved horizon")
     n_steps, h = rk4_steps(horizon, dt, "duration")
 
@@ -182,17 +181,15 @@ def extract_receding(
     legs: int,
     dt: float,
     info_rate_field: Optional[np.ndarray] = None,
-    characteristic: Optional[Trajectory] = None,
 ) -> Trajectory:
     """Closed-loop extraction: before each leg, re-solve the value function
     with the information collected so far as the new initial state.
 
     The gridded solution is valid for one initial information state only, so
     re-solving is what makes long extractions self-consistent. The grid, z0
-    and solver config come from solution, the full-horizon solve from the
-    initial information state, and the horizon is solution.config.horizon,
-    the label of its final fields; leg 0 extracts from it directly, so
-    legs = 1 is exactly the characteristic extractor.
+    and horizon come from solution, the full-horizon solve from the initial
+    information state; leg 0 extracts from it directly, so legs = 1 is
+    exactly the characteristic extractor.
 
     A later leg k only reads the value gradient and Phi at its own start x_k
     after the remaining horizon R, and these depend on the box of half-width
@@ -208,17 +205,11 @@ def extract_receding(
     of their largest entries (2.5e-3 / 7.6e-4 at a 2-cell margin, 7.6e-7 /
     6.0e-8 at 8 cells). The information-rate field does not depend on the
     information state and is computed once.
-
-    characteristic, when given, is extract_characteristic(solution, system,
-    metric, x0, dt) as the caller already holds it. Leg 0 of a multi-leg
-    run integrates the same steps from the same state, so when its step
-    count and step size equal that trajectory's prefix exactly, leg 0 is
-    the prefix, with no integration; otherwise leg 0 is integrated.
     """
     if legs < 1:
         raise ValueError("need at least one leg")
     grid = solution.grid
-    horizon = solution.config.horizon
+    horizon = solution.horizon
     if info_rate_field is None and legs > 1:
         info_rate_field = info_rate_on_grid(system, grid)
     bounds = system.rate_bounds()
@@ -232,12 +223,9 @@ def extract_receding(
             remaining = horizon - k * leg_span
             sub, idx = grid.window(x, bounds * remaining)
             sol = hybrid_solve(
-                system, metric, sub, z, replace(solution.config, horizon=remaining),
-                info_rate_field=info_rate_field[idx],
+                system, metric, sub, z, remaining, info_rate_field=info_rate_field[idx]
             )
-        piece = _leading_steps(characteristic, leg_span, dt, x0) if k == 0 else None
-        if piece is None:
-            piece = extract_characteristic(sol, system, metric, x, dt, duration=leg_span)
+        piece = extract_characteristic(sol, system, metric, x, dt, duration=leg_span)
         pieces.append(piece)
         x = piece.final_state()
         z = piece.final_info()
@@ -264,39 +252,6 @@ def extract_receding(
     traj.terminal_cost = metric.value(traj.final_info())
     traj.residuals = dict(pieces[-1].residuals)
     return traj
-
-
-def _leading_steps(
-    traj: Optional[Trajectory], duration: float, dt: float, x0
-) -> Optional[Trajectory]:
-    """The leading rows of a longer extracted trajectory that an extraction
-    from the same start over `duration` would produce, or None when there is
-    no trajectory or its steps do not line up (a different step size, no
-    more rows than that extraction's, or another start).
-
-    extract_characteristic cuts duration into steps with rk4_steps and
-    records the last applied control in its final row, so the prefix is that
-    run's record once its last control is set to the one before it.
-    Residuals and the terminal cost are not carried over.
-    """
-    n, h = rk4_steps(duration, dt, "duration")
-    if (
-        traj is None
-        or traj.s.size <= n + 1
-        or traj.s[1] != h
-        or not np.array_equal(traj.states[0], state_array(x0))
-    ):
-        return None
-    controls = traj.controls[: n + 1].copy()
-    controls[n] = controls[n - 1]
-    return Trajectory(
-        s=traj.s[: n + 1],
-        states=traj.states[: n + 1],
-        infos=traj.infos[: n + 1],
-        controls=controls,
-        costates=traj.costates[: n + 1],
-        info_costates=traj.info_costates[: n + 1],
-    )
 
 
 def final_leg_ray_misalignment_deg(traj: Trajectory, prior_mean) -> float:
@@ -410,7 +365,7 @@ def gradient_consistency_check(
     metric: LogDetMetric,
     grid: GridSpec,
     z0: np.ndarray,
-    config: SolverConfig,
+    horizon: float,
     interior_margin: int = 2,
 ) -> dict:
     """Compare the gradient field against central differences of re-solves.
@@ -425,7 +380,7 @@ def gradient_consistency_check(
     info_rate_field = info_rate_on_grid(system, grid)
 
     def final_solve(z):
-        return hybrid_solve(system, metric, grid, z, config, info_rate_field=info_rate_field)
+        return hybrid_solve(system, metric, grid, z, horizon, info_rate_field=info_rate_field)
 
     phi_z = sym_pack(unvec(final_solve(z0).phi_z))
     fd = np.empty_like(phi_z)
@@ -464,15 +419,14 @@ def toy_hybrid_vs_classic(dx: float) -> dict:
     z = 1 for each, and their ratio (about 0.5 for a first-order scheme)."""
     toy = ToyCascade()
     metric = LogDetMetric(1)
-    cfg = SolverConfig(horizon=1.0)
 
     def gap(step):
         nx = int(round(4.0 / step)) + 1
         nz = int(round(5.2 / step)) + 1
         grid = GridSpec((Axis(-2.0, 2.0, nx),))
         joint = GridSpec((Axis(-2.0, 2.0, nx), Axis(0.4, 5.6, nz)))
-        hyb = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg)
-        cls = classic_solve(toy, metric, joint, cfg)
+        hyb = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0)
+        cls = classic_solve(toy, metric, joint, 1.0)
         zi = int(np.argmin(np.abs(joint.axes[1].nodes - 1.0)))
         inner = np.abs(grid.axes[0].nodes) <= 1.0
         return float(np.max(np.abs(hyb.phi - cls[:, zi])[inner]))

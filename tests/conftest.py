@@ -25,6 +25,6 @@ def survey(scenario):
     z0 = scenario.initial_information()
     ell = info_rate_on_grid(system, grid)
     solution = hybrid_solve(
-        system, metric, grid, z0, scenario.solver, info_rate_field=ell
+        system, metric, grid, z0, scenario.horizon, info_rate_field=ell
     )
     return scenario, system, metric, grid, z0, ell, solution

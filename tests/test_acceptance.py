@@ -21,7 +21,7 @@ from infotraj.dynamics import (
     simulate_open_loop,
 )
 from infotraj.grid import Axis, GridSpec, interpolate, load_array, read_manifest
-from infotraj.hjsolver import SolverConfig, hybrid_solve, info_rate_on_grid
+from infotraj.hjsolver import hybrid_solve, info_rate_on_grid
 from infotraj.matrixcore import LogDetMetric, curvature_contraction, vec
 from infotraj.sensing import (
     DopplerSensor,
@@ -73,7 +73,7 @@ def test_criterion_2_gradient_field_matches_resolve_sensitivity(scenario):
         LogDetMetric(1),
         toy_grid,
         np.array([1.0]),
-        SolverConfig(horizon=1.0),
+        1.0,
         interior_margin=80,  # compare on the central half, |x| <= 1
     )
     # coarse survey grid; short horizon keeps the accumulated information in
@@ -88,7 +88,7 @@ def test_criterion_2_gradient_field_matches_resolve_sensitivity(scenario):
         LogDetMetric(2),
         coarse_grid,
         scenario.initial_information(),
-        SolverConfig(horizon=5.0, cfl_number=scenario.solver.cfl_number),
+        5.0,
     )
     elapsed = time.time() - t0
     ok = (
@@ -188,7 +188,7 @@ def test_criterion_5_optimality_sandwich(survey):
         info_rate_field=ell,
     )
     bf_cost, _ = brute_force_value(
-        system, metric, x0, z0, scenario.solver.horizon, segments=6, dt=0.2
+        system, metric, x0, z0, scenario.horizon, segments=6, dt=0.2
     )
     # grid-error band from a coarsened re-solve (first-order Richardson gap)
     coarse_grid = GridSpec.vehicle_plane(scenario.x_extent, scenario.y_extent, 21, 21, 16)
@@ -197,7 +197,7 @@ def test_criterion_5_optimality_sandwich(survey):
         metric,
         coarse_grid,
         z0,
-        scenario.solver,
+        scenario.horizon,
         info_rate_field=info_rate_on_grid(system, coarse_grid),
     )
     phi_fine = float(interpolate(solution.phi, grid, x0.as_array()))
@@ -261,7 +261,7 @@ def test_criterion_7_characteristic_residuals_refine():
     ratios = []
     for n in (161, 321):  # dx = 0.025 then 0.0125
         grid = GridSpec((Axis(-2.0, 2.0, n),))
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), SolverConfig(horizon=1.0))
+        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0)
         worst = 0.0
         for x0 in (0.4, 0.7, -0.6):
             traj = extract_characteristic(sol, toy, metric, np.array([x0]), dt=0.005)

@@ -128,12 +128,14 @@ FIG2_NUMERIC_FIELDS = list(numeric_fields(json.loads(FIG2.read_text())))
 BAD_NUMBERS = [-1, 0, math.nan, math.inf, "x", None]
 # fields an older scenario may still carry; whatever their value, they are
 # refused by name
-REMOVED_FIELDS = [("seed",), ("solver", "snapshot_stride"), ("extraction", "mode")]
+REMOVED_FIELDS = [
+    ("seed",), ("solver", "snapshot_stride"), ("solver", "cfl_number"), ("extraction", "mode"),
+]
 
 
 class TestScenarioFieldMutations:
     def test_every_numeric_field_is_swept(self):
-        assert len(FIG2_NUMERIC_FIELDS) * len(BAD_NUMBERS) == 162
+        assert len(FIG2_NUMERIC_FIELDS) * len(BAD_NUMBERS) == 156
 
     @pytest.mark.parametrize("value", BAD_NUMBERS, ids=repr)
     @pytest.mark.parametrize(
@@ -175,6 +177,13 @@ class TestScenarioFieldMutations:
             # refused before any leg runs
             ("extraction", "legs", 1201),
             ("extraction", "legs", 10**6),
+            # 41 x 41 x 595 = 1,000,195 nodes, more than MAX_GRID_NODES
+            ("grid", "npsi", 595),
+            ("grid", "nx", 10**12),
+            # the shipped grid marches in steps of about 0.59 s, so this
+            # horizon takes more than MAX_MARCH_STEPS
+            ("solver", "horizon_s", 6e4),
+            ("solver", "horizon_s", 1e300),
         ],
     )
     def test_solve_exits_2_naming_the_field(self, tmp_path, capsys, section, key, value):
@@ -424,7 +433,7 @@ class TestSolveExtractPlot:
             # a manifest of the numbered snapshot files solve once wrote
             manifest["snapshots"] = [
                 {"s": s, "phi": f"phi_{k:04d}.bin", "phi_z": f"phiz_{k:04d}.bin"}
-                for k, s in enumerate((0.0, manifest["config"]["horizon"]))
+                for k, s in enumerate((0.0, manifest["horizon"]))
             ]
         elif case == "short_z0":
             manifest["z0"] = manifest["z0"][:3]
@@ -433,7 +442,7 @@ class TestSolveExtractPlot:
         elif case == "nan_final_phi":
             np.full(9 * 9 * 8, np.nan).astype("<f8").tofile(broken / "phi.bin")
         elif case == "nan_horizon":
-            manifest["config"]["horizon"] = math.nan
+            manifest["horizon"] = math.nan
         elif case in ("absolute_name", "parent_name"):
             # another solution's final pair, with the local one gone
             key = "phi" if case == "absolute_name" else "phi_z"
@@ -486,16 +495,17 @@ class TestSolveExtractPlot:
         assert hash_name in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_extract_refuses_removed_solver_key(self, pipeline, tmp_path, capsys):
+    def test_extract_refuses_a_config_object_manifest(self, pipeline, tmp_path, capsys):
+        # an older manifest held the horizon in a solver config object
         _, _, sol_dir = pipeline
         old = tmp_path / "old"
         shutil.copytree(sol_dir, old)
         manifest = json.loads((old / "manifest.json").read_text())
-        manifest["config"]["integrator"] = "euler"
+        manifest["config"] = {"horizon": manifest.pop("horizon"), "cfl_number": 0.5}
         (old / "manifest.json").write_text(json.dumps(manifest))
         assert main(["extract", "--solution", str(old), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert "integrator" in err and "Traceback" not in err
+        assert "horizon" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
 
@@ -556,7 +566,7 @@ class TestStreamedSolve:
         _, scenario, sol_dir = pipeline
         sol = hybrid_solve(
             scenario.build_system(), LogDetMetric(2), scenario.grid(),
-            scenario.initial_information(), scenario.solver,
+            scenario.initial_information(), scenario.horizon,
         )
         assert (sol_dir / "phi.bin").read_bytes() == sol.phi.astype("<f8").tobytes()
         assert (sol_dir / "phiz.bin").read_bytes() == sol.phi_z.astype("<f8").tobytes()

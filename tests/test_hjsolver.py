@@ -2,7 +2,6 @@ import json
 import math
 import os
 from collections import namedtuple
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +12,6 @@ from infotraj.dynamics import DubinsCar, ToyCascade
 from infotraj.grid import Axis, GridSpec, load_array
 from infotraj.hjsolver import (
     InstabilityError,
-    SolverConfig,
     bang_bang,
     cfl_dt,
     classic_solve,
@@ -204,19 +202,19 @@ def vec_lf_rate(minus, plus, drift, g, bound: float, alpha):
     return out, u_star
 
 
-def euler_march(step, dt: float, config) -> None:
+def euler_march(step, dt: float, horizon: float) -> None:
     """The march loop the oracles below run on, a copy of the solver's loop
     as it stood before both solvers shared one: step(h) advances the
     fields in place, in steps of at most dt, until s is within 1e-12 of
-    config.horizon."""
+    horizon."""
     s = 0.0
-    while s < config.horizon - 1e-12:
-        h = min(dt, config.horizon - s)
+    while s < horizon - 1e-12:
+        h = min(dt, horizon - s)
         step(h)
         s += h
 
 
-def vec_march(system, metric, grid, z0, config):
+def vec_march(system, metric, grid, z0, horizon):
     """hybrid_solve's march over the (1 + p**2) stack of phi and all vec
     entries of Phi (vec_flow, then the ghost-row differences and vec_lf_rate),
     as it ran before the march carried Phi's distinct entries; the oracle of
@@ -236,11 +234,11 @@ def vec_march(system, metric, grid, z0, config):
         rate *= h
         stack[...] += rate
 
-    euler_march(step, cfl_dt(grid, alpha, config.cfl_number), config)
+    euler_march(step, cfl_dt(grid, alpha), horizon)
     return phi, phi_z
 
 
-def reference_march(system, metric, grid, z0, config):
+def reference_march(system, metric, grid, z0, horizon):
     """hybrid_solve's march (same flow and steps) with
     reference_transport_rate: the final (phi, Phi) of the former kernel."""
     q_field = unvec(info_rate_on_grid(system, grid))
@@ -256,7 +254,7 @@ def reference_march(system, metric, grid, z0, config):
         np.full(grid.shape, metric.value(z0)),
         np.broadcast_to(metric.gradient(z0), grid.shape + (system.info_len,)).copy(),
     ]
-    euler_march(step, cfl_dt(grid, alpha, config.cfl_number), config)
+    euler_march(step, cfl_dt(grid, alpha), horizon)
     return fields
 
 
@@ -402,27 +400,27 @@ class TestLfHamiltonian:
 class TestCflDt:
     def test_single_axis(self):
         grid = GridSpec((Axis(0.0, 1.0, 11),))
-        assert cfl_dt(grid, np.array([1.0]), 0.5) == pytest.approx(0.05)
+        assert cfl_dt(grid, np.array([1.0])) == pytest.approx(0.05)
 
     def test_homogeneous_in_spacing(self):
         g1 = GridSpec((Axis(0.0, 1.0, 11), Axis(0.0, 2.0, 11)))
         g2 = GridSpec((Axis(0.0, 2.0, 11), Axis(0.0, 4.0, 11)))
         alpha = np.array([1.0, 3.0])
-        assert cfl_dt(g2, alpha, 0.5) == pytest.approx(2.0 * cfl_dt(g1, alpha, 0.5))
+        assert cfl_dt(g2, alpha) == pytest.approx(2.0 * cfl_dt(g1, alpha))
 
     def test_survey_scale_grid(self):
         # dX = dY = 10 m, 32 heading cells, speed 50, turn limit 0.05
         grid = GridSpec.vehicle_plane((0.0, 800.0), (0.0, 800.0), 81, 81, 32)
         alpha = np.array([50.0, 50.0, 0.05])
         expected = 0.5 / (50.0 / 10.0 + 50.0 / 10.0 + 0.05 / (2.0 * math.pi / 32.0))
-        got = cfl_dt(grid, alpha, 0.5)
+        got = cfl_dt(grid, alpha)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got == pytest.approx(0.0488, abs=5e-4)
 
     def test_all_zero_alpha_rejected(self):
         grid = GridSpec((Axis(0.0, 1.0, 11),))
         with pytest.raises(ValueError):
-            cfl_dt(grid, np.array([0.0]), 0.5)
+            cfl_dt(grid, np.array([0.0]))
 
 
 class TestSensitivityTransport:
@@ -499,8 +497,8 @@ class TestKernelAgainstReference:
         scenario = load_scenario(SHIPPED)
         system, metric = scenario.build_system(), LogDetMetric(2)
         grid, z0 = scenario.grid(), scenario.initial_information()
-        sol = hybrid_solve(system, metric, grid, z0, scenario.solver)
-        ref_phi, ref_phi_z = reference_march(system, metric, grid, z0, scenario.solver)
+        sol = hybrid_solve(system, metric, grid, z0, scenario.horizon)
+        ref_phi, ref_phi_z = reference_march(system, metric, grid, z0, scenario.horizon)
         assert max_rel(sol.phi, ref_phi) <= 1e-12
         assert max_rel(sol.phi_z, ref_phi_z) <= 1e-12
 
@@ -514,17 +512,15 @@ class TestPackedMarch:
         scenario = load_scenario(SHIPPED)
         system, metric = scenario.build_system(), LogDetMetric(2)
         z0 = scenario.initial_information()
-        config = replace(scenario.solver, horizon=10.0)
-        sol = hybrid_solve(system, metric, grid, z0, config)
-        ref_phi, ref_phi_z = vec_march(system, metric, grid, z0, config)
+        sol = hybrid_solve(system, metric, grid, z0, 10.0)
+        ref_phi, ref_phi_z = vec_march(system, metric, grid, z0, 10.0)
         assert np.array_equal(sol.phi, ref_phi)
         assert np.array_equal(sol.phi_z, ref_phi_z)
 
     def test_toy_gives_the_bits_of_the_vec_march(self):
         toy, metric, grid = ToyCascade(), LogDetMetric(1), toy_grid(0.05)
-        config = SolverConfig(horizon=1.0)
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), config)
-        ref_phi, ref_phi_z = vec_march(toy, metric, grid, np.array([1.0]), config)
+        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0)
+        ref_phi, ref_phi_z = vec_march(toy, metric, grid, np.array([1.0]), 1.0)
         assert np.array_equal(sol.phi, ref_phi)
         assert np.array_equal(sol.phi_z, ref_phi_z)
 
@@ -534,7 +530,7 @@ class TestPackedMarch:
         scenario = load_scenario(SHIPPED)
         system, metric = scenario.build_system(), LogDetMetric(2)
         z0 = scenario.initial_information()
-        sol = hybrid_solve(system, metric, SURVEY_GRID, z0, SolverConfig(horizon=5.0))
+        sol = hybrid_solve(system, metric, SURVEY_GRID, z0, 5.0)
         assert sol.phi_z.shape == SURVEY_GRID.shape + (4,) and sol.phi_z.flags.c_contiguous
         assert np.array_equal(sol.phi_z[..., 1], sol.phi_z[..., 2])
 
@@ -580,7 +576,7 @@ class TestHybridSolve:
         metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-100.0, 100.0), (-100.0, 100.0), 5, 5, 8)
         z0 = vec(np.eye(2))
-        sol = hybrid_solve(car, metric, grid, z0, SolverConfig(horizon=2.0))
+        sol = hybrid_solve(car, metric, grid, z0, 2.0)
         assert np.allclose(sol.phi, metric.value(z0), atol=1e-12)
         assert np.allclose(sol.phi_z, metric.gradient(z0), atol=1e-12)
 
@@ -588,7 +584,7 @@ class TestHybridSolve:
         toy = ToyCascade()
         metric = LogDetMetric(1)
         grid = toy_grid(0.05)
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), SolverConfig(horizon=1.0))
+        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0)
         x = grid.axes[0].nodes
         inner = np.abs(x) <= 1.0
         err = np.abs(sol.phi - toy_truth(1.0, x, 1.0))
@@ -603,11 +599,10 @@ class TestHybridSolve:
         toy = ToyCascade()
         metric = LogDetMetric(1)
         grid = toy_grid(0.0125)
-        cfg = SolverConfig(horizon=1.0)
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg)
+        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0)
         d = 1e-5
-        plus = hybrid_solve(toy, metric, grid, np.array([1.0 + d]), cfg)
-        minus = hybrid_solve(toy, metric, grid, np.array([1.0 - d]), cfg)
+        plus = hybrid_solve(toy, metric, grid, np.array([1.0 + d]), 1.0)
+        minus = hybrid_solve(toy, metric, grid, np.array([1.0 - d]), 1.0)
         fd = (plus.phi - minus.phi) / (2.0 * d)
         x = grid.axes[0].nodes
         inner = np.abs(x) <= 1.0
@@ -621,7 +616,7 @@ class TestHybridSolve:
         grid = toy_grid(0.05)
         z0 = np.array([1.0])
         phis = [np.full(grid.shape, metric.value(z0))] + [
-            hybrid_solve(toy, metric, grid, z0, SolverConfig(horizon=horizon)).phi
+            hybrid_solve(toy, metric, grid, z0, horizon).phi
             for horizon in (0.25, 0.5, 0.75, 1.0)
         ]
         x = grid.axes[0].nodes
@@ -639,7 +634,7 @@ class TestHybridSolve:
         metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-100.0, 100.0), (-100.0, 100.0), 7, 7, 8)
         for horizon in (1.0, 2.0, 3.0):
-            sol = hybrid_solve(car, metric, grid, vec(np.eye(2)), SolverConfig(horizon=horizon))
+            sol = hybrid_solve(car, metric, grid, vec(np.eye(2)), horizon)
             mats = unvec(sol.phi_z)
             assert np.allclose(mats, np.swapaxes(mats, -1, -2), atol=1e-10)
             assert np.min(np.linalg.eigvalsh(-mats)) > 0.0
@@ -655,7 +650,7 @@ class TestHybridSolve:
         metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-10.0, 10.0), (-10.0, 10.0), 5, 5, 8)
         with pytest.raises((InstabilityError, ValueError)):
-            hybrid_solve(car, metric, grid, vec(np.eye(2)), SolverConfig(horizon=1.0))
+            hybrid_solve(car, metric, grid, vec(np.eye(2)), 1.0)
 
 
 class TestClassicSolve:
@@ -665,7 +660,7 @@ class TestClassicSolve:
         grid = GridSpec.vehicle_plane((-1.0, 1.0), (-1.0, 1.0), 5, 5, 8)
         joint = GridSpec(grid.axes + (Axis(0.0, 1.0, 5),) * 4)
         with pytest.raises(ValueError, match="refuses"):
-            classic_solve(car, metric, joint, SolverConfig(horizon=1.0))
+            classic_solve(car, metric, joint, 1.0)
 
     def test_zero_dynamics_keeps_terminal_cost(self):
         class Null(ToyCascade):
@@ -675,7 +670,7 @@ class TestClassicSolve:
         metric = LogDetMetric(1)
         joint = GridSpec((Axis(-1.0, 1.0, 11), Axis(0.5, 2.5, 21)))
         sys = Null(control_bound=1e-12)
-        phi = classic_solve(sys, metric, joint, SolverConfig(horizon=1.0))
+        phi = classic_solve(sys, metric, joint, 1.0)
         assert phi.shape == joint.shape
         z = joint.axes[1].nodes
         expected = -np.log(z)[None, :]
@@ -691,12 +686,39 @@ class TestClassicSolve:
         metric = LogDetMetric(1)
         joint = GridSpec((Axis(-1.0, 1.0, 11), Axis(0.5, 4.0, 71)))
         sys = Drifting(control_bound=1e-12)
-        phi = classic_solve(sys, metric, joint, SolverConfig(horizon=1.0))
+        phi = classic_solve(sys, metric, joint, 1.0)
         z = joint.axes[1].nodes
         expected = -np.log(z + 0.5)
         mid = phi[5]
         interior = (z > 0.8) & (z < 3.0)
         assert np.max(np.abs(mid - expected)[interior]) < 2e-2
+
+
+BAD_HORIZONS = [0.0, -1.0, math.nan, math.inf]
+
+
+class TestHorizonRefused:
+    """A horizon that is not positive and finite is refused by both solvers
+    and by load_solution."""
+
+    @pytest.mark.parametrize("horizon", BAD_HORIZONS, ids=repr)
+    def test_solvers_refuse(self, horizon):
+        toy, metric = ToyCascade(), LogDetMetric(1)
+        joint = GridSpec((Axis(-1.0, 1.0, 11), Axis(0.5, 2.5, 11)))
+        with pytest.raises(ValueError, match="horizon"):
+            hybrid_solve(toy, metric, toy_grid(0.1), np.array([1.0]), horizon)
+        with pytest.raises(ValueError, match="horizon"):
+            classic_solve(toy, metric, joint, horizon)
+
+    @pytest.mark.parametrize("horizon", BAD_HORIZONS, ids=repr)
+    def test_load_solution_refuses(self, tmp_path, horizon):
+        solve_to_disk(tmp_path, ToyCascade(), LogDetMetric(1), toy_grid(0.1), np.array([1.0]), 0.5)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["horizon"] = horizon
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="manifest.json: horizon must be positive"):
+            load_solution(tmp_path)
 
 
 class TestFinalHorizon:
@@ -706,10 +728,9 @@ class TestFinalHorizon:
         toy = ToyCascade()
         metric = LogDetMetric(1)
         grid = GridSpec((Axis(-2.0, 2.0, 241),))
-        cfg = SolverConfig(horizon=1.0)
-        sol = solve_to_disk(tmp_path, toy, metric, grid, np.array([1.0]), cfg)
+        sol = solve_to_disk(tmp_path, toy, metric, grid, np.array([1.0]), 1.0)
         assert sol.timings["steps"] == 120
-        assert load_solution(tmp_path).config == cfg
+        assert load_solution(tmp_path).horizon == 1.0
 
 
 class TestSolutionIO:
@@ -719,10 +740,9 @@ class TestSolutionIO:
         # integer extents: the manifest's grid reads back as floats and must
         # still give its config_hash
         grid = GridSpec((Axis(-2, 2, 41),))
-        cfg = SolverConfig(horizon=0.5)
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), cfg)
+        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 0.5)
         out = tmp_path / "sol"
-        streamed = solve_to_disk(out, toy, metric, grid, np.array([1.0]), cfg)
+        streamed = solve_to_disk(out, toy, metric, grid, np.array([1.0]), 0.5)
         assert np.array_equal(streamed.phi, sol.phi)
         assert np.array_equal(streamed.phi_z, sol.phi_z)
         snaps = json.loads((out / "manifest.json").read_text())["snapshots"]
@@ -731,7 +751,7 @@ class TestSolutionIO:
         assert np.array_equal(load_array(out / "phiz.bin", grid.shape + (1,)), sol.phi_z)
         back = load_solution(out)
         assert np.array_equal(back.phi, sol.phi) and np.array_equal(back.phi_z, sol.phi_z)
-        assert back.grid == sol.grid and back.config == sol.config
+        assert back.grid == sol.grid and back.horizon == sol.horizon == 0.5
         assert np.array_equal(back.z0, sol.z0)
 
     def test_reruns_byte_identical(self, tmp_path):
@@ -741,7 +761,7 @@ class TestSolutionIO:
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            solve_to_disk(out, toy, metric, grid, np.array([1.0]), SolverConfig(horizon=0.5))
+            solve_to_disk(out, toy, metric, grid, np.array([1.0]), 0.5)
             outs.append(out)
         for fname in ("manifest.json", "phi.bin", "phiz.bin"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
@@ -750,7 +770,7 @@ class TestSolutionIO:
         toy = ToyCascade()
         metric = LogDetMetric(1)
         out = tmp_path / "sol"
-        solve_to_disk(out, toy, metric, toy_grid(0.1), np.array([1.0]), SolverConfig(horizon=0.5))
+        solve_to_disk(out, toy, metric, toy_grid(0.1), np.array([1.0]), 0.5)
         back = load_solution(out)
         for arr in (back.phi, back.phi_z):
             assert not arr.flags.writeable

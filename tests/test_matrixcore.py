@@ -397,7 +397,7 @@ class TestClosedFormFlow:
     def test_survey_solve_matches_lapack_kernel(self):
         from infotraj.cli import load_scenario
         from infotraj.grid import GridSpec
-        from infotraj.hjsolver import SolverConfig, hybrid_solve, info_rate_on_grid
+        from infotraj.hjsolver import hybrid_solve, info_rate_on_grid
 
         class LapackLogDet(LogDetMetric):
             def flow(self, value, grad, rate, h, work=None):
@@ -407,10 +407,10 @@ class TestClosedFormFlow:
         system = scenario.build_system()
         grid = GridSpec.vehicle_plane(scenario.x_extent, scenario.y_extent, 21, 21, 16)
         z0 = scenario.initial_information()
-        config = SolverConfig(horizon=scenario.solver.horizon, cfl_number=scenario.solver.cfl_number)
         ell = info_rate_on_grid(system, grid)
-        closed = hybrid_solve(system, LogDetMetric(2), grid, z0, config, info_rate_field=ell)
-        lapack = hybrid_solve(system, LapackLogDet(2), grid, z0, config, info_rate_field=ell)
+        horizon = scenario.horizon
+        closed = hybrid_solve(system, LogDetMetric(2), grid, z0, horizon, info_rate_field=ell)
+        lapack = hybrid_solve(system, LapackLogDet(2), grid, z0, horizon, info_rate_field=ell)
         assert closed.timings["steps"] == lapack.timings["steps"]
         d_phi = np.abs(closed.phi - lapack.phi)
         d_phi_z = np.linalg.norm(closed.phi_z - lapack.phi_z, axis=-1)

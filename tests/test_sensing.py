@@ -339,15 +339,6 @@ class TestConditionalFim:
 
 
 class TestExpectedFim:
-    def test_zero_covariance_returns_conditional(self):
-        sen = make_sensor()
-        prior = GaussianPrior(np.array([3.0, 4.0]), 1e-12 * np.eye(2))
-        x = np.array([100.0, 50.0, 0.3])
-        # a zero covariance is not SPD, so it cannot pass the constructor;
-        # force it to probe the exact degenerate branch of expected_fim
-        object.__setattr__(prior, "covariance", np.zeros((2, 2)))
-        assert np.array_equal(expected_fim(sen, x, prior), conditional_fim(sen, x, prior.mean))
-
     def test_exact_for_quadratic_information(self):
         a = np.array([[0.08, 0.02], [0.02, 0.05]])
         b = np.array([0.7, -0.4])

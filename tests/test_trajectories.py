@@ -20,14 +20,13 @@ from infotraj.dynamics import (
     simulate_open_loop,
 )
 from infotraj.grid import Axis, GridSpec, interpolate
-from infotraj.hjsolver import SolverConfig, hybrid_solve, info_rate_on_grid
+from infotraj.hjsolver import hybrid_solve, info_rate_on_grid
 from infotraj.matrixcore import LogDetMetric, vec
 from infotraj.sensing import suite_info_rate
 from infotraj.trajectories import (
     BoundaryExitError,
     ValidationReport,
     _info_rate_and_jacobian,
-    _leading_steps,
     _simulate_control_batch,
     brute_force_value,
     extract_characteristic,
@@ -81,7 +80,7 @@ def reference_extract(solution, system, metric, x0, dt):
     stage-batched one: every RK4 stage makes its own 7-point info-rate call
     and its own drift_jacobian call."""
     grid = solution.grid
-    horizon = solution.config.horizon
+    horizon = solution.horizon
     x = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
     p = interpolate(solution.value_gradient(), grid, x)
     lam_row = np.asarray(interpolate(solution.phi_z, grid, x), dtype=float)
@@ -179,7 +178,7 @@ def toy_setup():
     toy = ToyCascade()
     metric = LogDetMetric(1)
     grid = GridSpec((Axis(-3.0, 3.0, 241),))
-    sol = hybrid_solve(toy, metric, grid, np.array([1.0]), SolverConfig(horizon=1.0))
+    sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0)
     return toy, metric, grid, sol
 
 
@@ -203,7 +202,7 @@ class TestCharacteristicExtraction:
         ratios = []
         for n in (241, 481):
             grid = GridSpec((Axis(-3.0, 3.0, n),))
-            sol = hybrid_solve(toy, metric, grid, np.array([1.0]), SolverConfig(horizon=1.0))
+            sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0)
             traj = extract_characteristic(sol, toy, metric, np.array([0.5]), dt=0.005)
             r = traj.residuals
             ratios.append(r["costate_terminal_norm"] / r["costate_initial_norm"])
@@ -224,7 +223,7 @@ class TestCharacteristicExtraction:
         car = DubinsCar(10.0, 0.1, info_rate_fn=None, info_dim=2)
         metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-500.0, 500.0), (-500.0, 500.0), 9, 9, 8)
-        sol = hybrid_solve(car, metric, grid, vec(np.eye(2)), SolverConfig(horizon=10.0))
+        sol = hybrid_solve(car, metric, grid, vec(np.eye(2)), 10.0)
         traj = extract_characteristic(sol, car, metric, State(0.0, 0.0, 0.0), dt=0.05)
         assert np.all(traj.controls == 0.0)
         assert np.allclose(traj.states[-1], [100.0, 0.0, 0.0], atol=1e-6)
@@ -233,7 +232,7 @@ class TestCharacteristicExtraction:
         car = DubinsCar(10.0, 0.1, info_rate_fn=None, info_dim=2)
         metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-50.0, 50.0), (-50.0, 50.0), 9, 9, 8)
-        sol = hybrid_solve(car, metric, grid, vec(np.eye(2)), SolverConfig(horizon=20.0))
+        sol = hybrid_solve(car, metric, grid, vec(np.eye(2)), 20.0)
         with pytest.raises(BoundaryExitError) as err:
             extract_characteristic(sol, car, metric, State(0.0, 0.0, 0.0), dt=0.05)
         partial = err.value.trajectory
@@ -303,8 +302,7 @@ class TestConcurrentExtraction:
 
 
 def reference_extract_receding(
-    system, metric, grid, x0, z0, horizon, legs, config=None, dt=0.05,
-    info_rate_field=None,
+    system, metric, grid, x0, z0, horizon, legs, dt=0.05, info_rate_field=None,
 ):
     """The former receding extractor: every leg, leg 0 included, re-solves
     the value function on the full grid."""
@@ -319,8 +317,7 @@ def reference_extract_receding(
     pieces = []
     for k in range(legs):
         remaining = horizon - k * leg_span
-        cfg = replace(config or SolverConfig(horizon=remaining), horizon=remaining)
-        sol = hybrid_solve(system, metric, grid, z, cfg, info_rate_field=info_rate_field)
+        sol = hybrid_solve(system, metric, grid, z, remaining, info_rate_field=info_rate_field)
         piece = extract_characteristic(sol, system, metric, x, dt, duration=leg_span)
         pieces.append(piece)
         x = piece.final_state()
@@ -370,12 +367,9 @@ class TestRecedingExtraction:
         car = DubinsCar(10.0, 0.1, info_rate_fn=None, info_dim=2)
         metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-500.0, 500.0), (-500.0, 500.0), 9, 9, 8)
-        sol = hybrid_solve(car, metric, grid, vec(np.eye(2)), SolverConfig(horizon=9.0))
+        sol = hybrid_solve(car, metric, grid, vec(np.eye(2)), 9.0)
         traj = extract_receding(sol, car, metric, State(0.0, 0.0, 0.0), legs=3, dt=0.05)
         assert np.all(traj.controls == 0.0)
-
-
-TRAJECTORY_FIELDS = ("s", "states", "infos", "controls", "costates", "info_costates")
 
 
 @pytest.fixture(scope="module")
@@ -384,71 +378,6 @@ def shipped_characteristic(survey):
     scenario, system, metric, grid, z0, ell, solution = survey
     x0 = scenario.initial_states[0]
     return extract_characteristic(solution, system, metric, x0, scenario.extraction_dt)
-
-
-class TestRecedingLegZeroReuse:
-    """extract_receding(characteristic=...) takes leg 0 from the prefix."""
-
-    def test_sandwich_equal_with_and_without_reuse(self, survey, shipped_characteristic):
-        scenario, system, metric, grid, z0, ell, solution = survey
-        x0, dt = scenario.initial_states[0], scenario.extraction_dt
-        runs = [
-            extract_receding(
-                solution, system, metric, x0, legs=6, dt=dt, info_rate_field=ell,
-                characteristic=char,
-            )
-            for char in (None, shipped_characteristic)
-        ]
-        for name in TRAJECTORY_FIELDS:
-            assert np.array_equal(getattr(runs[0], name), getattr(runs[1], name))
-        assert runs[0].terminal_cost == runs[1].terminal_cost
-        assert runs[0].residuals == runs[1].residuals
-
-    def test_prefix_ending_at_a_switch_equals_a_short_extraction(
-        self, survey, shipped_characteristic
-    ):
-        # a run that stops after n steps records its last applied control in
-        # row n, where the longer run already holds the next one
-        scenario, system, metric, grid, z0, ell, solution = survey
-        x0, dt = scenario.initial_states[0], scenario.extraction_dt
-        char = shipped_characteristic
-        switches = np.flatnonzero(char.controls[1:-1] != char.controls[:-2]) + 1
-        durations = [n * char.s[1] for n in switches]
-        checked = 0
-        for duration in durations:
-            prefix = _leading_steps(char, duration, dt, x0)
-            if prefix is None:
-                continue
-            short = extract_characteristic(solution, system, metric, x0, dt, duration=duration)
-            for name in TRAJECTORY_FIELDS:
-                assert np.array_equal(getattr(prefix, name), getattr(short, name))
-            checked += 1
-            if checked == 2:
-                break
-        assert checked == 2
-
-    @pytest.mark.parametrize("legs,integrated", [(4, 3), (3, 3)], ids=["aligned", "unaligned"])
-    def test_reuses_only_aligned_steps(self, toy_setup, monkeypatch, legs, integrated):
-        # horizon 1, dt 0.01: four legs take 25 steps of 0.01 like the full
-        # extraction, three legs take 34 steps of 1/102
-        toy, metric, grid, sol = toy_setup
-        x0 = np.array([0.5])
-        char = extract_characteristic(sol, toy, metric, x0, dt=0.01)
-        plain = extract_receding(sol, toy, metric, x0, legs=legs, dt=0.01)
-        calls = []
-        original = infotraj.trajectories.extract_characteristic
-
-        def counting(*args, **kwargs):
-            calls.append(args[4] if len(args) > 4 else kwargs["x0"])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(infotraj.trajectories, "extract_characteristic", counting)
-        reused = extract_receding(sol, toy, metric, x0, legs=legs, dt=0.01, characteristic=char)
-        assert len(calls) == integrated
-        for name in TRAJECTORY_FIELDS:
-            assert np.array_equal(getattr(reused, name), getattr(plain, name))
-        # another start never reuses the prefix
-        assert _leading_steps(char, 0.25, 0.01, np.array([0.4])) is None
 
 
 class TestRecedingCropAgainstReference:
@@ -475,8 +404,8 @@ class TestRecedingCropAgainstReference:
         )
         monkeypatch.undo()
         want = reference_extract_receding(
-            system, metric, grid, x0, z0, scenario.solver.horizon, legs=legs,
-            config=scenario.solver, dt=scenario.extraction_dt, info_rate_field=ell,
+            system, metric, grid, x0, z0, scenario.horizon, legs=legs,
+            dt=scenario.extraction_dt, info_rate_field=ell,
         )
         # leg 0 reuses the solution; every later leg runs on a cropped plane
         assert len(shapes) == legs - 1
@@ -520,9 +449,9 @@ class TestBruteForce:
         rng = np.random.default_rng(9)
         vals = np.concatenate([combos, combos[rng.choice(len(combos), 40)]])
         vals = vals[rng.permutation(len(vals))]
-        got = _simulate_control_batch(system, x0, z0, vals, scenario.solver.horizon, 0.2)
+        got = _simulate_control_batch(system, x0, z0, vals, scenario.horizon, 0.2)
         want = reference_simulate_control_batch(
-            system, x0, z0, vals, scenario.solver.horizon, 0.2
+            system, x0, z0, vals, scenario.horizon, 0.2
         )
         assert np.array_equal(got, want)
 
@@ -609,7 +538,7 @@ class TestStageBatchedRK4:
         metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-50.0, 50.0), (-50.0, 50.0), 9, 9, 8)
         sol = hybrid_solve(
-            car, metric, grid, scenario.initial_information(), SolverConfig(horizon=20.0)
+            car, metric, grid, scenario.initial_information(), 20.0
         )
         errors = []
         for extract in (extract_characteristic, reference_extract):
@@ -778,7 +707,7 @@ class TestGradientConsistencyCheck:
         metric = LogDetMetric(1)
         grid = GridSpec((Axis(-2.0, 2.0, 161),))
         out = gradient_consistency_check(
-            toy, metric, grid, np.array([1.0]), SolverConfig(horizon=1.0), interior_margin=40
+            toy, metric, grid, np.array([1.0]), 1.0, interior_margin=40
         )
         assert out["fraction_within_1e2"] >= 0.9
         assert out["interior_points"] == 81
