@@ -28,7 +28,7 @@ from infotraj.dynamics import (
     trajectory_from_csv,
     trajectory_to_csv,
 )
-from infotraj.grid import Axis, GridSpec, interpolate, write_manifest
+from infotraj.grid import Axis, GridSpec, interpolate, remove_matching, write_manifest
 from infotraj.hjsolver import (
     InstabilityError,
     cfl_dt,
@@ -46,7 +46,7 @@ from infotraj.trajectories import (
     brute_force_value,
     extract_characteristic,
     extract_receding,
-    final_leg_ray_misalignment_deg,
+    final_leg_shape,
     gradient_consistency_check,
     toy_hybrid_vs_classic,
 )
@@ -135,11 +135,10 @@ def _positive(value, where: str, integer: bool = False):
     return number
 
 
-def _numbers(values, where: str, length: Optional[int] = None) -> list:
-    """A list of finite numbers (of the given length)."""
+def _numbers(values, where: str, length: int) -> list:
+    """A list of length finite numbers."""
     _require(isinstance(values, list), where, "expected a list of numbers")
-    if length is not None:
-        _require(len(values) == length, where, f"expected {length} entries")
+    _require(len(values) == length, where, f"expected {length} entries")
     return [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
@@ -244,7 +243,7 @@ class Scenario:
         }
 
 
-def scenario_from_dict(data: dict, where: str = "scenario") -> Scenario:
+def scenario_from_dict(data: dict, where: str) -> Scenario:
     top = _take(
         data,
         where,
@@ -418,21 +417,6 @@ def cmd_solve(scenario: Scenario, out_dir) -> None:
     )
 
 
-def _shape_metrics(traj, prior_mean) -> dict:
-    """Alignment of the final fifth of the path with the ray from the prior mean."""
-    seg = traj.states[int(0.8 * traj.s.size) :]
-    rel = seg[:, :2] - prior_mean
-    per = np.abs(
-        (seg[:, 2] - np.arctan2(rel[:, 1], rel[:, 0]) + math.pi) % (2 * math.pi) - math.pi
-    )
-    deg = 180.0 / math.pi
-    return {
-        "net_displacement_misalignment_deg": final_leg_ray_misalignment_deg(traj, prior_mean),
-        "mean_heading_misalignment_deg": float(np.mean(per) * deg),
-        "max_heading_misalignment_deg": float(np.max(per) * deg),
-    }
-
-
 def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario] = None) -> dict:
     """Extract trajectories from a stored solution; one CSV per initial state.
 
@@ -446,8 +430,7 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
     stay, and no later start runs.
     """
     if scenario is None:
-        path = os.path.join(str(solution_dir), "scenario.json")
-        scenario = scenario_from_dict(_read_json(path), where=path)
+        scenario = load_scenario(os.path.join(str(solution_dir), "scenario.json"))
     starts = [State(*row) for row in x0_list] if x0_list else list(scenario.initial_states)
     if not starts:
         warnings.warn("no initial states given; nothing to extract", stacklevel=2)
@@ -465,11 +448,7 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
     system = scenario.build_system()
     metric = LogDetMetric(scenario.prior().dim)
     _make_output_dir(out_dir)
-    earlier = re.compile(r"trajectory_.*\.csv|extraction_summary\.json")
-    for name in os.listdir(out_dir):
-        path = os.path.join(out_dir, name)
-        if earlier.fullmatch(name) and os.path.isfile(path):
-            os.remove(path)
+    remove_matching(out_dir, re.compile(r"trajectory_.*\.csv|extraction_summary\.json"))
 
     legs = scenario.extraction_legs
     # the re-solves of every start share one information-rate field
@@ -494,7 +473,7 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
             "normalized_gain": metric.normalized_gain(traj.final_info(), solution.z0),
             "residuals": traj.residuals,
         }
-        entry.update(_shape_metrics(traj, scenario.prior_mean))
+        entry.update(final_leg_shape(traj, scenario.prior_mean))
         summary["trajectories"].append(entry)
     write_manifest(os.path.join(out_dir, "extraction_summary.json"), summary)
     return summary
@@ -559,11 +538,13 @@ def render_svg(trajectories, prior_mean, prior_covariance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_plot(in_dir, out_file, scenario: Optional[Scenario] = None) -> None:
+def cmd_plot(in_dir, out_file, scenario: Optional[Scenario]) -> None:
+    """SVG of in_dir's trajectory CSVs and scenario's prior (None: the one
+    in in_dir's scenario.json, if any)."""
     if scenario is None:
         candidate = os.path.join(in_dir, "scenario.json")
         if os.path.exists(candidate):
-            scenario = scenario_from_dict(_read_json(candidate), where=candidate)
+            scenario = load_scenario(candidate)
     names = sorted(f for f in os.listdir(in_dir) if f.startswith("trajectory_") and f.endswith(".csv"))
     if not names:
         raise ScenarioError(f"{in_dir}: no trajectory CSV files found")
@@ -596,7 +577,7 @@ class ValidationSuite:
     report: str = ""  # path the report is written to; empty: not written
 
 
-def suite_from_dict(data: dict, where: str = "suite", base_dir: str = ".") -> ValidationSuite:
+def suite_from_dict(data: dict, where: str, base_dir: str) -> ValidationSuite:
     """Parse a validate suite: scenario and report, each optional, paths
     relative to base_dir (the suite file's directory); scenario is loaded
     here. An unknown field (the run settings and the gates, "thresholds",

@@ -178,6 +178,14 @@ def save_array(path, arr: np.ndarray) -> None:
     np.ascontiguousarray(arr, dtype="<f8").tofile(path)
 
 
+def remove_matching(folder, pattern) -> None:
+    """Remove the regular files in folder whose names pattern fully matches."""
+    for name in os.listdir(folder):
+        path = os.path.join(folder, name)
+        if pattern.fullmatch(name) and os.path.isfile(path):
+            os.remove(path)
+
+
 def load_array(path, shape) -> np.ndarray:
     """Map a flat binary written by save_array read-only, without reading
     it; a file of the wrong size raises ValueError naming it."""

@@ -50,6 +50,7 @@ from infotraj.grid import (
     GridSpec,
     load_array,
     read_manifest,
+    remove_matching,
     save_array,
     write_manifest,
 )
@@ -123,7 +124,7 @@ def lf_plan(drift, g, alpha, shape) -> LFPlan:
     return LFPlan(fixed, np.empty((k,) + nodes), work, np.empty((k - 1,) + nodes))
 
 
-def lf_rate(minus, plus, drift, g, bound: float, alpha, plan=None):
+def lf_rate(minus, plus, drift, g, bound: float, alpha, plan: LFPlan):
     """Lax-Friedrichs numerical Hamiltonian, forward in horizon, over a
     component-major stack.
 
@@ -141,7 +142,7 @@ def lf_rate(minus, plus, drift, g, bound: float, alpha, plan=None):
 
         sum_i (w_i - alpha_i) / 2 D-_i + (w_i + alpha_i) / 2 D+_i.
 
-    plan (lf_plan, built here when None) holds the coefficients of the axes
+    plan (lf_plan of the stack's shape) holds the coefficients of the axes
     with g_i = 0 and the scratch arrays. Returns the (k, *nodes) rate, which
     is plan.out and is overwritten by the next call with the same plan, and
     u*. _march passes the (D-, D+) views of its ghost-row difference
@@ -149,13 +150,6 @@ def lf_rate(minus, plus, drift, g, bound: float, alpha, plan=None):
     axes marches the value alone (k = 1), with the information rates as the
     drift of the z axes and g = 0 there.
     """
-    k = len(minus[0])
-    nodes = np.broadcast_shapes(
-        *(np.shape(m)[1:] for m in minus), *(np.shape(f) for f in drift),
-        *(np.shape(a) for a in alpha),
-    )
-    if plan is None:
-        plan = lf_plan(drift, g, alpha, (k,) + nodes)
     out = plan.out
     # scratch written with out=: the central gradient of one axis, the
     # switching function, the Hamiltonian, the dissipation and a temporary;
@@ -174,7 +168,7 @@ def lf_rate(minus, plus, drift, g, bound: float, alpha, plan=None):
     ham -= np.multiply(np.abs(switching, out=tmp), bound, out=tmp)
     np.add(ham, diss, out=out[0, ...])
     u_star = bang_bang(switching, bound)
-    if k > 1:
+    if len(out) > 1:
         sens, prod = out[1:], plan.prod
         # coefficients (w -+ alpha) / 2 = w / 2 -+ alpha / 2, exactly
         half_w = central
@@ -267,7 +261,7 @@ def solve_to_disk(
     grid: GridSpec,
     z0: np.ndarray,
     horizon: float,
-    extras: Optional[dict] = None,
+    extras: dict,
 ) -> HybridSolution:
     """Solve and persist the solution's final fields.
 
@@ -281,17 +275,14 @@ def solve_to_disk(
     separate timings.json so that repeated runs with the same configuration
     produce byte-identical manifests and fields. The manifest's config_hash
     is config_fingerprint(grid, z0, horizon), which load_solution checks.
-    extras (e.g. a model hash) are merged into the manifest. Returns
-    the solution.
+    extras (e.g. a model hash; {} for none) are merged into the manifest.
+    Returns the solution.
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
     if os.path.lexists(manifest_path):
         os.remove(manifest_path)
-    for name in os.listdir(out_dir):
-        path = os.path.join(out_dir, name)
-        if OLD_SNAPSHOT_FILE.fullmatch(name) and os.path.isfile(path):
-            os.remove(path)
+    remove_matching(out_dir, OLD_SNAPSHOT_FILE)
     solution = hybrid_solve(system, metric, grid, z0, horizon)
     save_array(os.path.join(out_dir, FINAL_FILES["phi"]), solution.phi)
     save_array(os.path.join(out_dir, FINAL_FILES["phi_z"]), solution.phi_z)
@@ -307,27 +298,31 @@ def solve_to_disk(
         "config_hash": config_fingerprint(grid, solution.z0, solution.horizon),
         "snapshots": [FINAL_FILES],
     }
-    manifest.update(extras or {})
+    manifest.update(extras)
     write_manifest(manifest_path, manifest)
     return solution
 
 
-def load_solution(in_dir, extras: Optional[dict] = None) -> HybridSolution:
+def load_solution(in_dir, extras: dict) -> HybridSolution:
     """Open a solution written by solve_to_disk: its final pair of fields,
     mapped read-only (grid.load_array).
 
-    ValueError, naming the file and field, for: an m that is not a square
-    p**2 >= 1, a z0 without m entries, a horizon check_horizon refuses, a
-    snapshots list other than [FINAL_FILES] (so both files lie in in_dir),
-    a file of the wrong size, a config_hash other than config_fingerprint
-    of the manifest's grid, z0 and horizon, a manifest entry other than the
-    value extras gives for it (the model_hash and config_hash that
-    solve_to_disk's extras wrote), and a field with a NaN or an infinity
-    (the march never writes one). A directory without manifest.json is not
-    a solution.
+    ValueError, naming the file and field, for: a manifest without one of
+    the entries grid, m, z0, horizon and snapshots, an m that is not a
+    square p**2 >= 1, a z0 without m entries, a horizon check_horizon
+    refuses, a snapshots list other than [FINAL_FILES] (so both files lie in
+    in_dir), a file of the wrong size, a config_hash other than
+    config_fingerprint of the manifest's grid, z0 and horizon, a manifest
+    entry other than the value extras gives for it (the model_hash and
+    config_hash that solve_to_disk's extras wrote; {} checks none), and a
+    field with a NaN or an infinity (the march never writes one). A
+    directory without manifest.json is not a solution.
     """
     manifest_path = os.path.join(in_dir, "manifest.json")
     manifest = read_manifest(manifest_path)
+    for key in ("grid", "m", "z0", "horizon", "snapshots"):
+        if key not in manifest:
+            raise ValueError(f"{manifest_path}: no {key} entry")
     grid = GridSpec.from_dict(manifest["grid"])
     m = int(manifest["m"])
     if m < 1 or math.isqrt(m) ** 2 != m:
@@ -346,7 +341,7 @@ def load_solution(in_dir, extras: Optional[dict] = None) -> HybridSolution:
     phi_z = load_array(paths["phi_z"], grid.shape + (m,))
     if manifest.get("config_hash") != config_fingerprint(grid, z0, horizon):
         raise ValueError(f"{manifest_path}: config_hash does not match its grid, z0 and horizon")
-    for key, value in (extras or {}).items():
+    for key, value in extras.items():
         if manifest.get(key) != value:
             raise ValueError(
                 f"{manifest_path}: manifest {key} does not match the scenario; extract "

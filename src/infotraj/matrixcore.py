@@ -176,7 +176,7 @@ class LogDetMetric:
         """Gain relative to a reference information state; zero at z = z_ref."""
         return self.value(z) - self.value(z_ref)
 
-    def flow(self, value, grad, rate, h: float, work=None):
+    def flow(self, value, grad, rate, h: float, work):
         """Advance the pointwise accumulation (value, gradient) by h at a
         fixed information rate Q, in place: the solution of
         d(value)/ds = <vec(Q), grad>, d(grad)/ds = the z-derivative of that
@@ -186,9 +186,9 @@ class LogDetMetric:
         gradient matrix and of Q on their last axis; value has their leading
         shape. Any strides will do, e.g. (..., k) views of a component-major
         stack. The new value and gradient are written into value and grad,
-        which are returned. work is optional scratch of shape (r,) +
-        value.shape with r >= FLOW_WORK for a kernel to compute in: a march
-        that passes the same one every step allocates nothing per step.
+        which are returned. work is scratch of shape (r,) + value.shape with
+        r >= FLOW_WORK for a kernel to compute in: a march that passes the
+        same one every step allocates nothing per step.
 
         The flow is closed-form: the accumulated matrix advances linearly, the
         value picks up the exact logdet increment, and the gradient is the
@@ -231,7 +231,7 @@ def _flow_lapack(value, grad, rate, h: float):
     return value, grad
 
 
-def _flow_2x2(value, grad, rate, h: float, work=None):
+def _flow_2x2(value, grad, rate, h: float, work):
     """LogDetMetric.flow for p = 2 from the packed entries (l00, l10, l11).
 
     grad holds L = -A^-1, so A = -adj(L) / det(L) and det(A) = 1 / det(L).
@@ -242,8 +242,6 @@ def _flow_2x2(value, grad, rate, h: float, work=None):
     arrays of work, and value and grad are written once every check passed.
     """
     l00, l10, l11 = grad[..., 0], grad[..., 1], grad[..., 2]
-    if work is None:
-        work = np.empty((FLOW_WORK,) + l00.shape)
     det_a, a00, a10, a11, det_new, tmp = (work[j, ...] for j in range(FLOW_WORK))
     np.multiply(l00, l11, out=det_a)
     det_a -= np.multiply(l10, l10, out=tmp)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -343,12 +343,12 @@ def suite_plan(sensors, prior: GaussianPrior) -> tuple:
     return stencil, [_noise_information(s) for s in sensors]
 
 
-def suite_fim(sensors, x, prior: GaussianPrior, plan: Optional[tuple] = None) -> np.ndarray:
+def suite_fim(sensors, x, prior: GaussianPrior, plan: tuple) -> np.ndarray:
     """Rate-weighted information rate of a sensor suite: sum_i F_i E[Q_i(x)].
 
-    plan is suite_plan(sensors, prior), built here when not given.
+    plan is suite_plan(sensors, prior).
     """
-    stencil, infos = suite_plan(sensors, prior) if plan is None else plan
+    stencil, infos = plan
     total = None
     for sensor, info in zip(sensors, infos):
         term = sensor.rate * _expected_fim(sensor, x, prior, stencil, info)

@@ -180,7 +180,7 @@ def extract_receding(
     x0: State,
     legs: int,
     dt: float,
-    info_rate_field: Optional[np.ndarray] = None,
+    info_rate_field: Optional[np.ndarray],
 ) -> Trajectory:
     """Closed-loop extraction: before each leg, re-solve the value function
     with the information collected so far as the new initial state.
@@ -203,15 +203,13 @@ def extract_receding(
     states, information states and controls stay bit-identical to full-grid
     re-solves, and the x and information costates move by 6.3e-4 and 1.6e-4
     of their largest entries (2.5e-3 / 7.6e-4 at a 2-cell margin, 7.6e-7 /
-    6.0e-8 at 8 cells). The information-rate field does not depend on the
-    information state and is computed once.
+    6.0e-8 at 8 cells). Every re-solve slices info_rate_field, which is
+    info_rate_on_grid(system, grid); legs = 1 re-solves nothing and takes None.
     """
     if legs < 1:
         raise ValueError("need at least one leg")
     grid = solution.grid
     horizon = solution.horizon
-    if info_rate_field is None and legs > 1:
-        info_rate_field = info_rate_on_grid(system, grid)
     bounds = system.rate_bounds()
 
     leg_span = horizon / legs
@@ -254,15 +252,36 @@ def extract_receding(
     return traj
 
 
+def _final_leg(traj: Trajectory) -> np.ndarray:
+    """The states of the final fifth of the path, which the shape metrics judge."""
+    return traj.states[int(0.8 * traj.s.size) :]
+
+
 def final_leg_ray_misalignment_deg(traj: Trajectory, prior_mean) -> float:
     """Angle in degrees between the net displacement over the final fifth of
     the path and the ray from the prior mean through that leg's midpoint."""
-    seg = traj.states[int(0.8 * traj.s.size) :]
+    seg = _final_leg(traj)
     disp = seg[-1][:2] - seg[0][:2]
     mid = 0.5 * (seg[-1][:2] + seg[0][:2]) - prior_mean
     ray = math.atan2(mid[1], mid[0])
     net = abs((math.atan2(disp[1], disp[0]) - ray + math.pi) % (2 * math.pi) - math.pi)
     return float(net * (180.0 / math.pi))
+
+
+def final_leg_shape(traj: Trajectory, prior_mean) -> dict:
+    """Alignment of the final fifth of the path with rays from the prior mean,
+    in degrees: final_leg_ray_misalignment_deg, and the mean and max angle
+    between a state's heading and the ray through that state."""
+    seg = _final_leg(traj)
+    rel = seg[:, :2] - prior_mean
+    ray = np.arctan2(rel[:, 1], rel[:, 0])
+    per = np.abs((seg[:, 2] - ray + math.pi) % (2 * math.pi) - math.pi)
+    deg = 180.0 / math.pi
+    return {
+        "net_displacement_misalignment_deg": final_leg_ray_misalignment_deg(traj, prior_mean),
+        "mean_heading_misalignment_deg": float(np.mean(per) * deg),
+        "max_heading_misalignment_deg": float(np.max(per) * deg),
+    }
 
 
 def _simulate_control_batch(
@@ -306,7 +325,7 @@ def brute_force_value(
     z0: np.ndarray,
     horizon: float,
     segments: int,
-    dt: float = 0.1,
+    dt: float,
 ):
     """Exhaustive search over piecewise-constant controls with values in
     {-bound, 0, +bound} on equal segments; the independent optimality oracle.

@@ -26,7 +26,7 @@ from infotraj.cli import (
     suite_from_dict,
 )
 from infotraj.dynamics import Trajectory, trajectory_to_csv
-from infotraj.hjsolver import InstabilityError, hybrid_solve, load_solution
+from infotraj.hjsolver import InstabilityError, hybrid_solve, info_rate_on_grid, load_solution
 from infotraj.matrixcore import LogDetMetric
 from infotraj.trajectories import extract_characteristic, extract_receding
 
@@ -108,7 +108,7 @@ class TestLoadScenario:
     def test_round_trip_idempotent(self, tmp_path):
         scenario = load_scenario(FIG2)
         once = scenario.to_dict()
-        again = scenario_from_dict(once).to_dict()
+        again = scenario_from_dict(once, "scenario").to_dict()
         assert once == again
 
 
@@ -150,7 +150,7 @@ class TestScenarioFieldMutations:
             node = node[key]
         node[path[-1]] = value
         try:
-            scenario = scenario_from_dict(data)
+            scenario = scenario_from_dict(data, "scenario")
             scenario.grid()
             scenario.build_system()
         except ScenarioError as exc:
@@ -200,7 +200,7 @@ class TestScenarioFieldMutations:
     def test_one_leg_per_extraction_step_loads(self):
         data = json.loads(FIG2.read_text())
         data["extraction"]["legs"] = 1200
-        assert scenario_from_dict(data).extraction_legs == 1200
+        assert scenario_from_dict(data, "scenario").extraction_legs == 1200
 
 
 @pytest.fixture(scope="module")
@@ -250,7 +250,7 @@ class TestSolveExtractPlot:
 
     def test_extract_empty_start_list_warns(self, pipeline):
         root, scenario, sol_dir = pipeline
-        scenario2 = scenario_from_dict({**scenario.to_dict(), "initial_states": []})
+        scenario2 = scenario_from_dict({**scenario.to_dict(), "initial_states": []}, "scenario")
         with pytest.warns(UserWarning, match="nothing to extract"):
             out = cmd_extract(sol_dir, root / "empty", scenario=scenario2)
         assert out["trajectories"] == []
@@ -273,7 +273,8 @@ class TestSolveExtractPlot:
             {
                 **scenario.to_dict(),
                 "initial_states": [[0.0, -30.0, 0.5], [0.0, 0.0, 0.5], [0.0, 30.0, 0.5]],
-            }
+            },
+            "scenario",
         )
         out = tmp_path / "fan"
         summary = cmd_extract(sol_dir, out, scenario=fan)
@@ -285,7 +286,8 @@ class TestSolveExtractPlot:
     def test_extract_removes_the_csvs_of_an_earlier_run(self, pipeline, tmp_path):
         root, scenario, sol_dir = pipeline
         fan = scenario_from_dict(
-            {**scenario.to_dict(), "initial_states": [[0.0, -30.0, 0.5], [0.0, 0.0, 0.5]] * 2}
+            {**scenario.to_dict(), "initial_states": [[0.0, -30.0, 0.5], [0.0, 0.0, 0.5]] * 2},
+            "scenario",
         )
         out = tmp_path / "out"
         assert len(cmd_extract(sol_dir, out, scenario=fan)["trajectories"]) == 4
@@ -405,7 +407,8 @@ class TestSolveExtractPlot:
         [
             "empty_snapshots", "two_snapshots", "old_snapshots", "short_z0", "m_not_square",
             "nan_final_phi", "nan_horizon", "absolute_name", "parent_name", "number_name",
-            "doubled_z0", "shifted_x_extent", "non_spd_z0", "sensor_suite_hash",
+            "doubled_z0", "shifted_x_extent", "non_spd_z0", "sensor_suite_hash", "no_grid",
+            "no_m", "no_z0", "no_horizon", "no_snapshots",
         ],
     )
     def test_corrupt_solution_exits_2_naming_it(self, pipeline, tmp_path, capsys, case):
@@ -425,6 +428,8 @@ class TestSolveExtractPlot:
             "non_spd_z0": hash_named,
             "sensor_suite_hash": "manifest model_hash",
         }.get(case, "manifest.json: snapshots")
+        if case.startswith("no_"):
+            named = f"manifest.json: no {case[3:]} entry"
         if case == "empty_snapshots":
             manifest["snapshots"] = []
         elif case == "two_snapshots":
@@ -458,6 +463,8 @@ class TestSolveExtractPlot:
         elif case == "sensor_suite_hash":
             # an older manifest hashed the sensors alone, under another key
             manifest["sensor_suite_hash"] = manifest.pop("model_hash")
+        elif case.startswith("no_"):
+            del manifest[case[3:]]
         else:
             axis = manifest["grid"]["axes"][0]
             axis["lo"], axis["hi"] = axis["lo"] + 100.0, axis["hi"] + 100.0
@@ -654,7 +661,7 @@ class TestRecedingExtract:
                              "y_extent_m": [-800.0, 800.0]})
         data["extraction"]["legs"] = 2
         data["initial_states"] = [[50.0, -36.6, -math.pi], [-200.0, 100.0, 0.5]]
-        scenario = scenario_from_dict(data)
+        scenario = scenario_from_dict(data, "scenario")
         sol_dir = tmp_path / "solution"
         cmd_solve(scenario, sol_dir)
 
@@ -671,12 +678,14 @@ class TestRecedingExtract:
         assert all(nx < 17 and ny < 17 for nx, ny, _ in shapes)
         monkeypatch.undo()
 
-        solution = load_solution(sol_dir)
+        solution = load_solution(sol_dir, {})
         system = scenario.build_system()
         metric = LogDetMetric(2)
+        ell = info_rate_on_grid(system, solution.grid)
         for entry, start in zip(summary["trajectories"], scenario.initial_states):
             traj = extract_receding(
-                solution, system, metric, start, legs=legs, dt=scenario.extraction_dt
+                solution, system, metric, start, legs=legs, dt=scenario.extraction_dt,
+                info_rate_field=ell,
             )
             direct = tmp_path / f"direct_{entry['file']}"
             trajectory_to_csv(traj, direct, metric)
@@ -698,7 +707,8 @@ class TestRecedingExtract:
         metric = LogDetMetric(2)
         start = scenario.initial_states[0]
         traj = extract_characteristic(
-            load_solution(sol_dir), scenario.build_system(), metric, start, scenario.extraction_dt
+            load_solution(sol_dir, {}), scenario.build_system(), metric, start,
+            scenario.extraction_dt,
         )
         direct = tmp_path / "direct.csv"
         trajectory_to_csv(traj, direct, metric)
@@ -750,12 +760,12 @@ class TestRenderSvg:
 
 class TestValidationSuite:
     def test_toy_only_suite_passes(self):
-        report = run_validation_suite(suite_from_dict({}))
+        report = run_validation_suite(suite_from_dict({}, "suite", "."))
         assert report.passed
 
     def test_tightened_thresholds_flip_to_failure(self, monkeypatch):
         monkeypatch.setattr(infotraj.cli, "TOY_MAX_DIFF", 1e-6)
-        report = run_validation_suite(suite_from_dict({}))
+        report = run_validation_suite(suite_from_dict({}, "suite", "."))
         assert not report.passed
         assert "toy_hybrid_vs_classic" in report.violations
 
@@ -832,13 +842,13 @@ class TestValidationSuite:
             assert f"unknown field(s) ['{key}']" in err and "Traceback" not in err
 
     def test_shipped_suite_parses_to_its_values(self):
+        path = REPO / "scenarios" / "validate_suite.json"
         suite = suite_from_dict(
-            json.loads((REPO / "scenarios" / "validate_suite.json").read_text()),
-            base_dir=str(REPO / "scenarios"),
+            json.loads(path.read_text()), where=str(path), base_dir=str(path.parent)
         )
         assert suite.scenario.name == "doppler_single_path"
         assert suite == replace(ValidationSuite(), scenario=suite.scenario)
-        assert suite_from_dict({}) == ValidationSuite()
+        assert suite_from_dict({}, "suite", ".") == ValidationSuite()
 
     def test_report_path_resolves_against_the_suite_directory(self, tmp_path, monkeypatch):
         (tmp_path / "sub").mkdir()

@@ -17,11 +17,12 @@ from infotraj.hjsolver import (
     classic_solve,
     hybrid_solve,
     info_rate_on_grid,
+    lf_plan,
     lf_rate,
     load_solution,
     solve_to_disk,
 )
-from infotraj.matrixcore import LogDetMetric, sym_pack, unvec, vec
+from infotraj.matrixcore import FLOW_WORK, LogDetMetric, sym_pack, unvec, vec
 from infotraj.trajectories import toy_hybrid_vs_classic
 
 SHIPPED = os.path.join(os.path.dirname(__file__), "..", "scenarios", "doppler_single_path.json")
@@ -44,13 +45,15 @@ def kernel_at(system, x, minus, plus, rate_matrix, alpha):
     costates minus.p / plus.p and dissipation alpha; the z axes enter with
     drift vec(Q), g = 0 and no dissipation, as in classic_solve."""
     m = len(minus.lam)
+    drift = np.concatenate(
+        [system.drift(np.asarray(x, dtype=float)), vec(np.asarray(rate_matrix))]
+    )
+    g = np.concatenate([system.control_column(), np.zeros(m)])
+    alpha = np.concatenate([np.asarray(alpha, dtype=float), np.zeros(m)])
     rate, u = lf_rate(
         np.concatenate([minus.p, minus.lam])[:, None],
         np.concatenate([plus.p, plus.lam])[:, None],
-        np.concatenate([system.drift(np.asarray(x, dtype=float)), vec(np.asarray(rate_matrix))]),
-        np.concatenate([system.control_column(), np.zeros(m)]),
-        system.control_bound,
-        np.concatenate([np.asarray(alpha, dtype=float), np.zeros(m)]),
+        drift, g, system.control_bound, alpha, lf_plan(drift, g, alpha, (1,)),
     )
     return float(rate[0]), float(u)
 
@@ -122,7 +125,8 @@ def transport_rate(phi, phi_z, grid, drift, g, bound: float, alpha):
     stack = np.concatenate([phi[None], np.moveaxis(phi_z, -1, 0)])
     bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid)
     hjsolver._ghost_differences(stack, grid, bufs)
-    rate, u_star = lf_rate(minus, plus, drift, g, bound, alpha)
+    plan = lf_plan(drift, g, alpha, stack.shape)
+    rate, u_star = lf_rate(minus, plus, drift, g, bound, alpha, plan)
     return rate[0], np.moveaxis(rate[1:], 0, -1), u_star
 
 
@@ -546,7 +550,8 @@ class TestPackedMarch:
         grads = 0.5 * (grads + np.swapaxes(grads, -1, -2))
         ref_value, ref_grad = vec_flow(values, vec(grads), q, 0.37)
         assert np.array_equal(ref_grad[:, 1], ref_grad[:, 2])
-        new_value, new_grad = metric.flow(values.copy(), sym_pack(grads), sym_pack(q), 0.37)
+        work = np.empty((FLOW_WORK,) + values.shape)
+        new_value, new_grad = metric.flow(values.copy(), sym_pack(grads), sym_pack(q), 0.37, work)
         assert np.array_equal(new_value, ref_value)
         assert np.array_equal(new_grad, ref_grad[:, [0, 1, 3]])
 
@@ -712,13 +717,15 @@ class TestHorizonRefused:
 
     @pytest.mark.parametrize("horizon", BAD_HORIZONS, ids=repr)
     def test_load_solution_refuses(self, tmp_path, horizon):
-        solve_to_disk(tmp_path, ToyCascade(), LogDetMetric(1), toy_grid(0.1), np.array([1.0]), 0.5)
+        solve_to_disk(
+            tmp_path, ToyCascade(), LogDetMetric(1), toy_grid(0.1), np.array([1.0]), 0.5, {}
+        )
         path = tmp_path / "manifest.json"
         manifest = json.loads(path.read_text())
         manifest["horizon"] = horizon
         path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="manifest.json: horizon must be positive"):
-            load_solution(tmp_path)
+            load_solution(tmp_path, {})
 
 
 class TestFinalHorizon:
@@ -728,9 +735,9 @@ class TestFinalHorizon:
         toy = ToyCascade()
         metric = LogDetMetric(1)
         grid = GridSpec((Axis(-2.0, 2.0, 241),))
-        sol = solve_to_disk(tmp_path, toy, metric, grid, np.array([1.0]), 1.0)
+        sol = solve_to_disk(tmp_path, toy, metric, grid, np.array([1.0]), 1.0, {})
         assert sol.timings["steps"] == 120
-        assert load_solution(tmp_path).horizon == 1.0
+        assert load_solution(tmp_path, {}).horizon == 1.0
 
 
 class TestSolutionIO:
@@ -742,14 +749,14 @@ class TestSolutionIO:
         grid = GridSpec((Axis(-2, 2, 41),))
         sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 0.5)
         out = tmp_path / "sol"
-        streamed = solve_to_disk(out, toy, metric, grid, np.array([1.0]), 0.5)
+        streamed = solve_to_disk(out, toy, metric, grid, np.array([1.0]), 0.5, {})
         assert np.array_equal(streamed.phi, sol.phi)
         assert np.array_equal(streamed.phi_z, sol.phi_z)
         snaps = json.loads((out / "manifest.json").read_text())["snapshots"]
         assert snaps == [{"phi": "phi.bin", "phi_z": "phiz.bin"}]
         assert np.array_equal(load_array(out / "phi.bin", grid.shape), sol.phi)
         assert np.array_equal(load_array(out / "phiz.bin", grid.shape + (1,)), sol.phi_z)
-        back = load_solution(out)
+        back = load_solution(out, {})
         assert np.array_equal(back.phi, sol.phi) and np.array_equal(back.phi_z, sol.phi_z)
         assert back.grid == sol.grid and back.horizon == sol.horizon == 0.5
         assert np.array_equal(back.z0, sol.z0)
@@ -761,7 +768,7 @@ class TestSolutionIO:
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            solve_to_disk(out, toy, metric, grid, np.array([1.0]), 0.5)
+            solve_to_disk(out, toy, metric, grid, np.array([1.0]), 0.5, {})
             outs.append(out)
         for fname in ("manifest.json", "phi.bin", "phiz.bin"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
@@ -770,8 +777,8 @@ class TestSolutionIO:
         toy = ToyCascade()
         metric = LogDetMetric(1)
         out = tmp_path / "sol"
-        solve_to_disk(out, toy, metric, toy_grid(0.1), np.array([1.0]), 0.5)
-        back = load_solution(out)
+        solve_to_disk(out, toy, metric, toy_grid(0.1), np.array([1.0]), 0.5, {})
+        back = load_solution(out, {})
         for arr in (back.phi, back.phi_z):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -780,4 +787,4 @@ class TestSolutionIO:
         longer = out / "phiz.bin"
         longer.write_bytes(longer.read_bytes() + b"\0" * 8)
         with pytest.raises(ValueError, match="phiz.bin"):
-            load_solution(out)
+            load_solution(out, {})

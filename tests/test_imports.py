@@ -2,7 +2,8 @@
 module is named by one `from X import` statement per file, the package
 exports exactly what its __init__ imports, every helper of the package
 (private, or public and not exported) serves the package itself, and every
-parameter default of a package function is overridden by some call."""
+parameter default of a package function is overridden by some call and
+left out by some call of the program."""
 
 import ast
 from collections import Counter
@@ -15,6 +16,7 @@ import infotraj
 REPO = Path(__file__).resolve().parents[1]
 PACKAGE_INIT = REPO / "src" / "infotraj" / "__init__.py"
 LIBRARY = sorted((REPO / "src" / "infotraj").glob("*.py"))
+PERFBENCH = sorted((REPO / "perfbench").glob("*.py"))
 MODULES = sorted(
     p for p in (REPO / "src" / "infotraj").glob("*.py") if p.name != "__init__.py"
 ) + sorted((REPO / "tests").glob("*.py"))
@@ -162,14 +164,11 @@ def test_scan_flags_helpers_only_tests_call():
     assert unreferenced_helpers([library, tests]) == ["public"]
 
 
-def unoverridden_defaults(sources: list, library_count: int) -> list:
-    """'function(parameter)' for each defaulted parameter of a module-level
-    function of the first library_count sources that no call in any source
-    passes, by keyword or by position; a call with *args or **kwargs passes
-    every parameter."""
-    trees = [ast.parse(source) for source in sources]
-    defaulted = {}  # name -> (positional parameter names, defaulted names)
-    for tree in trees[:library_count]:
+def _defaulted(trees) -> dict:
+    """Each module-level function of trees with a defaulted parameter: name ->
+    (positional parameter names, defaulted parameter names)."""
+    defaulted = {}
+    for tree in trees:
         for node in tree.body:
             if not isinstance(node, ast.FunctionDef):
                 continue
@@ -180,7 +179,13 @@ def unoverridden_defaults(sources: list, library_count: int) -> list:
             ]
             if names:
                 defaulted[node.name] = (positional, names)
-    passed = set()
+    return defaulted
+
+
+def _calls(trees, defaulted):
+    """(name, parameters it passes, by position or keyword) for each call in
+    trees of a function in defaulted; None for a call with *args or
+    **kwargs, which may pass any."""
     for tree in trees:
         for call in ast.walk(tree):
             if not isinstance(call, ast.Call):
@@ -189,19 +194,36 @@ def unoverridden_defaults(sources: list, library_count: int) -> list:
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if name not in defaulted:
                 continue
-            positional, names = defaulted[name]
             if any(isinstance(a, ast.Starred) for a in call.args) or any(
                 k.arg is None for k in call.keywords
             ):
-                passed.update((name, p) for p in names)
-            passed.update((name, p) for p in positional[: len(call.args)])
-            passed.update((name, k.arg) for k in call.keywords)
+                yield name, None
+            else:
+                positional = defaulted[name][0]
+                yield name, set(positional[: len(call.args)]) | {k.arg for k in call.keywords}
+
+
+def _unmarked(defaulted, marked) -> list:
+    """'function(parameter)' for each defaulted parameter not in marked."""
     return [
         f"{name}({p})"
         for name, (_, names) in defaulted.items()
         for p in names
-        if (name, p) not in passed
+        if (name, p) not in marked
     ]
+
+
+def unoverridden_defaults(sources: list, library_count: int) -> list:
+    """'function(parameter)' for each defaulted parameter of a module-level
+    function of the first library_count sources that no call in any source
+    passes, by keyword or by position; a call with *args or **kwargs passes
+    every parameter."""
+    trees = [ast.parse(source) for source in sources]
+    defaulted = _defaulted(trees[:library_count])
+    passed = set()
+    for name, given in _calls(trees, defaulted):
+        passed.update((name, p) for p in defaulted[name][1] if given is None or p in given)
+    return _unmarked(defaulted, passed)
 
 
 def test_every_default_is_overridden_somewhere():
@@ -224,4 +246,49 @@ def test_scan_flags_defaults_no_call_passes():
     assert unoverridden_defaults([library, tests], 1) == ["solve(tol)", "solve(width)"]
     assert unoverridden_defaults([library], 1) == [
         "solve(steps)", "solve(tol)", "solve(width)", "solve(legs)", "check(delta)",
+    ]
+
+
+def defaults_no_call_leaves_out(sources: list, library_count: int) -> list:
+    """'function(parameter)' for each defaulted parameter of a module-level
+    function of the first library_count sources that no call in any source
+    leaves out; a call with *args or **kwargs leaves out none, and a
+    function that a source reads without calling it (say, hands to another
+    function) leaves out all of its defaults."""
+    trees = [ast.parse(source) for source in sources]
+    defaulted = _defaulted(trees[:library_count])
+    left_out = set()
+    for name, given in _calls(trees, defaulted):
+        if given is not None:
+            left_out.update((name, p) for p in defaulted[name][1] if p not in given)
+    for tree in trees:
+        callees = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees:
+                name = node.attr if isinstance(node, ast.Attribute) else node.id
+                left_out.update((name, p) for p in defaulted.get(name, ((), ()))[1])
+    return _unmarked(defaulted, left_out)
+
+
+def test_every_default_is_left_out_by_the_program():
+    sources = [path.read_text(encoding="utf-8") for path in LIBRARY]
+    bench = [path.read_text(encoding="utf-8") for path in PERFBENCH]
+    assert defaults_no_call_leaves_out(sources + bench, len(sources)) == []
+
+
+def test_scan_flags_defaults_no_call_leaves_out():
+    library = (
+        "def solve(grid, steps=10, tol=1e-9, *, width=640, legs=1):\n    return grid\n"
+        "def check(z, delta=1e-5):\n    return z\n"
+        "def extract(out, starts=None, scenario=None):\n    return out\n"
+        "class Metric:\n    def flow(self, h=0.5):\n        return h\n"
+        "def main():\n    return solve(1, 20, 1e-6, width=10), check(1, 2)\n"
+    )
+    bench = "timed(lib.extract, 'out')\nlib.solve(1, legs=2)\ncheck(*[1])\nMetric().flow(1)\n"
+    # a method's defaults are not scanned, *args leaves nothing out, and a
+    # function read without a call leaves out every default
+    assert defaults_no_call_leaves_out([library, bench], 1) == ["check(delta)"]
+    assert defaults_no_call_leaves_out([library], 1) == [
+        "solve(steps)", "solve(tol)", "solve(width)", "check(delta)",
+        "extract(starts)", "extract(scenario)",
     ]

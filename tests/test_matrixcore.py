@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from infotraj.matrixcore import (
+    FLOW_WORK,
     DimensionError,
     LogDetMetric,
     NotPositiveDefiniteError,
@@ -33,6 +34,11 @@ def packed_gradient(metric, z):
     """The packed entries of G_z(z) = -vec(Z^-T) for a (..., p*p) batch of
     states."""
     return sym_pack(unvec(metric.gradient(z)))
+
+
+def scratch(values):
+    """The flow's work array for values, the shape a march passes."""
+    return np.empty((FLOW_WORK,) + np.shape(values))
 
 
 def cofactor_det(mat):
@@ -311,7 +317,7 @@ class TestMetricFlow:
         value = np.array(metric.value(vec(z)))
         grad = packed_gradient(metric, vec(z))
         h = 7.0
-        out = metric.flow(value, grad, sym_pack(q), h)
+        out = metric.flow(value, grad, sym_pack(q), h, scratch(value))
         # written in place and returned
         assert out[0] is value and out[1] is grad
         assert value == pytest.approx(metric.value(vec(z + h * q)), abs=1e-12)
@@ -324,9 +330,13 @@ class TestMetricFlow:
         qs = sym_pack(np.stack([random_psd(rng, 2) for _ in range(5)]))
         values = np.array([metric.value(vec(z)) for z in zs])
         grads = packed_gradient(metric, vec(zs))
-        v_new, g_new = metric.flow(values.copy(), grads.copy(), qs, 0.5)
+        v_new, g_new = metric.flow(
+            values.copy(), grads.copy(), qs, 0.5, scratch(values)
+        )
         for k in range(5):
-            v_k, g_k = metric.flow(values[k].copy(), grads[k].copy(), qs[k], 0.5)
+            v_k, g_k = metric.flow(
+                values[k].copy(), grads[k].copy(), qs[k], 0.5, scratch(values[k])
+            )
             assert v_new[k] == v_k
             assert np.array_equal(g_new[k], g_k)
 
@@ -346,7 +356,9 @@ class TestClosedFormFlow:
     def test_matches_lapack_branch(self, h):
         rng = np.random.default_rng(31)
         values, grads, qs = self.random_state(rng, 400)
-        v_closed, g_closed = LogDetMetric(2).flow(values.copy(), grads.copy(), qs, h)
+        v_closed, g_closed = LogDetMetric(2).flow(
+            values.copy(), grads.copy(), qs, h, scratch(values)
+        )
         v_lapack, g_lapack = _flow_lapack(values.copy(), grads.copy(), qs, h)
         np.testing.assert_allclose(v_closed, v_lapack, rtol=1e-12, atol=1e-12)
         scale = np.max(np.abs(g_lapack), axis=-1, keepdims=True)
@@ -362,7 +374,9 @@ class TestClosedFormFlow:
         v_view, g_view = LogDetMetric(2).flow(
             values.copy(), np.moveaxis(stacked, 0, -1), qs, 0.37, work
         )
-        v_flat, g_flat = LogDetMetric(2).flow(values.copy(), grads.copy(), qs, 0.37)
+        v_flat, g_flat = LogDetMetric(2).flow(
+            values.copy(), grads.copy(), qs, 0.37, scratch(values)
+        )
         assert np.array_equal(v_view, v_flat) and np.array_equal(g_view, g_flat)
         assert np.array_equal(stacked.T, g_flat)
 
@@ -374,17 +388,21 @@ class TestClosedFormFlow:
         bad_grad[5] = sym_pack(-np.linalg.inv(np.diag([1.0, -2.0])))
         before = (values.copy(), bad_grad.copy())
         with pytest.raises(NotPositiveDefiniteError):
-            metric.flow(values, bad_grad, qs, 0.1)
+            metric.flow(values, bad_grad, qs, 0.1, scratch(values))
         assert np.array_equal(values, before[0]) and np.array_equal(bad_grad, before[1])
         bad_rate = qs.copy()
         bad_rate[2] = sym_pack(np.diag([-1e6, 0.0]))  # one negative eigenvalue after the step
         with pytest.raises(NotPositiveDefiniteError):
-            metric.flow(values, grads, bad_rate, 0.1)
+            metric.flow(values, grads, bad_rate, 0.1, scratch(values))
 
     @pytest.mark.parametrize("kernel", ["closed_form", "lapack"])
     def test_negative_definite_state_raises(self, kernel):
+        def flow(value, grad, rate, h):
+            if kernel == "lapack":
+                return _flow_lapack(value, grad, rate, h)
+            return LogDetMetric(2).flow(value, grad, rate, h, scratch(value))
+
         # A = -I has det(A) = +1, so a determinant-sign check alone lets it pass
-        flow = LogDetMetric(2).flow if kernel == "closed_form" else _flow_lapack
         minus_identity = sym_pack(np.eye(2))[None, :]  # grad = -A^-1 with A = -I
         with pytest.raises(NotPositiveDefiniteError):
             flow(np.zeros(1), minus_identity, np.zeros((1, 3)), 0.1)

@@ -20,6 +20,7 @@ from infotraj.sensing import (
     prior_fim,
     suite_fim,
     suite_info_rate,
+    suite_plan,
 )
 
 SPEED = 50.0
@@ -411,7 +412,8 @@ class TestKernelAgainstReference:
             ]
         )
         ref = reference_quiet(sensors[0], x, prior)
-        assert same_bits(suite_fim(sensors, x, prior), sensors[0].rate * ref)
+        got = suite_fim(sensors, x, prior, suite_plan(sensors, prior))
+        assert same_bits(got, sensors[0].rate * ref)
         for k in range(0, n, 2857):  # one state at a time: the same bits
             assert same_bits(expected_fim(sensors[0], x[k], prior), ref[k])
 
@@ -444,7 +446,8 @@ class TestKernelAgainstReference:
         ref = reference_quiet(sen, x, prior)
         got = expected_fim(sen, x, prior)
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
-        assert np.allclose(suite_fim([sen], x, prior), ref, rtol=1e-12, atol=0.0)
+        total = suite_fim([sen], x, prior, suite_plan([sen], prior))
+        assert np.allclose(total, ref, rtol=1e-12, atol=0.0)
 
     def test_three_parameter_prior_without_the_screen(self):
         a = np.array([[0.08, 0.02, 0.01], [0.02, 0.05, 0.0], [0.01, 0.0, 0.03]])
@@ -509,13 +512,16 @@ class TestSuiteFim:
         sen = make_sensor(rate=1.0)
         prior = GaussianPrior.isotropic(10.0)
         x = np.array([50.0, -36.6, 0.0])
-        assert np.allclose(suite_fim([sen], x, prior), expected_fim(sen, x, prior))
+        total = suite_fim([sen], x, prior, suite_plan([sen], prior))
+        assert np.allclose(total, expected_fim(sen, x, prior))
 
     def test_rate_linearity(self):
         prior = GaussianPrior.isotropic(10.0)
         x = np.array([50.0, -36.6, 0.0])
-        one = suite_fim([make_sensor(rate=1.0)], x, prior)
-        combo = suite_fim([make_sensor(rate=1.0), make_sensor(rate=2.0)], x, prior)
+        single = [make_sensor(rate=1.0)]
+        pair = [make_sensor(rate=1.0), make_sensor(rate=2.0)]
+        one = suite_fim(single, x, prior, suite_plan(single, prior))
+        combo = suite_fim(pair, x, prior, suite_plan(pair, prior))
         assert np.allclose(combo, 3.0 * one, rtol=1e-12)
 
     def test_orthogonal_rank_one_sensors(self):
@@ -524,11 +530,11 @@ class TestSuiteFim:
             ConstJacobianSensor([2.0, 0.0], rate=1.0),
             ConstJacobianSensor([0.0, 3.0], rate=2.0),
         ]
-        q = suite_fim(sensors, np.zeros(3), prior)
+        q = suite_fim(sensors, np.zeros(3), prior, suite_plan(sensors, prior))
         assert np.allclose(np.sort(np.linalg.eigvalsh(q)), [4.0, 18.0])
 
     def test_dimension_mismatch(self):
         bad = ConstJacobianSensor([1.0, 0.0])
         bad.theta_dim = 3
         with pytest.raises(DimensionError):
-            suite_fim([make_sensor(), bad], np.zeros(3), GaussianPrior.isotropic(10.0))
+            suite_plan([make_sensor(), bad], GaussianPrior.isotropic(10.0))

@@ -351,13 +351,18 @@ class TestRecedingExtraction:
     def test_single_leg_equals_characteristic(self, toy_setup):
         toy, metric, grid, sol = toy_setup
         a = extract_characteristic(sol, toy, metric, np.array([0.5]), dt=0.01)
-        b = extract_receding(sol, toy, metric, np.array([0.5]), legs=1, dt=0.01)
+        b = extract_receding(
+            sol, toy, metric, np.array([0.5]), legs=1, dt=0.01, info_rate_field=None
+        )
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.infos, b.infos)
 
     def test_four_legs_near_brute_force(self, toy_setup):
         toy, metric, grid, sol = toy_setup
-        traj = extract_receding(sol, toy, metric, np.array([0.5]), legs=4, dt=0.01)
+        traj = extract_receding(
+            sol, toy, metric, np.array([0.5]), legs=4, dt=0.01,
+            info_rate_field=info_rate_on_grid(toy, grid),
+        )
         bf_cost, _ = brute_force_value(
             toy, metric, np.array([0.5]), np.array([1.0]), 1.0, segments=4, dt=0.01
         )
@@ -368,7 +373,10 @@ class TestRecedingExtraction:
         metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-500.0, 500.0), (-500.0, 500.0), 9, 9, 8)
         sol = hybrid_solve(car, metric, grid, vec(np.eye(2)), 9.0)
-        traj = extract_receding(sol, car, metric, State(0.0, 0.0, 0.0), legs=3, dt=0.05)
+        traj = extract_receding(
+            sol, car, metric, State(0.0, 0.0, 0.0), legs=3, dt=0.05,
+            info_rate_field=info_rate_on_grid(car, grid),
+        )
         assert np.all(traj.controls == 0.0)
 
 
@@ -468,7 +476,7 @@ class TestBruteForce:
         toy = ToyCascade()
         metric = LogDetMetric(1)
         cost, sig = brute_force_value(
-            toy, metric, np.array([0.5]), np.array([2.0]), 0.0, segments=3
+            toy, metric, np.array([0.5]), np.array([2.0]), 0.0, segments=3, dt=0.1
         )
         assert cost == pytest.approx(-math.log(2.0))
 
@@ -476,7 +484,9 @@ class TestBruteForce:
         toy = ToyCascade()
         metric = LogDetMetric(1)
         with pytest.raises(ValueError, match="refus"):
-            brute_force_value(toy, metric, np.array([0.0]), np.array([1.0]), 1.0, segments=9)
+            brute_force_value(
+                toy, metric, np.array([0.0]), np.array([1.0]), 1.0, segments=9, dt=0.1
+            )
 
     def test_batch_simulator_matches_single(self):
         car = DubinsCar(5.0, 0.5, info_rate_fn=None, info_dim=2)
@@ -599,7 +609,7 @@ def run_with_bad_step(name, overrides, toy_setup):
         "extract_characteristic": lambda: extract_characteristic(
             sol, toy, metric, x0, kw["dt"], duration=kw["duration"]
         ),
-        "extract_receding": lambda: extract_receding(sol, toy, metric, x0, 1, kw["dt"]),
+        "extract_receding": lambda: extract_receding(sol, toy, metric, x0, 1, kw["dt"], None),
         "simulate_open_loop": lambda: simulate_open_loop(
             toy, AugmentedState(x0, z0), ControlSignal.constant(0.5, 1.0), kw["horizon"], kw["dt"]
         ),
