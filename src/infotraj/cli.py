@@ -545,7 +545,13 @@ def cmd_plot(in_dir, out_file, scenario: Optional[Scenario]) -> None:
         candidate = os.path.join(in_dir, "scenario.json")
         if os.path.exists(candidate):
             scenario = load_scenario(candidate)
-    names = sorted(f for f in os.listdir(in_dir) if f.startswith("trajectory_") and f.endswith(".csv"))
+    # regular files only, as grid.remove_matching sweeps them: extract keeps
+    # a directory with a trajectory CSV's name
+    names = sorted(
+        f for f in os.listdir(in_dir)
+        if f.startswith("trajectory_") and f.endswith(".csv")
+        and os.path.isfile(os.path.join(in_dir, f))
+    )
     if not names:
         raise ScenarioError(f"{in_dir}: no trajectory CSV files found")
     trajectories = []

@@ -25,8 +25,15 @@ one kernel, lf_rate, and takes forward Euler steps under the CFL limit:
   flow updates them in place, and one lf_rate call returns every rate from
   one set of ghost-row differences per axis. Its dissipation is one
   constant per axis, the system's rate bound, and the sensitivity
-  coefficients of the control-free axes are built once per solve.
-  The solution carries Phi in the (..., p**2) vec layout.
+  coefficients of the control-free axes are built once per solve, in the
+  shape their drift varies on. The solution carries Phi in the (..., p**2)
+  vec layout.
+
+A step's transport runs over slabs of grid axis 0, one per CPU the process
+may run on (slab_edges), on the calling thread and plain worker threads;
+the pointwise flow runs on the calling thread over the whole grid. Every
+node's update reads only its neighbours in the step before, so the result
+has the same bits for any number of CPUs.
 
 A solve returns its final fields alone, and solve_to_disk stores just that
 pair.
@@ -39,6 +46,7 @@ import json
 import math
 import os
 import re
+import threading
 import time as _time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -63,6 +71,9 @@ POLICY_TIE_EPS = 1e-12
 CFL_NUMBER = 0.5
 # nodes per info_rate call when info_rate_on_grid evaluates a field
 FIELD_CHUNK_ROWS = 4096
+# the fewest nodes a march slab holds (slab_edges): below that, a thread's
+# wake-up and the Python between its numpy calls cost more than it saves
+SLAB_MIN_NODES = 4096
 # the files of a stored solution's final fields, the one entry of its
 # manifest's "snapshots" list
 FINAL_FILES = {"phi": "phi.bin", "phi_z": "phiz.bin"}
@@ -98,19 +109,50 @@ class LFPlan:
     shape (k, *nodes): the sensitivity coefficients ((w_i - alpha_i) / 2,
     (w_i + alpha_i) / 2) of every axis with g_i = 0, where w_i = f_i does not
     depend on the control (None on the other axes, and on every axis when
-    k = 1), and the scratch arrays the rate is written into.
+    k = 1), and the scratch arrays the rate is written into. A coefficient
+    has the broadcast shape of its drift and dissipation: heading-only,
+    (1, 1, npsi), for the Dubins car's X and Y (_least_shape).
 
     lf_rate keeps nothing in work between calls, so it has FLOW_WORK rows
-    (at least the 5 lf_rate uses) and the march's flow computes in it too."""
+    (at least the 5 lf_rate uses) and the march's flow computes in it too.
+    rows(lo, hi) is the plan of a slab of the nodes: views of these arrays."""
 
     fixed: list
     out: np.ndarray  # (k, *nodes): the rate lf_rate returns
     work: np.ndarray  # (max(5, FLOW_WORK), *nodes)
     prod: np.ndarray  # (k - 1, *nodes)
 
+    def rows(self, lo: int, hi: int) -> "LFPlan":
+        """The plan of the nodes lo..hi-1 along grid axis 0."""
+        fixed = [c if c is None else tuple(_slab_rows(x, lo, hi) for x in c) for c in self.fixed]
+        return LFPlan(fixed, self.out[:, lo:hi], self.work[:, lo:hi], self.prod[:, lo:hi])
+
+
+def _slab_rows(field, lo: int, hi: int):
+    """Rows lo..hi-1 along grid axis 0 of a per-axis field (a drift, a
+    dissipation or a coefficient); a scalar, or a field with one row along
+    axis 0, serves every slab whole."""
+    if np.ndim(field) == 0 or np.shape(field)[0] == 1:
+        return field
+    return field[lo:hi]
+
+
+def _least_shape(field) -> np.ndarray:
+    """A copy of field with one row along every axis on which all its
+    entries have the same bits: it broadcasts back to field exactly, so an
+    operation with it gives field's bits."""
+    least = np.asarray(field, dtype=float)
+    for axis in range(least.ndim):
+        first = least[(slice(None),) * axis + (slice(0, 1),)]
+        if np.array_equal(least.view(np.int64), np.broadcast_to(first, least.shape).view(np.int64)):
+            least = first
+    return least.copy()
+
 
 def lf_plan(drift, g, alpha, shape) -> LFPlan:
-    """LFPlan for lf_rate over a stack of shape (k, *nodes)."""
+    """LFPlan for lf_rate over a stack of shape (k, *nodes). A fixed
+    coefficient has the broadcast shape of its f_i and alpha_i, not the
+    nodes' shape."""
     k, nodes = shape[0], tuple(shape[1:])
     fixed = []
     for f, g_i, a in zip(drift, g, alpha):
@@ -240,8 +282,9 @@ class HybridSolution:
         mean of its one-sided differences (_ghost_differences on phi as a
         one-component stack, its edge slopes extrapolated)."""
         stack = np.asarray(self.phi)[None]
-        bufs, minus, plus = _ghost_difference_buffers(stack, self.grid)
-        _ghost_differences(stack, self.grid, bufs)
+        rows = (0, self.grid.axes[0].n)
+        bufs, minus, plus = _ghost_difference_buffers(stack, self.grid, rows)
+        _ghost_differences(stack, self.grid, bufs, rows)
         return np.stack([0.5 * (m[0] + p[0]) for m, p in zip(minus, plus)], axis=-1)
 
 
@@ -364,101 +407,217 @@ def _rows(axis: int, lo, hi) -> tuple:
     return (slice(None),) * (axis + 1) + (slice(lo, hi),)
 
 
-def _ghost_difference_buffers(stack: np.ndarray, grid: GridSpec):
-    """Per-axis difference buffers for a component-major stack, with their
-    (D-, D+) views.
+def slab_edges(grid: GridSpec) -> list:
+    """Axis-0 row edges of a march's slabs: slab j holds the nodes of rows
+    edges[j]..edges[j + 1] - 1. There is one slab per CPU the process may
+    run on (os.sched_getaffinity), fewer while the smallest slab would hold
+    under SLAB_MIN_NODES nodes, and at least one; the rows split as evenly
+    as they can."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:  # a platform without affinity masks
+        cpus = os.cpu_count() or 1
+    n0 = grid.axes[0].n
+    min_rows = -(-SLAB_MIN_NODES // math.prod(grid.shape[1:]))
+    count = max(1, min(cpus, n0 // min_rows))
+    return [n0 * j // count for j in range(count + 1)]
 
-    The buffer of axis i has n_i + 1 rows along that axis: row j holds
-    (v[j] - v[j-1]) / h_i, and the two ghost rows 0 and n_i hold the
-    boundary differences, so D- is rows 0..n_i-1 and D+ rows 1..n_i, both
-    without a copy. The buffers start at zero, which is the clamped boundary
-    of the sensitivity components on a non-periodic axis.
+
+def _ghost_difference_buffers(stack: np.ndarray, grid: GridSpec, rows):
+    """Per-axis difference buffers for the slab of the nodes in axis-0 rows
+    rows[0]..rows[1] - 1 of a component-major stack ((0, n_0) for the whole
+    grid), with their (D-, D+) views.
+
+    The buffer of axis i has one row more than the slab along that axis:
+    its row j holds difference row lo + j, (v[lo + j] - v[lo + j - 1]) / h_i,
+    where the slab starts at row lo (rows[0] on axis 0, 0 on the others).
+    Difference rows 0 and n_i are the ghost rows, which hold the boundary
+    differences, so D- is the buffer's rows but the last and D+ its rows
+    but the first, both without a copy. The buffers start at zero, which is
+    the clamped boundary of the sensitivity components on a non-periodic axis.
     """
+    lo, hi = rows
     bufs, minus, plus = [], [], []
-    for axis, ax in enumerate(grid.axes):
-        shape = list(stack.shape)
-        shape[axis + 1] = ax.n + 1
+    for axis in range(grid.ndim):
+        shape = [stack.shape[0], hi - lo, *stack.shape[2:]]
+        shape[axis + 1] += 1
         buf = np.zeros(shape)
         bufs.append(buf)
-        minus.append(buf[_rows(axis, 0, ax.n)])
-        plus.append(buf[_rows(axis, 1, ax.n + 1)])
+        minus.append(buf[_rows(axis, 0, -1)])
+        plus.append(buf[_rows(axis, 1, None)])
     return bufs, minus, plus
 
 
-def _ghost_differences(stack: np.ndarray, grid: GridSpec, bufs) -> None:
-    """Fill the buffers of _ghost_difference_buffers from stack: one
-    subtraction per axis serves D- and D+ of every component.
+def _ghost_differences(stack: np.ndarray, grid: GridSpec, bufs, rows) -> None:
+    """Fill the buffers of _ghost_difference_buffers(stack, grid, rows) from
+    stack: one subtraction per axis serves D- and D+ of every component.
+    Axis 0's differences at a slab's edges read the neighbouring slabs' rows
+    of stack, so every slab's buffers hold the bits of the whole grid's.
 
     A periodic axis wraps. On a non-periodic axis the value (component 0)
     extrapolates its edge slope and the sensitivities keep a zero ghost
     difference (clamped: every update stays a combination of stored nodal
-    matrices, so the gradient field remains a definite matrix).
+    matrices, so the gradient field remains a definite matrix). Both rules
+    apply at the grid's ends only.
     """
+    part = stack[:, rows[0] : rows[1]]
     for axis, (ax, buf) in enumerate(zip(grid.axes, bufs)):
         n, h = ax.n, ax.spacing
-        head, tail = _rows(axis, 0, 1), _rows(axis, n - 1, n)
-        inner = _rows(axis, 1, n)
-        np.subtract(stack[inner], stack[_rows(axis, 0, n - 1)], out=buf[inner])
+        # the slab's difference rows lo..hi, of the rows of src
+        (lo, hi), src = (rows, stack) if axis == 0 else ((0, n), part)
+        first, last = max(lo, 1), min(hi, n - 1)
+        np.subtract(
+            src[_rows(axis, first, last + 1)], src[_rows(axis, first - 1, last)],
+            out=buf[_rows(axis, first - lo, last + 1 - lo)],
+        )
         if ax.periodic:
-            np.subtract(stack[head], stack[tail], out=buf[head])
-        filled = buf[_rows(axis, 0 if ax.periodic else 1, n)]
+            # difference rows 0 and n are both the wrap v[0] - v[n - 1]
+            for end in (0, n):
+                if lo <= end <= hi:
+                    np.subtract(
+                        src[_rows(axis, 0, 1)], src[_rows(axis, n - 1, n)],
+                        out=buf[_rows(axis, end - lo, end + 1 - lo)],
+                    )
+            first, last = lo, hi
+        filled = buf[_rows(axis, first - lo, last + 1 - lo)]
         # the value divides by h exactly as a one-sided gradient does (its
         # switching function decides policy ties); the sensitivities
         # multiply by the reciprocal, which is faster and off by an ulp
         np.divide(filled[0], h, out=filled[0])
         filled[1:] *= 1.0 / h
-        if ax.periodic:
-            buf[_rows(axis, n, n + 1)] = buf[head]
-        else:
+        if not ax.periodic:
             value = buf[0, ...]
             edge = (slice(None),) * axis
-            value[edge + (0,)] = value[edge + (1,)]
-            value[edge + (n,)] = value[edge + (n - 1,)]
+            if lo == 0:
+                value[edge + (0,)] = value[edge + (1,)]
+            if hi == n:
+                value[edge + (n - lo,)] = value[edge + (n - 1 - lo,)]
+
+
+class _SlabTeam:
+    """The threads of a march's slabs: the calling thread runs slab 0 and
+    one worker thread (start) each other slab, until close.
+
+    run() calls each phase, phase(j), on every slab j, and a phase on all of
+    them before the next; then it raises the error of the first slab, in
+    slab order, whose phase raised. A slab skips its phases after one that
+    raised."""
+
+    def __init__(self, count: int, phases):
+        self.phases = phases
+        self.errors = [None] * count
+        self.barrier = threading.Barrier(count)
+        self.workers = []
+
+    def start(self) -> None:
+        for j in range(1, len(self.errors)):
+            worker = threading.Thread(target=self._serve, args=(j,), daemon=True)
+            worker.start()
+            self.workers.append(worker)
+
+    def run(self) -> None:
+        self.barrier.wait()  # the workers start
+        self._phases(0)
+        for exc in self.errors:
+            if exc is not None:
+                raise exc
+
+    def close(self) -> None:
+        self.barrier.abort()
+        for worker in self.workers:
+            worker.join()
+
+    def _phases(self, j: int) -> None:
+        for phase in self.phases:
+            if self.errors[j] is None:
+                try:
+                    phase(j)
+                except Exception as exc:
+                    self.errors[j] = exc
+            self.barrier.wait()
+
+    def _serve(self, j: int) -> None:
+        try:
+            while True:
+                self.barrier.wait()
+                self._phases(j)
+        except threading.BrokenBarrierError:
+            pass  # close() ended the march
 
 
 def _march(
     stack: np.ndarray, grid: GridSpec, drift, g, bound: float, alpha, dt: float,
-    horizon: float, flow=None, timers: Optional[dict] = None,
+    horizon: float, edges, flow=None, timers: Optional[dict] = None,
 ) -> int:
     """March a component-major stack (lf_rate's layout) in place from s = 0
     to horizon in forward Euler steps of at most dt; returns the step count.
 
-    Each step applies the pointwise flow(h, work) first, when given (it
-    updates the stack in place and may compute in work, the scratch of
-    lf_rate's plan), then the spatial transport: one _ghost_differences fill
-    and one lf_rate call, stack += h * rate. The difference buffers and the
-    plan are built once, so a step allocates no field-sized array (a new one
-    per step lets the allocator hand memory back to the OS and fault it in
-    again). A non-finite entry raises InstabilityError.
+    Each step applies the pointwise flow(h, work) first, when given, to the
+    whole grid on the calling thread (it updates the stack in place and may
+    compute in work, the scratch of lf_rate's plan). Then comes the spatial
+    transport, over the slabs of axis-0 rows that edges bounds (slab_edges):
+    each slab fills its _ghost_differences and makes one lf_rate call, and
+    once every slab has its rate, each adds h * rate to its rows of the
+    stack and checks them finite. The calling thread runs slab 0 and one
+    worker thread each other slab (_SlabTeam). A node's rate reads only
+    the stack of the step before, so any slab layout gives the bits of one
+    slab over the whole grid (the monotone scheme's locality). The
+    difference buffers and the plans are built once, and every slab's plan
+    is a view of one whole-grid plan, so a step allocates no field-sized
+    array (a new one per step lets the allocator hand memory back to the
+    OS and fault it in again). A non-finite entry raises InstabilityError;
+    of the slabs that raise, the first one's error reaches the caller, and
+    no worker thread outlives the march.
 
-    The march ends once s is within 1e-12 of horizon. Seconds spent
-    in the flow, the transport and the finite checks are added to
-    timers["flow_s"], ["transport_s"] and ["check_s"] when timers is given.
+    The march ends once s is within 1e-12 of horizon. Seconds spent in the
+    flow, the transport and the calling thread's finite checks are added
+    to timers["flow_s"], ["transport_s"] and ["check_s"] when timers is
+    given.
     """
     if timers is None:
         timers = dict.fromkeys(("flow_s", "transport_s", "check_s"), 0.0)
     clock = _time.perf_counter
-    bufs, minus, plus = _ghost_difference_buffers(stack, grid)
     plan = lf_plan(drift, g, alpha, stack.shape)
-    s = 0.0
+    slabs = []
+    for rows in zip(edges[:-1], edges[1:]):
+        cut = [[_slab_rows(field, *rows) for field in fields] for fields in (drift, alpha)]
+        slabs.append((rows, *_ghost_difference_buffers(stack, grid, rows), *cut, plan.rows(*rows)))
+    checks = [0.0] * len(slabs)
+    h = s = transport = 0.0
     count = 0
-    while s < horizon - 1e-12:
-        h = min(dt, horizon - s)
-        t0 = clock()
-        if flow is not None:
-            flow(h, plan.work)
-        t1 = clock()
-        _ghost_differences(stack, grid, bufs)
-        rate = lf_rate(minus, plus, drift, g, bound, alpha, plan)[0]
+
+    def rates(j):
+        rows, bufs, minus, plus, slab_drift, slab_alpha, slab_plan = slabs[j]
+        _ghost_differences(stack, grid, bufs, rows)
+        lf_rate(minus, plus, slab_drift, g, bound, slab_alpha, slab_plan)
+
+    def update(j):
+        (lo, hi), *_, slab_plan = slabs[j]
+        part, rate = stack[:, lo:hi], slab_plan.out
         rate *= h
-        stack += rate
-        t2 = clock()
-        timers["flow_s"] += t1 - t0
-        timers["transport_s"] += t2 - t1
-        s += h
-        count += 1
-        _check_finite(count, s, stack)
-        timers["check_s"] += clock() - t2
+        part += rate
+        t = clock()
+        _check_finite(count, s, part)
+        checks[j] += clock() - t
+
+    team = _SlabTeam(len(slabs), (rates, update))
+    try:
+        team.start()
+        while s < horizon - 1e-12:
+            h = min(dt, horizon - s)
+            t0 = clock()
+            if flow is not None:
+                flow(h, plan.work)
+            t1 = clock()
+            s += h
+            count += 1
+            team.run()
+            timers["flow_s"] += t1 - t0
+            transport += clock() - t1
+    finally:
+        team.close()
+    timers["transport_s"] += transport - checks[0]
+    timers["check_s"] += checks[0]
     return count
 
 
@@ -489,7 +648,11 @@ def hybrid_solve(
       * one lf_rate call returns phi's rate (drift/control Hamiltonian at
         the central gradient plus dissipation) and Phi's rate (the same LF
         scheme along the locally optimal velocity w = f + g u*), with the
-        coefficients of the control-free axes built once;
+        coefficients of the control-free axes built once. Each drift field
+        is kept in the shape it varies on (_least_shape; heading-only,
+        (1, 1, npsi), for the Dubins car), and so are those coefficients;
+      * the differences, rates and updates run over the slabs of axis 0
+        that slab_edges gives, the flow over the whole grid (_march);
       * initial data phi = G(z0) and the packed G_z(z0), uniformly over the
         grid. Each off-diagonal pair of G_z(z0) is averaged, which is exact
         when the pair is equal (a diagonal z0; the inverse of another
@@ -537,7 +700,10 @@ def hybrid_solve(
     f_nodes = system.drift(grid.mesh().reshape(-1, grid.ndim)).reshape(
         grid.shape + (grid.ndim,)
     )
-    drift = [f_nodes[..., i] for i in range(grid.ndim)]
+    # each drift field in the shape it varies on (heading-only for the
+    # Dubins car); the march keeps no (nodes, d) copy
+    drift = [_least_shape(f_nodes[..., i]) for i in range(grid.ndim)]
+    del f_nodes
     alpha = list(system.rate_bounds())
     dt = cfl_dt(grid, alpha)
 
@@ -555,7 +721,7 @@ def hybrid_solve(
 
     timings["steps"] = _march(
         stack, grid, drift, system.control_column(), system.control_bound, alpha, dt, horizon,
-        flow, timings,
+        slab_edges(grid), flow, timings,
     )
     timings["wall_time_s"] = _time.perf_counter() - t_start
     # sym_unpack gives new C-contiguous symmetric matrices, whose row-major
@@ -607,5 +773,8 @@ def classic_solve(
     dt = cfl_dt(joint_grid, alpha_global)
 
     stack = metric.value(z_nodes)[None]
-    _march(stack, joint_grid, drift, g, system.control_bound, alpha, dt, horizon)
+    _march(
+        stack, joint_grid, drift, g, system.control_bound, alpha, dt, horizon,
+        slab_edges(joint_grid),
+    )
     return stack[0]

@@ -560,6 +560,16 @@ class TestOutputPaths:
         err = capsys.readouterr().err
         assert str(report) in err and "report" in err and "Traceback" not in err
 
+    def test_plot_skips_a_directory_with_a_trajectory_name(self, tmp_path, capsys):
+        csv = "s,X,Y,psi,u\n0,1,2,0,0\n1,2,3,0,0\n"
+        for name in ("trajectory_000.csv", "trajectory_001.csv"):
+            (tmp_path / name).write_text(csv)
+        (tmp_path / "trajectory_009.csv").mkdir()
+        figure = tmp_path / "f.svg"
+        assert main(["plot", "--in", str(tmp_path), "--out", str(figure)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert figure.read_text().count("<polyline") == 2
+
     def test_plot_out_in_a_missing_directory(self, tmp_path, capsys):
         (tmp_path / "trajectory_000.csv").write_text("s,X,Y,psi,u\n0,1,2,0,0\n1,2,3,0,0\n")
         figure = tmp_path / "missing" / "f.svg"

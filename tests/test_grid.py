@@ -23,8 +23,8 @@ def one_sided(values, grid, axis=0):
     """(D-, D+) of one field along a grid axis from the march's ghost-row
     differences (hjsolver._ghost_differences on a one-component stack)."""
     stack = np.asarray(values, dtype=float)[None]
-    bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid)
-    hjsolver._ghost_differences(stack, grid, bufs)
+    bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid, (0, grid.shape[0]))
+    hjsolver._ghost_differences(stack, grid, bufs, (0, grid.shape[0]))
     return minus[axis][0], plus[axis][0]
 
 
@@ -97,8 +97,8 @@ class TestDifferences:
         grid = line_grid(0.0, 1.0, 5)
         x = grid.axes[0].nodes
         stack = np.stack([x**2, x**3])  # the value, then one sensitivity
-        bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid)
-        hjsolver._ghost_differences(stack, grid, bufs)
+        bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid, (0, grid.shape[0]))
+        hjsolver._ghost_differences(stack, grid, bufs, (0, grid.shape[0]))
         dm, dp = minus[0], plus[0]
         inner = np.diff(stack, axis=1) / grid.axes[0].spacing
         assert np.array_equal(dm[0], np.concatenate([inner[0, :1], inner[0]]))
@@ -109,7 +109,7 @@ class TestDifferences:
     def test_buffers_give_both_sides_per_axis(self):
         grid = GridSpec.vehicle_plane((-1.0, 1.0), (-1.0, 1.0), 5, 5, 8)
         stack = np.zeros((1,) + grid.shape)
-        bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid)
+        bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid, (0, grid.shape[0]))
         assert len(minus) == 3 and len(plus) == 3
         assert all(m.shape == p.shape == stack.shape for m, p in zip(minus, plus))
 

@@ -1,7 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import threading
+import tracemalloc
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +27,14 @@ from infotraj.hjsolver import (
     load_solution,
     solve_to_disk,
 )
-from infotraj.matrixcore import FLOW_WORK, LogDetMetric, sym_pack, unvec, vec
+from infotraj.matrixcore import (
+    FLOW_WORK,
+    LogDetMetric,
+    NotPositiveDefiniteError,
+    sym_pack,
+    unvec,
+    vec,
+)
 from infotraj.trajectories import toy_hybrid_vs_classic
 
 SHIPPED = os.path.join(os.path.dirname(__file__), "..", "scenarios", "doppler_single_path.json")
@@ -123,8 +135,8 @@ def transport_rate(phi, phi_z, grid, drift, g, bound: float, alpha):
     """hybrid_solve's transport on (phi, Phi): stack component-major, fill
     the ghost-row differences, one lf_rate call; rates back in (..., m)."""
     stack = np.concatenate([phi[None], np.moveaxis(phi_z, -1, 0)])
-    bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid)
-    hjsolver._ghost_differences(stack, grid, bufs)
+    bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid, (0, grid.shape[0]))
+    hjsolver._ghost_differences(stack, grid, bufs, (0, grid.shape[0]))
     plan = lf_plan(drift, g, alpha, stack.shape)
     rate, u_star = lf_rate(minus, plus, drift, g, bound, alpha, plan)
     return rate[0], np.moveaxis(rate[1:], 0, -1), u_star
@@ -229,11 +241,11 @@ def vec_march(system, metric, grid, z0, horizon):
     stack[0] = metric.value(z0)
     phi, phi_z = stack[0], np.moveaxis(stack[1:], 0, -1)
     phi_z[...] = metric.gradient(z0)
-    bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid)
+    bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid, (0, grid.shape[0]))
 
     def step(h):
         phi[...], phi_z[...] = vec_flow(phi, phi_z, q_field, h)
-        hjsolver._ghost_differences(stack, grid, bufs)
+        hjsolver._ghost_differences(stack, grid, bufs, (0, grid.shape[0]))
         rate = vec_lf_rate(minus, plus, drift, g, bound, alpha)[0]
         rate *= h
         stack[...] += rate
@@ -554,6 +566,192 @@ class TestPackedMarch:
         new_value, new_grad = metric.flow(values.copy(), sym_pack(grads), sym_pack(q), 0.37, work)
         assert np.array_equal(new_value, ref_value)
         assert np.array_equal(new_grad, ref_grad[:, [0, 1, 3]])
+
+
+
+def forced_slabs(monkeypatch, edges) -> None:
+    """Make the solvers march over the slabs of the given axis-0 edges."""
+    monkeypatch.setattr(hjsolver, "slab_edges", lambda grid: list(edges))
+
+
+def shipped_solve(grid, horizon: float):
+    """hybrid_solve of the shipped scenario's model on grid."""
+    scenario = load_scenario(SHIPPED)
+    return hybrid_solve(
+        scenario.build_system(), LogDetMetric(2), grid, scenario.initial_information(), horizon
+    )
+
+
+# the shipped grid's extent with a periodic X axis, so that axis 0 wraps
+PERIODIC_X_GRID = GridSpec(
+    (Axis(-1700.0, 1700.0, 24, periodic=True),) + SURVEY_GRID.axes[1:]
+)
+
+
+class TestSlabMarch:
+    """_march over any slab layout of grid axis 0 against one slab over the
+    whole grid: the same bits."""
+
+    @pytest.mark.parametrize(
+        "grid,layouts",
+        [
+            (SHIPPED_GRID, [[0, 20, 41], [0, 1, 40, 41], [0, 7, 8, 41]]),
+            (SURVEY_GRID, [[0, 10, 21], [0, 1, 2, 21], [0, 13, 20, 21]]),
+            (PERIODIC_X_GRID, [[0, 12, 24], [0, 1, 23, 24], [0, 5, 6, 24]]),
+        ],
+        ids=["shipped", "survey", "periodic_x"],
+    )
+    def test_hybrid_layouts_give_the_bits_of_one_slab(self, monkeypatch, grid, layouts):
+        forced_slabs(monkeypatch, [0, grid.shape[0]])
+        one = shipped_solve(grid, 5.0)
+        for edges in layouts:
+            forced_slabs(monkeypatch, edges)
+            sol = shipped_solve(grid, 5.0)
+            assert np.array_equal(sol.phi, one.phi)
+            assert np.array_equal(sol.phi_z, one.phi_z)
+
+    def test_classic_layouts_give_the_bits_of_one_slab(self, monkeypatch):
+        # the z axis's drift and dissipation are fields that vary along x
+        toy, metric = ToyCascade(), LogDetMetric(1)
+        joint = GridSpec((Axis(-2.0, 2.0, 21), Axis(0.4, 5.6, 27)))
+        forced_slabs(monkeypatch, [0, 21])
+        one = classic_solve(toy, metric, joint, 1.0)
+        for edges in ([0, 10, 21], [0, 1, 20, 21], [0, 4, 5, 21]):
+            forced_slabs(monkeypatch, edges)
+            assert np.array_equal(classic_solve(toy, metric, joint, 1.0), one)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+    def test_one_cpu_gives_the_bytes_of_every_cpu(self, tmp_path):
+        child = (
+            "import os, sys\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from infotraj.cli import load_scenario\n"
+            "from infotraj.hjsolver import hybrid_solve, slab_edges\n"
+            "from infotraj.matrixcore import LogDetMetric\n"
+            "sc = load_scenario(sys.argv[1])\n"
+            "sol = hybrid_solve(sc.build_system(), LogDetMetric(2), sc.grid(),\n"
+            "                   sc.initial_information(), 5.0)\n"
+            "sol.phi.tofile(sys.argv[2] + '/phi.bin')\n"
+            "sol.phi_z.tofile(sys.argv[2] + '/phiz.bin')\n"
+            "print(len(slab_edges(sc.grid())) - 1)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", child, SHIPPED, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "1"
+        sol = shipped_solve(SHIPPED_GRID, 5.0)
+        assert (tmp_path / "phi.bin").read_bytes() == sol.phi.tobytes()
+        assert (tmp_path / "phiz.bin").read_bytes() == sol.phi_z.tobytes()
+
+    def test_more_slabs_than_cpus_under_fast_switching(self, monkeypatch):
+        # five slabs, four worker threads, a thread switch every 10 us; the
+        # solve runs in a thread of its own so that a hang fails in time
+        forced_slabs(monkeypatch, [0, 21])
+        one = shipped_solve(SURVEY_GRID, 2.0)
+        forced_slabs(monkeypatch, [0, 4, 8, 12, 16, 21])
+        solves = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(
+                target=lambda: solves.append(shipped_solve(SURVEY_GRID, 2.0)), daemon=True
+            )
+            runner.start()
+            runner.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert np.array_equal(solves[0].phi, one.phi)
+        assert np.array_equal(solves[0].phi_z, one.phi_z)
+
+    def test_slabs_follow_the_cpus_and_hold_enough_nodes(self, monkeypatch):
+        # edges only: no thread is started
+        row_nodes = 41 * 32
+        for cpus, count in ((1, 1), (2, 2), (8, 8), (16, 10)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            edges = hjsolver.slab_edges(SHIPPED_GRID)
+            assert edges[0] == 0 and edges[-1] == 41 and len(edges) == count + 1
+            assert min(np.diff(edges)) * row_nodes >= hjsolver.SLAB_MIN_NODES
+        assert hjsolver.slab_edges(SURVEY_GRID) == [0, 21]
+        assert hjsolver.slab_edges(toy_grid(0.05)) == [0, 81]
+
+
+class TestSlabFailures:
+    """A failure on any slab or in the flow reaches the caller, and no
+    worker thread outlives the march."""
+
+    def test_worker_instability_reaches_the_caller_with_its_step(self):
+        # a NaN put into the last slab before step 4's transport: only the
+        # worker threads' slabs see it in that step
+        grid = toy_grid(0.05)
+        stack = np.zeros((1,) + grid.shape)
+        threads = []
+
+        def flow(h, work):
+            threads.append(threading.active_count())
+            if len(threads) == 4:
+                stack[0, 65] = np.nan
+
+        before = threading.active_count()
+        with pytest.raises(InstabilityError) as raised:
+            hjsolver._march(
+                stack, grid, [np.zeros(grid.shape)], [1.0], 1.0, [1.0], 0.01, 1.0,
+                [0, 20, 50, 81], flow,
+            )
+        assert raised.value.step == 4
+        assert threads == [before + 2] * 4
+        assert threading.active_count() == before
+
+    def test_flow_error_reaches_the_caller(self, monkeypatch):
+        def indefinite(x):
+            out = np.zeros(x.shape[:-1] + (4,))
+            out[..., 0] = np.where(x[..., 0] > 5.0, -1e6, 0.0)
+            return out
+
+        grid = GridSpec.vehicle_plane((-10.0, 10.0), (-10.0, 10.0), 5, 5, 8)
+        forced_slabs(monkeypatch, [0, 1, 3, 5])
+        before = threading.active_count()
+        with pytest.raises(NotPositiveDefiniteError):
+            hybrid_solve(dubins(rate_fn=indefinite), LogDetMetric(2), grid, vec(np.eye(2)), 1.0)
+        assert threading.active_count() == before
+
+    def test_a_solve_leaves_no_thread(self, monkeypatch):
+        forced_slabs(monkeypatch, [0, 10, 20, 21])
+        before = threading.active_count()
+        shipped_solve(SURVEY_GRID, 2.0)
+        assert threading.active_count() == before
+
+
+class TestMarchMemory:
+    def test_control_free_coefficients_are_heading_only(self, monkeypatch):
+        plans = []
+
+        def recording_plan(*args):
+            plans.append(lf_plan(*args))
+            return plans[-1]
+
+        monkeypatch.setattr(hjsolver, "lf_plan", recording_plan)
+        shipped_solve(SHIPPED_GRID, 1.0)
+        (plan,) = plans
+        npsi = SHIPPED_GRID.shape[2]
+        assert [c.shape for c in plan.fixed[0] + plan.fixed[1]] == [(1, 1, npsi)] * 4
+        assert plan.fixed[2] is None
+
+    def test_traced_peak_of_a_shipped_solve(self):
+        # measured 14.2 MiB, and 17.0 MiB with the drift fields and the
+        # control-free coefficients stored whole; the first step reaches it
+        scenario = load_scenario(SHIPPED)
+        system, grid = scenario.build_system(), scenario.grid()
+        tracemalloc.start()
+        try:
+            hybrid_solve(system, LogDetMetric(2), grid, scenario.initial_information(), 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20
 
 
 class TestInfoRateField:

@@ -3,9 +3,13 @@ module is named by one `from X import` statement per file, the package
 exports exactly what its __init__ imports, every helper of the package
 (private, or public and not exported) serves the package itself, and every
 parameter default of a package function is overridden by some call and
-left out by some call of the program."""
+left out by some call of the program, and importing the package loads
+no thread pool and no logging."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -292,3 +296,17 @@ def test_scan_flags_defaults_no_call_leaves_out():
         "solve(steps)", "solve(tol)", "solve(width)", "check(delta)",
         "extract(starts)", "extract(scenario)",
     ]
+
+
+def test_package_import_loads_no_thread_pool_or_logging():
+    # the march's slab threads are plain threading ones: concurrent.futures
+    # alone pulls in logging, 0.25 MB and about 5 ms of every start-up
+    probe = (
+        "import sys, infotraj\n"
+        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout.strip() == "[]"
