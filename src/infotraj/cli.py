@@ -151,15 +151,13 @@ def _make_output_dir(path) -> None:
         raise ScenarioError(f"{path}: cannot create the output directory ({exc.strerror})") from exc
 
 
-def _require_inside(state: State, x_extent, y_extent, where: str) -> None:
+def _require_inside(state: State, grid: GridSpec, where: str) -> None:
     """A start must lie in the planar extent of the grid (the heading wraps)."""
-    for name, value, key, (lo, hi) in (
-        ("X", state.x, "x_extent_m", x_extent),
-        ("Y", state.y, "y_extent_m", y_extent),
-    ):
-        _require(
-            lo <= value <= hi, where, f"{name} = {value} lies outside grid.{key} [{lo}, {hi}]"
-        )
+    axis = grid.outside_axis((state.x, state.y, state.psi))
+    if axis is not None:
+        name, value, key = (("X", state.x, "x_extent_m"), ("Y", state.y, "y_extent_m"))[axis]
+        lo, hi = grid.axes[axis].lo, grid.axes[axis].hi
+        raise ScenarioError(f"{where}: {name} = {value} lies outside grid.{key} [{lo}, {hi}]")
 
 
 @dataclass
@@ -352,9 +350,7 @@ def scenario_from_dict(data: dict, where: str) -> Scenario:
         for i, row in enumerate(top["initial_states"])
     ]
     for i, state in enumerate(states):
-        _require_inside(
-            state, extents["x_extent_m"], extents["y_extent_m"], f"{where}.initial_states[{i}]"
-        )
+        _require_inside(state, grid, f"{where}.initial_states[{i}]")
     _require(isinstance(top["provenance"], dict), f"{where}.provenance", "expected an object")
 
     return Scenario(
@@ -441,10 +437,7 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ScenarioError(f"{solution_dir}: cannot load the solution: {exc}") from exc
     for row in x0_list or ():
-        _require_inside(
-            State(*row), scenario.x_extent, scenario.y_extent,
-            f"--x0 {','.join(repr(v) for v in row)}",
-        )
+        _require_inside(State(*row), solution.grid, f"--x0 {','.join(repr(v) for v in row)}")
     system = scenario.build_system()
     metric = LogDetMetric(scenario.prior().dim)
     _make_output_dir(out_dir)
@@ -796,6 +789,11 @@ def main(argv=None) -> int:
     except (InstabilityError, NotPositiveDefiniteError) as exc:
         print(f"numerical instability: {exc}", file=sys.stderr)
         return EXIT_INSTABILITY
+    except OSError as exc:
+        # a file or directory of the command's own that it cannot read or
+        # write; the exception names the path
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     return EXIT_INPUT
 
 

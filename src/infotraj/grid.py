@@ -68,6 +68,15 @@ class GridSpec:
         grids = np.meshgrid(*[ax.nodes for ax in self.axes], indexing="ij")
         return np.stack(grids, axis=-1)
 
+    def outside_axis(self, point):
+        """Index of the first non-periodic axis whose extent [lo, hi] point
+        lies outside (a NaN coordinate lies outside), or None when point is
+        on the grid; a periodic axis wraps."""
+        for i, ax in enumerate(self.axes):
+            if not (ax.periodic or ax.lo <= point[i] <= ax.hi):
+                return i
+        return None
+
     def window(self, center, half_widths):
         """Sub-grid around center and its index tuple (one slice per axis).
 

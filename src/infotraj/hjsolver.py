@@ -24,10 +24,10 @@ one kernel, lf_rate, and takes forward Euler steps under the CFL limit:
   entries. phi and those entries march as one component-major stack: the
   flow updates them in place, and one lf_rate call returns every rate from
   one set of ghost-row differences per axis. Its dissipation is one
-  constant per axis, the system's rate bound, and the sensitivity
-  coefficients of the control-free axes are built once per solve, in the
-  shape their drift varies on. The solution carries Phi in the (..., p**2)
-  vec layout.
+  constant per axis, the system's rate bound, and each drift field is kept
+  in the shape it varies on, as are the sensitivity coefficients lf_rate
+  forms from it on the control-free axes. The solution carries Phi in the
+  (..., p**2) vec layout.
 
 A step's transport runs over slabs of grid axis 0, one per CPU the process
 may run on (slab_edges), on the calling thread and plain worker threads;
@@ -105,33 +105,25 @@ def bang_bang(switching, bound: float):
 
 @dataclass
 class LFPlan:
-    """What lf_rate reuses across the steps of one march over a stack of
-    shape (k, *nodes): the sensitivity coefficients ((w_i - alpha_i) / 2,
-    (w_i + alpha_i) / 2) of every axis with g_i = 0, where w_i = f_i does not
-    depend on the control (None on the other axes, and on every axis when
-    k = 1), and the scratch arrays the rate is written into. A coefficient
-    has the broadcast shape of its drift and dissipation: heading-only,
-    (1, 1, npsi), for the Dubins car's X and Y (_least_shape).
+    """The scratch arrays lf_rate writes over a stack of shape (k, *nodes).
 
     lf_rate keeps nothing in work between calls, so it has FLOW_WORK rows
     (at least the 5 lf_rate uses) and the march's flow computes in it too.
     rows(lo, hi) is the plan of a slab of the nodes: views of these arrays."""
 
-    fixed: list
     out: np.ndarray  # (k, *nodes): the rate lf_rate returns
     work: np.ndarray  # (max(5, FLOW_WORK), *nodes)
     prod: np.ndarray  # (k - 1, *nodes)
 
     def rows(self, lo: int, hi: int) -> "LFPlan":
         """The plan of the nodes lo..hi-1 along grid axis 0."""
-        fixed = [c if c is None else tuple(_slab_rows(x, lo, hi) for x in c) for c in self.fixed]
-        return LFPlan(fixed, self.out[:, lo:hi], self.work[:, lo:hi], self.prod[:, lo:hi])
+        return LFPlan(self.out[:, lo:hi], self.work[:, lo:hi], self.prod[:, lo:hi])
 
 
 def _slab_rows(field, lo: int, hi: int):
-    """Rows lo..hi-1 along grid axis 0 of a per-axis field (a drift, a
-    dissipation or a coefficient); a scalar, or a field with one row along
-    axis 0, serves every slab whole."""
+    """Rows lo..hi-1 along grid axis 0 of a per-axis field (a drift or a
+    dissipation); a scalar, or a field with one row along axis 0, serves
+    every slab whole."""
     if np.ndim(field) == 0 or np.shape(field)[0] == 1:
         return field
     return field[lo:hi]
@@ -149,21 +141,12 @@ def _least_shape(field) -> np.ndarray:
     return least.copy()
 
 
-def lf_plan(drift, g, alpha, shape) -> LFPlan:
-    """LFPlan for lf_rate over a stack of shape (k, *nodes). A fixed
-    coefficient has the broadcast shape of its f_i and alpha_i, not the
-    nodes' shape."""
+def lf_plan(shape) -> LFPlan:
+    """LFPlan for lf_rate over a stack of shape (k, *nodes)."""
     k, nodes = shape[0], tuple(shape[1:])
-    fixed = []
-    for f, g_i, a in zip(drift, g, alpha):
-        if k == 1 or g_i != 0.0:
-            fixed.append(None)
-            continue
-        # w / 2 -+ alpha / 2, exactly as lf_rate forms them on a control axis
-        half_w = np.multiply(f, 0.5)
-        fixed.append((np.subtract(half_w, 0.5 * a), np.add(half_w, 0.5 * a)))
-    work = np.empty((max(5, FLOW_WORK),) + nodes)
-    return LFPlan(fixed, np.empty((k,) + nodes), work, np.empty((k - 1,) + nodes))
+    return LFPlan(
+        np.empty((k,) + nodes), np.empty((max(5, FLOW_WORK),) + nodes), np.empty((k - 1,) + nodes)
+    )
 
 
 def lf_rate(minus, plus, drift, g, bound: float, alpha, plan: LFPlan):
@@ -184,13 +167,14 @@ def lf_rate(minus, plus, drift, g, bound: float, alpha, plan: LFPlan):
 
         sum_i (w_i - alpha_i) / 2 D-_i + (w_i + alpha_i) / 2 D+_i.
 
-    plan (lf_plan of the stack's shape) holds the coefficients of the axes
-    with g_i = 0 and the scratch arrays. Returns the (k, *nodes) rate, which
-    is plan.out and is overwritten by the next call with the same plan, and
-    u*. _march passes the (D-, D+) views of its ghost-row difference
-    buffers and one plan for its whole march; a solver over joint (x, z)
-    axes marches the value alone (k = 1), with the information rates as the
-    drift of the z axes and g = 0 there.
+    On an axis with g_i = 0, w_i = f_i, and its coefficients are formed in
+    f_i's own shape (heading-only, (1, 1, npsi), for the Dubins car's X and
+    Y). plan (lf_plan of the stack's shape) holds the scratch arrays.
+    Returns the (k, *nodes) rate, which is plan.out and is overwritten by
+    the next call with the same plan, and u*. _march passes the (D-, D+)
+    views of its ghost-row difference buffers and one plan for its whole
+    march; a solver over joint (x, z) axes marches the value alone (k = 1),
+    with the information rates as the drift of the z axes and g = 0 there.
     """
     out = plan.out
     # scratch written with out=: the central gradient of one axis, the
@@ -213,16 +197,17 @@ def lf_rate(minus, plus, drift, g, bound: float, alpha, plan: LFPlan):
     if len(out) > 1:
         sens, prod = out[1:], plan.prod
         # coefficients (w -+ alpha) / 2 = w / 2 -+ alpha / 2, exactly
-        half_w = central
         for i, (m, p, f, g_i, a) in enumerate(zip(minus, plus, drift, g, alpha)):
-            if plan.fixed[i] is None:
-                lower, upper = ham, diss
+            if g_i != 0.0:
+                # w depends on the control: w / 2 and the coefficients fill
+                # the scratch
+                half_w, lower, upper = central, ham, diss
                 np.add(f, np.multiply(u_star, g_i, out=half_w), out=half_w)
                 half_w *= 0.5
-                np.subtract(half_w, 0.5 * a, out=lower)
-                np.add(half_w, 0.5 * a, out=upper)
             else:
-                lower, upper = plan.fixed[i]
+                half_w, lower, upper = np.multiply(f, 0.5), None, None
+            lower = np.subtract(half_w, 0.5 * a, out=lower)
+            upper = np.add(half_w, 0.5 * a, out=upper)
             if i == 0:
                 np.multiply(m[1:], lower, out=sens)
             else:
@@ -547,10 +532,10 @@ class _SlabTeam:
 
 def _march(
     stack: np.ndarray, grid: GridSpec, drift, g, bound: float, alpha, dt: float,
-    horizon: float, edges, flow=None, timers: Optional[dict] = None,
-) -> int:
+    horizon: float, edges, flow=None,
+) -> dict:
     """March a component-major stack (lf_rate's layout) in place from s = 0
-    to horizon in forward Euler steps of at most dt; returns the step count.
+    to horizon in forward Euler steps of at most dt.
 
     Each step applies the pointwise flow(h, work) first, when given, to the
     whole grid on the calling thread (it updates the stack in place and may
@@ -563,27 +548,26 @@ def _march(
     the stack of the step before, so any slab layout gives the bits of one
     slab over the whole grid (the monotone scheme's locality). The
     difference buffers and the plans are built once, and every slab's plan
-    is a view of one whole-grid plan, so a step allocates no field-sized
-    array (a new one per step lets the allocator hand memory back to the
-    OS and fault it in again). A non-finite entry raises InstabilityError;
-    of the slabs that raise, the first one's error reaches the caller, and
-    no worker thread outlives the march.
+    is a view of one whole-grid plan, so the differences and the rates of
+    the whole stack reuse their memory every step (a new array per step
+    lets the allocator hand memory back to the OS and fault it in again).
+    Each lf_rate call still allocates bang_bang's u* and its temporaries,
+    a few arrays of one component's size. A non-finite entry raises
+    InstabilityError; of the slabs that raise, the first one's error
+    reaches the caller, and no worker thread outlives the march.
 
-    The march ends once s is within 1e-12 of horizon. Seconds spent in the
-    flow, the transport and the calling thread's finite checks are added
-    to timers["flow_s"], ["transport_s"] and ["check_s"] when timers is
-    given.
+    The march ends once s is within 1e-12 of horizon. Returns its record:
+    the step count (steps) and the seconds spent in the flow, the transport
+    and the calling thread's finite checks (flow_s, transport_s, check_s).
     """
-    if timers is None:
-        timers = dict.fromkeys(("flow_s", "transport_s", "check_s"), 0.0)
     clock = _time.perf_counter
-    plan = lf_plan(drift, g, alpha, stack.shape)
+    plan = lf_plan(stack.shape)
     slabs = []
     for rows in zip(edges[:-1], edges[1:]):
         cut = [[_slab_rows(field, *rows) for field in fields] for fields in (drift, alpha)]
         slabs.append((rows, *_ghost_difference_buffers(stack, grid, rows), *cut, plan.rows(*rows)))
     checks = [0.0] * len(slabs)
-    h = s = transport = 0.0
+    h = s = flow_s = transport = 0.0
     count = 0
 
     def rates(j):
@@ -612,13 +596,14 @@ def _march(
             s += h
             count += 1
             team.run()
-            timers["flow_s"] += t1 - t0
+            flow_s += t1 - t0
             transport += clock() - t1
     finally:
         team.close()
-    timers["transport_s"] += transport - checks[0]
-    timers["check_s"] += checks[0]
-    return count
+    return {
+        "steps": count, "flow_s": flow_s, "transport_s": transport - checks[0],
+        "check_s": checks[0],
+    }
 
 
 def hybrid_solve(
@@ -647,10 +632,10 @@ def hybrid_solve(
         difference) and the periodic heading wraps;
       * one lf_rate call returns phi's rate (drift/control Hamiltonian at
         the central gradient plus dissipation) and Phi's rate (the same LF
-        scheme along the locally optimal velocity w = f + g u*), with the
-        coefficients of the control-free axes built once. Each drift field
-        is kept in the shape it varies on (_least_shape; heading-only,
-        (1, 1, npsi), for the Dubins car), and so are those coefficients;
+        scheme along the locally optimal velocity w = f + g u*). Each drift
+        field is kept in the shape it varies on (_least_shape; heading-only,
+        (1, 1, npsi), for the Dubins car), and so are the coefficients
+        lf_rate forms from it on the control-free axes;
       * the differences, rates and updates run over the slabs of axis 0
         that slab_edges gives, the flow over the whole grid (_march);
       * initial data phi = G(z0) and the packed G_z(z0), uniformly over the
@@ -678,13 +663,13 @@ def hybrid_solve(
         raise ValueError(f"z0 must have length {system.info_len}")
     # the initial data G(z0), G_z(z0) must exist: the metric refuses a z0
     # that is not symmetric positive definite
-    metric.value(z0)
+    value0 = metric.value(z0)
 
     t_start = _time.perf_counter()
-    timings = dict.fromkeys(("wall_time_s", "field_s", "flow_s", "transport_s", "check_s"), 0.0)
+    field_s = 0.0
     if info_rate_field is None:
         info_rate_field = info_rate_on_grid(system, grid)
-        timings["field_s"] = _time.perf_counter() - t_start
+        field_s = _time.perf_counter() - t_start
     ell = np.asarray(info_rate_field, dtype=float)
     if ell.shape != grid.shape + (system.info_len,):
         raise ValueError("information-rate field shape does not match the grid")
@@ -710,7 +695,7 @@ def hybrid_solve(
     # component-major march state: stack[0] is phi, stack[1:] the packed
     # Phi; phi_z is the (..., k) view that the flow reads and writes
     stack = np.empty((1 + k,) + grid.shape)
-    stack[0] = metric.value(z0)
+    stack[0] = value0
     phi, phi_z = stack[0], packed_view(stack[1:])
     phi_z[...] = sym_pack(unvec(metric.gradient(z0)))
 
@@ -719,11 +704,11 @@ def hybrid_solve(
         # information is small
         metric.flow(phi, phi_z, q_packed, h, work)
 
-    timings["steps"] = _march(
+    record = _march(
         stack, grid, drift, system.control_column(), system.control_bound, alpha, dt, horizon,
-        slab_edges(grid), flow, timings,
+        slab_edges(grid), flow,
     )
-    timings["wall_time_s"] = _time.perf_counter() - t_start
+    timings = {"wall_time_s": _time.perf_counter() - t_start, "field_s": field_s, **record}
     # sym_unpack gives new C-contiguous symmetric matrices, whose row-major
     # entries are their vec
     phi_z_vec = sym_unpack(phi_z).reshape(grid.shape + (system.info_len,))

@@ -52,15 +52,6 @@ class BoundaryExitError(RuntimeError):
         self.trajectory = trajectory
 
 
-def _inside(grid: GridSpec, x: np.ndarray) -> bool:
-    for i, ax in enumerate(grid.axes):
-        if ax.periodic:
-            continue
-        if x[i] < ax.lo or x[i] > ax.hi:
-            return False
-    return True
-
-
 def _info_rate_and_jacobian(system: CascadeSystem, x: np.ndarray, steps: np.ndarray):
     """vec(Q) at each row of x, shape (n, m), and d vec(Q)/dx by central
     differences, shape (n, m, d), from one n * (1 + 2d)-point rate call on
@@ -130,7 +121,6 @@ def extract_characteristic(
     states, costates = np.empty((ns, d)), np.empty((ns, d))
     infos, controls = np.empty((ns, system.info_len)), np.empty(ns)
     states[0], infos[0], costates[0] = x, z, p
-    controls[0] = control_from(p)
     for k in range(n_steps):
         u = control_from(p)
         u_prev = controls[k] = u
@@ -143,7 +133,7 @@ def extract_characteristic(
         z = rk4_combine(z, kz, h)
         p = rk4_combine(p, kp, h)
         states[k + 1], infos[k + 1], costates[k + 1], controls[k + 1] = x, z, p, u
-        if not _inside(grid, x):
+        if grid.outside_axis(x) is not None:
             ns = k + 2
             break
 
@@ -155,7 +145,7 @@ def extract_characteristic(
         costates=costates[:ns],
         info_costates=np.repeat(lam[None, :], ns, axis=0),
     )
-    if not _inside(grid, x):
+    if grid.outside_axis(x) is not None:
         raise BoundaryExitError(f"trajectory left the grid at s = {traj.s[-1]:.6g}", traj)
 
     z_final = traj.final_info()

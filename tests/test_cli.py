@@ -517,8 +517,10 @@ class TestSolveExtractPlot:
 
 
 class TestOutputPaths:
-    """An output path the command cannot use exits 2 naming it, before any
-    solve, extraction or check runs."""
+    """An output path the command cannot use exits 2 naming it, without a
+    traceback. A path that is unusable itself is refused before any solve,
+    extraction or check runs; one of the command's own files inside it that
+    is a directory, when the command writes that file."""
 
     def test_solve_out_an_existing_file(self, tmp_path, capsys, monkeypatch):
         def no_solve(*args, **kwargs):
@@ -546,6 +548,40 @@ class TestOutputPaths:
         err = capsys.readouterr().err
         assert str(taken) in err and "Traceback" not in err
         assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize("name", ["scenario.json", "manifest.json", "phi.bin"])
+    def test_solve_out_holding_a_directory_of_its_file_name(self, tmp_path, capsys, name):
+        config = tmp_path / "scenario.json"
+        config.write_text(json.dumps(small_scenario_dict()))
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["solve", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / name) in err and "Traceback" not in err
+        assert not (out / "manifest.json").is_file()
+
+    @pytest.mark.parametrize("name", ["trajectory_000.csv", "extraction_summary.json"])
+    def test_extract_out_holding_a_directory_of_its_file_name(
+        self, pipeline, tmp_path, capsys, name
+    ):
+        _, _, sol_dir = pipeline
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["extract", "--solution", str(sol_dir), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(out / name) in err and "Traceback" not in err
+        assert not (out / "extraction_summary.json").is_file()
+
+    @pytest.mark.parametrize("kind", ["missing", "a_file"])
+    def test_plot_in_that_is_not_a_directory(self, tmp_path, capsys, kind):
+        in_path = tmp_path / "in"
+        if kind == "a_file":
+            in_path.write_text("s,X,Y,psi,u\n0,1,2,0,0\n")
+        figure = tmp_path / "f.svg"
+        assert main(["plot", "--in", str(in_path), "--out", str(figure)]) == 2
+        err = capsys.readouterr().err
+        assert str(in_path) in err and "Traceback" not in err
+        assert not figure.exists()
 
     @pytest.mark.parametrize("where", ["missing_dir", "a_dir"])
     def test_validate_report_path(self, tmp_path, capsys, monkeypatch, where):

@@ -196,6 +196,16 @@ def shipped_plane():
     return GridSpec.vehicle_plane((-1700.0, 1700.0), (-1700.0, 1700.0), 41, 41, 32)
 
 
+class TestOutsideAxis:
+    def test_names_the_first_planar_axis_left(self):
+        grid = GridSpec.vehicle_plane((-10.0, 10.0), (-5.0, 5.0), 5, 5, 8)
+        assert grid.outside_axis([10.0, -5.0, 0.0]) is None  # edges are inside
+        assert grid.outside_axis([0.0, 0.0, 100.0]) is None  # the heading wraps
+        assert grid.outside_axis([10.5, 6.0, 0.0]) == 0
+        assert grid.outside_axis([0.0, -5.5, 0.0]) == 1
+        assert grid.outside_axis([0.0, math.nan, 0.0]) == 1
+
+
 class TestWindow:
     def test_interior_keeps_half_width_plus_margin(self):
         grid = shipped_plane()

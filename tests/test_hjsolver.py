@@ -65,7 +65,7 @@ def kernel_at(system, x, minus, plus, rate_matrix, alpha):
     rate, u = lf_rate(
         np.concatenate([minus.p, minus.lam])[:, None],
         np.concatenate([plus.p, plus.lam])[:, None],
-        drift, g, system.control_bound, alpha, lf_plan(drift, g, alpha, (1,)),
+        drift, g, system.control_bound, alpha, lf_plan((1,)),
     )
     return float(rate[0]), float(u)
 
@@ -137,7 +137,7 @@ def transport_rate(phi, phi_z, grid, drift, g, bound: float, alpha):
     stack = np.concatenate([phi[None], np.moveaxis(phi_z, -1, 0)])
     bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid, (0, grid.shape[0]))
     hjsolver._ghost_differences(stack, grid, bufs, (0, grid.shape[0]))
-    plan = lf_plan(drift, g, alpha, stack.shape)
+    plan = lf_plan(stack.shape)
     rate, u_star = lf_rate(minus, plus, drift, g, bound, alpha, plan)
     return rate[0], np.moveaxis(rate[1:], 0, -1), u_star
 
@@ -726,19 +726,20 @@ class TestSlabFailures:
 
 
 class TestMarchMemory:
-    def test_control_free_coefficients_are_heading_only(self, monkeypatch):
-        plans = []
+    def test_planar_drift_fields_are_heading_only(self, monkeypatch):
+        # lf_rate forms the X and Y coefficients in their drift's shape
+        drifts = []
+        march = hjsolver._march
 
-        def recording_plan(*args):
-            plans.append(lf_plan(*args))
-            return plans[-1]
+        def recording_march(stack, grid, drift, *args):
+            drifts.append(drift)
+            return march(stack, grid, drift, *args)
 
-        monkeypatch.setattr(hjsolver, "lf_plan", recording_plan)
+        monkeypatch.setattr(hjsolver, "_march", recording_march)
         shipped_solve(SHIPPED_GRID, 1.0)
-        (plan,) = plans
+        ((x_drift, y_drift, _),) = drifts
         npsi = SHIPPED_GRID.shape[2]
-        assert [c.shape for c in plan.fixed[0] + plan.fixed[1]] == [(1, 1, npsi)] * 4
-        assert plan.fixed[2] is None
+        assert x_drift.shape == y_drift.shape == (1, 1, npsi)
 
     def test_traced_peak_of_a_shipped_solve(self):
         # measured 14.2 MiB, and 17.0 MiB with the drift fields and the
@@ -782,6 +783,23 @@ class TestHybridSolve:
         sol = hybrid_solve(car, metric, grid, z0, 2.0)
         assert np.allclose(sol.phi, metric.value(z0), atol=1e-12)
         assert np.allclose(sol.phi_z, metric.gradient(z0), atol=1e-12)
+
+    def test_timings_keep_their_six_keys(self):
+        toy, metric, grid = ToyCascade(), LogDetMetric(1), toy_grid(0.05)
+        field = info_rate_on_grid(toy, grid)
+        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0, field)
+        phases = ["field_s", "flow_s", "transport_s", "check_s"]
+        assert set(sol.timings) == {"wall_time_s", "steps", *phases}
+        assert sol.timings["field_s"] == 0.0 and sol.timings["steps"] > 0
+        assert sum(sol.timings[key] for key in phases) <= sol.timings["wall_time_s"]
+
+    def test_terminal_cost_is_evaluated_once(self, monkeypatch):
+        metric = LogDetMetric(1)
+        calls = []
+        value = metric.value
+        monkeypatch.setattr(metric, "value", lambda z: calls.append(z) or value(z))
+        hybrid_solve(ToyCascade(), metric, toy_grid(0.1), np.array([1.0]), 0.5)
+        assert len(calls) == 1
 
     def test_toy_matches_closed_form(self):
         toy = ToyCascade()

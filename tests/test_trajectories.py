@@ -132,7 +132,7 @@ def reference_extract(solution, system, metric, x0, dt):
         y = reference_rk4_step(system, lambda y_now: derivs(y_now, u), y, h)
         path[k + 1] = y[0]
         controls[k + 1] = u
-        if not infotraj.trajectories._inside(grid, y[0, :d]):
+        if grid.outside_axis(y[0, :d]) is not None:
             partial = k + 2
             break
     n_kept = partial or ns
