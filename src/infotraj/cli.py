@@ -30,6 +30,7 @@ from infotraj.dynamics import (
 )
 from infotraj.grid import Axis, GridSpec, interpolate, remove_matching, write_manifest
 from infotraj.hjsolver import (
+    FINAL_FILES,
     InstabilityError,
     cfl_dt,
     config_fingerprint,
@@ -38,7 +39,7 @@ from infotraj.hjsolver import (
     load_solution,
     solve_to_disk,
 )
-from infotraj.matrixcore import LogDetMetric, NotPositiveDefiniteError, vec
+from infotraj.matrixcore import NotPositiveDefiniteError, vec
 from infotraj.sensing import DopplerSensor, GaussianPrior, prior_fim, suite_info_rate
 from infotraj.trajectories import (
     BoundaryExitError,
@@ -142,13 +143,17 @@ def _numbers(values, where: str, length: int) -> list:
     return [_number(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
-def _make_output_dir(path) -> None:
-    """Create the output directory path; one that exists as a file or
-    cannot be made is an input error naming it."""
+def _make_output_dir(path, names) -> None:
+    """Create the output directory path, in which the command will write the
+    files names; a path that exists as a file or cannot be made, or a name
+    that is a directory there, is an input error naming it."""
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as exc:
         raise ScenarioError(f"{path}: cannot create the output directory ({exc.strerror})") from exc
+    for name in names:
+        target = os.path.join(path, name)
+        _require(not os.path.isdir(target), target, "is a directory, not a file to write")
 
 
 def _require_inside(state: State, grid: GridSpec, where: str) -> None:
@@ -308,6 +313,7 @@ def scenario_from_dict(data: dict, where: str) -> Scenario:
     for key in ("x_extent_m", "y_extent_m"):
         lo, hi = _numbers(gr[key], f"{where}.grid.{key}", 2)
         _require(lo < hi, f"{where}.grid.{key}", "expected [lo, hi] with lo < hi")
+        _require(math.isfinite(hi - lo), f"{where}.grid.{key}", "the span hi - lo overflows")
         extents[key] = (lo, hi)
     counts = {}
     nodes = 1
@@ -402,13 +408,14 @@ def solution_fingerprints(scenario: Scenario) -> dict:
 
 def cmd_solve(scenario: Scenario, out_dir) -> None:
     """Solve the scenario and stream the solution artifacts to out_dir; the
-    manifest is the last file written."""
+    manifest is the last file written. A directory under one of their names
+    is refused before the solve."""
     system = scenario.build_system()
-    metric = LogDetMetric(scenario.prior().dim)
-    _make_output_dir(out_dir)
+    names = ("scenario.json", *FINAL_FILES.values(), "timings.json", "manifest.json")
+    _make_output_dir(out_dir, names)
     write_manifest(os.path.join(out_dir, "scenario.json"), scenario.to_dict())
     solve_to_disk(
-        out_dir, system, metric, scenario.grid(), scenario.initial_information(),
+        out_dir, system, scenario.grid(), scenario.initial_information(),
         scenario.horizon, extras=solution_fingerprints(scenario),
     )
 
@@ -421,7 +428,8 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
     extracted in the scenario's extraction_legs receding legs; one leg is the
     characteristic extraction from the stored solution.
     The CSVs and summary of an earlier run are removed first, and the
-    summary is written last. A start that leaves the grid raises
+    summary is written last; a directory under one of their names is
+    refused before any start runs. A start that leaves the grid raises
     BoundaryExitError naming its index and (X, Y, psi); the CSVs before it
     stay, and no later start runs.
     """
@@ -439,8 +447,8 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
     for row in x0_list or ():
         _require_inside(State(*row), solution.grid, f"--x0 {','.join(repr(v) for v in row)}")
     system = scenario.build_system()
-    metric = LogDetMetric(scenario.prior().dim)
-    _make_output_dir(out_dir)
+    csv_names = [f"trajectory_{idx:03d}.csv" for idx in range(len(starts))]
+    _make_output_dir(out_dir, csv_names + ["extraction_summary.json"])
     remove_matching(out_dir, re.compile(r"trajectory_.*\.csv|extraction_summary\.json"))
 
     legs = scenario.extraction_legs
@@ -448,22 +456,20 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
     ell = info_rate_on_grid(system, solution.grid) if legs > 1 else None
 
     summary = {"trajectories": []}
-    for idx, start in enumerate(starts):
+    for idx, (start, name) in enumerate(zip(starts, csv_names)):
         try:
             traj = extract_receding(
-                solution, system, metric, start, legs=legs, dt=scenario.extraction_dt,
-                info_rate_field=ell,
+                solution, system, start, legs=legs, dt=scenario.extraction_dt, info_rate_field=ell
             )
         except BoundaryExitError as exc:
             where = f"start {idx} at (X, Y, psi) = ({start.x!r}, {start.y!r}, {start.psi!r})"
             raise BoundaryExitError(f"{where}: {exc}", exc.trajectory) from exc
-        name = f"trajectory_{idx:03d}.csv"
-        trajectory_to_csv(traj, os.path.join(out_dir, name), metric)
+        trajectory_to_csv(traj, os.path.join(out_dir, name))
         entry = {
             "file": name,
             "initial_state": [start.x, start.y, start.psi],
             "cost": traj.terminal_cost,
-            "normalized_gain": metric.normalized_gain(traj.final_info(), solution.z0),
+            "normalized_gain": system.metric.normalized_gain(traj.final_info(), solution.z0),
             "residuals": traj.residuals,
         }
         entry.update(final_leg_shape(traj, scenario.prior_mean))
@@ -608,10 +614,9 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
     report.add("toy_refinement_halves", lo <= cross["ratio"] <= hi, ratio=cross["ratio"], band=[lo, hi])
 
     toy = ToyCascade()
-    metric1 = LogDetMetric(1)
     toy_grid = GridSpec((Axis(-2.0, 2.0, int(round(4.0 / TOY_GRADIENT_DX)) + 1),))
     out = gradient_consistency_check(
-        toy, metric1, toy_grid, np.array([1.0]), 1.0,
+        toy, toy_grid, np.array([1.0]), 1.0,
         interior_margin=int(0.25 * toy_grid.axes[0].n),
     )
     report.add(
@@ -624,10 +629,9 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
     scenario = suite.scenario
     if scenario is not None:
         system = scenario.build_system()
-        metric = LogDetMetric(scenario.prior().dim)
         coarse_grid = GridSpec.vehicle_plane(scenario.x_extent, scenario.y_extent, *SURVEY_GRID)
         out = gradient_consistency_check(
-            system, metric, coarse_grid, scenario.initial_information(), SURVEY_GRADIENT_HORIZON_S
+            system, coarse_grid, scenario.initial_information(), SURVEY_GRADIENT_HORIZON_S
         )
         report.add(
             "survey_gradient_consistency",
@@ -640,15 +644,15 @@ def run_validation_suite(suite: ValidationSuite) -> ValidationReport:
         grid = scenario.grid()
         z0 = scenario.initial_information()
         ell = info_rate_on_grid(system, grid)
-        solution = hybrid_solve(system, metric, grid, z0, scenario.horizon, info_rate_field=ell)
+        solution = hybrid_solve(system, grid, z0, scenario.horizon, info_rate_field=ell)
         x0 = scenario.initial_states[0]
-        char = extract_characteristic(solution, system, metric, x0, scenario.extraction_dt)
+        char = extract_characteristic(solution, system, x0, scenario.extraction_dt)
         best = extract_receding(
-            solution, system, metric, x0, legs=SANDWICH_LEGS,
+            solution, system, x0, legs=SANDWICH_LEGS,
             dt=scenario.extraction_dt, info_rate_field=ell,
         )
         bf_cost, _ = brute_force_value(
-            system, metric, x0, z0, scenario.horizon,
+            system, x0, z0, scenario.horizon,
             segments=SANDWICH_SEGMENTS, dt=SANDWICH_SIM_DT,
         )
         tol = SANDWICH_REL * abs(bf_cost)

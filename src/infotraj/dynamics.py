@@ -71,6 +71,11 @@ class CascadeSystem(ABC):
     def info_len(self) -> int:
         return self.info_dim * self.info_dim
 
+    @property
+    def metric(self) -> LogDetMetric:
+        """The terminal cost G(z) = -log det(unvec z) on this system's information."""
+        return LogDetMetric(self.info_dim)
+
     @abstractmethod
     def drift(self, x: np.ndarray) -> np.ndarray:
         """f(x); accepts batched states of shape (..., state_dim)."""
@@ -377,9 +382,10 @@ _STATE_HEADERS = {3: ("X", "Y", "psi"), 1: ("x",)}
 _STATE_UNITS = {3: ("m", "m", "rad"), 1: ("m",)}
 
 
-def trajectory_to_csv(trajectory: Trajectory, path, metric: LogDetMetric) -> None:
+def trajectory_to_csv(trajectory: Trajectory, path) -> None:
     """Write a trajectory as CSV: s, state, u, z components, running cost, and
-    (when present) the adjoint samples. Units are given on comment lines."""
+    (when present) the adjoint samples. Units are given on comment lines. The
+    cost is the logdet metric on the trajectory's own p x p information."""
     d = trajectory.states.shape[1]
     m = trajectory.infos.shape[1]
     names = _STATE_HEADERS.get(d, tuple(f"x{i + 1}" for i in range(d)))
@@ -398,7 +404,7 @@ def trajectory_to_csv(trajectory: Trajectory, path, metric: LogDetMetric) -> Non
     for key, val in trajectory.residuals.items():
         lines.append(f"# residual {key} = {val:.17g}")
     lines.append(",".join(cols))
-    costs = metric.value(trajectory.infos)
+    costs = LogDetMetric(math.isqrt(m)).value(trajectory.infos)
     for k in range(trajectory.s.size):
         row = [trajectory.s[k], *trajectory.states[k], trajectory.controls[k]]
         row += list(trajectory.infos[k])

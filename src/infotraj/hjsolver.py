@@ -45,7 +45,6 @@ import hashlib
 import json
 import math
 import os
-import re
 import threading
 import time as _time
 from dataclasses import dataclass, field
@@ -58,11 +57,10 @@ from infotraj.grid import (
     GridSpec,
     load_array,
     read_manifest,
-    remove_matching,
     save_array,
     write_manifest,
 )
-from infotraj.matrixcore import FLOW_WORK, LogDetMetric, sym_pack, sym_unpack, unvec
+from infotraj.matrixcore import FLOW_WORK, sym_pack, sym_unpack, unvec
 
 POLICY_TIE_EPS = 1e-12
 # the Courant number of every march: the monotone Lax-Friedrichs scheme is
@@ -77,8 +75,6 @@ SLAB_MIN_NODES = 4096
 # the files of a stored solution's final fields, the one entry of its
 # manifest's "snapshots" list
 FINAL_FILES = {"phi": "phi.bin", "phi_z": "phiz.bin"}
-# the numbered snapshot files that older versions of solve_to_disk wrote
-OLD_SNAPSHOT_FILE = re.compile(r"phiz?_[0-9]{4,}\.bin")
 
 
 class InstabilityError(RuntimeError):
@@ -285,7 +281,6 @@ def config_fingerprint(grid: GridSpec, z0, horizon: float) -> str:
 def solve_to_disk(
     out_dir,
     system: CascadeSystem,
-    metric: LogDetMetric,
     grid: GridSpec,
     z0: np.ndarray,
     horizon: float,
@@ -297,8 +292,7 @@ def solve_to_disk(
     manifest's "snapshots" list). Binary layout: float64 little-endian,
     row-major in (iX, iY, ipsi[, j]) order. Any manifest.json already in
     out_dir is removed before the solve and the new one is written last, so
-    a failed or half-overwritten directory never loads as a solution; so are
-    the numbered snapshots (OLD_SNAPSHOT_FILE) an older version wrote. Wall-clock
+    a failed or half-overwritten directory never loads as a solution. Wall-clock
     timings (total and per-phase seconds) and the step count go to a
     separate timings.json so that repeated runs with the same configuration
     produce byte-identical manifests and fields. The manifest's config_hash
@@ -310,8 +304,7 @@ def solve_to_disk(
     manifest_path = os.path.join(out_dir, "manifest.json")
     if os.path.lexists(manifest_path):
         os.remove(manifest_path)
-    remove_matching(out_dir, OLD_SNAPSHOT_FILE)
-    solution = hybrid_solve(system, metric, grid, z0, horizon)
+    solution = hybrid_solve(system, grid, z0, horizon)
     save_array(os.path.join(out_dir, FINAL_FILES["phi"]), solution.phi)
     save_array(os.path.join(out_dir, FINAL_FILES["phi_z"]), solution.phi_z)
     write_manifest(os.path.join(out_dir, "timings.json"), solution.timings)
@@ -608,7 +601,6 @@ def _march(
 
 def hybrid_solve(
     system: CascadeSystem,
-    metric: LogDetMetric,
     grid: GridSpec,
     z0: np.ndarray,
     horizon: float,
@@ -616,9 +608,9 @@ def hybrid_solve(
 ) -> HybridSolution:
     """Co-evolve phi (value) and Phi (value gradient in z) on the x grid.
 
-    The march (_march) steps the pointwise information flow (the metric's
-    closed-form accumulation of <vec(Q), Phi> into phi and of the curvature
-    contraction into Phi), then the explicit spatial transport:
+    The march (_march) steps the pointwise information flow (the closed-form
+    flow of system.metric, which accumulates <vec(Q), Phi> into phi and the
+    curvature contraction into Phi), then the explicit spatial transport:
       * Phi = G_z is a symmetric p x p matrix, so the march carries its
         k = p (p + 1) / 2 distinct entries in packed order (sym_pack: for
         p = 2, Phi_00, Phi_10, Phi_11). The march state is one
@@ -663,6 +655,7 @@ def hybrid_solve(
         raise ValueError(f"z0 must have length {system.info_len}")
     # the initial data G(z0), G_z(z0) must exist: the metric refuses a z0
     # that is not symmetric positive definite
+    metric = system.metric
     value0 = metric.value(z0)
 
     t_start = _time.perf_counter()
@@ -717,7 +710,6 @@ def hybrid_solve(
 
 def classic_solve(
     system: CascadeSystem,
-    metric: LogDetMetric,
     joint_grid: GridSpec,
     horizon: float,
 ) -> np.ndarray:
@@ -725,8 +717,9 @@ def classic_solve(
     returns the final value approximation, shape joint_grid.shape.
 
     The z axes enter the kernel as extra drift axes (drift vec(Q(x)), no
-    control). Tractable only in very low dimension; refuses more than 3 total
-    axes. Serves as the independent reference for the hybrid solver on toy
+    control); the value starts at system.metric's G(z) at every node.
+    Tractable only in very low dimension; refuses more than 3 total axes.
+    Serves as the independent reference for the hybrid solver on toy
     systems. The value marches as a one-component stack through hybrid_solve's
     march, with no pointwise flow. A horizon that is not positive and finite
     raises ValueError.
@@ -757,7 +750,7 @@ def classic_solve(
     alpha = [alpha_global[i] for i in range(d)] + [np.abs(ell[..., j]) for j in range(m)]
     dt = cfl_dt(joint_grid, alpha_global)
 
-    stack = metric.value(z_nodes)[None]
+    stack = system.metric.value(z_nodes)[None]
     _march(
         stack, joint_grid, drift, g, system.control_bound, alpha, dt, horizon,
         slab_edges(joint_grid),

@@ -37,7 +37,7 @@ from infotraj.hjsolver import (
     info_rate_on_grid,
 )
 from infotraj import hjsolver as _hjsolver
-from infotraj.matrixcore import LogDetMetric, sym_pack, sym_unpack, unvec, vec
+from infotraj.matrixcore import sym_pack, sym_unpack, unvec, vec
 
 HYSTERESIS_BAND = 1e-9
 # the z0 perturbation of gradient_consistency_check's central differences
@@ -72,7 +72,6 @@ def _info_rate_and_jacobian(system: CascadeSystem, x: np.ndarray, steps: np.ndar
 def extract_characteristic(
     solution: HybridSolution,
     system: CascadeSystem,
-    metric: LogDetMetric,
     x0: State,
     dt: float,
     duration: Optional[float] = None,
@@ -149,8 +148,8 @@ def extract_characteristic(
         raise BoundaryExitError(f"trajectory left the grid at s = {traj.s[-1]:.6g}", traj)
 
     z_final = traj.final_info()
-    grad_final = metric.gradient(z_final)
-    traj.terminal_cost = metric.value(z_final)
+    grad_final = system.metric.gradient(z_final)
+    traj.terminal_cost = system.metric.value(z_final)
     traj.residuals = {
         "costate_terminal_norm": float(np.linalg.norm(traj.costates[-1])),
         "costate_initial_norm": float(np.linalg.norm(traj.costates[0])),
@@ -166,7 +165,6 @@ def extract_characteristic(
 def extract_receding(
     solution: HybridSolution,
     system: CascadeSystem,
-    metric: LogDetMetric,
     x0: State,
     legs: int,
     dt: float,
@@ -210,10 +208,8 @@ def extract_receding(
         if k > 0:
             remaining = horizon - k * leg_span
             sub, idx = grid.window(x, bounds * remaining)
-            sol = hybrid_solve(
-                system, metric, sub, z, remaining, info_rate_field=info_rate_field[idx]
-            )
-        piece = extract_characteristic(sol, system, metric, x, dt, duration=leg_span)
+            sol = hybrid_solve(system, sub, z, remaining, info_rate_field=info_rate_field[idx])
+        piece = extract_characteristic(sol, system, x, dt, duration=leg_span)
         pieces.append(piece)
         x = piece.final_state()
         z = piece.final_info()
@@ -237,7 +233,7 @@ def extract_receding(
         costates=np.concatenate(p_all),
         info_costates=np.concatenate(lam_all),
     )
-    traj.terminal_cost = metric.value(traj.final_info())
+    traj.terminal_cost = system.metric.value(traj.final_info())
     traj.residuals = dict(pieces[-1].residuals)
     return traj
 
@@ -310,7 +306,6 @@ def _simulate_control_batch(
 
 def brute_force_value(
     system: CascadeSystem,
-    metric: LogDetMetric,
     x0: State,
     z0: np.ndarray,
     horizon: float,
@@ -320,7 +315,8 @@ def brute_force_value(
     """Exhaustive search over piecewise-constant controls with values in
     {-bound, 0, +bound} on equal segments; the independent optimality oracle.
 
-    Returns (best cost, best ControlSignal).
+    Returns (best cost, best ControlSignal); the cost is system.metric's G of
+    the final information state.
     """
     if segments < 1:
         raise ValueError("need at least one segment")
@@ -330,13 +326,13 @@ def brute_force_value(
     # the step rule's checks hold even where no step is taken
     rk4_steps(horizon / segments, dt, "horizon / segments")
     if horizon == 0.0:
-        return metric.value(z0), ControlSignal.constant(0.0, 1.0)
+        return system.metric.value(z0), ControlSignal.constant(0.0, 1.0)
     b = system.control_bound
     # coasting listed first so exact cost ties resolve to the null control
     levels = (0.0, -b, b)
     combos = np.array(list(itertools.product(levels, repeat=segments)))
     finals = _simulate_control_batch(system, state_array(x0), z0, combos, horizon, dt)
-    costs = metric.value(finals)
+    costs = system.metric.value(finals)
     best = int(np.argmin(costs))
     best_cost = float(costs[best])
     best_signal = ControlSignal.from_segments(combos[best], horizon)
@@ -371,7 +367,6 @@ class ValidationReport:
 
 def gradient_consistency_check(
     system: CascadeSystem,
-    metric: LogDetMetric,
     grid: GridSpec,
     z0: np.ndarray,
     horizon: float,
@@ -389,7 +384,7 @@ def gradient_consistency_check(
     info_rate_field = info_rate_on_grid(system, grid)
 
     def final_solve(z):
-        return hybrid_solve(system, metric, grid, z, horizon, info_rate_field=info_rate_field)
+        return hybrid_solve(system, grid, z, horizon, info_rate_field=info_rate_field)
 
     phi_z = sym_pack(unvec(final_solve(z0).phi_z))
     fd = np.empty_like(phi_z)
@@ -427,15 +422,14 @@ def toy_hybrid_vs_classic(dx: float) -> dict:
     z0 = 1) at grid step dx and at dx / 2: the max |phi| gap on |x| <= 1 at
     z = 1 for each, and their ratio (about 0.5 for a first-order scheme)."""
     toy = ToyCascade()
-    metric = LogDetMetric(1)
 
     def gap(step):
         nx = int(round(4.0 / step)) + 1
         nz = int(round(5.2 / step)) + 1
         grid = GridSpec((Axis(-2.0, 2.0, nx),))
         joint = GridSpec((Axis(-2.0, 2.0, nx), Axis(0.4, 5.6, nz)))
-        hyb = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0)
-        cls = classic_solve(toy, metric, joint, 1.0)
+        hyb = hybrid_solve(toy, grid, np.array([1.0]), 1.0)
+        cls = classic_solve(toy, joint, 1.0)
         zi = int(np.argmin(np.abs(joint.axes[1].nodes - 1.0)))
         inner = np.abs(grid.axes[0].nodes) <= 1.0
         return float(np.max(np.abs(hyb.phi - cls[:, zi])[inner]))

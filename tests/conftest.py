@@ -6,7 +6,6 @@ import pytest
 
 from infotraj.cli import load_scenario
 from infotraj.hjsolver import hybrid_solve, info_rate_on_grid
-from infotraj.matrixcore import LogDetMetric
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -20,11 +19,10 @@ def scenario():
 def survey(scenario):
     """Shared production-scale solve of the shipped survey scenario."""
     system = scenario.build_system()
-    metric = LogDetMetric(2)
     grid = scenario.grid()
     z0 = scenario.initial_information()
     ell = info_rate_on_grid(system, grid)
     solution = hybrid_solve(
-        system, metric, grid, z0, scenario.horizon, info_rate_field=ell
+        system, grid, z0, scenario.horizon, info_rate_field=ell
     )
-    return scenario, system, metric, grid, z0, ell, solution
+    return scenario, system, grid, z0, ell, solution

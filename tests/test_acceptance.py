@@ -70,7 +70,6 @@ def test_criterion_2_gradient_field_matches_resolve_sensitivity(scenario):
     toy_grid = GridSpec((Axis(-2.0, 2.0, 321),))  # dx = 0.0125
     toy_out = gradient_consistency_check(
         toy,
-        LogDetMetric(1),
         toy_grid,
         np.array([1.0]),
         1.0,
@@ -85,7 +84,6 @@ def test_criterion_2_gradient_field_matches_resolve_sensitivity(scenario):
     coarse_grid = GridSpec.vehicle_plane(scenario.x_extent, scenario.y_extent, 21, 21, 16)
     survey_out = gradient_consistency_check(
         system,
-        LogDetMetric(2),
         coarse_grid,
         scenario.initial_information(),
         5.0,
@@ -176,25 +174,23 @@ def test_criterion_4_gaussian_information_vs_monte_carlo():
 
 def test_criterion_5_optimality_sandwich(survey):
     t0 = time.time()
-    scenario, system, metric, grid, z0, ell, solution = survey
+    scenario, system, grid, z0, ell, solution = survey
     x0 = scenario.initial_states[0]
     best = extract_receding(
         solution,
         system,
-        metric,
         x0,
         legs=6,
         dt=scenario.extraction_dt,
         info_rate_field=ell,
     )
     bf_cost, _ = brute_force_value(
-        system, metric, x0, z0, scenario.horizon, segments=6, dt=0.2
+        system, x0, z0, scenario.horizon, segments=6, dt=0.2
     )
     # grid-error band from a coarsened re-solve (first-order Richardson gap)
     coarse_grid = GridSpec.vehicle_plane(scenario.x_extent, scenario.y_extent, 21, 21, 16)
     coarse = hybrid_solve(
         system,
-        metric,
         coarse_grid,
         z0,
         scenario.horizon,
@@ -222,13 +218,13 @@ def test_criterion_5_optimality_sandwich(survey):
 
 
 def test_criterion_6_figure_style_shape(survey):
-    scenario, system, metric, grid, z0, ell, solution = survey
+    scenario, system, grid, z0, ell, solution = survey
     rows = []
     starts = [scenario.initial_states[0]] + [
         State(50.0, y0, -math.pi) for y0 in np.linspace(-50.0, 50.0, 5)
     ]
     for start in starts:
-        traj = extract_characteristic(solution, system, metric, start, scenario.extraction_dt)
+        traj = extract_characteristic(solution, system, start, scenario.extraction_dt)
         n = traj.s.size
         turning = float(np.mean(np.abs(traj.controls[: int(0.1 * n)]) >= 0.99 * 0.05))
         rows.append((start.y, final_leg_ray_misalignment_deg(traj, scenario.prior_mean), turning))
@@ -257,14 +253,13 @@ def test_criterion_6_figure_style_shape(survey):
 def test_criterion_7_characteristic_residuals_refine():
     t0 = time.time()
     toy = ToyCascade()
-    metric = LogDetMetric(1)
     ratios = []
     for n in (161, 321):  # dx = 0.025 then 0.0125
         grid = GridSpec((Axis(-2.0, 2.0, n),))
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0)
+        sol = hybrid_solve(toy, grid, np.array([1.0]), 1.0)
         worst = 0.0
         for x0 in (0.4, 0.7, -0.6):
-            traj = extract_characteristic(sol, toy, metric, np.array([x0]), dt=0.005)
+            traj = extract_characteristic(sol, toy, np.array([x0]), dt=0.005)
             res = traj.residuals
             worst = max(worst, res["costate_terminal_norm"] / res["costate_initial_norm"])
         ratios.append(worst)

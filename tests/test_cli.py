@@ -27,7 +27,6 @@ from infotraj.cli import (
 )
 from infotraj.dynamics import Trajectory, trajectory_to_csv
 from infotraj.hjsolver import InstabilityError, hybrid_solve, info_rate_on_grid, load_solution
-from infotraj.matrixcore import LogDetMetric
 from infotraj.trajectories import extract_characteristic, extract_receding
 
 REPO = Path(__file__).resolve().parents[1]
@@ -163,6 +162,8 @@ class TestScenarioFieldMutations:
         "section,key,value",
         [
             ("grid", "x_extent_m", [1700.0, -1700.0]),
+            # both ends finite, but hi - lo overflows to inf
+            ("grid", "x_extent_m", [-1e308, 1e308]),
             ("grid", "nx", "x"),
             ("vehicle", "speed_mps", math.nan),
             ("extraction", "legs", 2.5),
@@ -549,8 +550,16 @@ class TestOutputPaths:
         assert str(taken) in err and "Traceback" not in err
         assert taken.read_text() == "keep"
 
-    @pytest.mark.parametrize("name", ["scenario.json", "manifest.json", "phi.bin"])
-    def test_solve_out_holding_a_directory_of_its_file_name(self, tmp_path, capsys, name):
+    @pytest.mark.parametrize(
+        "name", ["scenario.json", "manifest.json", "phi.bin", "phiz.bin", "timings.json"]
+    )
+    def test_solve_out_holding_a_directory_of_its_file_name(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("reached the solve")
+
+        monkeypatch.setattr(infotraj.hjsolver, "hybrid_solve", no_solve)
         config = tmp_path / "scenario.json"
         config.write_text(json.dumps(small_scenario_dict()))
         out = tmp_path / "out"
@@ -571,6 +580,7 @@ class TestOutputPaths:
         err = capsys.readouterr().err
         assert str(out / name) in err and "Traceback" not in err
         assert not (out / "extraction_summary.json").is_file()
+        assert not [p for p in out.glob("trajectory_*.csv") if p.is_file()]
 
     @pytest.mark.parametrize("kind", ["missing", "a_file"])
     def test_plot_in_that_is_not_a_directory(self, tmp_path, capsys, kind):
@@ -618,7 +628,7 @@ class TestStreamedSolve:
     def test_files_equal_the_in_memory_final_fields(self, pipeline):
         _, scenario, sol_dir = pipeline
         sol = hybrid_solve(
-            scenario.build_system(), LogDetMetric(2), scenario.grid(),
+            scenario.build_system(), scenario.grid(),
             scenario.initial_information(), scenario.horizon,
         )
         assert (sol_dir / "phi.bin").read_bytes() == sol.phi.astype("<f8").tobytes()
@@ -632,19 +642,6 @@ class TestStreamedSolve:
         shutil.copytree(sol_dir, out)
         cmd_solve(scenario, out)
         assert sorted(os.listdir(out)) == files
-
-    def test_resolve_removes_older_numbered_snapshots(self, pipeline, tmp_path):
-        # an older version wrote phi_####.bin / phiz_####.bin snapshots
-        _, scenario, sol_dir = pipeline
-        out = tmp_path / "solution"
-        shutil.copytree(sol_dir, out)
-        for name in ("phi_0000.bin", "phiz_0000.bin", "phi_0043.bin", "phiz_12345.bin"):
-            (out / name).write_bytes(b"\0" * 8)
-        (out / "phi_notes.bin").write_bytes(b"keep")
-        (out / "phi_0001.bin").mkdir()  # no snapshot file: it stays
-        cmd_solve(scenario, out)
-        files = ["manifest.json", "phi.bin", "phi_0001.bin", "phi_notes.bin", "phiz.bin"]
-        assert sorted(os.listdir(out)) == files + ["scenario.json", "timings.json"]
 
     def test_resolve_removes_the_manifest_first_and_writes_it_last(
         self, pipeline, tmp_path, monkeypatch
@@ -713,9 +710,9 @@ class TestRecedingExtract:
 
         shapes = []
 
-        def recording_solve(system, metric, grid, *args, **kwargs):
+        def recording_solve(system, grid, *args, **kwargs):
             shapes.append(grid.shape)
-            return hybrid_solve(system, metric, grid, *args, **kwargs)
+            return hybrid_solve(system, grid, *args, **kwargs)
 
         monkeypatch.setattr(infotraj.trajectories, "hybrid_solve", recording_solve)
         summary = cmd_extract(sol_dir, tmp_path / "out", scenario=scenario)
@@ -726,15 +723,14 @@ class TestRecedingExtract:
 
         solution = load_solution(sol_dir, {})
         system = scenario.build_system()
-        metric = LogDetMetric(2)
         ell = info_rate_on_grid(system, solution.grid)
         for entry, start in zip(summary["trajectories"], scenario.initial_states):
             traj = extract_receding(
-                solution, system, metric, start, legs=legs, dt=scenario.extraction_dt,
+                solution, system, start, legs=legs, dt=scenario.extraction_dt,
                 info_rate_field=ell,
             )
             direct = tmp_path / f"direct_{entry['file']}"
-            trajectory_to_csv(traj, direct, metric)
+            trajectory_to_csv(traj, direct)
             assert (tmp_path / "out" / entry["file"]).read_bytes() == direct.read_bytes()
 
 
@@ -750,14 +746,13 @@ class TestRecedingExtract:
         monkeypatch.setattr(infotraj.cli, "info_rate_on_grid", no_field)
         summary = cmd_extract(sol_dir, tmp_path / "out", scenario=scenario)
         monkeypatch.undo()
-        metric = LogDetMetric(2)
         start = scenario.initial_states[0]
         traj = extract_characteristic(
-            load_solution(sol_dir, {}), scenario.build_system(), metric, start,
+            load_solution(sol_dir, {}), scenario.build_system(), start,
             scenario.extraction_dt,
         )
         direct = tmp_path / "direct.csv"
-        trajectory_to_csv(traj, direct, metric)
+        trajectory_to_csv(traj, direct)
         entry = summary["trajectories"][0]
         assert (tmp_path / "out" / entry["file"]).read_bytes() == direct.read_bytes()
         assert entry["cost"] == traj.terminal_cost

@@ -9,6 +9,7 @@ from infotraj.dynamics import (
     DubinsCar,
     State,
     ToyCascade,
+    Trajectory,
     simulate_open_loop,
     trajectory_from_csv,
     trajectory_to_csv,
@@ -273,7 +274,6 @@ class TestControlSignal:
 
 class TestCsv:
     def test_round_trip(self, tmp_path):
-        metric = LogDetMetric(2)
         car = DubinsCar(speed=2.0, turn_rate_limit=0.3, info_rate_fn=rank_one_rate)
         traj = simulate_open_loop(
             car,
@@ -283,7 +283,7 @@ class TestCsv:
             dt=0.1,
         )
         path = tmp_path / "traj.csv"
-        trajectory_to_csv(traj, path, metric)
+        trajectory_to_csv(traj, path)
         text = path.read_text()
         assert text.splitlines()[0].startswith("#")
         assert "s,X,Y,psi,u,z_1" in text
@@ -291,6 +291,15 @@ class TestCsv:
         assert np.allclose(back.states, traj.states)
         assert np.allclose(back.infos, traj.infos)
         assert np.allclose(back.s, traj.s)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_cost_column_is_the_logdet_of_the_own_information(self, tmp_path, p):
+        infos = np.stack([vec(k * np.eye(p)) for k in (1.0, 2.0, 4.0)])
+        traj = Trajectory(np.arange(3.0), np.zeros((3, 1)), np.zeros(3), infos)
+        trajectory_to_csv(traj, tmp_path / "traj.csv")
+        rows = [r for r in (tmp_path / "traj.csv").read_text().splitlines() if r[0] != "#"]
+        costs = [float(r.split(",")[-1]) for r in rows[1:]]
+        assert costs == list(LogDetMetric(p).value(infos))
 
 
 class TestToyCascade:
@@ -302,3 +311,10 @@ class TestToyCascade:
     def test_drift_zero(self):
         toy = ToyCascade()
         assert np.all(toy.drift(np.array([1.5])) == 0.0)
+
+
+class TestTerminalMetric:
+    def test_a_system_names_its_metric(self):
+        # the logdet metric on the system's own p x p information matrix
+        assert DubinsCar(speed=2.0, turn_rate_limit=0.3).metric.dim == 2
+        assert ToyCascade().metric.dim == 1

@@ -230,7 +230,7 @@ def euler_march(step, dt: float, horizon: float) -> None:
         s += h
 
 
-def vec_march(system, metric, grid, z0, horizon):
+def vec_march(system, grid, z0, horizon):
     """hybrid_solve's march over the (1 + p**2) stack of phi and all vec
     entries of Phi (vec_flow, then the ghost-row differences and vec_lf_rate),
     as it ran before the march carried Phi's distinct entries; the oracle of
@@ -238,9 +238,9 @@ def vec_march(system, metric, grid, z0, horizon):
     q_field = unvec(info_rate_on_grid(system, grid))
     drift, g, bound, alpha = transport_inputs(system, grid)
     stack = np.empty((1 + system.info_len,) + grid.shape)
-    stack[0] = metric.value(z0)
+    stack[0] = system.metric.value(z0)
     phi, phi_z = stack[0], np.moveaxis(stack[1:], 0, -1)
-    phi_z[...] = metric.gradient(z0)
+    phi_z[...] = system.metric.gradient(z0)
     bufs, minus, plus = hjsolver._ghost_difference_buffers(stack, grid, (0, grid.shape[0]))
 
     def step(h):
@@ -254,7 +254,7 @@ def vec_march(system, metric, grid, z0, horizon):
     return phi, phi_z
 
 
-def reference_march(system, metric, grid, z0, horizon):
+def reference_march(system, grid, z0, horizon):
     """hybrid_solve's march (same flow and steps) with
     reference_transport_rate: the final (phi, Phi) of the former kernel."""
     q_field = unvec(info_rate_on_grid(system, grid))
@@ -267,8 +267,8 @@ def reference_march(system, metric, grid, z0, horizon):
             f += h * r
 
     fields = [
-        np.full(grid.shape, metric.value(z0)),
-        np.broadcast_to(metric.gradient(z0), grid.shape + (system.info_len,)).copy(),
+        np.full(grid.shape, system.metric.value(z0)),
+        np.broadcast_to(system.metric.gradient(z0), grid.shape + (system.info_len,)).copy(),
     ]
     euler_march(step, cfl_dt(grid, alpha), horizon)
     return fields
@@ -511,10 +511,10 @@ class TestKernelAgainstReference:
         # measured: phi 1.4e-14 and Phi 1.0e-15 of their largest entries; a
         # policy-tie flip would move phi by ~3e-6
         scenario = load_scenario(SHIPPED)
-        system, metric = scenario.build_system(), LogDetMetric(2)
+        system = scenario.build_system()
         grid, z0 = scenario.grid(), scenario.initial_information()
-        sol = hybrid_solve(system, metric, grid, z0, scenario.horizon)
-        ref_phi, ref_phi_z = reference_march(system, metric, grid, z0, scenario.horizon)
+        sol = hybrid_solve(system, grid, z0, scenario.horizon)
+        ref_phi, ref_phi_z = reference_march(system, grid, z0, scenario.horizon)
         assert max_rel(sol.phi, ref_phi) <= 1e-12
         assert max_rel(sol.phi_z, ref_phi_z) <= 1e-12
 
@@ -526,17 +526,17 @@ class TestPackedMarch:
     @pytest.mark.parametrize("grid", [SHIPPED_GRID, SURVEY_GRID], ids=["shipped", "survey"])
     def test_diagonal_prior_gives_the_bits_of_the_vec_march(self, grid):
         scenario = load_scenario(SHIPPED)
-        system, metric = scenario.build_system(), LogDetMetric(2)
+        system = scenario.build_system()
         z0 = scenario.initial_information()
-        sol = hybrid_solve(system, metric, grid, z0, 10.0)
-        ref_phi, ref_phi_z = vec_march(system, metric, grid, z0, 10.0)
+        sol = hybrid_solve(system, grid, z0, 10.0)
+        ref_phi, ref_phi_z = vec_march(system, grid, z0, 10.0)
         assert np.array_equal(sol.phi, ref_phi)
         assert np.array_equal(sol.phi_z, ref_phi_z)
 
     def test_toy_gives_the_bits_of_the_vec_march(self):
-        toy, metric, grid = ToyCascade(), LogDetMetric(1), toy_grid(0.05)
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0)
-        ref_phi, ref_phi_z = vec_march(toy, metric, grid, np.array([1.0]), 1.0)
+        toy, grid = ToyCascade(), toy_grid(0.05)
+        sol = hybrid_solve(toy, grid, np.array([1.0]), 1.0)
+        ref_phi, ref_phi_z = vec_march(toy, grid, np.array([1.0]), 1.0)
         assert np.array_equal(sol.phi, ref_phi)
         assert np.array_equal(sol.phi_z, ref_phi_z)
 
@@ -544,9 +544,9 @@ class TestPackedMarch:
         # the solution's Phi is a C-contiguous (..., p**2) array with equal
         # off-diagonal entries
         scenario = load_scenario(SHIPPED)
-        system, metric = scenario.build_system(), LogDetMetric(2)
+        system = scenario.build_system()
         z0 = scenario.initial_information()
-        sol = hybrid_solve(system, metric, SURVEY_GRID, z0, 5.0)
+        sol = hybrid_solve(system, SURVEY_GRID, z0, 5.0)
         assert sol.phi_z.shape == SURVEY_GRID.shape + (4,) and sol.phi_z.flags.c_contiguous
         assert np.array_equal(sol.phi_z[..., 1], sol.phi_z[..., 2])
 
@@ -578,7 +578,7 @@ def shipped_solve(grid, horizon: float):
     """hybrid_solve of the shipped scenario's model on grid."""
     scenario = load_scenario(SHIPPED)
     return hybrid_solve(
-        scenario.build_system(), LogDetMetric(2), grid, scenario.initial_information(), horizon
+        scenario.build_system(), grid, scenario.initial_information(), horizon
     )
 
 
@@ -612,13 +612,13 @@ class TestSlabMarch:
 
     def test_classic_layouts_give_the_bits_of_one_slab(self, monkeypatch):
         # the z axis's drift and dissipation are fields that vary along x
-        toy, metric = ToyCascade(), LogDetMetric(1)
+        toy = ToyCascade()
         joint = GridSpec((Axis(-2.0, 2.0, 21), Axis(0.4, 5.6, 27)))
         forced_slabs(monkeypatch, [0, 21])
-        one = classic_solve(toy, metric, joint, 1.0)
+        one = classic_solve(toy, joint, 1.0)
         for edges in ([0, 10, 21], [0, 1, 20, 21], [0, 4, 5, 21]):
             forced_slabs(monkeypatch, edges)
-            assert np.array_equal(classic_solve(toy, metric, joint, 1.0), one)
+            assert np.array_equal(classic_solve(toy, joint, 1.0), one)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
     def test_one_cpu_gives_the_bytes_of_every_cpu(self, tmp_path):
@@ -627,9 +627,8 @@ class TestSlabMarch:
             "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
             "from infotraj.cli import load_scenario\n"
             "from infotraj.hjsolver import hybrid_solve, slab_edges\n"
-            "from infotraj.matrixcore import LogDetMetric\n"
             "sc = load_scenario(sys.argv[1])\n"
-            "sol = hybrid_solve(sc.build_system(), LogDetMetric(2), sc.grid(),\n"
+            "sol = hybrid_solve(sc.build_system(), sc.grid(),\n"
             "                   sc.initial_information(), 5.0)\n"
             "sol.phi.tofile(sys.argv[2] + '/phi.bin')\n"
             "sol.phi_z.tofile(sys.argv[2] + '/phiz.bin')\n"
@@ -715,7 +714,7 @@ class TestSlabFailures:
         forced_slabs(monkeypatch, [0, 1, 3, 5])
         before = threading.active_count()
         with pytest.raises(NotPositiveDefiniteError):
-            hybrid_solve(dubins(rate_fn=indefinite), LogDetMetric(2), grid, vec(np.eye(2)), 1.0)
+            hybrid_solve(dubins(rate_fn=indefinite), grid, vec(np.eye(2)), 1.0)
         assert threading.active_count() == before
 
     def test_a_solve_leaves_no_thread(self, monkeypatch):
@@ -748,7 +747,7 @@ class TestMarchMemory:
         system, grid = scenario.build_system(), scenario.grid()
         tracemalloc.start()
         try:
-            hybrid_solve(system, LogDetMetric(2), grid, scenario.initial_information(), 2.0)
+            hybrid_solve(system, grid, scenario.initial_information(), 2.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -780,32 +779,34 @@ class TestHybridSolve:
         metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-100.0, 100.0), (-100.0, 100.0), 5, 5, 8)
         z0 = vec(np.eye(2))
-        sol = hybrid_solve(car, metric, grid, z0, 2.0)
+        sol = hybrid_solve(car, grid, z0, 2.0)
         assert np.allclose(sol.phi, metric.value(z0), atol=1e-12)
         assert np.allclose(sol.phi_z, metric.gradient(z0), atol=1e-12)
 
     def test_timings_keep_their_six_keys(self):
-        toy, metric, grid = ToyCascade(), LogDetMetric(1), toy_grid(0.05)
+        toy, grid = ToyCascade(), toy_grid(0.05)
         field = info_rate_on_grid(toy, grid)
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0, field)
+        sol = hybrid_solve(toy, grid, np.array([1.0]), 1.0, field)
         phases = ["field_s", "flow_s", "transport_s", "check_s"]
         assert set(sol.timings) == {"wall_time_s", "steps", *phases}
         assert sol.timings["field_s"] == 0.0 and sol.timings["steps"] > 0
         assert sum(sol.timings[key] for key in phases) <= sol.timings["wall_time_s"]
 
     def test_terminal_cost_is_evaluated_once(self, monkeypatch):
-        metric = LogDetMetric(1)
-        calls = []
-        value = metric.value
-        monkeypatch.setattr(metric, "value", lambda z: calls.append(z) or value(z))
-        hybrid_solve(ToyCascade(), metric, toy_grid(0.1), np.array([1.0]), 0.5)
+        calls, value = [], LogDetMetric.value
+
+        def counted(self, z):
+            calls.append(z)
+            return value(self, z)
+
+        monkeypatch.setattr(LogDetMetric, "value", counted)
+        hybrid_solve(ToyCascade(), toy_grid(0.1), np.array([1.0]), 0.5)
         assert len(calls) == 1
 
     def test_toy_matches_closed_form(self):
         toy = ToyCascade()
-        metric = LogDetMetric(1)
         grid = toy_grid(0.05)
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0)
+        sol = hybrid_solve(toy, grid, np.array([1.0]), 1.0)
         x = grid.axes[0].nodes
         inner = np.abs(x) <= 1.0
         err = np.abs(sol.phi - toy_truth(1.0, x, 1.0))
@@ -818,12 +819,11 @@ class TestHybridSolve:
 
     def test_gradient_field_tracks_resolve_sensitivity(self):
         toy = ToyCascade()
-        metric = LogDetMetric(1)
         grid = toy_grid(0.0125)
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0)
+        sol = hybrid_solve(toy, grid, np.array([1.0]), 1.0)
         d = 1e-5
-        plus = hybrid_solve(toy, metric, grid, np.array([1.0 + d]), 1.0)
-        minus = hybrid_solve(toy, metric, grid, np.array([1.0 - d]), 1.0)
+        plus = hybrid_solve(toy, grid, np.array([1.0 + d]), 1.0)
+        minus = hybrid_solve(toy, grid, np.array([1.0 - d]), 1.0)
         fd = (plus.phi - minus.phi) / (2.0 * d)
         x = grid.axes[0].nodes
         inner = np.abs(x) <= 1.0
@@ -837,7 +837,7 @@ class TestHybridSolve:
         grid = toy_grid(0.05)
         z0 = np.array([1.0])
         phis = [np.full(grid.shape, metric.value(z0))] + [
-            hybrid_solve(toy, metric, grid, z0, horizon).phi
+            hybrid_solve(toy, grid, z0, horizon).phi
             for horizon in (0.25, 0.5, 0.75, 1.0)
         ]
         x = grid.axes[0].nodes
@@ -852,10 +852,9 @@ class TestHybridSolve:
             return np.swapaxes(outer, -1, -2).reshape(x.shape[:-1] + (4,))
 
         car = dubins(rate_fn=rate)
-        metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-100.0, 100.0), (-100.0, 100.0), 7, 7, 8)
         for horizon in (1.0, 2.0, 3.0):
-            sol = hybrid_solve(car, metric, grid, vec(np.eye(2)), horizon)
+            sol = hybrid_solve(car, grid, vec(np.eye(2)), horizon)
             mats = unvec(sol.phi_z)
             assert np.allclose(mats, np.swapaxes(mats, -1, -2), atol=1e-10)
             assert np.min(np.linalg.eigvalsh(-mats)) > 0.0
@@ -868,30 +867,27 @@ class TestHybridSolve:
             return out
 
         car = dubins(rate_fn=bad_rate)
-        metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-10.0, 10.0), (-10.0, 10.0), 5, 5, 8)
         with pytest.raises((InstabilityError, ValueError)):
-            hybrid_solve(car, metric, grid, vec(np.eye(2)), 1.0)
+            hybrid_solve(car, grid, vec(np.eye(2)), 1.0)
 
 
 class TestClassicSolve:
     def test_refuses_high_dimension(self):
         car = dubins()
-        metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-1.0, 1.0), (-1.0, 1.0), 5, 5, 8)
         joint = GridSpec(grid.axes + (Axis(0.0, 1.0, 5),) * 4)
         with pytest.raises(ValueError, match="refuses"):
-            classic_solve(car, metric, joint, 1.0)
+            classic_solve(car, joint, 1.0)
 
     def test_zero_dynamics_keeps_terminal_cost(self):
         class Null(ToyCascade):
             def info_rate(self, x):
                 return np.zeros(np.asarray(x).shape[:-1] + (1,))
 
-        metric = LogDetMetric(1)
         joint = GridSpec((Axis(-1.0, 1.0, 11), Axis(0.5, 2.5, 21)))
         sys = Null(control_bound=1e-12)
-        phi = classic_solve(sys, metric, joint, 1.0)
+        phi = classic_solve(sys, joint, 1.0)
         assert phi.shape == joint.shape
         z = joint.axes[1].nodes
         expected = -np.log(z)[None, :]
@@ -904,10 +900,9 @@ class TestClassicSolve:
             def info_rate(self, x):
                 return np.full(np.asarray(x).shape[:-1] + (1,), 0.5)
 
-        metric = LogDetMetric(1)
         joint = GridSpec((Axis(-1.0, 1.0, 11), Axis(0.5, 4.0, 71)))
         sys = Drifting(control_bound=1e-12)
-        phi = classic_solve(sys, metric, joint, 1.0)
+        phi = classic_solve(sys, joint, 1.0)
         z = joint.axes[1].nodes
         expected = -np.log(z + 0.5)
         mid = phi[5]
@@ -924,17 +919,17 @@ class TestHorizonRefused:
 
     @pytest.mark.parametrize("horizon", BAD_HORIZONS, ids=repr)
     def test_solvers_refuse(self, horizon):
-        toy, metric = ToyCascade(), LogDetMetric(1)
+        toy = ToyCascade()
         joint = GridSpec((Axis(-1.0, 1.0, 11), Axis(0.5, 2.5, 11)))
         with pytest.raises(ValueError, match="horizon"):
-            hybrid_solve(toy, metric, toy_grid(0.1), np.array([1.0]), horizon)
+            hybrid_solve(toy, toy_grid(0.1), np.array([1.0]), horizon)
         with pytest.raises(ValueError, match="horizon"):
-            classic_solve(toy, metric, joint, horizon)
+            classic_solve(toy, joint, horizon)
 
     @pytest.mark.parametrize("horizon", BAD_HORIZONS, ids=repr)
     def test_load_solution_refuses(self, tmp_path, horizon):
         solve_to_disk(
-            tmp_path, ToyCascade(), LogDetMetric(1), toy_grid(0.1), np.array([1.0]), 0.5, {}
+            tmp_path, ToyCascade(), toy_grid(0.1), np.array([1.0]), 0.5, {}
         )
         path = tmp_path / "manifest.json"
         manifest = json.loads(path.read_text())
@@ -949,9 +944,8 @@ class TestFinalHorizon:
         # 241 nodes: the 120 summed steps fall an ulp short of 1.0, which
         # must not cost a 121st step
         toy = ToyCascade()
-        metric = LogDetMetric(1)
         grid = GridSpec((Axis(-2.0, 2.0, 241),))
-        sol = solve_to_disk(tmp_path, toy, metric, grid, np.array([1.0]), 1.0, {})
+        sol = solve_to_disk(tmp_path, toy, grid, np.array([1.0]), 1.0, {})
         assert sol.timings["steps"] == 120
         assert load_solution(tmp_path, {}).horizon == 1.0
 
@@ -959,13 +953,12 @@ class TestFinalHorizon:
 class TestSolutionIO:
     def test_round_trip(self, tmp_path):
         toy = ToyCascade()
-        metric = LogDetMetric(1)
         # integer extents: the manifest's grid reads back as floats and must
         # still give its config_hash
         grid = GridSpec((Axis(-2, 2, 41),))
-        sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 0.5)
+        sol = hybrid_solve(toy, grid, np.array([1.0]), 0.5)
         out = tmp_path / "sol"
-        streamed = solve_to_disk(out, toy, metric, grid, np.array([1.0]), 0.5, {})
+        streamed = solve_to_disk(out, toy, grid, np.array([1.0]), 0.5, {})
         assert np.array_equal(streamed.phi, sol.phi)
         assert np.array_equal(streamed.phi_z, sol.phi_z)
         snaps = json.loads((out / "manifest.json").read_text())["snapshots"]
@@ -979,21 +972,19 @@ class TestSolutionIO:
 
     def test_reruns_byte_identical(self, tmp_path):
         toy = ToyCascade()
-        metric = LogDetMetric(1)
         grid = toy_grid(0.1)
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            solve_to_disk(out, toy, metric, grid, np.array([1.0]), 0.5, {})
+            solve_to_disk(out, toy, grid, np.array([1.0]), 0.5, {})
             outs.append(out)
         for fname in ("manifest.json", "phi.bin", "phiz.bin"):
             assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
     def test_load_maps_read_only_and_names_a_wrong_size_file(self, tmp_path):
         toy = ToyCascade()
-        metric = LogDetMetric(1)
         out = tmp_path / "sol"
-        solve_to_disk(out, toy, metric, toy_grid(0.1), np.array([1.0]), 0.5, {})
+        solve_to_disk(out, toy, toy_grid(0.1), np.array([1.0]), 0.5, {})
         back = load_solution(out, {})
         for arr in (back.phi, back.phi_z):
             assert not arr.flags.writeable

@@ -3,8 +3,9 @@ module is named by one `from X import` statement per file, the package
 exports exactly what its __init__ imports, every helper of the package
 (private, or public and not exported) serves the package itself, and every
 parameter default of a package function is overridden by some call and
-left out by some call of the program, and importing the package loads
-no thread pool and no logging."""
+left out by some call of the program, no function of the package takes
+a `metric` (a system names its own), and importing the package loads no
+thread pool and no logging."""
 
 import ast
 import os
@@ -296,6 +297,38 @@ def test_scan_flags_defaults_no_call_leaves_out():
         "solve(steps)", "solve(tol)", "solve(width)", "check(delta)",
         "extract(starts)", "extract(scenario)",
     ]
+
+
+def parameters_named(sources: list, name: str) -> list:
+    """Each function, method or lambda of the sources, at any depth, that
+    takes a parameter called name."""
+    found = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                params = args.posonlyargs + args.args + args.kwonlyargs
+                params += [a for a in (args.vararg, args.kwarg) if a is not None]
+                if any(a.arg == name for a in params):
+                    found.append(getattr(node, "name", "<lambda>"))
+    return found
+
+
+def test_no_function_takes_a_metric():
+    # the one terminal metric is the system's own (CascadeSystem.metric)
+    sources = [path.read_text(encoding="utf-8") for path in LIBRARY]
+    assert parameters_named(sources, "metric") == []
+
+
+def test_scan_flags_parameters_named():
+    source = (
+        "def solve(system, metric):\n    return system\n"
+        "class Car:\n    @property\n    def metric(self):\n        return 1\n"
+        "    def flow(self, h, *, metric=None):\n        return h\n"
+        "cost = lambda metric: metric\n"
+        "def extract(*metric):\n    return 0\n"
+    )
+    assert sorted(parameters_named([source], "metric")) == ["<lambda>", "extract", "flow", "solve"]
 
 
 def test_package_import_loads_no_thread_pool_or_logging():

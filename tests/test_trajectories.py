@@ -21,7 +21,7 @@ from infotraj.dynamics import (
 )
 from infotraj.grid import Axis, GridSpec, interpolate
 from infotraj.hjsolver import hybrid_solve, info_rate_on_grid
-from infotraj.matrixcore import LogDetMetric, vec
+from infotraj.matrixcore import vec
 from infotraj.sensing import suite_info_rate
 from infotraj.trajectories import (
     BoundaryExitError,
@@ -75,7 +75,7 @@ def reference_cascade_deriv(system, u):
     return deriv
 
 
-def reference_extract(solution, system, metric, x0, dt):
+def reference_extract(solution, system, x0, dt):
     """The former characteristic extractor, kept as the oracle of the
     stage-batched one: every RK4 stage makes its own 7-point info-rate call
     and its own drift_jacobian call."""
@@ -148,8 +148,8 @@ def reference_extract(solution, system, metric, x0, dt):
         raise BoundaryExitError(
             f"trajectory left the grid at s = {s_axis[n_kept - 1]:.6g}", traj
         )
-    grad_final = metric.gradient(traj.final_info())
-    traj.terminal_cost = metric.value(traj.final_info())
+    grad_final = system.metric.gradient(traj.final_info())
+    traj.terminal_cost = system.metric.value(traj.final_info())
     gap = float(np.linalg.norm(lam_row - grad_final))
     traj.residuals = {
         "costate_terminal_norm": float(np.linalg.norm(traj.costates[-1])),
@@ -176,19 +176,18 @@ def toy_truth(t, x, z):
 @pytest.fixture(scope="module")
 def toy_setup():
     toy = ToyCascade()
-    metric = LogDetMetric(1)
     grid = GridSpec((Axis(-3.0, 3.0, 241),))
-    sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0)
-    return toy, metric, grid, sol
+    sol = hybrid_solve(toy, grid, np.array([1.0]), 1.0)
+    return toy, grid, sol
 
 
 class TestCharacteristicExtraction:
     def test_matches_brute_force_and_closed_form(self, toy_setup):
-        toy, metric, grid, sol = toy_setup
+        toy, grid, sol = toy_setup
         for x0 in (0.5, -0.8, 0.1):
-            traj = extract_characteristic(sol, toy, metric, np.array([x0]), dt=0.01)
+            traj = extract_characteristic(sol, toy, np.array([x0]), dt=0.01)
             bf_cost, bf_sig = brute_force_value(
-                toy, metric, np.array([x0]), np.array([1.0]), 1.0, segments=4, dt=0.01
+                toy, np.array([x0]), np.array([1.0]), 1.0, segments=4, dt=0.01
             )
             assert traj.terminal_cost == pytest.approx(bf_cost, abs=5e-3)
             assert traj.terminal_cost == pytest.approx(toy_truth(1.0, x0, 1.0), abs=5e-3)
@@ -198,57 +197,54 @@ class TestCharacteristicExtraction:
 
     def test_costate_terminal_residual_small_and_refining(self):
         toy = ToyCascade()
-        metric = LogDetMetric(1)
         ratios = []
         for n in (241, 481):
             grid = GridSpec((Axis(-3.0, 3.0, n),))
-            sol = hybrid_solve(toy, metric, grid, np.array([1.0]), 1.0)
-            traj = extract_characteristic(sol, toy, metric, np.array([0.5]), dt=0.005)
+            sol = hybrid_solve(toy, grid, np.array([1.0]), 1.0)
+            traj = extract_characteristic(sol, toy, np.array([0.5]), dt=0.005)
             r = traj.residuals
             ratios.append(r["costate_terminal_norm"] / r["costate_initial_norm"])
         assert ratios[0] <= 0.1
         assert ratios[1] < ratios[0]
 
     def test_info_costate_consistency(self, toy_setup):
-        toy, metric, grid, sol = toy_setup
-        traj = extract_characteristic(sol, toy, metric, np.array([0.5]), dt=0.01)
+        toy, grid, sol = toy_setup
+        traj = extract_characteristic(sol, toy, np.array([0.5]), dt=0.01)
         assert traj.residuals["info_costate_gap_rel"] <= 0.05
 
     def test_value_agrees_with_rollout_cost(self, toy_setup):
-        toy, metric, grid, sol = toy_setup
-        traj = extract_characteristic(sol, toy, metric, np.array([0.5]), dt=0.01)
+        toy, grid, sol = toy_setup
+        traj = extract_characteristic(sol, toy, np.array([0.5]), dt=0.01)
         assert traj.residuals["value_consistency"] <= 0.02
 
     def test_zero_information_gives_straight_line(self):
         car = DubinsCar(10.0, 0.1, info_rate_fn=None, info_dim=2)
-        metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-500.0, 500.0), (-500.0, 500.0), 9, 9, 8)
-        sol = hybrid_solve(car, metric, grid, vec(np.eye(2)), 10.0)
-        traj = extract_characteristic(sol, car, metric, State(0.0, 0.0, 0.0), dt=0.05)
+        sol = hybrid_solve(car, grid, vec(np.eye(2)), 10.0)
+        traj = extract_characteristic(sol, car, State(0.0, 0.0, 0.0), dt=0.05)
         assert np.all(traj.controls == 0.0)
         assert np.allclose(traj.states[-1], [100.0, 0.0, 0.0], atol=1e-6)
 
     def test_boundary_exit_carries_partial_record(self):
         car = DubinsCar(10.0, 0.1, info_rate_fn=None, info_dim=2)
-        metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-50.0, 50.0), (-50.0, 50.0), 9, 9, 8)
-        sol = hybrid_solve(car, metric, grid, vec(np.eye(2)), 20.0)
+        sol = hybrid_solve(car, grid, vec(np.eye(2)), 20.0)
         with pytest.raises(BoundaryExitError) as err:
-            extract_characteristic(sol, car, metric, State(0.0, 0.0, 0.0), dt=0.05)
+            extract_characteristic(sol, car, State(0.0, 0.0, 0.0), dt=0.05)
         partial = err.value.trajectory
         assert partial.s.size > 2
         assert partial.states[-1, 0] > 50.0
 
     def test_policy_mutation_breaks_toy_agreement(self, toy_setup, monkeypatch):
-        toy, metric, grid, sol = toy_setup
+        toy, grid, sol = toy_setup
 
         def flipped(switching, bound):
             return np.where(np.abs(switching) <= 1e-12, 0.0, bound * np.sign(switching))
 
         monkeypatch.setattr(infotraj.hjsolver, "bang_bang", flipped)
-        traj = extract_characteristic(sol, toy, metric, np.array([0.5]), dt=0.01)
+        traj = extract_characteristic(sol, toy, np.array([0.5]), dt=0.01)
         bf_cost, _ = brute_force_value(
-            toy, metric, np.array([0.5]), np.array([1.0]), 1.0, segments=4, dt=0.01
+            toy, np.array([0.5]), np.array([1.0]), 1.0, segments=4, dt=0.01
         )
         gap = traj.terminal_cost - bf_cost
         assert gap > 0.05  # flipped sign drives toward the origin and loses information
@@ -286,14 +282,14 @@ class TestConcurrentExtraction:
         # many extractions share one immutable solution snapshot
         from concurrent.futures import ThreadPoolExecutor
 
-        toy, metric, grid, sol = toy_setup
+        toy, grid, sol = toy_setup
         starts = [np.array([x0]) for x0 in (-0.9, -0.3, 0.2, 0.8)]
         sequential = [
-            extract_characteristic(sol, toy, metric, x0, dt=0.02) for x0 in starts
+            extract_characteristic(sol, toy, x0, dt=0.02) for x0 in starts
         ]
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = list(
-                pool.map(lambda x0: extract_characteristic(sol, toy, metric, x0, dt=0.02), starts)
+                pool.map(lambda x0: extract_characteristic(sol, toy, x0, dt=0.02), starts)
             )
         for a, b in zip(sequential, parallel):
             assert np.array_equal(a.states, b.states)
@@ -302,7 +298,7 @@ class TestConcurrentExtraction:
 
 
 def reference_extract_receding(
-    system, metric, grid, x0, z0, horizon, legs, dt=0.05, info_rate_field=None,
+    system, grid, x0, z0, horizon, legs, dt=0.05, info_rate_field=None,
 ):
     """The former receding extractor: every leg, leg 0 included, re-solves
     the value function on the full grid."""
@@ -317,8 +313,8 @@ def reference_extract_receding(
     pieces = []
     for k in range(legs):
         remaining = horizon - k * leg_span
-        sol = hybrid_solve(system, metric, grid, z, remaining, info_rate_field=info_rate_field)
-        piece = extract_characteristic(sol, system, metric, x, dt, duration=leg_span)
+        sol = hybrid_solve(system, grid, z, remaining, info_rate_field=info_rate_field)
+        piece = extract_characteristic(sol, system, x, dt, duration=leg_span)
         pieces.append(piece)
         x = piece.final_state()
         z = piece.final_info()
@@ -342,39 +338,38 @@ def reference_extract_receding(
         costates=np.concatenate(p_all),
         info_costates=np.concatenate(lam_all),
     )
-    traj.terminal_cost = metric.value(traj.final_info())
+    traj.terminal_cost = system.metric.value(traj.final_info())
     traj.residuals = dict(pieces[-1].residuals)
     return traj
 
 
 class TestRecedingExtraction:
     def test_single_leg_equals_characteristic(self, toy_setup):
-        toy, metric, grid, sol = toy_setup
-        a = extract_characteristic(sol, toy, metric, np.array([0.5]), dt=0.01)
+        toy, grid, sol = toy_setup
+        a = extract_characteristic(sol, toy, np.array([0.5]), dt=0.01)
         b = extract_receding(
-            sol, toy, metric, np.array([0.5]), legs=1, dt=0.01, info_rate_field=None
+            sol, toy, np.array([0.5]), legs=1, dt=0.01, info_rate_field=None
         )
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.infos, b.infos)
 
     def test_four_legs_near_brute_force(self, toy_setup):
-        toy, metric, grid, sol = toy_setup
+        toy, grid, sol = toy_setup
         traj = extract_receding(
-            sol, toy, metric, np.array([0.5]), legs=4, dt=0.01,
+            sol, toy, np.array([0.5]), legs=4, dt=0.01,
             info_rate_field=info_rate_on_grid(toy, grid),
         )
         bf_cost, _ = brute_force_value(
-            toy, metric, np.array([0.5]), np.array([1.0]), 1.0, segments=4, dt=0.01
+            toy, np.array([0.5]), np.array([1.0]), 1.0, segments=4, dt=0.01
         )
         assert traj.terminal_cost <= bf_cost + 0.02 * abs(bf_cost)
 
     def test_zero_information_all_legs_coast(self):
         car = DubinsCar(10.0, 0.1, info_rate_fn=None, info_dim=2)
-        metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-500.0, 500.0), (-500.0, 500.0), 9, 9, 8)
-        sol = hybrid_solve(car, metric, grid, vec(np.eye(2)), 9.0)
+        sol = hybrid_solve(car, grid, vec(np.eye(2)), 9.0)
         traj = extract_receding(
-            sol, car, metric, State(0.0, 0.0, 0.0), legs=3, dt=0.05,
+            sol, car, State(0.0, 0.0, 0.0), legs=3, dt=0.05,
             info_rate_field=info_rate_on_grid(car, grid),
         )
         assert np.all(traj.controls == 0.0)
@@ -383,9 +378,9 @@ class TestRecedingExtraction:
 @pytest.fixture(scope="module")
 def shipped_characteristic(survey):
     """The validate sandwich's characteristic extraction of the shipped solve."""
-    scenario, system, metric, grid, z0, ell, solution = survey
+    scenario, system, grid, z0, ell, solution = survey
     x0 = scenario.initial_states[0]
-    return extract_characteristic(solution, system, metric, x0, scenario.extraction_dt)
+    return extract_characteristic(solution, system, x0, scenario.extraction_dt)
 
 
 class TestRecedingCropAgainstReference:
@@ -396,23 +391,23 @@ class TestRecedingCropAgainstReference:
     INFO_COSTATE_REL_TOL = 3e-4
 
     def test_cropped_legs_match_full_grid_resolves(self, survey, monkeypatch):
-        scenario, system, metric, grid, z0, ell, solution = survey
+        scenario, system, grid, z0, ell, solution = survey
         x0 = scenario.initial_states[0]
         legs = 6
         shapes = []
 
-        def recording_solve(system, metric, grid, *args, **kwargs):
+        def recording_solve(system, grid, *args, **kwargs):
             shapes.append(grid.shape)
-            return hybrid_solve(system, metric, grid, *args, **kwargs)
+            return hybrid_solve(system, grid, *args, **kwargs)
 
         monkeypatch.setattr(infotraj.trajectories, "hybrid_solve", recording_solve)
         got = extract_receding(
-            solution, system, metric, x0, legs=legs, dt=scenario.extraction_dt,
+            solution, system, x0, legs=legs, dt=scenario.extraction_dt,
             info_rate_field=ell,
         )
         monkeypatch.undo()
         want = reference_extract_receding(
-            system, metric, grid, x0, z0, scenario.horizon, legs=legs,
+            system, grid, x0, z0, scenario.horizon, legs=legs,
             dt=scenario.extraction_dt, info_rate_field=ell,
         )
         # leg 0 reuses the solution; every later leg runs on a cropped plane
@@ -465,27 +460,24 @@ class TestBruteForce:
 
     def test_zero_information_returns_coast(self):
         car = DubinsCar(10.0, 0.1, info_rate_fn=None, info_dim=2)
-        metric = LogDetMetric(2)
         cost, sig = brute_force_value(
-            car, metric, State(0.0, 0.0, 0.0), vec(np.eye(2)), 4.0, segments=3, dt=0.1
+            car, State(0.0, 0.0, 0.0), vec(np.eye(2)), 4.0, segments=3, dt=0.1
         )
         assert cost == pytest.approx(0.0, abs=1e-12)
         assert np.all(sig.values == 0.0)
 
     def test_zero_horizon(self):
         toy = ToyCascade()
-        metric = LogDetMetric(1)
         cost, sig = brute_force_value(
-            toy, metric, np.array([0.5]), np.array([2.0]), 0.0, segments=3, dt=0.1
+            toy, np.array([0.5]), np.array([2.0]), 0.0, segments=3, dt=0.1
         )
         assert cost == pytest.approx(-math.log(2.0))
 
     def test_refuses_large_exhaustive_search(self):
         toy = ToyCascade()
-        metric = LogDetMetric(1)
         with pytest.raises(ValueError, match="refus"):
             brute_force_value(
-                toy, metric, np.array([0.0]), np.array([1.0]), 1.0, segments=9, dt=0.1
+                toy, np.array([0.0]), np.array([1.0]), 1.0, segments=9, dt=0.1
             )
 
     def test_batch_simulator_matches_single(self):
@@ -509,14 +501,14 @@ class TestStageBatchedRK4:
     reference_extract)."""
 
     def test_shipped_start(self, survey, shipped_characteristic):
-        scenario, system, metric, grid, z0, ell, solution = survey
+        scenario, system, grid, z0, ell, solution = survey
         want = reference_extract(
-            solution, system, metric, scenario.initial_states[0], scenario.extraction_dt
+            solution, system, scenario.initial_states[0], scenario.extraction_dt
         )
         assert_same_trajectory(shipped_characteristic, want)
 
     def test_fan_starts_with_one_call_per_step(self, survey, monkeypatch):
-        scenario, system, metric, grid, z0, ell, solution = survey
+        scenario, system, grid, z0, ell, solution = survey
         fan = load_scenario(REPO / "scenarios" / "doppler_fan.json")
         # the fan scenario is the shipped one with other starts: one solve serves
         same = replace(
@@ -527,33 +519,32 @@ class TestStageBatchedRK4:
         calls = count_info_rate_calls(system, monkeypatch)
         for x0 in fan.initial_states:
             del calls[:]
-            got = extract_characteristic(solution, system, metric, x0, fan.extraction_dt)
+            got = extract_characteristic(solution, system, x0, fan.extraction_dt)
             steps = got.s.size - 1
             assert steps == 1200 and calls == [4 * 7] * steps
             del calls[:]
-            want = reference_extract(solution, system, metric, x0, fan.extraction_dt)
+            want = reference_extract(solution, system, x0, fan.extraction_dt)
             assert calls == [7] * (4 * steps)
             assert_same_trajectory(got, want)
 
     def test_toy(self, toy_setup):
-        toy, metric, grid, sol = toy_setup
+        toy, grid, sol = toy_setup
         for x0 in (0.5, -0.8, 0.1):
-            got = extract_characteristic(sol, toy, metric, np.array([x0]), dt=0.01)
-            want = reference_extract(sol, toy, metric, np.array([x0]), dt=0.01)
+            got = extract_characteristic(sol, toy, np.array([x0]), dt=0.01)
+            want = reference_extract(sol, toy, np.array([x0]), dt=0.01)
             assert_same_trajectory(got, want)
 
     def test_boundary_exit_keeps_the_partial_record(self, scenario):
         rate_fn = suite_info_rate(scenario.build_sensors(), scenario.prior())
         car = DubinsCar(10.0, 0.1, info_rate_fn=rate_fn, info_dim=2)
-        metric = LogDetMetric(2)
         grid = GridSpec.vehicle_plane((-50.0, 50.0), (-50.0, 50.0), 9, 9, 8)
         sol = hybrid_solve(
-            car, metric, grid, scenario.initial_information(), 20.0
+            car, grid, scenario.initial_information(), 20.0
         )
         errors = []
         for extract in (extract_characteristic, reference_extract):
             with pytest.raises(BoundaryExitError) as err:
-                extract(sol, car, metric, State(0.0, 0.0, 0.0), dt=0.05)
+                extract(sol, car, State(0.0, 0.0, 0.0), dt=0.05)
             errors.append(err.value)
         got, want = errors
         assert str(got) == str(want)
@@ -599,17 +590,17 @@ class TestStageBatchedRK4:
 def run_with_bad_step(name, overrides, toy_setup):
     """Call one integrating entry point on the toy cascade with valid
     arguments except the overridden dt, horizon or duration."""
-    toy, metric, grid, sol = toy_setup
+    toy, grid, sol = toy_setup
     x0, z0 = np.array([0.5]), np.array([1.0])
     kw = {"dt": 0.01, "horizon": 1.0, "duration": 0.5} | overrides
     calls = {
         "brute_force_value": lambda: brute_force_value(
-            toy, metric, x0, z0, kw["horizon"], segments=3, dt=kw["dt"]
+            toy, x0, z0, kw["horizon"], segments=3, dt=kw["dt"]
         ),
         "extract_characteristic": lambda: extract_characteristic(
-            sol, toy, metric, x0, kw["dt"], duration=kw["duration"]
+            sol, toy, x0, kw["dt"], duration=kw["duration"]
         ),
-        "extract_receding": lambda: extract_receding(sol, toy, metric, x0, 1, kw["dt"], None),
+        "extract_receding": lambda: extract_receding(sol, toy, x0, 1, kw["dt"], None),
         "simulate_open_loop": lambda: simulate_open_loop(
             toy, AugmentedState(x0, z0), ControlSignal.constant(0.5, 1.0), kw["horizon"], kw["dt"]
         ),
@@ -660,11 +651,11 @@ class TestStepRule:
 
 class TestSandwich:
     def test_toy_optimality_sandwich(self, toy_setup):
-        toy, metric, grid, sol = toy_setup
+        toy, grid, sol = toy_setup
         x0 = np.array([0.5])
-        traj = extract_characteristic(sol, toy, metric, x0, dt=0.01)
+        traj = extract_characteristic(sol, toy, x0, dt=0.01)
         bf_cost, _ = brute_force_value(
-            toy, metric, x0, np.array([1.0]), 1.0, segments=6, dt=0.01
+            toy, x0, np.array([1.0]), 1.0, segments=6, dt=0.01
         )
         phi0 = float(interpolate(sol.phi, grid, x0))
         band = 0.05
@@ -675,8 +666,8 @@ class TestSandwich:
 
 class TestValidationReport:
     def test_all_pass(self, toy_setup):
-        toy, metric, grid, sol = toy_setup
-        traj = extract_characteristic(sol, toy, metric, np.array([0.5]), dt=0.01)
+        toy, grid, sol = toy_setup
+        traj = extract_characteristic(sol, toy, np.array([0.5]), dt=0.01)
         res = traj.residuals
         ratio = res["costate_terminal_norm"] / res["costate_initial_norm"]
         assert ratio <= 0.1
@@ -714,10 +705,9 @@ class TestValidationReport:
 class TestGradientConsistencyCheck:
     def test_toy_fraction(self):
         toy = ToyCascade()
-        metric = LogDetMetric(1)
         grid = GridSpec((Axis(-2.0, 2.0, 161),))
         out = gradient_consistency_check(
-            toy, metric, grid, np.array([1.0]), 1.0, interior_margin=40
+            toy, grid, np.array([1.0]), 1.0, interior_margin=40
         )
         assert out["fraction_within_1e2"] >= 0.9
         assert out["interior_points"] == 81
