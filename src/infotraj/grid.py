@@ -20,6 +20,14 @@ class ExtrapolationError(ValueError):
     """A query point lies outside the non-periodic extent of the grid."""
 
 
+def as_integer(value, name: str) -> int:
+    """value as an int when it is an int or a float without a fraction; any
+    other value (an infinity, a NaN, a string) raises ValueError naming name."""
+    if not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{name} = {value!r} is not a finite integer")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Axis:
     lo: float
@@ -134,7 +142,10 @@ class GridSpec:
     def from_dict(cls, data: dict) -> "GridSpec":
         return cls(
             tuple(
-                Axis(float(a["lo"]), float(a["hi"]), int(a["n"]), bool(a["periodic"]))
+                Axis(
+                    float(a["lo"]), float(a["hi"]), as_integer(a["n"], "axis n"),
+                    bool(a["periodic"]),
+                )
                 for a in data["axes"]
             )
         )

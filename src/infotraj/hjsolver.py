@@ -55,6 +55,7 @@ import numpy as np
 from infotraj.dynamics import CascadeSystem
 from infotraj.grid import (
     GridSpec,
+    as_integer,
     load_array,
     read_manifest,
     save_array,
@@ -329,23 +330,27 @@ def load_solution(in_dir, extras: dict) -> HybridSolution:
     mapped read-only (grid.load_array).
 
     ValueError, naming the file and field, for: a manifest without one of
-    the entries grid, m, z0, horizon and snapshots, an m that is not a
-    square p**2 >= 1, a z0 without m entries, a horizon check_horizon
-    refuses, a snapshots list other than [FINAL_FILES] (so both files lie in
-    in_dir), a file of the wrong size, a config_hash other than
-    config_fingerprint of the manifest's grid, z0 and horizon, a manifest
-    entry other than the value extras gives for it (the model_hash and
-    config_hash that solve_to_disk's extras wrote; {} checks none), and a
-    field with a NaN or an infinity (the march never writes one). A
-    directory without manifest.json is not a solution.
+    the entries grid, m, z0, horizon and snapshots, a grid axis n or an m
+    that is not a finite integer, an m that is not a square p**2 >= 1, a z0
+    without m entries, a horizon check_horizon refuses, a snapshots list
+    other than [FINAL_FILES] (so both files lie in in_dir), a file of the
+    wrong size, a config_hash other than config_fingerprint of the
+    manifest's grid, z0 and horizon, a manifest entry other than the value
+    extras gives for it (the model_hash and config_hash that solve_to_disk's
+    extras wrote; {} checks none), and a field with a NaN or an infinity
+    (the march never writes one). A directory without manifest.json is not
+    a solution.
     """
     manifest_path = os.path.join(in_dir, "manifest.json")
     manifest = read_manifest(manifest_path)
     for key in ("grid", "m", "z0", "horizon", "snapshots"):
         if key not in manifest:
             raise ValueError(f"{manifest_path}: no {key} entry")
-    grid = GridSpec.from_dict(manifest["grid"])
-    m = int(manifest["m"])
+    try:
+        grid = GridSpec.from_dict(manifest["grid"])
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: grid {exc}") from exc
+    m = as_integer(manifest["m"], f"{manifest_path}: m")
     if m < 1 or math.isqrt(m) ** 2 != m:
         raise ValueError(f"{manifest_path}: m = {m} is not the square of a matrix side")
     z0 = np.asarray(manifest["z0"], dtype=float)

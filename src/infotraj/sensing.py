@@ -1,13 +1,18 @@
 """Fisher-information models for trajectory planning: Gaussian-sensor
 conditional FIM, expectation over the target prior by second-order Taylor
 correction, prior information, rate-weighted sensor suites, and the
-Doppler-shift sensor."""
+Doppler-shift sensor.
+
+What every evaluation shares is cached on the object it comes from, built on
+first use: a prior's Taylor stencil (GaussianPrior.taylor_stencil) and a
+sensor's noise information (Sensor.noise_information)."""
 
 from __future__ import annotations
 
 import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -43,6 +48,32 @@ class GaussianPrior:
     def dim(self) -> int:
         return self.mean.size
 
+    @cached_property
+    def taylor_stencil(self) -> _Stencil:
+        """The stencil of the prior for step HESSIAN_STEP."""
+        theta0 = self.mean
+        p = self.dim
+        h = HESSIAN_STEP
+        stencil = [theta0]
+        for k in range(p):
+            ek = np.zeros(p)
+            ek[k] = h
+            stencil.append(theta0 + ek)
+            stencil.append(theta0 - ek)
+        cross_pairs = tuple(
+            (k, l) for k in range(p) for l in range(k + 1, p) if self.covariance[k, l] != 0.0
+        )
+        for k, l in cross_pairs:
+            ek = np.zeros(p)
+            el = np.zeros(p)
+            ek[k] = h
+            el[l] = h
+            stencil.append(theta0 + ek + el)
+            stencil.append(theta0 + ek - el)
+            stencil.append(theta0 - ek + el)
+            stencil.append(theta0 - ek - el)
+        return _Stencil(np.asarray(stencil), cross_pairs)
+
     @classmethod
     def isotropic(cls, std: float, dim: int = 2, mean=None) -> "GaussianPrior":
         if std <= 0.0:
@@ -66,6 +97,13 @@ class Sensor(ABC):
     @abstractmethod
     def noise_cov(self) -> np.ndarray:
         """Measurement noise covariance, shape (q, q), SPD."""
+
+    @cached_property
+    def noise_information(self) -> np.ndarray:
+        """Sigma^-1 of the noise covariance, which must be SPD."""
+        cov = np.asarray(self.noise_cov, dtype=float)
+        cholesky_spd(cov)
+        return np.linalg.solve(cov, np.eye(cov.shape[-1]))
 
     @abstractmethod
     def mean(self, x: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -180,40 +218,6 @@ class _Stencil(NamedTuple):
     cross_pairs: tuple  # (k, l), k < l, with sigma[k, l] != 0
 
 
-def _taylor_stencil(prior: GaussianPrior) -> _Stencil:
-    """The stencil of the prior for step HESSIAN_STEP."""
-    theta0 = prior.mean
-    sigma = prior.covariance
-    p = prior.dim
-    h = HESSIAN_STEP
-    stencil = [theta0]
-    for k in range(p):
-        ek = np.zeros(p)
-        ek[k] = h
-        stencil.append(theta0 + ek)
-        stencil.append(theta0 - ek)
-    cross_pairs = tuple(
-        (k, l) for k in range(p) for l in range(k + 1, p) if sigma[k, l] != 0.0
-    )
-    for k, l in cross_pairs:
-        ek = np.zeros(p)
-        el = np.zeros(p)
-        ek[k] = h
-        el[l] = h
-        stencil.append(theta0 + ek + el)
-        stencil.append(theta0 + ek - el)
-        stencil.append(theta0 - ek + el)
-        stencil.append(theta0 - ek - el)
-    return _Stencil(np.asarray(stencil), cross_pairs)
-
-
-def _noise_information(sensor: Sensor) -> np.ndarray:
-    """Sigma^-1 of the sensor's noise covariance, which must be SPD."""
-    cov = np.asarray(sensor.noise_cov, dtype=float)
-    cholesky_spd(cov)
-    return np.linalg.solve(cov, np.eye(cov.shape[-1]))
-
-
 def _check_theta_dim(sensor: Sensor, prior: GaussianPrior) -> None:
     if prior.dim != sensor.theta_dim:
         raise DimensionError(
@@ -222,15 +226,11 @@ def _check_theta_dim(sensor: Sensor, prior: GaussianPrior) -> None:
         )
 
 
-def _conditional_fim(sensor: Sensor, x, theta, info: np.ndarray) -> np.ndarray:
-    jac = sensor.jacobian(x, theta)
-    out = np.swapaxes(jac, -1, -2) @ (info @ jac)
-    return 0.5 * (out + np.swapaxes(out, -1, -2))
-
-
 def conditional_fim(sensor: Sensor, x, theta) -> np.ndarray:
     """Information matrix J^T Sigma^-1 J of one measurement at fixed theta."""
-    return _conditional_fim(sensor, x, theta, _noise_information(sensor))
+    jac = sensor.jacobian(x, theta)
+    out = np.swapaxes(jac, -1, -2) @ (sensor.noise_information @ jac)
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
 def _clip_or_fall_back(out: np.ndarray, center: np.ndarray) -> np.ndarray:
@@ -245,7 +245,7 @@ def _clip_or_fall_back(out: np.ndarray, center: np.ndarray) -> np.ndarray:
             f"Taylor-corrected information matrix indefinite at {count} state(s); "
             "falling back to the conditional value at the prior mean there",
             RuntimeWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
     negative = eigvals[..., 0] < 0.0
     if np.any(negative):
@@ -260,19 +260,27 @@ def _clip_or_fall_back(out: np.ndarray, center: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expected_fim(
-    sensor: Sensor,
-    x,
-    prior: GaussianPrior,
-    stencil: _Stencil,
-    info: np.ndarray,
-) -> np.ndarray:
-    """expected_fim with the stencil and the noise information given."""
+def expected_fim(sensor: Sensor, x, prior: GaussianPrior) -> np.ndarray:
+    """Expectation of the conditional information matrix over the target prior.
+
+    Second-order Taylor correction around the prior mean:
+        E[Q_ij] ~= Q_ij(mean) + 0.5 * tr(Sigma H_ij(mean)),
+    with the elementwise Hessians H_ij formed by nested central differences of
+    step HESSIAN_STEP (meters). Exact when Q is at most quadratic in theta.
+
+    The correction can leave the result slightly indefinite: eigenvalues in
+    [-INDEFINITE_TOL, 0) are clipped to zero; anything more negative triggers
+    a breakdown warning and a fallback to the conditional value at the mean.
+    For p = 2 a closed-form smallest eigenvalue screens the rows first, and
+    only those that are not clearly positive definite are decomposed.
+    """
+    _check_theta_dim(sensor, prior)
+    stencil = prior.taylor_stencil
     x = np.asarray(x, dtype=float)
     sigma = prior.covariance
     p = prior.dim
     h2 = HESSIAN_STEP**2
-    q_all = _conditional_fim(sensor, x[..., None, :], stencil.thetas, info)
+    q_all = conditional_fim(sensor, x[..., None, :], stencil.thetas)
     center = q_all[..., 0, :, :]
     correction = np.zeros_like(center)
     for k in range(p):
@@ -304,24 +312,6 @@ def _expected_fim(
     return out
 
 
-def expected_fim(sensor: Sensor, x, prior: GaussianPrior) -> np.ndarray:
-    """Expectation of the conditional information matrix over the target prior.
-
-    Second-order Taylor correction around the prior mean:
-        E[Q_ij] ~= Q_ij(mean) + 0.5 * tr(Sigma H_ij(mean)),
-    with the elementwise Hessians H_ij formed by nested central differences of
-    step HESSIAN_STEP (meters). Exact when Q is at most quadratic in theta.
-
-    The correction can leave the result slightly indefinite: eigenvalues in
-    [-INDEFINITE_TOL, 0) are clipped to zero; anything more negative triggers
-    a breakdown warning and a fallback to the conditional value at the mean.
-    For p = 2 a closed-form smallest eigenvalue screens the rows first, and
-    only those that are not clearly positive definite are decomposed.
-    """
-    _check_theta_dim(sensor, prior)
-    return _expected_fim(sensor, x, prior, _taylor_stencil(prior), _noise_information(sensor))
-
-
 def prior_fim(prior: GaussianPrior) -> np.ndarray:
     """Information carried by the prior itself: the inverse covariance."""
     chol = cholesky_spd(prior.covariance)
@@ -330,28 +320,15 @@ def prior_fim(prior: GaussianPrior) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def suite_plan(sensors, prior: GaussianPrior) -> tuple:
-    """Check a sensor suite against the prior and build what every
-    evaluation shares: the Taylor stencil and each sensor's noise information."""
-    if not sensors:
-        raise ValueError("sensor suite is empty")
-    dims = {s.theta_dim for s in sensors}
-    if len(dims) != 1:
-        raise DimensionError(f"sensors disagree on target dimension: {sorted(dims)}")
-    _check_theta_dim(sensors[0], prior)
-    stencil = _taylor_stencil(prior)
-    return stencil, [_noise_information(s) for s in sensors]
-
-
-def suite_fim(sensors, x, prior: GaussianPrior, plan: tuple) -> np.ndarray:
+def suite_fim(sensors, x, prior: GaussianPrior) -> np.ndarray:
     """Rate-weighted information rate of a sensor suite: sum_i F_i E[Q_i(x)].
 
-    plan is suite_plan(sensors, prior).
+    Every term reads the prior's cached stencil and its sensor's cached
+    noise information; suite_info_rate checks the suite once.
     """
-    stencil, infos = plan
     total = None
-    for sensor, info in zip(sensors, infos):
-        term = sensor.rate * _expected_fim(sensor, x, prior, stencil, info)
+    for sensor in sensors:
+        term = sensor.rate * expected_fim(sensor, x, prior)
         total = term if total is None else total + term
     return total
 
@@ -359,12 +336,18 @@ def suite_fim(sensors, x, prior: GaussianPrior, plan: tuple) -> np.ndarray:
 def suite_info_rate(sensors, prior: GaussianPrior):
     """Information-rate callable x -> vec(sum_i F_i E[Q_i(x)]) for a vehicle model.
 
-    The stencil and the noise information are built once here; each call
+    The suite is checked here, before any call: it must not be empty, each
+    sensor's theta_dim must match the prior, and each noise covariance must
+    be SPD (reading the sensor's noise information caches it). Each call
     goes through the module's suite_fim.
     """
-    plan = suite_plan(sensors, prior)
+    if not sensors:
+        raise ValueError("sensor suite is empty")
+    for sensor in sensors:
+        _check_theta_dim(sensor, prior)
+        sensor.noise_information  # raises here, before a solve writes anything
 
     def rate(x):
-        return vec(suite_fim(sensors, x, prior, plan=plan))
+        return vec(suite_fim(sensors, x, prior))
 
     return rate

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -162,6 +162,19 @@ def extract_characteristic(
     return traj
 
 
+def _join_legs(pieces: list) -> Trajectory:
+    """The legs end to end: each leg's s runs on from the sum of the
+    durations before it, and each later leg drops its first sample, which
+    repeats the last of the leg before."""
+    offsets = itertools.accumulate((p.duration for p in pieces[:-1]), initial=0.0)
+    shifted = [replace(p, s=p.s + off) for p, off in zip(pieces, offsets)]
+    sampled = ("s", "states", "controls", "infos", "costates", "info_costates")
+    return Trajectory(**{
+        name: np.concatenate([getattr(p, name)[min(i, 1):] for i, p in enumerate(shifted)])
+        for name in sampled
+    })
+
+
 def extract_receding(
     solution: HybridSolution,
     system: CascadeSystem,
@@ -214,25 +227,7 @@ def extract_receding(
         x = piece.final_state()
         z = piece.final_info()
 
-    s_off = 0.0
-    s_all, st_all, u_all, z_all, p_all, lam_all = [], [], [], [], [], []
-    for i, piece in enumerate(pieces):
-        sl = slice(None) if i == 0 else slice(1, None)
-        s_all.append(piece.s[sl] + s_off)
-        st_all.append(piece.states[sl])
-        u_all.append(piece.controls[sl])
-        z_all.append(piece.infos[sl])
-        p_all.append(piece.costates[sl])
-        lam_all.append(piece.info_costates[sl])
-        s_off += piece.duration
-    traj = Trajectory(
-        s=np.concatenate(s_all),
-        states=np.concatenate(st_all),
-        controls=np.concatenate(u_all),
-        infos=np.concatenate(z_all),
-        costates=np.concatenate(p_all),
-        info_costates=np.concatenate(lam_all),
-    )
+    traj = _join_legs(pieces)
     traj.terminal_cost = system.metric.value(traj.final_info())
     traj.residuals = dict(pieces[-1].residuals)
     return traj

@@ -198,6 +198,17 @@ class TestScenarioFieldMutations:
         assert f"{section}.{key}" in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_solve_of_a_non_spd_noise_exits_3_before_any_output(self, tmp_path, capsys):
+        # 1e-300 squares to a zero noise variance: building the system reads
+        # each sensor's noise information, so the solve fails before --out
+        data = json.loads(FIG2.read_text())
+        data["sensors"][0]["noise_std_hz"] = 1e-300
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_one_leg_per_extraction_step_loads(self):
         data = json.loads(FIG2.read_text())
         data["extraction"]["legs"] = 1200
@@ -409,7 +420,7 @@ class TestSolveExtractPlot:
             "empty_snapshots", "two_snapshots", "old_snapshots", "short_z0", "m_not_square",
             "nan_final_phi", "nan_horizon", "absolute_name", "parent_name", "number_name",
             "doubled_z0", "shifted_x_extent", "non_spd_z0", "sensor_suite_hash", "no_grid",
-            "no_m", "no_z0", "no_horizon", "no_snapshots",
+            "no_m", "no_z0", "no_horizon", "no_snapshots", "infinite_m", "infinite_n",
         ],
     )
     def test_corrupt_solution_exits_2_naming_it(self, pipeline, tmp_path, capsys, case):
@@ -428,6 +439,8 @@ class TestSolveExtractPlot:
             "shifted_x_extent": hash_named,
             "non_spd_z0": hash_named,
             "sensor_suite_hash": "manifest model_hash",
+            "infinite_m": "manifest.json: m",
+            "infinite_n": "manifest.json: grid",
         }.get(case, "manifest.json: snapshots")
         if case.startswith("no_"):
             named = f"manifest.json: no {case[3:]} entry"
@@ -445,6 +458,10 @@ class TestSolveExtractPlot:
             manifest["z0"] = manifest["z0"][:3]
         elif case == "m_not_square":
             manifest["m"] = 5
+        elif case == "infinite_m":
+            manifest["m"] = math.inf
+        elif case == "infinite_n":
+            manifest["grid"]["axes"][0]["n"] = math.inf
         elif case == "nan_final_phi":
             np.full(9 * 9 * 8, np.nan).astype("<f8").tofile(broken / "phi.bin")
         elif case == "nan_horizon":

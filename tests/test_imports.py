@@ -320,6 +320,13 @@ def test_no_function_takes_a_metric():
     assert parameters_named(sources, "metric") == []
 
 
+def test_only_the_march_kernel_takes_a_plan():
+    # a prior holds its Taylor stencil and a sensor its noise information,
+    # so no sensing kernel takes a precomputed plan
+    sources = [path.read_text(encoding="utf-8") for path in LIBRARY]
+    assert parameters_named(sources, "plan") == ["lf_rate"]
+
+
 def test_scan_flags_parameters_named():
     source = (
         "def solve(system, metric):\n    return system\n"

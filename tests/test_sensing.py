@@ -20,7 +20,6 @@ from infotraj.sensing import (
     prior_fim,
     suite_fim,
     suite_info_rate,
-    suite_plan,
 )
 
 SPEED = 50.0
@@ -412,7 +411,7 @@ class TestKernelAgainstReference:
             ]
         )
         ref = reference_quiet(sensors[0], x, prior)
-        got = suite_fim(sensors, x, prior, suite_plan(sensors, prior))
+        got = suite_fim(sensors, x, prior)
         assert same_bits(got, sensors[0].rate * ref)
         for k in range(0, n, 2857):  # one state at a time: the same bits
             assert same_bits(expected_fim(sensors[0], x[k], prior), ref[k])
@@ -446,7 +445,7 @@ class TestKernelAgainstReference:
         ref = reference_quiet(sen, x, prior)
         got = expected_fim(sen, x, prior)
         assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
-        total = suite_fim([sen], x, prior, suite_plan([sen], prior))
+        total = suite_fim([sen], x, prior)
         assert np.allclose(total, ref, rtol=1e-12, atol=0.0)
 
     def test_three_parameter_prior_without_the_screen(self):
@@ -476,6 +475,12 @@ class TestKernelAgainstReference:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no breakdown, no warning
             expected_fim(sen, x[[1, 3]], prior)
+
+    def test_breakdown_warning_points_at_the_caller(self):
+        sen = ShrinkingJacobianSensor([1.0, 2.0])
+        with pytest.warns(RuntimeWarning, match=FALLBACK_WARNING) as record:
+            expected_fim(sen, np.array([1.0, 0.0, 0.0]), GaussianPrior.isotropic(1.0))
+        assert Path(record[0].filename).name == Path(__file__).name
 
     def test_suite_fallbacks_warn_per_call(self):
         sen = ShrinkingJacobianSensor([1.0, 2.0])
@@ -512,7 +517,7 @@ class TestSuiteFim:
         sen = make_sensor(rate=1.0)
         prior = GaussianPrior.isotropic(10.0)
         x = np.array([50.0, -36.6, 0.0])
-        total = suite_fim([sen], x, prior, suite_plan([sen], prior))
+        total = suite_fim([sen], x, prior)
         assert np.allclose(total, expected_fim(sen, x, prior))
 
     def test_rate_linearity(self):
@@ -520,8 +525,8 @@ class TestSuiteFim:
         x = np.array([50.0, -36.6, 0.0])
         single = [make_sensor(rate=1.0)]
         pair = [make_sensor(rate=1.0), make_sensor(rate=2.0)]
-        one = suite_fim(single, x, prior, suite_plan(single, prior))
-        combo = suite_fim(pair, x, prior, suite_plan(pair, prior))
+        one = suite_fim(single, x, prior)
+        combo = suite_fim(pair, x, prior)
         assert np.allclose(combo, 3.0 * one, rtol=1e-12)
 
     def test_orthogonal_rank_one_sensors(self):
@@ -530,11 +535,28 @@ class TestSuiteFim:
             ConstJacobianSensor([2.0, 0.0], rate=1.0),
             ConstJacobianSensor([0.0, 3.0], rate=2.0),
         ]
-        q = suite_fim(sensors, np.zeros(3), prior, suite_plan(sensors, prior))
+        q = suite_fim(sensors, np.zeros(3), prior)
         assert np.allclose(np.sort(np.linalg.eigvalsh(q)), [4.0, 18.0])
+
+    def test_calls_reuse_the_noise_information(self, monkeypatch):
+        sensors = [make_sensor(), make_sensor(noise_std=2.0, rate=2.0)]
+        prior = GaussianPrior.isotropic(10.0)
+        rate = suite_info_rate(sensors, prior)
+        factored = []
+
+        def spy(matrix):
+            factored.append(matrix)
+            return cholesky_spd(matrix)
+
+        monkeypatch.setattr(sensing, "cholesky_spd", spy)
+        x = np.array([[50.0, -36.6, 0.0], [0.0, 50.0, 1.0]])
+        rate(x)
+        rate(x[0])
+        assert factored == []
+        assert prior.taylor_stencil is prior.taylor_stencil
 
     def test_dimension_mismatch(self):
         bad = ConstJacobianSensor([1.0, 0.0])
         bad.theta_dim = 3
         with pytest.raises(DimensionError):
-            suite_plan([make_sensor(), bad], GaussianPrior.isotropic(10.0))
+            suite_info_rate([make_sensor(), bad], GaussianPrior.isotropic(10.0))
