@@ -47,6 +47,7 @@ from infotraj.trajectories import (
     brute_force_value,
     extract_characteristic,
     extract_receding,
+    extraction_health,
     final_leg_shape,
     gradient_consistency_check,
     toy_hybrid_vs_classic,
@@ -473,6 +474,7 @@ def cmd_extract(solution_dir, out_dir, x0_list=None, scenario: Optional[Scenario
             "residuals": traj.residuals,
         }
         entry.update(final_leg_shape(traj, scenario.prior_mean))
+        entry["health"] = extraction_health(traj, system)
         summary["trajectories"].append(entry)
     write_manifest(os.path.join(out_dir, "extraction_summary.json"), summary)
     return summary

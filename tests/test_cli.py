@@ -714,6 +714,32 @@ class TestStreamedSolve:
         assert "manifest.json" in capsys.readouterr().err
 
 
+class TestExtractionHealth:
+    def test_shipped_start(self, tmp_path):
+        scenario = load_scenario(FIG2)
+        sol_dir = tmp_path / "solution"
+        cmd_solve(scenario, sol_dir)
+        summary = cmd_extract(sol_dir, tmp_path / "out", scenario=scenario)
+        saved = json.loads((tmp_path / "out" / "extraction_summary.json").read_text())
+        health = summary["trajectories"][0]["health"]
+        assert saved["trajectories"][0]["health"] == health
+        assert set(health) == {"control_switches", "hysteresis_steps", "min_info_det"}
+
+        traj = extract_characteristic(
+            load_solution(sol_dir, {}), scenario.build_system(),
+            scenario.initial_states[0], scenario.extraction_dt,
+        )
+        u, p = traj.controls, traj.costates
+        assert health["control_switches"] == sum(a != b for a, b in zip(u, u[1:])) == 4
+        # g = (0, 0, 1): the switching function is the heading costate
+        band = infotraj.trajectories.HYSTERESIS_BAND
+        assert health["hysteresis_steps"] == sum(abs(row[2]) < band for row in p[:-1])
+        dets = [z[0] * z[3] - z[1] * z[2] for z in traj.infos]
+        assert health["min_info_det"] == pytest.approx(min(dets), rel=1e-12)
+        # information only accumulates, so the smallest det is the start's
+        assert health["min_info_det"] == pytest.approx(dets[0], rel=1e-12)
+
+
 class TestRecedingExtract:
     def test_cropped_resolves_and_csvs_match_direct_calls(self, tmp_path, monkeypatch):
         data = small_scenario_dict()

@@ -24,6 +24,7 @@ from infotraj.hjsolver import hybrid_solve, info_rate_on_grid
 from infotraj.matrixcore import vec
 from infotraj.sensing import suite_info_rate
 from infotraj.trajectories import (
+    EXTRACTION_BLOCK_STEPS,
     BoundaryExitError,
     ValidationReport,
     _info_rate_and_jacobian,
@@ -75,12 +76,12 @@ def reference_cascade_deriv(system, u):
     return deriv
 
 
-def reference_extract(solution, system, x0, dt):
+def reference_extract(solution, system, x0, dt, duration=None):
     """The former characteristic extractor, kept as the oracle of the
-    stage-batched one: every RK4 stage makes its own 7-point info-rate call
+    block-batched one: every RK4 stage makes its own 7-point info-rate call
     and its own drift_jacobian call."""
     grid = solution.grid
-    horizon = solution.horizon
+    horizon = solution.horizon if duration is None else duration
     x = x0.as_array() if isinstance(x0, State) else np.asarray(x0, dtype=float)
     p = interpolate(solution.value_gradient(), grid, x)
     lam_row = np.asarray(interpolate(solution.phi_z, grid, x), dtype=float)
@@ -166,6 +167,21 @@ def assert_same_trajectory(got, want):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
     assert got.residuals == want.residuals
     assert got.terminal_cost == want.terminal_cost
+
+
+def block_rule_calls(traj, points_per_step):
+    """The info-rate call sizes of the block rule on a path that stays on the
+    grid: each block evaluates min(EXTRACTION_BLOCK_STEPS, steps left) steps
+    under the control at its start and commits them up to the first step
+    whose control differs, where the next block starts."""
+    step_controls = traj.controls[:-1]
+    calls, k = [], 0
+    while k < step_controls.size:
+        m = min(EXTRACTION_BLOCK_STEPS, step_controls.size - k)
+        held = step_controls[k : k + m] == step_controls[k]
+        calls.append(points_per_step * m)
+        k += m if held.all() else int(np.argmin(held))
+    return calls
 
 
 def toy_truth(t, x, z):
@@ -495,10 +511,10 @@ class TestBruteForce:
 
 
 class TestStageBatchedRK4:
-    """Extraction, brute force and open-loop simulation make one info-rate
-    call per RK4 step, with the bits of the former integrator, which made
-    one per stage (reference_rk4_step, reference_cascade_deriv and
-    reference_extract)."""
+    """Brute force and open-loop simulation make one info-rate call per RK4
+    step and extraction one per block of steps under a held control, with
+    the bits of the former integrator, which made one per stage
+    (reference_rk4_step, reference_cascade_deriv and reference_extract)."""
 
     def test_shipped_start(self, survey, shipped_characteristic):
         scenario, system, grid, z0, ell, solution = survey
@@ -507,7 +523,7 @@ class TestStageBatchedRK4:
         )
         assert_same_trajectory(shipped_characteristic, want)
 
-    def test_fan_starts_with_one_call_per_step(self, survey, monkeypatch):
+    def test_fan_starts_with_one_call_per_block(self, survey, monkeypatch):
         scenario, system, grid, z0, ell, solution = survey
         fan = load_scenario(REPO / "scenarios" / "doppler_fan.json")
         # the fan scenario is the shipped one with other starts: one solve serves
@@ -521,35 +537,78 @@ class TestStageBatchedRK4:
             del calls[:]
             got = extract_characteristic(solution, system, x0, fan.extraction_dt)
             steps = got.s.size - 1
-            assert steps == 1200 and calls == [4 * 7] * steps
+            assert steps == 1200 and calls == block_rule_calls(got, 4 * 7)
+            # a switch inside a block: the steps after it are evaluated, then dropped
+            assert sum(calls) > 4 * 7 * steps
             del calls[:]
             want = reference_extract(solution, system, x0, fan.extraction_dt)
             assert calls == [7] * (4 * steps)
             assert_same_trajectory(got, want)
 
-    def test_toy(self, toy_setup):
+    def test_toy(self, toy_setup, monkeypatch):
         toy, grid, sol = toy_setup
+        calls = count_info_rate_calls(toy, monkeypatch)
         for x0 in (0.5, -0.8, 0.1):
+            del calls[:]
             got = extract_characteristic(sol, toy, np.array([x0]), dt=0.01)
+            # d = 1: 3 points per stage; 100 steps are blocks of 32, 32, 32, 4
+            assert calls == block_rule_calls(got, 4 * 3) == [12 * 32] * 3 + [12 * 4]
             want = reference_extract(sol, toy, np.array([x0]), dt=0.01)
             assert_same_trajectory(got, want)
 
-    def test_boundary_exit_keeps_the_partial_record(self, scenario):
+    def test_two_step_duration(self, survey, monkeypatch):
+        scenario, system, grid, z0, ell, solution = survey
+        x0, dt = scenario.initial_states[0], scenario.extraction_dt
+        calls = count_info_rate_calls(system, monkeypatch)
+        got = extract_characteristic(solution, system, x0, dt, duration=2 * dt)
+        assert got.s.size == 3 and calls == [4 * 7 * 2]
+        want = reference_extract(solution, system, x0, dt, duration=2 * dt)
+        assert_same_trajectory(got, want)
+
+    @pytest.mark.parametrize(
+        "start, blocks",
+        [
+            # no switch: the fourth block runs ahead 5 steps, up to the exit
+            ((0.0, 0.0, 0.0), [32, 32, 32, 5]),
+            # the first block runs ahead to an exit at step 21, a switch at
+            # step 19 drops its last 2 steps, and the next block exits
+            ((-40.0, 0.0, 3.0), [21, 2]),
+            # a switch at step 94; the block from there exits on its 32nd step
+            ((-10.0, -15.0, 0.0), [32, 32, 32, 32]),
+        ],
+        ids=["straight", "switch_then_exit", "exit_on_last_step"],
+    )
+    def test_boundary_exit_keeps_the_partial_record(self, scenario, monkeypatch, start, blocks):
         rate_fn = suite_info_rate(scenario.build_sensors(), scenario.prior())
         car = DubinsCar(10.0, 0.1, info_rate_fn=rate_fn, info_dim=2)
         grid = GridSpec.vehicle_plane((-50.0, 50.0), (-50.0, 50.0), 9, 9, 8)
         sol = hybrid_solve(
             car, grid, scenario.initial_information(), 20.0
         )
-        errors = []
-        for extract in (extract_characteristic, reference_extract):
-            with pytest.raises(BoundaryExitError) as err:
-                extract(sol, car, State(0.0, 0.0, 0.0), dt=0.05)
-            errors.append(err.value)
-        got, want = errors
-        assert str(got) == str(want)
-        assert got.trajectory.s.size > 2
-        assert_same_trajectory(got.trajectory, want.trajectory)
+        calls = count_info_rate_calls(car, monkeypatch)
+        with pytest.raises(BoundaryExitError) as got:
+            extract_characteristic(sol, car, State(*start), dt=0.05)
+        assert calls == [4 * 7 * m for m in blocks]
+        with pytest.raises(BoundaryExitError) as want:
+            reference_extract(sol, car, State(*start), dt=0.05)
+        assert str(got.value) == str(want.value)
+        assert got.value.trajectory.s.size > 2
+        assert_same_trajectory(got.value.trajectory, want.value.trajectory)
+
+    def test_six_leg_sandwich(self, survey, monkeypatch):
+        scenario, system, grid, z0, ell, solution = survey
+        x0 = scenario.initial_states[0]
+
+        def sandwich():
+            return extract_receding(
+                solution, system, x0, legs=6, dt=scenario.extraction_dt,
+                info_rate_field=ell,
+            )
+
+        got = sandwich()
+        # the same cropped re-solves, each leg extracted by the reference
+        monkeypatch.setattr(infotraj.trajectories, "extract_characteristic", reference_extract)
+        assert_same_trajectory(got, sandwich())
 
     @pytest.mark.parametrize(
         "cascade",
