@@ -7,7 +7,6 @@ extracts optimal trajectories through the characteristic system.
 """
 
 from infotraj.dynamics import (
-    AugmentedState,
     CascadeSystem,
     ControlSignal,
     DubinsCar,
@@ -66,7 +65,6 @@ from infotraj.trajectories import (
 )
 
 __all__ = [
-    "AugmentedState",
     "Axis",
     "BoundaryExitError",
     "CascadeSystem",

@@ -1,6 +1,8 @@
 """Vehicle models in cascade form (controlled state + integrated information
-state), the cascade's RK4 step (cascade_step) and step rule (rk4_steps),
-open-loop simulation, and trajectory records."""
+state), the one way every RK4 driver advances the cascade (held_run, then
+the rates at all of the run's stage states from the chunked info_rate_rows;
+cascade_run for (x, z)), the step rule (rk4_steps), open-loop simulation,
+and trajectory records."""
 
 from __future__ import annotations
 
@@ -42,17 +44,6 @@ class State:
 def state_array(x) -> np.ndarray:
     """A vehicle state as a float array: a State's (X, Y, psi), or x as given."""
     return x.as_array() if isinstance(x, State) else np.asarray(x, dtype=float)
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    """Cascade state: vehicle state plus vectorized information state."""
-
-    x: State
-    z: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
 
 
 class CascadeSystem(ABC):
@@ -226,11 +217,6 @@ class ControlSignal:
     def duration(self) -> float:
         return float(self.times[-1])
 
-    def value_at(self, s: float) -> float:
-        idx = int(np.searchsorted(self.times, s, side="right")) - 1
-        idx = min(max(idx, 0), self.values.size - 1)
-        return float(self.values[idx])
-
 
 @dataclass
 class Trajectory:
@@ -282,22 +268,6 @@ def rk4_steps(span: float, dt: float, name: str) -> tuple:
     return n, span / n
 
 
-def _segment_nodes(control: ControlSignal, horizon: float, dt: float) -> np.ndarray:
-    """Sample times on [0, horizon]: uniform substeps of at most dt within each
-    control segment, so integration never straddles a control switch."""
-    edges = [0.0]
-    for t in control.times[1:]:
-        if t < horizon - 1e-12:
-            edges.append(float(t))
-    edges.append(horizon)
-    nodes = [0.0]
-    for a, b in zip(edges[:-1], edges[1:]):
-        # a bad horizon is the only way a segment's span can be bad
-        n_sub, _ = rk4_steps(b - a, dt, "horizon")
-        nodes.extend(np.linspace(a, b, n_sub + 1)[1:].tolist())
-    return np.asarray(nodes, dtype=float)
-
-
 # stage nodes of the classical RK4 scheme: stage i is taken at
 # y + (RK4_NODES[i] * h) * k_{i-1}, stage 0 at y itself
 RK4_NODES = (0.0, 0.5, 0.5, 1.0)
@@ -318,37 +288,74 @@ def rk4_combine(y: np.ndarray, k, h: float) -> np.ndarray:
     return y + h / 6.0 * (k[0] + 2 * k[1] + 2 * k[2] + k[3])
 
 
-def vehicle_stages(system: CascadeSystem, x: np.ndarray, u, h: float):
-    """The four RK4 stage states of the vehicle part dx/ds = f(x) + g u of a
-    step of size h from x, shape (4, *x.shape), and their slopes. The vehicle
-    rate never reads z or the costates, so the rates at every stage can come
-    from one call."""
-    g = system.control_column()
-    xs, ks = rk4_stages(lambda x_i, i: system.drift(x_i) + g * u, x, h)
-    return np.stack(xs), np.stack(ks)
+# the most steps any driver runs ahead under one held control: a block's
+# stage states and their rates are held at once (blocks of 50 steps, whole
+# segments of validate's 729-row brute-force batch, raised its peak RSS
+# from 54.2 to 55.0 MB on a 2-CPU host), and extraction evaluates the steps
+# after a switch for nothing (on the shipped start 32 was the fastest of
+# 16/32/64/128)
+RUN_BLOCK_STEPS = 32
+# rows per info_rate call in info_rate_rows, so the rate's per-row
+# temporaries stay the size of a chunk
+RATE_CHUNK_ROWS = 4096
 
 
-def cascade_step(system: CascadeSystem, x: np.ndarray, z: np.ndarray, u, h: float):
-    """One RK4 step of size h of d[x, z]/ds = [f(x) + g u, vec(Q(x))] from
-    the rows x (batch, d) and z (batch, m) at a scalar u or a (batch, 1)
-    column; vec(Q) at all four vehicle stages comes from one info_rate call.
-    Returns (x', z'), the heading wrapped after the step only."""
-    xs, kx = vehicle_stages(system, x, u, h)
-    kz = system.info_rate(xs.reshape(-1, x.shape[-1])).reshape(xs.shape[:2] + (-1,))
-    return system.wrap(rk4_combine(x, kx, h)), rk4_combine(z, kz, h)
+def info_rate_rows(system: CascadeSystem, x: np.ndarray) -> np.ndarray:
+    """vec(Q) at every row of x (..., d), shape (..., m): the rows go through
+    system.info_rate in chunks of RATE_CHUNK_ROWS, each written into one
+    preallocated result. Every row's rate is computed row by row, so the
+    chunks give the bits of one call."""
+    points = x.reshape(-1, system.state_dim)
+    out = np.empty((points.shape[0], system.info_len))
+    for lo in range(0, points.shape[0], RATE_CHUNK_ROWS):
+        out[lo : lo + RATE_CHUNK_ROWS] = system.info_rate(points[lo : lo + RATE_CHUNK_ROWS])
+    return out.reshape(x.shape[:-1] + (system.info_len,))
+
+
+def held_run(system: CascadeSystem, x: np.ndarray, u, h: float, steps: int):
+    """The vehicle part dx/ds = f(x) + g u run `steps` RK4 steps of size h
+    from one state x (d,) or rows x (batch, d), under a scalar u or a
+    (batch, 1) column held throughout: the stage states, shape
+    (steps, 4, *x.shape), and the end states, shape (steps, *x.shape), each
+    wrapped after its step."""
+    gu = system.control_column() * u
+    stages = np.empty((steps, 4) + x.shape)
+    ends = np.empty((steps,) + x.shape)
+    for j in range(steps):
+        xs, kx = rk4_stages(lambda x_i, i: system.drift(x_i) + gu, x, h)
+        stages[j] = xs
+        x = ends[j] = system.wrap(rk4_combine(x, kx, h))
+    return stages, ends
+
+
+def cascade_run(system: CascadeSystem, x: np.ndarray, z: np.ndarray, u, h: float, steps: int):
+    """The cascade d[x, z]/ds = [f(x) + g u, vec(Q(x))] run `steps` RK4
+    steps of size h from x and z (one state or rows, as held_run takes
+    them): the vehicle and information end states, shapes (steps, *x.shape)
+    and (steps, *z.shape). The rates at all 4 * steps stage states come from
+    one info_rate_rows call."""
+    stages, ends = held_run(system, x, u, h, steps)
+    kz = info_rate_rows(system, stages)
+    infos = np.empty((steps,) + z.shape)
+    for j in range(steps):
+        z = infos[j] = rk4_combine(z, kz[j], h)
+    return ends, infos
 
 
 def simulate_open_loop(
     system: CascadeSystem,
-    initial: AugmentedState,
+    x0: State,
+    z0: np.ndarray,
     control: ControlSignal,
     horizon: float,
     dt: float,
 ) -> Trajectory:
-    """Integrate the cascade dynamics under a piecewise-constant control.
+    """Integrate the cascade from (x0, z0) under a piecewise-constant control.
 
-    Fixed-step RK4 within each control segment; the information state is
-    integrated jointly so the whole record is 4th-order accurate.
+    Each of the signal's segments up to the horizon is cut by rk4_steps into
+    n equal steps of h = span / n, run by cascade_run in blocks of at most
+    RUN_BLOCK_STEPS steps, so no step straddles a switch; the information
+    state is integrated jointly so the whole record is 4th-order accurate.
     """
     if control.duration < horizon - 1e-12:
         raise ValueError("control signal does not cover the horizon")
@@ -359,23 +366,26 @@ def simulate_open_loop(
             f"{system.control_bound}]"
         )
 
-    x = state_array(initial.x)
-    z = np.asarray(initial.z, dtype=float)
-    nodes = _segment_nodes(control, horizon, dt)
-    n = nodes.size
-    states = np.empty((n, system.state_dim))
-    infos = np.empty((n, z.size))
-    controls = np.empty(n)
-    states[0], infos[0] = x, z
-    controls[0] = control.value_at(0.0) if horizon > 0.0 else 0.0
-    x, z = x[None, :], z[None, :]
-    for k in range(n - 1):
-        u = control.value_at(nodes[k])
-        x, z = cascade_step(system, x, z, u, nodes[k + 1] - nodes[k])
-        states[k + 1] = x[0]
-        infos[k + 1] = z[0]
-        controls[k + 1] = u
-    return Trajectory(s=nodes, states=states, controls=controls, infos=infos)
+    x, z = state_array(x0), np.asarray(z0, dtype=float)
+    s, states, infos = [np.zeros(1)], [x[None]], [z[None]]
+    controls = [np.array([control.values[0] if horizon > 0.0 else 0.0])]
+    ends = [t for t in control.times[1:] if t < horizon - 1e-12] + [horizon]
+    a = 0.0
+    for u, b in zip(control.values, ends):
+        # a bad horizon is the only way a segment's span can be bad
+        n, h = rk4_steps(b - a, dt, "horizon")
+        s.append(np.linspace(a, b, n + 1)[1:])
+        controls.append(np.full(n, u))
+        for lo in range(0, n, RUN_BLOCK_STEPS):
+            xs, zs = cascade_run(system, x, z, u, h, min(RUN_BLOCK_STEPS, n - lo))
+            states.append(xs)
+            infos.append(zs)
+            x, z = xs[-1], zs[-1]
+        a = b
+    return Trajectory(
+        s=np.concatenate(s), states=np.concatenate(states),
+        controls=np.concatenate(controls), infos=np.concatenate(infos),
+    )
 
 
 _STATE_HEADERS = {3: ("X", "Y", "psi"), 1: ("x",)}

@@ -52,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from infotraj.dynamics import CascadeSystem
+from infotraj.dynamics import CascadeSystem, info_rate_rows
 from infotraj.grid import (
     GridSpec,
     as_integer,
@@ -68,8 +68,6 @@ POLICY_TIE_EPS = 1e-12
 # stable for any value in (0, 1], which is a property of the scheme, not of
 # the problem (Crandall and Lions, Math. Comp. 1984)
 CFL_NUMBER = 0.5
-# nodes per info_rate call when info_rate_on_grid evaluates a field
-FIELD_CHUNK_ROWS = 4096
 # the fewest nodes a march slab holds (slab_edges): below that, a thread's
 # wake-up and the Python between its numpy calls cost more than it saves
 SLAB_MIN_NODES = 4096
@@ -223,18 +221,9 @@ def cfl_dt(grid: GridSpec, alpha) -> float:
 
 
 def info_rate_on_grid(system: CascadeSystem, grid: GridSpec) -> np.ndarray:
-    """vec(Q) at every grid node, shape grid.shape + (m,).
-
-    The flattened mesh goes through system.info_rate in chunks of
-    FIELD_CHUNK_ROWS nodes, each written into one preallocated result, so
-    the rate's per-node temporaries stay the size of a chunk. Every node's
-    rate is computed row by row, so the chunks give the bits of one call.
-    """
-    points = grid.mesh().reshape(-1, grid.ndim)
-    flat = np.empty((points.shape[0], system.info_len))
-    for lo in range(0, points.shape[0], FIELD_CHUNK_ROWS):
-        flat[lo : lo + FIELD_CHUNK_ROWS] = system.info_rate(points[lo : lo + FIELD_CHUNK_ROWS])
-    return flat.reshape(grid.shape + (system.info_len,))
+    """vec(Q) at every grid node, shape grid.shape + (m,), through the
+    chunked info_rate_rows."""
+    return info_rate_rows(system, grid.mesh())
 
 
 @dataclass
@@ -743,7 +732,7 @@ def classic_solve(
     x_nodes = mesh[..., :d]
     z_nodes = mesh[..., d:]
     f_nodes = system.drift(x_nodes.reshape(-1, d)).reshape(joint_grid.shape + (d,))
-    ell = system.info_rate(x_nodes.reshape(-1, d)).reshape(joint_grid.shape + (m,))
+    ell = info_rate_rows(system, x_nodes)
     drift = [f_nodes[..., i] for i in range(d)] + [ell[..., j] for j in range(m)]
     g = np.concatenate([system.control_column(), np.zeros(m)])
 

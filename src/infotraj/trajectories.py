@@ -17,17 +17,19 @@ from typing import Optional
 import numpy as np
 
 from infotraj.dynamics import (
+    RUN_BLOCK_STEPS,
     CascadeSystem,
     ControlSignal,
     State,
     ToyCascade,
     Trajectory,
-    cascade_step,
+    cascade_run,
+    held_run,
+    info_rate_rows,
     rk4_combine,
     rk4_stages,
     rk4_steps,
     state_array,
-    vehicle_stages,
 )
 from infotraj.grid import Axis, GridSpec, interpolate
 from infotraj.hjsolver import (
@@ -40,13 +42,6 @@ from infotraj import hjsolver as _hjsolver
 from infotraj.matrixcore import sym_pack, sym_unpack, unvec, vec
 
 HYSTERESIS_BAND = 1e-9
-# the most steps extract_characteristic runs ahead under one held control
-# and evaluates in one information-rate call. A control switch drops the
-# rest of the block, whose rows were evaluated for nothing (and can still
-# warn or raise), so a longer block wastes more: on the shipped start 32
-# was the fastest of 16/32/64/128 (55 steps dropped; 311 at 128). The
-# committed steps have the same bits at any block length.
-EXTRACTION_BLOCK_STEPS = 32
 # the z0 perturbation of gradient_consistency_check's central differences
 CONSISTENCY_DELTA = 1e-5
 
@@ -62,13 +57,13 @@ class BoundaryExitError(RuntimeError):
 def _info_rate_and_jacobian(system: CascadeSystem, x: np.ndarray, steps: np.ndarray):
     """vec(Q) at each row of x, shape (n, m), and d vec(Q)/dx by central
     differences, shape (n, m, d), from one n * (1 + 2d)-point rate call on
-    every row's centre and 2d probes."""
+    every row's centre and 2d probes (info_rate_rows)."""
     n, d = x.shape
     probes = np.repeat(x[:, None, :], 1 + 2 * d, axis=1)
     for i in range(d):
         probes[:, 1 + 2 * i, i] += steps[i]
         probes[:, 2 + 2 * i, i] -= steps[i]
-    rates = system.info_rate(probes.reshape(-1, d)).reshape(n, 1 + 2 * d, -1)
+    rates = info_rate_rows(system, probes)
     jac = (rates[:, 1::2] - rates[:, 2::2]) / (2.0 * steps[:, None])
     # contiguous (n, m, d): on a strided view the costate slope's matvecs
     # sum in another order and lose the bits of a per-row Jacobian
@@ -94,10 +89,10 @@ def extract_characteristic(
     condition sends it to zero), the gradient-consistency residual, and the
     value-vs-rollout gap.
 
-    The march runs in blocks of up to EXTRACTION_BLOCK_STEPS steps under
-    the control held at the block's start. The vehicle runs ahead first
-    (vehicle_stages, rk4_combine, wrap), up to its first end state outside
-    the grid; one info_rate call (28 points per step for d = 3) and one
+    The march advances as every driver does: held_run runs the vehicle up
+    to RUN_BLOCK_STEPS steps ahead under the control held at the block's
+    start, and the block is cut after its first end state outside the
+    grid. One info_rate_rows call (28 points per step for d = 3) and one
     drift_jacobian call then take all 4 m stage states of the block's m
     steps. The steps are committed in order, p through rk4_stages; before
     each step after the first the control is re-evaluated, and at the first
@@ -141,17 +136,11 @@ def extract_characteristic(
     k = 0
     while k < n_steps:
         u = u_prev = control_from(p)
-        # the vehicle runs ahead under u, up to its first end state outside
-        # the grid; then the rates at all 4 * m stage states in one call
-        stages, ends, x_run = [], [], x
-        for _ in range(min(EXTRACTION_BLOCK_STEPS, n_steps - k)):
-            xs, kx = vehicle_stages(system, x_run, u, h)
-            x_run = system.wrap(rk4_combine(x_run, kx, h))
-            stages.append(xs)
-            ends.append(x_run)
-            if grid.outside_axis(x_run) is not None:
-                break
-        xs = np.concatenate(stages)
+        # the vehicle runs ahead under u, cut after its first end state
+        # outside the grid; then the rates at all 4 * m stage states
+        stages, ends = held_run(system, x, u, h, min(RUN_BLOCK_STEPS, n_steps - k))
+        m = next((j + 1 for j, e in enumerate(ends) if grid.outside_axis(e) is not None), len(ends))
+        ends, xs = ends[:m], stages[:m].reshape(-1, d)
         kz, ell_jac = _info_rate_and_jacobian(system, xs, fd_steps)
         f_jac = system.drift_jacobian(xs)
         for j, x_end in enumerate(ends):
@@ -302,14 +291,15 @@ def final_leg_shape(traj: Trajectory, prior_mean) -> dict:
 def extraction_health(traj: Trajectory, system: CascadeSystem) -> dict:
     """How an extracted path ran, from its record: the number of control
     switches, the steps whose switching function |g . p| lay inside
-    HYSTERESIS_BAND (the control was held), and the smallest det of
-    unvec(z) along the path. On a receding path the sample at a later leg's
-    start holds the leg before's final control and costate."""
+    HYSTERESIS_BAND (the control was held), and the smallest eigenvalue of
+    the final unvec(z), the information of the worst-known direction at the
+    end. On a receding path the sample at a later leg's start holds the leg
+    before's final control and costate."""
     switching = traj.costates[:-1] @ system.control_column()
     return {
         "control_switches": int(np.count_nonzero(np.diff(traj.controls))),
         "hysteresis_steps": int(np.count_nonzero(np.abs(switching) < HYSTERESIS_BAND)),
-        "min_info_det": float(np.min(np.linalg.det(unvec(traj.infos)))),
+        "final_info_min_eig": float(np.linalg.eigvalsh(unvec(traj.final_info()))[0]),
     }
 
 
@@ -324,11 +314,12 @@ def _simulate_control_batch(
     """Final information states for a batch of equal-segment control sequences.
 
     control_values has shape (batch, segments); all rollouts share the time
-    discretization, so they advance together through cascade_step. Rows
-    that share their first k + 1 controls share their state after segment
-    k, so segment k advances one row per distinct prefix (3^(k+1) for the
-    full bang-bang search, not 3^segments) and each row reads its own
-    prefix's state at the end.
+    discretization, so they advance together, each segment in cascade_run
+    blocks of at most RUN_BLOCK_STEPS steps under its (batch, 1) control
+    column. Rows that share their first k + 1 controls share their state
+    after segment k, so segment k advances one row per distinct prefix
+    (3^(k+1) for the full bang-bang search, not 3^segments) and each row
+    reads its own prefix's state at the end.
     """
     segments = control_values.shape[1]
     n_sub, h = rk4_steps(horizon / segments, dt, "horizon / segments")
@@ -341,8 +332,9 @@ def _simulate_control_batch(
         )
         x, z = x[row[first]], z[row[first]]
         u = control_values[first, k][:, None]
-        for _ in range(n_sub):
-            x, z = cascade_step(system, x, z, u, h)
+        for lo in range(0, n_sub, RUN_BLOCK_STEPS):
+            xs, zs = cascade_run(system, x, z, u, h, min(RUN_BLOCK_STEPS, n_sub - lo))
+            x, z = xs[-1], zs[-1]
         row = inverse.reshape(-1)
     return z[row]
 

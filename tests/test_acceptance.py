@@ -14,7 +14,6 @@ import time
 import numpy as np
 
 from infotraj.dynamics import (
-    AugmentedState,
     ControlSignal,
     State,
     ToyCascade,
@@ -286,10 +285,8 @@ def test_criterion_8_information_shift_identity(scenario):
         values = rng.uniform(-0.05, 0.05, size=4)
         control = ControlSignal.from_segments(values, 10.0)
         start = State(rng.uniform(-200, 200), rng.uniform(-200, 200), rng.uniform(-3, 3))
-        base = simulate_open_loop(system, AugmentedState(start, z0), control, 10.0, 0.1)
-        shifted = simulate_open_loop(
-            system, AugmentedState(start, z0 + delta), control, 10.0, 0.1
-        )
+        base = simulate_open_loop(system, start, z0, control, 10.0, 0.1)
+        shifted = simulate_open_loop(system, start, z0 + delta, control, 10.0, 0.1)
         gap = shifted.final_info() - base.final_info() - delta
         worst = max(worst, float(np.max(np.abs(gap))) / max(1.0, float(np.max(np.abs(delta)))))
     elapsed = time.time() - t0

@@ -27,6 +27,7 @@ from infotraj.cli import (
 )
 from infotraj.dynamics import Trajectory, trajectory_to_csv
 from infotraj.hjsolver import InstabilityError, hybrid_solve, info_rate_on_grid, load_solution
+from infotraj.matrixcore import unvec
 from infotraj.trajectories import extract_characteristic, extract_receding
 
 REPO = Path(__file__).resolve().parents[1]
@@ -723,7 +724,7 @@ class TestExtractionHealth:
         saved = json.loads((tmp_path / "out" / "extraction_summary.json").read_text())
         health = summary["trajectories"][0]["health"]
         assert saved["trajectories"][0]["health"] == health
-        assert set(health) == {"control_switches", "hysteresis_steps", "min_info_det"}
+        assert set(health) == {"control_switches", "hysteresis_steps", "final_info_min_eig"}
 
         traj = extract_characteristic(
             load_solution(sol_dir, {}), scenario.build_system(),
@@ -734,10 +735,10 @@ class TestExtractionHealth:
         # g = (0, 0, 1): the switching function is the heading costate
         band = infotraj.trajectories.HYSTERESIS_BAND
         assert health["hysteresis_steps"] == sum(abs(row[2]) < band for row in p[:-1])
-        dets = [z[0] * z[3] - z[1] * z[2] for z in traj.infos]
-        assert health["min_info_det"] == pytest.approx(min(dets), rel=1e-12)
-        # information only accumulates, so the smallest det is the start's
-        assert health["min_info_det"] == pytest.approx(dets[0], rel=1e-12)
+        eigs = [np.linalg.eigvalsh(unvec(z)) for z in (traj.infos[0], traj.infos[-1])]
+        assert health["final_info_min_eig"] == eigs[1][0]
+        # the path gains information in its worst-known direction too
+        assert health["final_info_min_eig"] > eigs[0][0] == pytest.approx(0.01)
 
 
 class TestRecedingExtract:

@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from infotraj.dynamics import (
-    AugmentedState,
+    RATE_CHUNK_ROWS,
     ControlSignal,
     DubinsCar,
     State,
     ToyCascade,
     Trajectory,
+    held_run,
+    info_rate_rows,
     simulate_open_loop,
     trajectory_from_csv,
     trajectory_to_csv,
     wrap_angle,
 )
+from infotraj.grid import GridSpec
+from infotraj.hjsolver import info_rate_on_grid
 from infotraj.matrixcore import LogDetMetric, unvec, vec
 
 
@@ -77,13 +81,52 @@ class TestDrift:
             assert np.allclose(jac[:, i], fd, atol=1e-6)
 
 
+class TestInfoRateRows:
+    def test_chunks_give_the_bits_of_one_call(self, scenario, monkeypatch):
+        # 21 x 21 x 16 = 7,056 grid nodes: one full chunk and a partial one
+        system = scenario.build_system()
+        grid = GridSpec.vehicle_plane((-1700.0, 1700.0), (-1700.0, 1700.0), 21, 21, 16)
+        sizes = []
+        original = system.info_rate
+
+        def recording(x):
+            sizes.append(len(x))
+            return original(x)
+
+        monkeypatch.setattr(system, "info_rate", recording)
+        rates = info_rate_rows(system, grid.mesh())
+        assert sizes == [RATE_CHUNK_ROWS, 7056 - RATE_CHUNK_ROWS]
+        one_call = original(grid.mesh().reshape(-1, 3)).reshape(grid.shape + (4,))
+        assert np.array_equal(rates, one_call)
+        # the grid field is the evaluator on the mesh
+        assert np.array_equal(info_rate_on_grid(system, grid), one_call)
+
+
+class TestHeldRun:
+    def test_rows_run_as_single_states(self):
+        car = DubinsCar(speed=2.0, turn_rate_limit=0.5)
+        rows = np.array([[0.0, 0.0, 3.0], [1.0, -2.0, -3.1], [5.0, 5.0, 0.0]])
+        u = np.array([[0.5], [-0.5], [0.0]])
+        stages, ends = held_run(car, rows, u, 0.4, 5)
+        assert stages.shape == (5, 4, 3, 3) and ends.shape == (5, 3, 3)
+        for r in range(3):
+            one_stages, one_ends = held_run(car, rows[r], float(u[r, 0]), 0.4, 5)
+            assert np.array_equal(stages[:, :, r], one_stages)
+            assert np.array_equal(ends[:, r], one_ends)
+        # each end is wrapped; each step starts from the end before
+        assert np.all((-math.pi <= ends[..., 2]) & (ends[..., 2] < math.pi))
+        assert np.array_equal(stages[1:, 0], ends[:-1]) and np.array_equal(stages[0, 0], rows)
+        assert np.any(np.abs(ends[:, 0, 2] - (3.0 + 0.5 * 0.4 * np.arange(1, 6))) > 1.0)
+
+
 class TestSimulate:
     def test_straight_line(self):
         car = DubinsCar(speed=3.0, turn_rate_limit=0.2)
         z0 = vec(np.eye(2))
         traj = simulate_open_loop(
             car,
-            AugmentedState(State(1.0, 2.0, 0.0), z0),
+            State(1.0, 2.0, 0.0),
+            z0,
             ControlSignal.constant(0.0, 10.0),
             horizon=10.0,
             dt=0.01,
@@ -97,7 +140,8 @@ class TestSimulate:
         t = math.pi / omega
         traj = simulate_open_loop(
             car,
-            AugmentedState(State(0.0, 0.0, 0.0), vec(np.eye(2))),
+            State(0.0, 0.0, 0.0),
+            vec(np.eye(2)),
             ControlSignal.constant(omega, t),
             horizon=t,
             dt=1e-3,
@@ -117,7 +161,8 @@ class TestSimulate:
         z0 = vec(np.diag([2.0, 3.0]))
         traj = simulate_open_loop(
             car,
-            AugmentedState(State(0.0, 0.0, 0.3), z0),
+            State(0.0, 0.0, 0.3),
+            z0,
             ControlSignal.constant(0.05, 4.0),
             horizon=4.0,
             dt=0.1,
@@ -129,7 +174,8 @@ class TestSimulate:
         with pytest.raises(ValueError, match="admissible"):
             simulate_open_loop(
                 car,
-                AugmentedState(State(0.0, 0.0, 0.0), vec(np.eye(2))),
+                State(0.0, 0.0, 0.0),
+                vec(np.eye(2)),
                 ControlSignal.constant(0.2, 1.0),
                 horizon=1.0,
                 dt=0.1,
@@ -143,11 +189,9 @@ class TestSimulate:
         z0 = vec(np.eye(2))
         for _ in range(20):
             delta = rng.normal(size=4)
-            base = simulate_open_loop(
-                car, AugmentedState(State(1.0, -2.0, 0.5), z0), control, 5.0, 0.05
-            )
+            base = simulate_open_loop(car, State(1.0, -2.0, 0.5), z0, control, 5.0, 0.05)
             shifted = simulate_open_loop(
-                car, AugmentedState(State(1.0, -2.0, 0.5), z0 + delta), control, 5.0, 0.05
+                car, State(1.0, -2.0, 0.5), z0 + delta, control, 5.0, 0.05
             )
             gap = shifted.final_info() - base.final_info()
             assert np.allclose(gap, delta, rtol=0.0, atol=1e-12)
@@ -156,7 +200,8 @@ class TestSimulate:
         car = DubinsCar(speed=1.0, turn_rate_limit=0.5)
         traj = simulate_open_loop(
             car,
-            AugmentedState(State(0.0, 0.0, 3.0), vec(np.eye(2))),
+            State(0.0, 0.0, 3.0),
+            vec(np.eye(2)),
             ControlSignal.constant(0.5, 2.0),
             horizon=2.0,
             dt=0.01,
@@ -171,7 +216,8 @@ class TestSimulate:
         car = DubinsCar(speed=2.0, turn_rate_limit=0.3, info_rate_fn=rank_one_rate)
         traj = simulate_open_loop(
             car,
-            AugmentedState(State(1.0, 1.0, 0.2), vec(np.eye(2))),
+            State(1.0, 1.0, 0.2),
+            vec(np.eye(2)),
             ControlSignal.constant(0.3, 6.0),
             horizon=6.0,
             dt=0.05,
@@ -191,7 +237,8 @@ class TestSimulate:
         def endpoint_error(dt):
             traj = simulate_open_loop(
                 car,
-                AugmentedState(State(0.0, 0.0, 0.0), vec(np.eye(2))),
+                State(0.0, 0.0, 0.0),
+                vec(np.eye(2)),
                 ControlSignal.constant(omega, t),
                 horizon=t,
                 dt=dt,
@@ -207,7 +254,8 @@ class TestSimulate:
         control = ControlSignal(np.array([0.0, 0.37, 1.0]), np.array([1.0, -1.0]))
         traj = simulate_open_loop(
             car,
-            AugmentedState(State(0.0, 0.0, 0.0), vec(np.eye(2))),
+            State(0.0, 0.0, 0.0),
+            vec(np.eye(2)),
             control,
             horizon=1.0,
             dt=0.1,
@@ -221,7 +269,8 @@ class TestCost:
         car = DubinsCar(speed=1.0, turn_rate_limit=0.1)
         traj = simulate_open_loop(
             car,
-            AugmentedState(State(0.0, 0.0, 0.0), vec(np.eye(2))),
+            State(0.0, 0.0, 0.0),
+            vec(np.eye(2)),
             ControlSignal.constant(0.0, 1.0),
             horizon=0.0,
             dt=0.1,
@@ -234,7 +283,8 @@ class TestCost:
         car = DubinsCar(speed=1.0, turn_rate_limit=0.1, info_rate_fn=constant_rate(rate))
         traj = simulate_open_loop(
             car,
-            AugmentedState(State(0.0, 0.0, 0.0), vec(np.eye(2))),
+            State(0.0, 0.0, 0.0),
+            vec(np.eye(2)),
             ControlSignal.constant(0.0, 1.0),
             horizon=1.0,
             dt=0.05,
@@ -246,7 +296,8 @@ class TestCost:
         car = DubinsCar(speed=2.0, turn_rate_limit=0.3, info_rate_fn=rank_one_rate)
         traj = simulate_open_loop(
             car,
-            AugmentedState(State(1.0, 1.0, 0.2), vec(np.eye(2))),
+            State(1.0, 1.0, 0.2),
+            vec(np.eye(2)),
             ControlSignal.constant(0.1, 2.0),
             horizon=2.0,
             dt=0.05,
@@ -256,12 +307,18 @@ class TestCost:
 
 
 class TestControlSignal:
-    def test_value_lookup(self):
+    @pytest.mark.parametrize(
+        "horizon, held", [(2.0, [0.5] * 4 + [-0.5] * 4), (1.5, [0.5] * 4 + [-0.5] * 2)]
+    )
+    def test_open_loop_holds_each_segment_value(self, horizon, held):
+        # the record's first control is the first value; a step records the
+        # value of the segment it lies in, and a horizon inside the last
+        # segment cuts it short
+        car = DubinsCar(speed=1.0, turn_rate_limit=1.0)
         sig = ControlSignal(np.array([0.0, 1.0, 2.0]), np.array([0.5, -0.5]))
-        assert sig.value_at(0.0) == 0.5
-        assert sig.value_at(0.999) == 0.5
-        assert sig.value_at(1.0) == -0.5
-        assert sig.value_at(2.5) == -0.5
+        traj = simulate_open_loop(car, State(0.0, 0.0, 0.0), vec(np.eye(2)), sig, horizon, 0.25)
+        assert traj.controls.tolist() == [0.5] + held
+        assert traj.s.tolist() == [0.25 * k for k in range(len(held) + 1)]
 
     def test_rejects_unsorted_times(self):
         with pytest.raises(ValueError):
@@ -277,7 +334,8 @@ class TestCsv:
         car = DubinsCar(speed=2.0, turn_rate_limit=0.3, info_rate_fn=rank_one_rate)
         traj = simulate_open_loop(
             car,
-            AugmentedState(State(1.0, 1.0, 0.2), vec(np.eye(2))),
+            State(1.0, 1.0, 0.2),
+            vec(np.eye(2)),
             ControlSignal.constant(0.1, 2.0),
             horizon=2.0,
             dt=0.1,

@@ -754,25 +754,6 @@ class TestMarchMemory:
         assert peak < 15 * 2**20
 
 
-class TestInfoRateField:
-    def test_chunks_give_the_bits_of_one_call(self, monkeypatch):
-        # 21 x 21 x 16 = 7,056 nodes: one full chunk and a partial one
-        system = load_scenario(SHIPPED).build_system()
-        sizes = []
-        original = system.info_rate
-
-        def recording(x):
-            sizes.append(len(x))
-            return original(x)
-
-        monkeypatch.setattr(system, "info_rate", recording)
-        field = info_rate_on_grid(system, SURVEY_GRID)
-        nodes = math.prod(SURVEY_GRID.shape)
-        assert sizes == [hjsolver.FIELD_CHUNK_ROWS, nodes - hjsolver.FIELD_CHUNK_ROWS]
-        one_call = original(SURVEY_GRID.mesh().reshape(-1, 3)).reshape(SURVEY_GRID.shape + (4,))
-        assert np.array_equal(field, one_call)
-
-
 class TestHybridSolve:
     def test_zero_information_keeps_initial_fields(self):
         car = dubins(rate_fn=None)

@@ -4,8 +4,9 @@ exports exactly what its __init__ imports, every helper of the package
 (private, or public and not exported) serves the package itself, and every
 parameter default of a package function is overridden by some call and
 left out by some call of the program, no function of the package takes
-a `metric` (a system names its own), and importing the package loads no
-thread pool and no logging."""
+a `metric` (a system names its own), outside the system classes only the
+chunked evaluator reads a system's `info_rate`, and importing the package
+loads no thread pool and no logging."""
 
 import ast
 import os
@@ -336,6 +337,47 @@ def test_scan_flags_parameters_named():
         "def extract(*metric):\n    return 0\n"
     )
     assert sorted(parameters_named([source], "metric")) == ["<lambda>", "extract", "flow", "solve"]
+
+
+def info_rate_readers(sources: list) -> list:
+    """The innermost function (or '<lambda>', or '<module>') around each read
+    of an `.info_rate` attribute in the sources, called or not, outside the
+    classes that define an info_rate method (the systems)."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(item, ast.FunctionDef) and item.name == "info_rate" for item in node.body
+        ):
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = getattr(node, "name", "<lambda>")
+        if isinstance(node, ast.Attribute) and node.attr == "info_rate":
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for source in sources:
+        visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_the_chunked_evaluator_calls_info_rate():
+    # every driver takes its rates through dynamics.info_rate_rows, so no
+    # second rate path (say, one call per RK4 step) can come back unseen
+    sources = [path.read_text(encoding="utf-8") for path in LIBRARY]
+    assert info_rate_readers(sources) == ["info_rate_rows"]
+
+
+def test_scan_flags_info_rate_readers():
+    source = (
+        "class Car:\n    def info_rate(self, x):\n        return self.inner.info_rate(x)\n"
+        "def info_rate_rows(system, x):\n    return system.info_rate(x)\n"
+        "def step(system, x):\n    return [system.info_rate(r) for r in x]\n"
+        "rate = lambda s, x: s.info_rate(x)\n"
+        "fn = car.info_rate\n"
+    )
+    assert info_rate_readers([source]) == ["info_rate_rows", "step", "<lambda>", "<module>"]
 
 
 def test_package_import_loads_no_thread_pool_or_logging():

@@ -6,17 +6,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import infotraj.dynamics
 import infotraj.hjsolver
 import infotraj.trajectories
 from infotraj.cli import load_scenario
 from infotraj.dynamics import (
-    AugmentedState,
+    RATE_CHUNK_ROWS,
+    RUN_BLOCK_STEPS,
     ControlSignal,
     DubinsCar,
     State,
     ToyCascade,
     Trajectory,
-    _segment_nodes,
+    rk4_steps,
     simulate_open_loop,
 )
 from infotraj.grid import Axis, GridSpec, interpolate
@@ -24,7 +26,6 @@ from infotraj.hjsolver import hybrid_solve, info_rate_on_grid
 from infotraj.matrixcore import vec
 from infotraj.sensing import suite_info_rate
 from infotraj.trajectories import (
-    EXTRACTION_BLOCK_STEPS,
     BoundaryExitError,
     ValidationReport,
     _info_rate_and_jacobian,
@@ -171,13 +172,13 @@ def assert_same_trajectory(got, want):
 
 def block_rule_calls(traj, points_per_step):
     """The info-rate call sizes of the block rule on a path that stays on the
-    grid: each block evaluates min(EXTRACTION_BLOCK_STEPS, steps left) steps
+    grid: each block evaluates min(RUN_BLOCK_STEPS, steps left) steps
     under the control at its start and commits them up to the first step
     whose control differs, where the next block starts."""
     step_controls = traj.controls[:-1]
     calls, k = [], 0
     while k < step_controls.size:
-        m = min(EXTRACTION_BLOCK_STEPS, step_controls.size - k)
+        m = min(RUN_BLOCK_STEPS, step_controls.size - k)
         held = step_controls[k : k + m] == step_controls[k]
         calls.append(points_per_step * m)
         k += m if held.all() else int(np.argmin(held))
@@ -496,6 +497,23 @@ class TestBruteForce:
                 toy, np.array([0.0]), np.array([1.0]), 1.0, segments=9, dt=0.1
             )
 
+    def test_block_over_a_chunk_has_the_bits_of_one_call(self, scenario, monkeypatch):
+        # segment 4 runs its 20 steps on 81 rows in one block of 4 * 20 * 81
+        # = 6,480 stage states: one full chunk and a partial one
+        system = scenario.build_system()
+        x0 = scenario.initial_states[0].as_array()
+        z0 = scenario.initial_information()
+        b = system.control_bound
+        combos = np.array(list(itertools.product((0.0, -b, b), repeat=4)))
+        calls = count_info_rate_calls(system, monkeypatch)
+        got = _simulate_control_batch(system, x0, z0, combos, 12.0, 0.15)
+        assert calls == [240, 720, 2160, RATE_CHUNK_ROWS, 6480 - RATE_CHUNK_ROWS]
+        monkeypatch.setattr(infotraj.dynamics, "RATE_CHUNK_ROWS", 10**9)
+        del calls[:]
+        unchunked = _simulate_control_batch(system, x0, z0, combos, 12.0, 0.15)
+        assert calls == [240, 720, 2160, 6480]
+        assert np.array_equal(got, unchunked)
+
     def test_batch_simulator_matches_single(self):
         car = DubinsCar(5.0, 0.5, info_rate_fn=None, info_dim=2)
         vals = np.array([[0.5, -0.5, 0.0], [0.0, 0.5, 0.5]])
@@ -504,17 +522,22 @@ class TestBruteForce:
         )
         for row in range(2):
             sig = ControlSignal.from_segments(vals[row], 3.0)
-            traj = simulate_open_loop(
-                car, AugmentedState(State(1.0, 2.0, 0.3), vec(np.eye(2))), sig, 3.0, 0.05
-            )
+            traj = simulate_open_loop(car, State(1.0, 2.0, 0.3), vec(np.eye(2)), sig, 3.0, 0.05)
             assert np.allclose(batch[row], traj.final_info(), atol=1e-12)
 
 
+# the open-loop case: four 15 s segments, each cut into 116 steps of 15 / 116 s
+OPEN_LOOP_CONTROL = ControlSignal.from_segments([0.05, -0.05, 0.0, 0.02], 60.0)
+OPEN_LOOP_NODES = np.concatenate(
+    [[0.0]] + [np.linspace(15.0 * j, 15.0 * (j + 1), 117)[1:] for j in range(4)]
+)
+
+
 class TestStageBatchedRK4:
-    """Brute force and open-loop simulation make one info-rate call per RK4
-    step and extraction one per block of steps under a held control, with
-    the bits of the former integrator, which made one per stage
-    (reference_rk4_step, reference_cascade_deriv and reference_extract)."""
+    """Every driver makes one info-rate call per block of steps under a held
+    control, with the bits of the former integrator, which made one per
+    stage (reference_rk4_step, reference_cascade_deriv and
+    reference_extract)."""
 
     def test_shipped_start(self, survey, shipped_characteristic):
         scenario, system, grid, z0, ell, solution = survey
@@ -619,31 +642,52 @@ class TestStageBatchedRK4:
         ],
         ids=["dubins", "toy"],
     )
-    def test_brute_force_batch_with_one_call_per_step(self, scenario, monkeypatch, cascade):
+    def test_brute_force_batch_with_one_call_per_block(self, scenario, monkeypatch, cascade):
         system, x0, z0 = cascade(scenario)
         b = system.control_bound
         combos = np.array(list(itertools.product((0.0, -b, b), repeat=3)))
         calls = count_info_rate_calls(system, monkeypatch)
-        got = _simulate_control_batch(system, x0, z0, combos, 12.0, 0.2)
-        # 20 steps per segment, on one row per distinct prefix of each segment
-        assert calls == [4 * 3] * 20 + [4 * 9] * 20 + [4 * 27] * 20
-        want = reference_simulate_control_batch(system, x0, z0, combos, 12.0, 0.2)
+        got = _simulate_control_batch(system, x0, z0, combos, 12.0, 0.1)
+        # 40 steps per segment in blocks of 32 and 8, on one row per
+        # distinct prefix of each segment
+        assert calls == [4 * r * m for r in (3, 9, 27) for m in (32, 8)]
+        want = reference_simulate_control_batch(system, x0, z0, combos, 12.0, 0.1)
         assert np.array_equal(got, want)
 
-    def test_open_loop_with_one_call_per_step(self, scenario, monkeypatch):
+    def test_open_loop_with_one_call_per_block(self, scenario, monkeypatch):
         system = scenario.build_system()
-        start = AugmentedState(scenario.initial_states[0], scenario.initial_information())
-        control = ControlSignal.from_segments([0.05, -0.05, 0.0, 0.02], 60.0)
+        x0, z0 = scenario.initial_states[0], scenario.initial_information()
         calls = count_info_rate_calls(system, monkeypatch)
-        got = simulate_open_loop(system, start, control, 60.0, 0.13)
-        nodes = _segment_nodes(control, 60.0, 0.13)
-        assert calls == [4] * (nodes.size - 1)
-        y = np.concatenate([start.x.as_array(), start.z])[None, :]
-        for k in range(nodes.size - 1):
-            deriv = reference_cascade_deriv(system, control.value_at(nodes[k]))
-            y = reference_rk4_step(system, deriv, y, nodes[k + 1] - nodes[k])
+        got = simulate_open_loop(system, x0, z0, OPEN_LOOP_CONTROL, 60.0, 0.13)
+        n, h = rk4_steps(15.0, 0.13, "horizon")
+        # each segment's 116 steps run in blocks of 32, 32, 32 and 20
+        assert n == 116 and calls == [4 * 32, 4 * 32, 4 * 32, 4 * 20] * 4
+        assert np.array_equal(got.s, OPEN_LOOP_NODES)
+        # the reference steps by rk4_steps's h, one info-rate call per stage
+        y = np.concatenate([x0.as_array(), z0])[None, :]
+        for k in range(4 * n):
+            deriv = reference_cascade_deriv(system, OPEN_LOOP_CONTROL.values[k // n])
+            y = reference_rk4_step(system, deriv, y, h)
             assert np.array_equal(got.states[k + 1], y[0, :3])
             assert np.array_equal(got.infos[k + 1], y[0, 3:])
+
+    def test_open_loop_against_linspace_steps(self, scenario):
+        # the former driver stepped by the differences of the linspace nodes
+        # of each segment, which differ from h = span / n in the last bits;
+        # measured: 8.1e-12 of the largest information entry and 8.7e-15 of
+        # the largest state entry
+        system = scenario.build_system()
+        x0, z0 = scenario.initial_states[0], scenario.initial_information()
+        got = simulate_open_loop(system, x0, z0, OPEN_LOOP_CONTROL, 60.0, 0.13)
+        y = np.concatenate([x0.as_array(), z0])[None, :]
+        want = [y[0]]
+        for k, step in enumerate(np.diff(OPEN_LOOP_NODES)):
+            deriv = reference_cascade_deriv(system, OPEN_LOOP_CONTROL.values[k // 116])
+            y = reference_rk4_step(system, deriv, y, step)
+            want.append(y[0])
+        want = np.array(want)
+        for a, b in ((got.states, want[:, :3]), (got.infos, want[:, 3:])):
+            assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
 
 
 def run_with_bad_step(name, overrides, toy_setup):
@@ -661,7 +705,7 @@ def run_with_bad_step(name, overrides, toy_setup):
         ),
         "extract_receding": lambda: extract_receding(sol, toy, x0, 1, kw["dt"], None),
         "simulate_open_loop": lambda: simulate_open_loop(
-            toy, AugmentedState(x0, z0), ControlSignal.constant(0.5, 1.0), kw["horizon"], kw["dt"]
+            toy, x0, z0, ControlSignal.constant(0.5, 1.0), kw["horizon"], kw["dt"]
         ),
     }
     calls[name]()
